@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the rfdump workspace. Runs entirely offline:
 #   1. formatting and lints (rustfmt, clippy -D warnings)
-#   2. tier-1: release build + full test suite, single-threaded
-#      (RFD_WORKERS=0) and again on the work-stealing analysis pool
-#      (RFD_WORKERS=4) — the pipeline must be deterministic across both —
+#   2. tier-1: release build + full test suite, on the inline pool
+#      (RFD_WORKERS=0: analysis tasks run on the scheduler thread) and
+#      again on four pool worker threads (RFD_WORKERS=4) — the pipeline
+#      must be deterministic across both —
 #      and a third pass pinned to the scalar reference kernels
 #      (RFD_KERNEL=scalar); the default legs run whatever SIMD backend
 #      the host resolves, so together they cover the kernel matrix

@@ -59,7 +59,6 @@ fn main() {
         noise_floor: Some(trace.noise_power),
         zigbee: false,
         microwave: false,
-        threaded: false,
         telemetry,
         workers: 0,
         faults: None,

@@ -104,7 +104,6 @@ fn main() {
                 noise_floor: Some(trace.noise_power),
                 zigbee: false,
                 microwave: false,
-                threaded: false,
                 telemetry: false,
                 workers: 0,
                 faults: None,

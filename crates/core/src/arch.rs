@@ -23,7 +23,6 @@ use crate::detect::{
 };
 use crate::dispatch::{
     AnalysisPool, Dispatch, DispatchConfig, DispatchStats, Dispatcher, PooledAnalysis,
-    QUARANTINE_STRIKES,
 };
 use crate::eval::ClassifiedPeak;
 use crate::governor::{GovernorConfig, GovernorReport, LoadGovernor};
@@ -40,8 +39,6 @@ use rfd_phy::Protocol;
 use rfd_telemetry::event::EventKind;
 use rfd_telemetry::{Counter, Histogram, Registry};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -86,19 +83,15 @@ pub struct ArchConfig {
     pub zigbee: bool,
     /// Include the microwave detector/analyzer.
     pub microwave: bool,
-    /// Run the flowgraph on the multi-threaded scheduler (one thread per
-    /// block). The paper notes this "inherent parallelism" but could not
-    /// exploit it on 2009 GNU Radio; here it is a switch.
-    pub threaded: bool,
     /// Collect unified telemetry (metrics registry + span trace) during the
     /// run. Off measures the pipeline's bare cost; the delta between the
     /// two settings is the observability overhead.
     pub telemetry: bool,
-    /// Worker threads for the RFDump analysis stage. `0` is the
-    /// single-threaded reference path (analyzers as flowgraph blocks on the
-    /// scheduler thread); `N >= 1` runs them on a work-stealing pool of `N`
-    /// threads with a deterministic merge, so the record output is
-    /// byte-identical either way. Ignored by the naïve architectures.
+    /// Worker threads for the RFDump analysis stage. `0` = the pool's
+    /// tasks run on the scheduler thread; `N >= 1` runs them on a
+    /// work-stealing pool of `N` threads. Either way results pass through
+    /// the same deterministic merge, so the record output is byte-identical
+    /// at any count. Ignored by the naïve architectures.
     pub workers: usize,
     /// Chaos fault plan threaded through the pipeline's injection sites.
     /// The constructors default it to [`FaultPlan::ambient`] (the
@@ -124,7 +117,7 @@ pub struct ArchConfig {
 }
 
 /// The default analysis worker count: the `RFD_WORKERS` environment
-/// variable when set to a non-negative integer, else `0` (single-threaded).
+/// variable when set to a non-negative integer, else `0` (analysis inline).
 /// Letting the environment pick means an entire test suite can be rerun
 /// against the pool without touching any call site.
 pub fn default_workers() -> usize {
@@ -145,7 +138,6 @@ impl ArchConfig {
             noise_floor: None,
             zigbee: false,
             microwave: true,
-            threaded: false,
             telemetry: true,
             workers: default_workers(),
             faults: FaultPlan::ambient(),
@@ -165,7 +157,6 @@ impl ArchConfig {
             noise_floor: None,
             zigbee: false,
             microwave: false,
-            threaded: false,
             telemetry: true,
             workers: default_workers(),
             faults: FaultPlan::ambient(),
@@ -216,14 +207,6 @@ impl ArchOutput {
     /// The paper's headline efficiency metric.
     pub fn cpu_over_realtime(&self) -> f64 {
         self.stats.total_cpu().as_secs_f64() / self.trace_seconds
-    }
-}
-
-fn run_graph(fg: &mut Flowgraph, threaded: bool) -> RunStats {
-    if threaded {
-        fg.run_threaded()
-    } else {
-        fg.run()
     }
 }
 
@@ -503,8 +486,7 @@ impl Block for NaiveWifiBlock {
 
 /// One continuous Bluetooth channel receiver over the raw stream (the
 /// naïve architecture runs one of these blocks per covered channel, as in
-/// the paper's Figure 1 — which also gives the multi-threaded scheduler
-/// real parallelism to exploit).
+/// the paper's Figure 1).
 struct NaiveBtChannelBlock {
     name: String,
     rx: rfd_phy::bluetooth::demod::BtChannelRx,
@@ -618,7 +600,7 @@ fn run_naive(
         fg.connect(tee, 1 + i, blk, 0);
         fg.connect(blk, 0, k, 0);
     }
-    let stats = run_graph(&mut fg, cfg.threaded);
+    let stats = fg.run();
 
     let mut records: Vec<PacketRecord> = out_w.lock().clone();
     for o in &bt_outs {
@@ -756,7 +738,7 @@ fn run_naive_energy(
     fg.connect(src, 0, peak, 0);
     fg.connect(peak, 0, demod, 0);
     fg.connect(demod, 0, k, 0);
-    let stats = run_graph(&mut fg, cfg.threaded);
+    let stats = fg.run();
     let mut records = out.lock().clone();
     records.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
     let classified = classified_from_records(&records, fs);
@@ -783,7 +765,7 @@ fn run_naive_energy(
 // ---------------------------------------------------------------------------
 
 /// Detection + dispatch: runs the fast-detector bank over each peak and
-/// finalizes classifications. One output port per analyzer protocol.
+/// finalizes classifications, emitting each dispatch once.
 struct DetectDispatchBlock {
     detectors: Vec<Box<dyn FastDetector>>,
     dispatcher: Dispatcher,
@@ -791,13 +773,6 @@ struct DetectDispatchBlock {
     timings: Arc<Mutex<Vec<(String, Duration)>>>,
     classified: Arc<Mutex<Vec<ClassifiedPeak>>>,
     stats_out: Arc<Mutex<Option<DispatchStats>>>,
-    /// Protocol of each output port.
-    ports: Vec<Protocol>,
-    /// Fan-out mode: `true` clones each dispatch to one output port per
-    /// matching protocol (the single-threaded graph, one analyzer block per
-    /// port); `false` emits each dispatch exactly once on port 0 (the
-    /// pooled graph, where the pool task runs every matching analyzer).
-    fan_out: bool,
     /// Per-detector (vote counter, confidence histogram), parallel to
     /// `detectors`; empty when telemetry is off.
     det_tel: Vec<(Arc<Counter>, Arc<Histogram>)>,
@@ -814,10 +789,8 @@ struct DetectDispatchBlock {
     /// `latency.dispatch_us` stage histogram when telemetry is on.
     dispatch_hist: Option<Arc<Histogram>>,
     /// Durability: this block notes every emitted dispatch sequence (the
-    /// candidate commit watermark), skips forwarding dispatches the journal
-    /// already holds records for, and — on the single-threaded sweep
-    /// scheduler — commits at `work` entry, when everything previously
-    /// emitted is known-sunk.
+    /// end-of-run commit value) and skips forwarding dispatches the journal
+    /// already holds records for.
     journal: Option<Arc<crate::durability::JournalState>>,
 }
 
@@ -848,15 +821,7 @@ impl DetectDispatchBlock {
             if let Some(h) = &self.dispatch_hist {
                 crate::latency::record_since(h, d.block.ingest);
             }
-            if self.fan_out {
-                for (port, proto) in self.ports.iter().enumerate() {
-                    if d.vote_for(*proto).is_some() {
-                        outputs[port].push(Box::new(d.clone()));
-                    }
-                }
-            } else {
-                outputs[0].push(Box::new(d));
-            }
+            outputs[0].push(Box::new(d));
         }
     }
 }
@@ -869,21 +834,11 @@ impl Block for DetectDispatchBlock {
     fn name(&self) -> &str {
         DISPATCH_BLOCK_NAME
     }
-    fn num_outputs(&self) -> usize {
-        if self.fan_out {
-            self.ports.len()
-        } else {
-            1
-        }
-    }
     fn work(
         &mut self,
         inputs: &mut [VecDeque<Payload>],
         outputs: &mut [Vec<Payload>],
     ) -> WorkStatus {
-        if let Some(j) = &self.journal {
-            j.tick_commit();
-        }
         while let Some(p) = inputs[0].pop_front() {
             let pk = p.downcast::<PeakBlock>().expect("PeakBlock");
             if let Some(plan) = &self.faults {
@@ -972,204 +927,14 @@ impl Block for DetectDispatchBlock {
     }
 }
 
-/// A record plus its dispatch's ingest stamp, passed from [`AnalyzerBlock`]
-/// to [`RecordSinkBlock`] on the single-threaded graph. The stamp rides in
-/// the payload — never inside [`PacketRecord`] — so serialized records and
-/// record equality stay byte-identical with and without telemetry.
-struct StampedRecord {
-    rec: PacketRecord,
-    ingest: Option<Instant>,
-}
-
-/// Wraps an [`Analyzer`] as a flowgraph block, with the same supervision
-/// the pooled path applies: every `analyze` call runs under `catch_unwind`,
-/// and after [`QUARANTINE_STRIKES`] panics the analyzer is quarantined
-/// (its dispatches dropped) while the rest of the graph keeps running.
-struct AnalyzerBlock {
-    analyzer: Box<dyn Analyzer>,
-    demodulate: bool,
-    /// Registry for per-packet decode latency spans and histogram.
-    registry: Option<Arc<Registry>>,
-    /// `analyze.<protocol>.latency_us` (exponential buckets, µs).
-    latency: Option<Arc<Histogram>>,
-    /// `latency.analyze_us` stage histogram (time since ingest).
-    stage_analyze: Option<Arc<Histogram>>,
-    /// Chaos injection site (the analyzer's own name).
-    faults: Option<Arc<FaultPlan>>,
-    /// Demodulation gate for the degradation ladder.
-    governor: Option<Arc<LoadGovernor>>,
-    strikes: u64,
-    quarantined: bool,
-    /// Run-wide panic count, shared across analyzer blocks.
-    panics_out: Arc<AtomicU64>,
-    /// Run-wide quarantine list, shared across analyzer blocks.
-    quarantined_out: Arc<Mutex<Vec<String>>>,
-    /// Durability: strike counts mirror into the checkpoint under this port.
-    journal: Option<(Arc<crate::durability::JournalState>, usize)>,
-}
-
-impl AnalyzerBlock {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        analyzer: Box<dyn Analyzer>,
-        demodulate: bool,
-        registry: &Option<Arc<Registry>>,
-        faults: Option<Arc<FaultPlan>>,
-        governor: Option<Arc<LoadGovernor>>,
-        panics_out: Arc<AtomicU64>,
-        quarantined_out: Arc<Mutex<Vec<String>>>,
-        initial_strikes: u64,
-        journal: Option<(Arc<crate::durability::JournalState>, usize)>,
-    ) -> Self {
-        let latency = registry.as_ref().map(|r| {
-            r.histogram(
-                &format!("analyze.{}.latency_us", analyzer.protocol().name()),
-                || Histogram::exponential(1.0, 1e6, 24),
-            )
-        });
-        let stage_analyze = registry
-            .as_ref()
-            .map(|r| crate::latency::stage_histogram(r, crate::latency::ANALYZE));
-        // Resumed supervision: an analyzer quarantined before the crash
-        // stays quarantined — a crash must not reset the strike ledger.
-        let quarantined = initial_strikes >= QUARANTINE_STRIKES;
-        if quarantined {
-            quarantined_out.lock().push(analyzer.name().to_string());
-        }
-        Self {
-            analyzer,
-            demodulate,
-            registry: registry.clone(),
-            latency,
-            stage_analyze,
-            faults,
-            governor,
-            strikes: initial_strikes,
-            quarantined,
-            panics_out,
-            quarantined_out,
-            journal,
-        }
-    }
-}
-
-impl Block for AnalyzerBlock {
-    fn name(&self) -> &str {
-        self.analyzer.name()
-    }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        while let Some(p) = inputs[0].pop_front() {
-            let d = p.downcast::<Dispatch>().expect("Dispatch");
-            if self.quarantined {
-                continue;
-            }
-            let demod_now = match (&self.governor, self.demodulate) {
-                (Some(g), true) => {
-                    let ok = g.demod_allowed();
-                    if !ok {
-                        g.note_shed_demod();
-                    }
-                    ok
-                }
-                _ => self.demodulate,
-            };
-            if demod_now {
-                let t0 = Instant::now();
-                let analyzer = &mut self.analyzer;
-                let faults = &self.faults;
-                let recs = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(plan) = faults {
-                        match plan.decide(analyzer.name()) {
-                            Some(Action::Panic) => panic!("injected fault: {}", analyzer.name()),
-                            Some(Action::Slow(dur)) => std::thread::sleep(dur),
-                            Some(Action::Spin(dur)) => rfd_fault::spin_for(dur),
-                            Some(Action::Kill) => std::process::abort(),
-                            _ => {}
-                        }
-                    }
-                    analyzer.analyze(&d)
-                }));
-                let dur = t0.elapsed();
-                let recs = match recs {
-                    Ok(recs) => recs,
-                    Err(_) => {
-                        self.panics_out.fetch_add(1, Ordering::Relaxed);
-                        self.strikes += 1;
-                        if let Some((j, port)) = &self.journal {
-                            j.set_strike(*port, self.strikes);
-                        }
-                        if let Some(reg) = &self.registry {
-                            reg.counter("analyze.panics").inc();
-                        }
-                        if self.strikes >= QUARANTINE_STRIKES {
-                            self.quarantined = true;
-                            self.quarantined_out
-                                .lock()
-                                .push(self.analyzer.name().to_string());
-                            if let Some(reg) = &self.registry {
-                                reg.counter(&format!(
-                                    "analyze.{}.quarantined",
-                                    self.analyzer.protocol().name()
-                                ))
-                                .inc();
-                                reg.tracer()
-                                    .record(self.analyzer.name(), "quarantine", t0, dur);
-                                reg.emit_event(
-                                    EventKind::Quarantine,
-                                    format!(
-                                        "{} after {} panics",
-                                        self.analyzer.name(),
-                                        self.strikes
-                                    ),
-                                );
-                            }
-                        }
-                        continue;
-                    }
-                };
-                if let Some(reg) = &self.registry {
-                    reg.tracer()
-                        .record(self.analyzer.name(), "analyze", t0, dur);
-                }
-                if let Some(h) = &self.latency {
-                    h.record(dur.as_secs_f64() * 1e6);
-                }
-                if let Some(h) = &self.stage_analyze {
-                    crate::latency::record_since(h, d.block.ingest);
-                }
-                for rec in recs {
-                    outputs[0].push(Box::new(StampedRecord {
-                        rec,
-                        ingest: d.block.ingest,
-                    }));
-                }
-            } else {
-                // Detection-only: emit the tentative classification (shared
-                // with the pooled path, so both modes emit identical records).
-                outputs[0].push(Box::new(StampedRecord {
-                    rec: crate::analyze::detected_only_record(&d, self.analyzer.protocol()),
-                    ingest: d.block.ingest,
-                }));
-            }
-        }
-        WorkStatus::Again
-    }
-}
-
-/// Name of the pooled analysis block; its row in the stats table carries
-/// only the submit/merge bookkeeping — worker CPU is reported as one
-/// pseudo-row per analyzer, under the same names the single-threaded graph
-/// uses for its analyzer blocks.
+/// Name of the analysis block; its row in the stats table carries only the
+/// submit/merge bookkeeping — analyzer CPU (spent on the pool's workers, or
+/// inside this block's own `work` at workers 0) is reported as one
+/// pseudo-row per analyzer.
 const POOL_BLOCK_NAME: &str = "analyze:pool";
 
-/// The pooled analysis stage as a flowgraph block: dispatches in, nothing
-/// out of the graph — records accumulate per output port behind shared
-/// storage, mirroring the per-analyzer sinks of the single-threaded graph
-/// so final record assembly is identical in both modes.
+/// The analysis stage as a flowgraph block: dispatches in, nothing out of
+/// the graph — records accumulate per output port behind shared storage.
 struct PooledAnalyzeBlock {
     pool: Option<AnalysisPool>,
     per_port: Arc<Mutex<Vec<Vec<PacketRecord>>>>,
@@ -1245,8 +1010,9 @@ impl Block for PooledAnalyzeBlock {
             let pool = self.pool.as_mut().expect("pool lives until finish");
             while let Some(p) = inputs[0].pop_front() {
                 let d = p.downcast::<Dispatch>().expect("Dispatch");
-                // Blocks when the injector is full: backpressure toward the
-                // detection stage (and, through it, the trace reader).
+                // With worker threads, blocks when the injector is full:
+                // backpressure toward the detection stage (and, through it,
+                // the trace reader). With none, runs the task right here.
                 pool.submit(*d);
             }
             pool.drain_ordered()
@@ -1263,71 +1029,10 @@ impl Block for PooledAnalyzeBlock {
     }
 }
 
-/// Record sink for the single-threaded graph: stores records like a
-/// `VecSink` and — when journaling — appends each one to the write-ahead
-/// journal as it arrives, so the log is complete before the detect block's
-/// next sweep commits.
-struct RecordSinkBlock {
-    storage: Arc<Mutex<Vec<PacketRecord>>>,
-    journal: Option<Arc<crate::durability::JournalState>>,
-    port: usize,
-    /// `latency.journal_us` stage histogram (time since ingest at append).
-    journal_hist: Option<Arc<Histogram>>,
-    /// `latency.e2e_us` end-to-end histogram (time since ingest at sink).
-    e2e_hist: Option<Arc<Histogram>>,
-    /// `records.<protocol>` counter for this port's protocol.
-    record_counter: Option<Arc<Counter>>,
-    /// Feeds the bounded-latency control loop, when configured.
-    governor: Option<Arc<LoadGovernor>>,
-}
-
-impl Block for RecordSinkBlock {
-    fn name(&self) -> &str {
-        "sink:records"
-    }
-    fn num_outputs(&self) -> usize {
-        0
-    }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        _outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        let mut stored = false;
-        while let Some(p) = inputs[0].pop_front() {
-            let sr = p.downcast::<StampedRecord>().expect("StampedRecord");
-            let StampedRecord { rec, ingest } = *sr;
-            if let Some(j) = &self.journal {
-                j.journal_record(self.port, &rec);
-                if let Some(h) = &self.journal_hist {
-                    crate::latency::record_since(h, ingest);
-                }
-            }
-            if let Some(c) = &self.record_counter {
-                c.inc();
-            }
-            if let Some(h) = &self.e2e_hist {
-                crate::latency::record_since(h, ingest);
-            }
-            if let Some(g) = &self.governor {
-                g.record_e2e(ingest);
-            }
-            self.storage.lock().push(rec);
-            stored = true;
-        }
-        if stored {
-            if let Some(g) = &self.governor {
-                g.latency_tick();
-            }
-        }
-        WorkStatus::Again
-    }
-}
-
-/// The analyzer lineup for an RFDump run, in output-port order. Both the
-/// single-threaded graph and every pool worker build their lineup through
-/// this one function, so the per-port analyzers — and therefore the records
-/// they emit — cannot diverge between modes.
+/// The analyzer lineup for an RFDump run, in output-port order. Every pool
+/// worker (and the inline executor) builds its lineup through this one
+/// function, so the per-port analyzers — and therefore the records they
+/// emit — cannot diverge between worker counts.
 fn make_analyzers(cfg: &ArchConfig, fs: f64) -> Vec<Box<dyn Analyzer>> {
     let mut analyzers: Vec<Box<dyn Analyzer>> = vec![
         Box::new(WifiAnalyzer),
@@ -1392,10 +1097,6 @@ fn run_rfdump(
     fs: f64,
     trace_seconds: f64,
 ) -> ArchOutput {
-    // Analyzer lineup.
-    let analyzers = make_analyzers(cfg, fs);
-    let ports: Vec<Protocol> = analyzers.iter().map(|a| a.protocol()).collect();
-    let pooled = cfg.workers > 0;
     let governor = cfg.governor.map(|g| Arc::new(LoadGovernor::new(g)));
     if let Some(g) = &governor {
         g.init_chunk(cfg.chunk_samples);
@@ -1410,22 +1111,32 @@ fn run_rfdump(
         .is_some_and(|g| g.latency_budget_us().is_some());
     let stamp = registry.is_some() || budgeted;
 
+    // The analysis stage: one pool at any worker count (its tasks run on
+    // the scheduler thread at workers 0), each executor building its own
+    // analyzer lineup.
+    let factory_cfg = cfg.clone();
+    let pool = AnalysisPool::new(
+        cfg.workers,
+        move || make_analyzers(&factory_cfg, fs),
+        cfg.demodulate,
+        registry.clone(),
+        cfg.faults.clone(),
+        governor.clone(),
+    );
+    let ports: Vec<Protocol> = pool.protocols().to_vec();
+
     // Crash-safe durability: open (or recover) the journal before the graph
-    // is built, so recovered record streams can seed the sinks and the
-    // recovered commit watermark can gate dispatch forwarding. An IO error
-    // here degrades to a non-durable run rather than failing it.
+    // is built, so recovered record streams can seed the per-port storage
+    // and the recovered commit watermark can gate dispatch forwarding. An
+    // IO error here degrades to a non-durable run rather than failing it.
     let mut recovered = None;
     let journal = cfg.durability.as_ref().and_then(|d| {
         let n_samples = samples.len() as u64;
         let fingerprint = crate::durability::config_fingerprint(cfg, n_samples, fs);
-        // Intermediate sweep commits are only sound on the single-threaded
-        // scheduler; the pooled commit path is scheduler-agnostic.
-        let single_commit = !pooled && !cfg.threaded;
         match crate::durability::JournalState::prepare(
             d,
             &fingerprint,
             ports.len(),
-            single_commit,
             governor.clone(),
             cfg.faults.clone(),
             registry.clone(),
@@ -1440,19 +1151,17 @@ fn run_rfdump(
             }
         }
     });
-    if let (Some(g), Some(r)) = (&governor, &recovered) {
-        g.restore_level(r.governor_level);
-    }
-    // Recovered per-port record streams seed the sinks (single-threaded) or
-    // the pooled per-port storage, exactly where the crashed run left them.
-    let mut seeded: Vec<Vec<PacketRecord>> = match recovered.as_mut() {
-        Some(r) => {
-            let mut v = std::mem::take(&mut r.per_port);
-            v.resize(ports.len(), Vec::new());
-            v
+    // Recovered state resumes exactly where the crashed run left it: the
+    // shed level, the strike ledger, and the per-port record streams.
+    let mut seeded: Vec<Vec<PacketRecord>> = Vec::new();
+    if let Some(r) = recovered {
+        if let Some(g) = &governor {
+            g.restore_level(r.governor_level);
         }
-        None => vec![Vec::new(); ports.len()],
-    };
+        pool.restore_supervision(&r.strikes);
+        seeded = r.per_port;
+    }
+    seeded.resize(ports.len(), Vec::new());
 
     let detectors = build_detectors(cfg, set, fs);
     let timings = Arc::new(Mutex::new(
@@ -1521,8 +1230,6 @@ fn run_rfdump(
         timings: timings.clone(),
         classified: classified.clone(),
         stats_out: dstats.clone(),
-        ports: ports.clone(),
-        fan_out: !pooled,
         det_tel,
         faults: cfg.faults.clone(),
         governor: governor.clone(),
@@ -1533,74 +1240,21 @@ fn run_rfdump(
     fg.connect(src, 0, peak, 0);
     fg.connect(peak, 0, detect, 0);
 
-    let mut outs = Vec::new();
-    let per_port = Arc::new(Mutex::new(if pooled {
-        std::mem::take(&mut seeded)
-    } else {
-        Vec::new()
-    }));
+    let per_port = Arc::new(Mutex::new(seeded));
     let pool_result = Arc::new(Mutex::new(None));
-    let az_panics = Arc::new(AtomicU64::new(0));
-    let az_quarantined = Arc::new(Mutex::new(Vec::new()));
-    if pooled {
-        drop(analyzers); // pool workers build their own lineups
-        let factory_cfg = cfg.clone();
-        let pool = AnalysisPool::new(
-            cfg.workers,
-            move || make_analyzers(&factory_cfg, fs),
-            cfg.demodulate,
-            registry.clone(),
-            cfg.faults.clone(),
-            governor.clone(),
-        );
-        if let Some(r) = &recovered {
-            pool.restore_supervision(&r.strikes);
-        }
-        let blk = fg.add(Box::new(PooledAnalyzeBlock {
-            pool: Some(pool),
-            per_port: per_port.clone(),
-            result: pool_result.clone(),
-            journal: journal.clone(),
-            journal_hist,
-            e2e_hist,
-            record_counters,
-            governor: governor.clone(),
-        }));
-        fg.connect(detect, 0, blk, 0);
-    } else {
-        for ((i, az), init) in analyzers.into_iter().enumerate().zip(seeded) {
-            let initial_strikes = recovered
-                .as_ref()
-                .and_then(|r| r.strikes.get(i).copied())
-                .unwrap_or(0);
-            let blk = fg.add(Box::new(AnalyzerBlock::new(
-                az,
-                cfg.demodulate,
-                registry,
-                cfg.faults.clone(),
-                governor.clone(),
-                az_panics.clone(),
-                az_quarantined.clone(),
-                initial_strikes,
-                journal.as_ref().map(|j| (j.clone(), i)),
-            )));
-            let storage = Arc::new(Mutex::new(init));
-            outs.push(storage.clone());
-            let k = fg.add(Box::new(RecordSinkBlock {
-                storage,
-                journal: journal.clone(),
-                port: i,
-                journal_hist: journal_hist.clone(),
-                e2e_hist: e2e_hist.clone(),
-                record_counter: record_counters.as_ref().map(|cs| cs[i].clone()),
-                governor: governor.clone(),
-            }));
-            fg.connect(detect, i, blk, 0);
-            fg.connect(blk, 0, k, 0);
-        }
-    }
+    let analyze = fg.add(Box::new(PooledAnalyzeBlock {
+        pool: Some(pool),
+        per_port: per_port.clone(),
+        result: pool_result.clone(),
+        journal: journal.clone(),
+        journal_hist,
+        e2e_hist,
+        record_counters,
+        governor: governor.clone(),
+    }));
+    fg.connect(detect, 0, analyze, 0);
 
-    let mut stats = run_graph(&mut fg, cfg.threaded);
+    let mut stats = fg.run();
     // Everything emitted is now merged and sunk: commit it, checkpoint, and
     // make the journal durable before reporting.
     if let Some(j) = &journal {
@@ -1627,46 +1281,31 @@ fn run_rfdump(
         });
     }
 
-    // Pooled runs: surface worker CPU as one pseudo-row per analyzer, under
-    // the same names the single-threaded analyzer blocks use, so stage and
-    // per-analyzer accounting is comparable across modes. The pool block's
-    // own row spent most of its measured time *blocked* on submit/join while
-    // workers ran that same analyzer CPU, so carve the analyzer total out of
-    // it (same saturating treatment as the detector timings above).
-    let mut pool_stats = None;
-    let mut panics = az_panics.load(Ordering::Relaxed);
-    let mut quarantined = az_quarantined.lock().clone();
-    if pooled {
-        let result = pool_result.lock().take().expect("pooled run finished");
-        let analyzer_cpu: Duration = result.analyzers.iter().map(|a| a.cpu).sum();
-        if let Some(b) = stats.blocks.iter_mut().find(|b| b.name == POOL_BLOCK_NAME) {
-            b.cpu = b.cpu.saturating_sub(analyzer_cpu);
-        }
-        for a in &result.analyzers {
-            stats.blocks.push(rfd_flowgraph::BlockStats {
-                name: a.name.clone(),
-                cpu: a.cpu,
-                items_in: a.items_in,
-                items_out: a.items_out,
-            });
-        }
-        panics = result.panics;
-        quarantined = result.quarantined.clone();
-        pool_stats = Some(result.pool);
+    // Surface analyzer CPU as one pseudo-row per analyzer. It was spent
+    // either inside the analysis block's `work` (workers 0) or on workers
+    // while that block sat blocked on submit/join, so carve the analyzer
+    // total out of the block's row (same saturating treatment as the
+    // detector timings above).
+    let result = pool_result.lock().take().expect("analysis stage finished");
+    let analyzer_cpu: Duration = result.analyzers.iter().map(|a| a.cpu).sum();
+    if let Some(b) = stats.blocks.iter_mut().find(|b| b.name == POOL_BLOCK_NAME) {
+        b.cpu = b.cpu.saturating_sub(analyzer_cpu);
+    }
+    for a in &result.analyzers {
+        stats.blocks.push(rfd_flowgraph::BlockStats {
+            name: a.name.clone(),
+            cpu: a.cpu,
+            items_in: a.items_in,
+            items_out: a.items_out,
+        });
     }
 
     // Per-port record streams concatenate in port order and stable-sort by
-    // start time — identically in both modes, so the output byte stream is
-    // independent of the worker count.
+    // start time, so the output byte stream is independent of the worker
+    // count.
     let mut records: Vec<PacketRecord> = Vec::new();
-    if pooled {
-        for port in per_port.lock().iter_mut() {
-            records.append(port);
-        }
-    } else {
-        for o in outs {
-            records.extend(o.lock().iter().cloned());
-        }
+    for port in per_port.lock().iter_mut() {
+        records.append(port);
     }
     records.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
 
@@ -1682,12 +1321,13 @@ fn run_rfdump(
         trace_seconds,
         sample_rate: fs,
         registry: None,
-        pool_stats,
+        // Worker statistics describe threads; with none there is no section.
+        pool_stats: (cfg.workers > 0).then_some(result.pool),
         faults: None,
         governor: governor.as_ref().map(|g| g.report()),
         latency: governor.as_ref().and_then(|g| g.latency_report()),
-        panics,
-        quarantined,
+        panics: result.panics,
+        quarantined: result.quarantined,
         recovery: journal.as_ref().map(|j| j.report()),
     }
 }

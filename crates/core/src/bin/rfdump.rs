@@ -41,8 +41,8 @@
 //!   -z               enable the ZigBee detectors/analyzer
 //!   -s               print per-stage CPU statistics
 //!   -q               suppress packet lines (stats only)
-//!   -t               multi-threaded scheduler (one thread per block)
-//!   --workers N      analysis worker threads (0 = single-threaded; the
+//!   --workers N      analysis worker threads (0 = run the analysis
+//!                    pool's tasks inline on the scheduler thread; the
 //!                    record output is byte-identical for any N; default
 //!                    from RFD_WORKERS, else 0)
 //!   --no-telemetry   disable the metrics registry / span trace
@@ -159,29 +159,25 @@ fn parse_chunk_bound(flag: &str, v: &str) -> Result<usize, String> {
 /// configured it) and carries the chunk ladder bounds.
 ///
 /// A budget *without* an explicit `--governor` engages only the latency
-/// ladder: the CPU-ratio watermarks are parked out of reach, so the only
-/// thing that can shed is a measured budget violation. That is what makes
-/// "byte-identical with and without an unviolated `--latency-budget`" a
-/// contract rather than a bet on the host keeping up with real time —
-/// CPU-ratio shedding stays opt-in via `--governor auto`.
+/// ladder ([`GovernorConfig::latency_only`]); CPU-ratio shedding stays
+/// opt-in via `--governor auto`.
 fn apply_latency_flags(
     governor: &mut Option<GovernorConfig>,
     budget_ms: Option<f64>,
     chunk_min: Option<usize>,
     chunk_max: Option<usize>,
 ) -> Result<(), String> {
-    if budget_ms.is_none() {
+    let Some(budget_ms) = budget_ms else {
         if chunk_min.is_some() || chunk_max.is_some() {
             return Err("--chunk-min/--chunk-max need --latency-budget".to_string());
         }
         return Ok(());
-    }
-    let mut g = governor.take().unwrap_or(GovernorConfig {
-        high_water: f64::INFINITY,
-        low_water: 0.0,
-        ..GovernorConfig::default()
-    });
-    g.latency_budget_us = budget_ms.map(|ms| ms * 1e3);
+    };
+    let budget_us = budget_ms * 1e3;
+    let mut g = governor
+        .take()
+        .unwrap_or_else(|| GovernorConfig::latency_only(budget_us));
+    g.latency_budget_us = Some(budget_us);
     if let Some(m) = chunk_min {
         g.chunk_min = m;
     }
@@ -206,7 +202,6 @@ struct Options {
     zigbee: bool,
     stats: bool,
     quiet: bool,
-    threaded: bool,
     telemetry: bool,
     workers: usize,
     stats_json: Option<String>,
@@ -224,7 +219,7 @@ struct Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rfdump -r FILE [-a rfdump|naive|naive-energy] [-d timing|phase|both|all]\n\
-         \x20             [-n] [-p LAP:UAP]... [-z] [-s] [-q] [-t] [--workers N]\n\
+         \x20             [-n] [-p LAP:UAP]... [-z] [-s] [-q] [--workers N]\n\
          \x20             [--no-telemetry] [--stats-json FILE] [--trace-out FILE]\n\
          \x20             [--chaos SPEC] [--governor auto|0|1|2]\n\
          \x20             [--latency-budget MS [--chunk-min N] [--chunk-max N]]\n\
@@ -257,7 +252,6 @@ fn parse_args() -> Result<Options, String> {
         zigbee: false,
         stats: false,
         quiet: false,
-        threaded: false,
         telemetry: true,
         workers: default_workers(),
         stats_json: None,
@@ -299,7 +293,6 @@ fn parse_args() -> Result<Options, String> {
             "-z" => opts.zigbee = true,
             "-s" => opts.stats = true,
             "-q" => opts.quiet = true,
-            "-t" => opts.threaded = true,
             "--workers" => {
                 opts.workers = args
                     .next()
@@ -418,7 +411,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         noise_floor: None,
         zigbee: false,
         microwave: true,
-        threaded: false,
         telemetry: true,
         workers: default_workers(),
         faults: FaultPlan::ambient(),
@@ -1445,7 +1437,6 @@ fn main() -> ExitCode {
         noise_floor: None,
         zigbee: opts.zigbee,
         microwave: true,
-        threaded: opts.threaded,
         telemetry: opts.telemetry
             || opts.stats_json.is_some()
             || opts.trace_out.is_some()

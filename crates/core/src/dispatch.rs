@@ -282,8 +282,8 @@ impl Dispatcher {
 // ---------------------------------------------------------------------------
 
 /// What one analyzer did, summed across every pool worker. Reported as a
-/// pseudo-block in the stats table so the CPU accounting matches the
-/// single-threaded run (where each analyzer is its own flowgraph block).
+/// pseudo-block in the stats table, one row per analyzer at any worker
+/// count.
 #[derive(Debug, Clone)]
 pub struct AnalyzerTotals {
     /// Analyzer display name (e.g. `analyze:wifi-demod`).
@@ -314,18 +314,17 @@ pub struct PooledAnalysis {
 /// [`PacketRecord`]) plus the `(port, record)` pairs it produced.
 type PoolOutput = (Option<Instant>, Vec<(usize, PacketRecord)>);
 
-/// The parallel analysis stage: finalized [`Dispatch`]es fan out to a
+/// The analysis stage: finalized [`Dispatch`]es fan out to a
 /// work-stealing pool where each worker runs its own private set of
 /// per-protocol analyzers, and results re-sequence through a
-/// [`Reorderer`] so the record stream is byte-identical to the
-/// single-threaded schedule.
+/// [`Reorderer`] so the record stream is byte-identical at any worker
+/// count — including zero, where each task runs inline in `submit`.
 ///
 /// Determinism rests on two facts: analyzers are pure per-dispatch (their
 /// state is configuration only, so the same `Dispatch` yields the same
 /// records on any worker), and each task emits `(port, record)` pairs in
-/// the same port order the single-threaded scheduler visits its analyzer
-/// blocks. Re-sequencing by submission index therefore reproduces the
-/// per-port record sequences exactly.
+/// analyzer (output-port) order. Re-sequencing by submission index
+/// therefore reproduces the per-port record sequences exactly.
 pub struct AnalysisPool {
     pool: TaskPool<Dispatch, PoolOutput>,
     reorder: Reorderer<PoolOutput>,
@@ -346,12 +345,11 @@ impl AnalysisPool {
     /// (`pool.analyze.worker<i>.{executed,stolen,stall_us,depth}`).
     pub const TELEMETRY_PREFIX: &'static str = "pool.analyze";
 
-    /// Spawns `workers` threads (min 1). `factory` builds one analyzer
-    /// lineup per worker; it is also called once up front to learn the
-    /// lineup's names and protocols. With `demodulate` off, tasks emit the
-    /// dispatcher's tentative classification as [`detected_only_record`]s
-    /// instead of demodulating — exactly what the single-threaded
-    /// detection-only path does.
+    /// Spawns `workers` threads; with `0`, tasks run on the submitting
+    /// thread. `factory` builds one analyzer lineup per worker; it is also
+    /// called once up front to learn the lineup's names and protocols. With
+    /// `demodulate` off, tasks emit the dispatcher's tentative
+    /// classification as [`detected_only_record`]s instead of demodulating.
     ///
     /// Each analyzer invocation runs under `catch_unwind`: a panicking
     /// analyzer loses only its own records for that dispatch, and after
@@ -403,8 +401,7 @@ impl AnalysisPool {
             let quarantined = task_quarantined.clone();
             let faults = faults.clone();
             let governor = governor.clone();
-            // Per-protocol decode-latency histograms, same names as the
-            // single-threaded AnalyzerBlock publishes.
+            // Per-protocol decode-latency histograms.
             let latency: Vec<Option<Arc<Histogram>>> = analyzers
                 .iter()
                 .map(|a| {

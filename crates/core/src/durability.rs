@@ -38,15 +38,12 @@
 //!   these counts, so records that were journaled after the last commit by a
 //!   previous incarnation can never be double-counted.
 //!
-//! Commit placement differs by mode. With workers ≥ 1 the pooled analysis
-//! block commits `base + merged_seq()` after journaling each ordered drain —
-//! the pool's reorder watermark *is* the durability watermark. At workers 0
-//! the commit rides the scheduler's sweep structure: when the detect block's
-//! `work` runs, every dispatch it emitted in earlier sweeps has already been
-//! analyzed and sunk (blocks run in topological order and drain fully), so
-//! committing the emitted count at `work` entry is always safe. The
-//! multi-threaded block scheduler has no such barrier, so intermediate
-//! commits are disabled there and only the final end-of-run commit applies.
+//! There is one commit rule, at any worker count: after journaling each
+//! ordered drain, the analysis block commits `base + merged_seq()` — the
+//! pool's reorder watermark *is* the durability watermark. At workers 0 the
+//! pool's tasks run inline in `submit`, so every drain is complete and the
+//! watermark equals the submitted count. The end-of-run commit covers
+//! whatever was emitted last.
 //!
 //! fsync cadence is a durability/latency knob, not a correctness one:
 //! recovery trusts only what it can read back, and anything lost past the
@@ -276,13 +273,10 @@ pub struct JournalState {
     /// skipped and their records come from [`RecoveredRun::per_port`].
     base: u64,
     /// Highest dispatch `seq + 1` the detect stage has routed (including
-    /// skipped ones), i.e. the candidate commit value.
+    /// skipped ones), i.e. the end-of-run commit value.
     emitted: AtomicU64,
     /// Last commit value appended (or recovered).
     committed: AtomicU64,
-    /// Intermediate commits at `work` entry are only valid on the
-    /// single-threaded sweep scheduler (see module docs).
-    single_commit: bool,
     consumed_samples: AtomicU64,
     strikes: Vec<AtomicU64>,
     governor: Option<Arc<crate::governor::LoadGovernor>>,
@@ -306,7 +300,6 @@ impl JournalState {
         dcfg: &DurabilityConfig,
         fingerprint: &[u8],
         n_ports: usize,
-        single_commit: bool,
         governor: Option<Arc<crate::governor::LoadGovernor>>,
         faults: Option<Arc<FaultPlan>>,
         registry: Option<Arc<rfd_telemetry::Registry>>,
@@ -375,7 +368,6 @@ impl JournalState {
             base,
             emitted: AtomicU64::new(base),
             committed: AtomicU64::new(base),
-            single_commit,
             consumed_samples: AtomicU64::new(0),
             strikes: (0..n_ports).map(|_| AtomicU64::new(0)).collect(),
             governor,
@@ -396,9 +388,7 @@ impl JournalState {
             w.sync()?;
         }
         if let Some(r) = &recovered_run {
-            for (cell, &s) in state.strikes.iter().zip(r.strikes.iter()) {
-                cell.store(s, Ordering::Relaxed);
-            }
+            state.set_strikes(&r.strikes);
         }
         Ok((Arc::new(state), recovered_run))
     }
@@ -420,7 +410,8 @@ impl JournalState {
     }
 
     /// Notes that the detect stage has routed (or skipped) the dispatch with
-    /// this `seq` — `seq + 1` becomes a candidate commit value.
+    /// this `seq` — `seq + 1` is what [`finalize_run`](Self::finalize_run)
+    /// commits once everything emitted is merged.
     pub fn note_emitted(&self, seq: u64) {
         self.emitted.fetch_max(seq + 1, Ordering::Relaxed);
     }
@@ -430,17 +421,10 @@ impl JournalState {
         self.consumed_samples.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Mirrors one analyzer's strike count into the checkpointed state.
-    pub fn set_strike(&self, port: usize, strikes: u64) {
-        if let Some(cell) = self.strikes.get(port) {
-            cell.store(strikes, Ordering::Relaxed);
-        }
-    }
-
-    /// Mirrors the pooled analyzers' strike counts.
+    /// Mirrors the analyzers' strike counts into the checkpointed state.
     pub fn set_strikes(&self, strikes: &[u64]) {
-        for (port, &s) in strikes.iter().enumerate() {
-            self.set_strike(port, s);
+        for (cell, &s) in self.strikes.iter().zip(strikes) {
+            cell.store(s, Ordering::Relaxed);
         }
     }
 
@@ -459,17 +443,8 @@ impl JournalState {
         }
     }
 
-    /// Single-threaded sweep commit: called at detect `work` entry, where
-    /// everything previously emitted is known-sunk. No-op in pooled or
-    /// multi-threaded modes.
-    pub fn tick_commit(&self) {
-        if self.single_commit {
-            self.commit(self.emitted.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Pooled commit: everything below `value` has been merged out of the
-    /// reorderer and journaled.
+    /// Commits the watermark: everything below `value` has been merged out
+    /// of the reorderer and journaled.
     pub fn commit(&self, value: u64) {
         if self.degraded.load(Ordering::Relaxed) || value <= self.committed.load(Ordering::Relaxed)
         {

@@ -92,6 +92,22 @@ impl Default for GovernorConfig {
     }
 }
 
+impl GovernorConfig {
+    /// Budget only: the latency ladder is armed and the CPU-ratio
+    /// watermarks are parked out of reach, so the only thing that can shed
+    /// is a measured violation of `budget_us`. This is what makes
+    /// "byte-identical with and without an unviolated budget" a contract
+    /// rather than a bet on the host keeping up with real time.
+    pub fn latency_only(budget_us: f64) -> Self {
+        Self {
+            high_water: f64::INFINITY,
+            low_water: 0.0,
+            latency_budget_us: Some(budget_us),
+            ..Self::default()
+        }
+    }
+}
+
 /// Default lower bound for the adaptive chunk ladder, samples.
 pub const DEFAULT_CHUNK_MIN: usize = 64;
 /// Default upper bound for the adaptive chunk ladder, samples.
@@ -739,11 +755,8 @@ mod tests {
         // an explicit --governor: CPU observations must then never move
         // the ladder, while the latency ladder sheds and recovers as ever.
         let g = LoadGovernor::new(GovernorConfig {
-            latency_budget_us: Some(1_000.0),
             chunk_min: 50,
-            high_water: f64::INFINITY,
-            low_water: 0.0,
-            ..Default::default()
+            ..GovernorConfig::latency_only(1_000.0)
         });
         g.init_chunk(200);
         std::thread::sleep(std::time::Duration::from_millis(2));

@@ -120,7 +120,6 @@ mod tests {
             noise_floor: None,
             zigbee: false,
             microwave: true,
-            threaded: false,
             telemetry: false,
             workers: 0,
             faults: None,

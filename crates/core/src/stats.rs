@@ -16,7 +16,7 @@
 //! * **2** — adds `records` (packet counts, total / per-protocol / decoded
 //!   per-protocol — the section differential harnesses compare across
 //!   scheduler modes) and `pool` (per-worker analysis-pool statistics; null
-//!   when the run was single-threaded).
+//!   when the run had no worker threads).
 //! * **3** — adds `net` (live capture server statistics: connection /
 //!   frame / sample counters, backpressure drops, throttles, subscriber
 //!   evictions and the ingest real-time ratio; null for offline runs).
@@ -232,7 +232,7 @@ pub fn stats_json_full(
         ]),
     );
 
-    // Analysis-pool statistics (null when the run was single-threaded).
+    // Analysis-pool worker statistics (null at workers 0: no threads).
     match &out.pool_stats {
         None => doc.push("pool", JsonValue::Null),
         Some(ps) => {

@@ -80,6 +80,16 @@ fn unknown_arguments_show_usage() {
 }
 
 #[test]
+fn removed_threaded_flag_is_rejected_not_ignored() {
+    // `-t` selected the one-thread-per-block scheduler, which is gone. A
+    // script still passing it must hear so rather than silently get the
+    // only scheduler left.
+    let out = rfdump(&["-r", "/nonexistent/never/read.rfdt", "-t"]);
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    assert_clean_failure(&out, "removed -t flag", "unknown argument '-t'");
+}
+
+#[test]
 fn send_to_dead_server_fails_cleanly() {
     // Bind-then-drop guarantees a port with no listener.
     let addr = {

@@ -7,22 +7,20 @@
 //! * [`Block`] — a processing node with N input and M output ports moving
 //!   boxed payloads (any `Send` type; blocks downcast what they expect).
 //! * [`Flowgraph`] — builds the DAG and runs it to completion over a finite
-//!   stream (the paper's trace-driven methodology), with two schedulers:
-//!   a **single-threaded** one matching the paper's constraint ("GNU Radio
+//!   stream (the paper's trace-driven methodology) on one scheduler: a
+//!   single-threaded sweep matching the paper's constraint ("GNU Radio
 //!   does not support multi-threading, so the measurements use a single
-//!   core"), and a **multi-threaded** one (one thread per block, bounded
-//!   std mpsc channels) exploiting the "inherent parallelism" the paper
-//!   points out but could not use.
+//!   core").
 //! * [`RunStats`] — per-block CPU time and item counts, the basis of every
 //!   "CPU time / real time" number in the evaluation.
-//! * [`pool`] — a work-stealing task pool with a deterministic merge, used
-//!   by the architecture layer to fan per-protocol demodulation out across
-//!   worker threads while keeping output byte-identical to the
-//!   single-threaded schedule.
+//! * [`pool`] — a work-stealing task pool with a deterministic merge: where
+//!   the "inherent parallelism" the paper points out but could not use is
+//!   exploited. The architecture layer fans per-protocol demodulation out
+//!   across its worker threads (or runs it inline, with zero workers) and
+//!   the output is byte-identical either way.
 //!
 //! Attach an [`rfd_telemetry::Registry`] with [`Flowgraph::set_telemetry`]
-//! and both schedulers publish per-block CPU/item metrics; the threaded
-//! scheduler additionally maintains live queue-depth gauges per block.
+//! and the scheduler publishes per-block CPU/item metrics.
 //!
 //! Payload granularity is up to the application; RFDump moves ~25 µs sample
 //! chunks, so scheduler overhead per payload is negligible compared to the
@@ -33,7 +31,6 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -246,9 +243,7 @@ impl Flowgraph {
     }
 
     /// Attaches a metrics registry. After each run the scheduler publishes
-    /// `flowgraph.block.<name>.{cpu_us,items_in,items_out}` counters; the
-    /// threaded scheduler also keeps `flowgraph.queue.<name>.depth` gauges
-    /// live while running.
+    /// `flowgraph.block.<name>.{cpu_us,items_in,items_out}` counters.
     pub fn set_telemetry(&mut self, registry: Arc<rfd_telemetry::Registry>) {
         self.telemetry = Some(registry);
     }
@@ -435,166 +430,6 @@ impl Flowgraph {
         self.publish(&stats);
         stats
     }
-
-    /// Runs the graph with one OS thread per block and bounded std mpsc
-    /// channels as edges (all inputs of a block merge into one channel,
-    /// tagged by destination port; per-edge FIFO order is preserved because
-    /// each upstream thread sends in emission order). Produces the same
-    /// outputs as [`Flowgraph::run`] for deterministic blocks.
-    pub fn run_threaded(&mut self) -> RunStats {
-        let wall_start = Instant::now();
-        let n = self.nodes.len();
-
-        // One merged bounded channel per node that has inputs; capacity
-        // scales with fan-in so each edge gets ~256 slots of backpressure.
-        let mut indeg = vec![0usize; n];
-        for e in &self.edges {
-            indeg[e.dst] += 1;
-        }
-        let mut rxs: Vec<Option<std::sync::mpsc::Receiver<(usize, Payload)>>> =
-            (0..n).map(|_| None).collect();
-        let mut txs: Vec<Option<std::sync::mpsc::SyncSender<(usize, Payload)>>> =
-            (0..n).map(|_| None).collect();
-        for i in 0..n {
-            if self.nodes[i].block.num_inputs() > 0 {
-                let (tx, rx) = sync_channel::<(usize, Payload)>(256 * indeg[i].max(1));
-                txs[i] = Some(tx);
-                rxs[i] = Some(rx);
-            }
-        }
-
-        // Live queue-depth gauges (one per consuming block) when telemetry
-        // is attached; incremented at send, decremented at receive.
-        let depth_gauges: Vec<Option<Arc<rfd_telemetry::Gauge>>> = (0..n)
-            .map(|i| match (&self.telemetry, rxs[i].is_some()) {
-                (Some(reg), true) => Some(reg.gauge(&format!(
-                    "flowgraph.queue.{}.depth",
-                    self.nodes[i].block.name()
-                ))),
-                _ => None,
-            })
-            .collect();
-
-        // Per-source-node outgoing routes: (src_port, dst_port, sender,
-        // destination depth gauge).
-        type Route = (
-            usize,
-            usize,
-            std::sync::mpsc::SyncSender<(usize, Payload)>,
-            Option<Arc<rfd_telemetry::Gauge>>,
-        );
-        let mut routes: Vec<Vec<Route>> = (0..n).map(|_| Vec::new()).collect();
-        for e in &self.edges {
-            let tx = txs[e.dst].as_ref().expect("dst has inputs").clone();
-            routes[e.src].push((e.src_port, e.dst_port, tx, depth_gauges[e.dst].clone()));
-        }
-        // Drop the original senders so receivers disconnect once every
-        // upstream thread has finished and released its clones.
-        txs.clear();
-
-        // Move blocks into threads.
-        let blocks: Vec<(usize, Box<dyn Block>)> = self
-            .nodes
-            .iter_mut()
-            .enumerate()
-            .map(|(i, nd)| (i, std::mem::replace(&mut nd.block, Box::new(NullBlock))))
-            .collect();
-
-        let stats: Vec<sync::Mutex<Option<BlockStats>>> =
-            (0..n).map(|_| sync::Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for (i, mut block) in blocks {
-                let my_routes = std::mem::take(&mut routes[i]);
-                let my_rx = rxs[i].take();
-                let my_gauge = depth_gauges[i].clone();
-                let stat_slot = &stats[i];
-                scope.spawn(move || {
-                    let nin_ports = block.num_inputs();
-                    let nout = block.num_outputs();
-                    let mut cpu = Duration::ZERO;
-                    let mut items_in = 0u64;
-                    let mut items_out = 0u64;
-                    let mut inq: Vec<VecDeque<Payload>> =
-                        (0..nin_ports).map(|_| VecDeque::new()).collect();
-                    let mut outs: Vec<Vec<Payload>> = Vec::new();
-                    let send_outs = |outs: &mut Vec<Vec<Payload>>, items_out: &mut u64| {
-                        for (port, payloads) in outs.iter_mut().enumerate() {
-                            for pl in payloads.drain(..) {
-                                *items_out += 1;
-                                // Single consumer per output port (fan-out
-                                // uses an explicit tee block).
-                                if let Some((_, dst_port, tx, gauge)) =
-                                    my_routes.iter().find(|(p, ..)| *p == port)
-                                {
-                                    if let Some(g) = gauge {
-                                        g.add(1);
-                                    }
-                                    // Receiver gone => downstream died;
-                                    // drop payload.
-                                    let _ = tx.send((*dst_port, pl));
-                                }
-                            }
-                        }
-                    };
-                    if nin_ports == 0 {
-                        // Source: call work until Done.
-                        loop {
-                            outs.clear();
-                            outs.resize_with(nout, Vec::new);
-                            let t0 = Instant::now();
-                            let st = block.work(&mut inq, &mut outs);
-                            cpu += t0.elapsed();
-                            send_outs(&mut outs, &mut items_out);
-                            if st == WorkStatus::Done {
-                                break;
-                            }
-                        }
-                    } else if let Some(rx) = my_rx {
-                        // Sink/intermediate: drain the merged channel until
-                        // every upstream sender has disconnected.
-                        while let Ok((port, pl)) = rx.recv() {
-                            if let Some(g) = &my_gauge {
-                                g.add(-1);
-                            }
-                            inq[port].push_back(pl);
-                            items_in += 1;
-                            outs.clear();
-                            outs.resize_with(nout, Vec::new);
-                            let t0 = Instant::now();
-                            let _ = block.work(&mut inq, &mut outs);
-                            cpu += t0.elapsed();
-                            send_outs(&mut outs, &mut items_out);
-                        }
-                    }
-                    // Flush.
-                    outs.clear();
-                    outs.resize_with(nout, Vec::new);
-                    let t0 = Instant::now();
-                    block.finish(&mut outs);
-                    cpu += t0.elapsed();
-                    send_outs(&mut outs, &mut items_out);
-                    drop(my_routes); // disconnect downstream
-                    *stat_slot.lock() = Some(BlockStats {
-                        name: block.name().to_string(),
-                        cpu,
-                        items_in,
-                        items_out,
-                    });
-                });
-            }
-        });
-
-        let stats = RunStats {
-            blocks: stats
-                .into_iter()
-                .map(|m| m.into_inner().expect("every block thread reports"))
-                .collect(),
-            wall: wall_start.elapsed(),
-        };
-        self.publish(&stats);
-        stats
-    }
 }
 
 /// Routes a block's produced payloads to its successors' inboxes.
@@ -612,17 +447,6 @@ fn route(
                 inboxes[e.dst][e.dst_port].push_back(pl);
             }
         }
-    }
-}
-
-/// Placeholder standing in for blocks that moved into scheduler threads.
-struct NullBlock;
-impl Block for NullBlock {
-    fn name(&self) -> &str {
-        "null"
-    }
-    fn work(&mut self, _i: &mut [VecDeque<Payload>], _o: &mut [Vec<Payload>]) -> WorkStatus {
-        WorkStatus::Done
     }
 }
 
@@ -661,24 +485,6 @@ mod tests {
         assert_eq!(stats.blocks.len(), 3);
         assert_eq!(stats.blocks[0].items_out, 1000);
         assert_eq!(stats.blocks[2].items_in, 1000);
-    }
-
-    #[test]
-    fn multi_threaded_matches_single_threaded() {
-        let (mut fg1, out1) = build_double_graph(5000);
-        fg1.run();
-        let (mut fg2, out2) = build_double_graph(5000);
-        let stats = fg2.run_threaded();
-        assert_eq!(*out1.lock(), *out2.lock());
-        assert_eq!(
-            stats
-                .blocks
-                .iter()
-                .map(|b| &b.name)
-                .filter(|n| *n == "sink")
-                .count(),
-            1
-        );
     }
 
     #[test]
@@ -821,56 +627,14 @@ mod tests {
     }
 
     #[test]
-    fn threaded_finish_flush_reaches_sink() {
-        struct Hoarder {
-            buf: Vec<i64>,
-        }
-        impl Block for Hoarder {
-            fn name(&self) -> &str {
-                "hoarder"
-            }
-            fn work(
-                &mut self,
-                inputs: &mut [VecDeque<Payload>],
-                _outputs: &mut [Vec<Payload>],
-            ) -> WorkStatus {
-                while let Some(p) = inputs[0].pop_front() {
-                    self.buf.push(*p.downcast::<i64>().unwrap());
-                }
-                WorkStatus::Again
-            }
-            fn finish(&mut self, outputs: &mut [Vec<Payload>]) {
-                outputs[0].push(Box::new(self.buf.iter().sum::<i64>()));
-            }
-        }
-        let mut fg = Flowgraph::new();
-        let src = fg.add(Box::new(VecSource::new(
-            "src",
-            (1..=100i64).collect::<Vec<_>>(),
-            9,
-        )));
-        let h = fg.add(Box::new(Hoarder { buf: Vec::new() }));
-        let sink = Box::new(VecSink::<i64>::new("sink"));
-        let out = sink.storage();
-        let sk = fg.add(sink);
-        fg.connect(src, 0, h, 0);
-        fg.connect(h, 0, sk, 0);
-        fg.run_threaded();
-        assert_eq!(*out.lock(), vec![5050]);
-    }
-
-    #[test]
-    fn telemetry_publishes_block_metrics_and_queue_gauges() {
+    fn telemetry_publishes_block_metrics() {
         let reg = Arc::new(rfd_telemetry::Registry::new());
         let (mut fg, _out) = build_double_graph(500);
         fg.set_telemetry(reg.clone());
-        fg.run_threaded();
+        fg.run();
         let snap = reg.snapshot();
         assert_eq!(snap.counters["flowgraph.block.src.items_out"], 500);
         assert_eq!(snap.counters["flowgraph.block.sink.items_in"], 500);
         assert_eq!(snap.counters["flowgraph.runs"], 1);
-        // Queues fully drained by the end of the run.
-        assert_eq!(snap.gauges["flowgraph.queue.sink.depth"], 0);
-        assert_eq!(snap.gauges["flowgraph.queue.double.depth"], 0);
     }
 }

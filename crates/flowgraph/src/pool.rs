@@ -5,7 +5,7 @@
 //! once the shared detection stage has classified a block, the expensive
 //! per-protocol analyzers are independent across blocks. This module is
 //! that parallelism, packaged so the *observable output stays byte-
-//! identical* to the single-threaded schedule:
+//! identical* at any worker count:
 //!
 //! * [`StealDeque`] — an in-tree work-stealing deque. The owner pushes and
 //!   pops at the front (FIFO for cache-friendly, roughly arrival-ordered
@@ -21,14 +21,15 @@
 //!   bounded injector channel. Each completed task's result is published
 //!   with its sequence number; the consumer re-sequences through a
 //!   [`Reorderer`], so a pool with any worker count is observationally a
-//!   FIFO `map()`.
+//!   FIFO `map()`. With zero workers no thread is spawned and each task
+//!   runs on the submitting thread — the same stage, run inline.
 //!
 //! Everything is built on `std` (`Mutex`/`Condvar`/atomics) — the
 //! workspace carries no external concurrency dependencies — and the file
 //! stays inside the crate-wide `#![forbid(unsafe_code)]`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -473,7 +474,9 @@ impl<T> Reorderer<T> {
 /// Pool sizing and queueing knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
-    /// Worker thread count (≥ 1).
+    /// Worker thread count. `0` spawns no threads: every submitted task
+    /// runs on the submitting thread and publishes its result (or its
+    /// panicked sequence number) exactly as a worker would.
     pub workers: usize,
     /// Injector channel capacity — the backpressure bound on submitted but
     /// unstarted tasks.
@@ -511,7 +514,7 @@ impl PoolConfig {
     /// A config with `workers` threads and default queueing.
     pub fn with_workers(workers: usize) -> Self {
         Self {
-            workers: workers.max(1),
+            workers,
             ..Default::default()
         }
     }
@@ -540,8 +543,9 @@ pub struct PoolStats {
     pub panics: u64,
     /// Worker threads respawned after dying.
     pub restarts: u64,
-    /// Items executed inline by the rescue path (stranded in queues when
-    /// workers were gone).
+    /// Items executed inline on the caller's thread: every item of a
+    /// zero-worker pool, otherwise those stranded in queues when workers
+    /// were gone.
     pub rescued: u64,
     /// Sequence numbers still unclaimed by [`TaskPool::take_panicked`] when
     /// the pool finished — the consumer's final gap-release list.
@@ -643,14 +647,16 @@ pub struct TaskPool<I: Send + 'static, O: Send + 'static> {
     /// driven by the sender side).
     rescue_rx: Option<Receiver<(u64, I)>>,
     tel: Option<Vec<LiveCounters>>,
-    /// Lazily-built inline task function used when every worker is gone.
+    /// Lazily-built inline task function, used when there is no live
+    /// worker (a zero-worker pool, or every worker dead).
     rescue: Option<Box<dyn FnMut(I) -> O + Send>>,
 }
 
 impl<I: Send + 'static, O: Send + 'static> TaskPool<I, O> {
     /// Spawns `cfg.workers` threads. `make_task_fn(worker_index)` runs once
     /// on each worker thread to build its task function (e.g. constructing
-    /// that worker's own analyzer instances).
+    /// that worker's own analyzer instances); the inline executor builds
+    /// its own on the caller's thread, with index `cfg.workers`.
     pub fn new<F>(cfg: PoolConfig, make_task_fn: F) -> Self
     where
         F: Fn(usize) -> Box<dyn FnMut(I) -> O + Send> + Send + Sync + 'static,
@@ -677,7 +683,7 @@ impl<I: Send + 'static, O: Send + 'static> TaskPool<I, O> {
     where
         F: Fn(usize) -> Box<dyn FnMut(I) -> O + Send> + Send + Sync + 'static,
     {
-        let workers = cfg.workers.max(1);
+        let workers = cfg.workers;
         let (tx, rx) = bounded::<(u64, I)>(cfg.queue_cap.max(1));
         if let Some(reg) = registry {
             tx.set_gauge(reg.gauge(&format!("{prefix}.queue.depth")));
@@ -774,23 +780,24 @@ impl<I: Send + 'static, O: Send + 'static> TaskPool<I, O> {
     /// the sequence number assigned to the item.
     ///
     /// In supervised mode ([`PoolConfig::supervise`]) a dead worker is
-    /// respawned within the restart budget, and when every worker is gone
-    /// the item runs inline on the caller's thread, so submission always
-    /// makes progress.
+    /// respawned within the restart budget. With no live worker — a
+    /// zero-worker pool, or every worker gone — the item runs inline on the
+    /// caller's thread, so submission always makes progress.
     ///
     /// # Panics
     /// In unsupervised mode, panics if a worker thread died (a task
-    /// panicked) — the pool cannot uphold the determinism contract once
-    /// results can be missing.
+    /// panicked) or, in a zero-worker pool, if the task itself panics — the
+    /// pool cannot uphold the determinism contract once results can be
+    /// missing.
     pub fn submit(&mut self, item: I) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.supervise {
             self.ensure_workers();
-            if !self.handles.iter().any(Option::is_some) {
-                self.run_inline(seq, item);
-                return seq;
-            }
+        }
+        if !self.handles.iter().any(Option::is_some) {
+            self.run_inline(seq, item);
+            return seq;
         }
         let send_res = {
             let tx = self.tx.as_ref().expect("pool already finished");
@@ -837,7 +844,8 @@ impl<I: Send + 'static, O: Send + 'static> TaskPool<I, O> {
         }
     }
 
-    /// Runs one item on the caller's thread (supervised rescue path).
+    /// Runs one item on the caller's thread, publishing its outcome the way
+    /// a worker does.
     fn run_inline(&mut self, seq: u64, item: I) {
         if self.rescue.is_none() {
             // Fresh task function with an index past the worker range.
@@ -852,6 +860,7 @@ impl<I: Send + 'static, O: Send + 'static> TaskPool<I, O> {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push((seq, out)),
+            Err(panic) if !self.supervise => resume_unwind(panic),
             Err(_) => {
                 self.shared.panics.fetch_add(1, Ordering::Relaxed);
                 self.shared
@@ -1377,6 +1386,51 @@ mod tests {
         let mut got: Vec<u64> = results.iter().map(|(_, v)| *v).collect();
         got.sort_unstable();
         assert_eq!(got, (100..112).collect::<Vec<u64>>(), "no item lost");
+    }
+
+    #[test]
+    fn zero_worker_pool_runs_inline_and_reports_like_a_threaded_one() {
+        let make = |_: usize| -> Box<dyn FnMut(u64) -> (u64, std::thread::ThreadId) + Send> {
+            Box::new(|x: u64| {
+                assert!(x % 10 != 3, "injected task panic on {x}");
+                (x * 2, std::thread::current().id())
+            })
+        };
+        let mut inline = TaskPool::new(PoolConfig::with_workers(0), make);
+        for i in 0..30u64 {
+            inline.submit(i);
+        }
+        // Every outcome is already published when `submit` returns, in
+        // submit order, and every task ran on this thread.
+        let results = inline.try_drain();
+        let panicked = inline.take_panicked();
+        let seqs: Vec<u64> = results.iter().map(|(seq, _)| *seq).collect();
+        let expect: Vec<u64> = (0..30).filter(|i| i % 10 != 3).collect();
+        assert_eq!(seqs, expect);
+        assert_eq!(panicked, vec![3, 13, 23]);
+        let me = std::thread::current().id();
+        assert!(results.iter().all(|(_, (_, tid))| *tid == me));
+        let (rest, stats) = inline.finish();
+        assert!(rest.is_empty() && stats.lost.is_empty());
+        assert!(stats.workers.is_empty(), "no worker thread was spawned");
+        assert_eq!((stats.panics, stats.rescued), (3, 30));
+
+        // A threaded pool reports the same values and the same gaps.
+        let mut threaded = TaskPool::new(PoolConfig::with_workers(2), make);
+        for i in 0..30u64 {
+            threaded.submit(i);
+        }
+        let mut lost = threaded.take_panicked();
+        let (mut rest, stats) = threaded.finish();
+        lost.extend(stats.lost);
+        lost.sort_unstable();
+        rest.sort_unstable_by_key(|(seq, _)| *seq);
+        assert_eq!(lost, panicked);
+        assert_eq!(stats.panics, 3);
+        let values = |r: &[(u64, (u64, std::thread::ThreadId))]| -> Vec<(u64, u64)> {
+            r.iter().map(|(seq, (v, _))| (*seq, *v)).collect()
+        };
+        assert_eq!(values(&rest), values(&results));
     }
 
     #[test]

@@ -55,7 +55,8 @@ fn stats_json_counts(out: &ArchOutput) -> Vec<(String, f64, f64)> {
         .collect()
 }
 
-/// Asserts single-threaded and pooled runs agree at every worker count.
+/// Asserts inline (workers 0) and threaded pool runs agree at every worker
+/// count.
 fn assert_differential(label: &str, cfg: &ArchConfig, samples: &[rfd_dsp::Complex32], fs: f64) {
     let baseline = run(cfg, samples, fs, 0);
     let want = serialized(&baseline);
@@ -85,7 +86,7 @@ fn assert_differential(label: &str, cfg: &ArchConfig, samples: &[rfd_dsp::Comple
     }
     assert!(
         baseline.pool_stats.is_none(),
-        "{label}: single-threaded run must not report pool stats"
+        "{label}: a run without worker threads must not report pool stats"
     );
 }
 
@@ -169,7 +170,7 @@ fn campus_trace_is_scheduler_independent() {
 }
 
 /// Kernel-backend differential: the record stream must be byte-identical
-/// whichever vectorized DSP backend runs, single-threaded and pooled.
+/// whichever vectorized DSP backend runs, at workers 0 and on a threaded pool.
 /// Combined with the scheduler differential above, this covers the whole
 /// matrix the determinism contract promises: records depend on neither the
 /// worker count nor the SIMD width of the kernels that computed them.
@@ -257,12 +258,11 @@ fn assert_chunk_differential(
         }
         // An unviolated (generous) budget must also change nothing: the
         // governor arms its latency machinery but never walks the ladder.
+        // Same config `--latency-budget` builds: CPU watermarks parked, so
+        // a busy host cannot shed on the CPU ratio instead.
         let budgeted = ArchConfig {
             workers: w,
-            governor: Some(rfdump::governor::GovernorConfig {
-                latency_budget_us: Some(60_000_000.0),
-                ..Default::default()
-            }),
+            governor: Some(rfdump::governor::GovernorConfig::latency_only(60_000_000.0)),
             ..cfg.clone()
         };
         let out = run_architecture(&budgeted, samples, fs);

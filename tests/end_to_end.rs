@@ -212,7 +212,6 @@ fn efficiency_ordering_holds_on_a_light_trace() {
             noise_floor: Some(trace.noise_power),
             zigbee: false,
             microwave: false,
-            threaded: false,
             telemetry: false,
             workers: rfdump::arch::default_workers(),
             faults: rfd_fault::FaultPlan::ambient(),
@@ -232,33 +231,4 @@ fn efficiency_ordering_holds_on_a_light_trace() {
         rfd_nodemod < rfd,
         "detection alone must be cheapest: {rfd_nodemod} vs {rfd}"
     );
-}
-
-#[test]
-fn multithreaded_flowgraph_agrees_with_single_threaded() {
-    // The MT scheduler is the paper's unexploited "inherent parallelism";
-    // both schedulers must produce identical analysis.
-    use rfd_flowgraph::blocks::{FnBlock, VecSink, VecSource};
-    use rfd_flowgraph::Flowgraph;
-    let data: Vec<i64> = (0..10_000).collect();
-    let build = |data: Vec<i64>| {
-        let mut fg = Flowgraph::new();
-        let src = fg.add(Box::new(VecSource::new("src", data, 64)));
-        let stage1 = fg.add(Box::new(FnBlock::new("x3", |x: i64| Some(x * 3))));
-        let stage2 = fg.add(Box::new(FnBlock::new("odd", |x: i64| {
-            (x % 2 == 1).then_some(x)
-        })));
-        let sink = Box::new(VecSink::<i64>::new("sink"));
-        let out = sink.storage();
-        let k = fg.add(sink);
-        fg.connect(src, 0, stage1, 0);
-        fg.connect(stage1, 0, stage2, 0);
-        fg.connect(stage2, 0, k, 0);
-        (fg, out)
-    };
-    let (mut fg1, o1) = build(data.clone());
-    fg1.run();
-    let (mut fg2, o2) = build(data);
-    fg2.run_threaded();
-    assert_eq!(*o1.lock(), *o2.lock());
 }

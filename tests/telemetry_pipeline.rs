@@ -8,16 +8,15 @@ use rfd_telemetry::Histogram;
 use rfdump::arch::{run_architecture, ArchConfig, ArchOutput};
 use rfdump::stats::{stats_json, STATS_SCHEMA, STATS_VERSION};
 
-fn run(threaded: bool) -> ArchOutput {
-    run_with_workers(threaded, rfdump::arch::default_workers())
+fn run() -> ArchOutput {
+    run_with_workers(rfdump::arch::default_workers())
 }
 
-fn run_with_workers(threaded: bool, workers: usize) -> ArchOutput {
+fn run_with_workers(workers: usize) -> ArchOutput {
     let trace = mixed_trace(2, 2, 25.0, 42);
     let cfg = ArchConfig {
         band: trace.band,
         noise_floor: Some(trace.noise_power),
-        threaded,
         workers,
         ..ArchConfig::rfdump(vec![piconet()])
     };
@@ -29,7 +28,7 @@ fn run_with_workers(threaded: bool, workers: usize) -> ArchOutput {
 /// threaded, and summed worker CPU may legitimately exceed the wall.)
 #[test]
 fn single_threaded_cpu_fits_in_wall() {
-    let out = run_with_workers(false, 0);
+    let out = run_with_workers(0);
     let cpu = out.stats.total_cpu();
     assert!(
         cpu <= out.stats.wall,
@@ -40,15 +39,15 @@ fn single_threaded_cpu_fits_in_wall() {
 }
 
 /// The telemetry counters describe the *signal*, not the scheduler: a
-/// threaded run must produce exactly the same counter totals as a
-/// single-threaded run of the same trace. (CPU-time counters and the
+/// run with pool worker threads must produce exactly the same counter
+/// totals as a run of the same trace with none. (CPU-time counters and the
 /// work-stealing pool's per-worker counters are the exceptions — they
 /// measure the run itself, and which worker executed or stole a task is
 /// timing-dependent by design.)
 #[test]
 fn counters_are_scheduler_independent() {
-    let single = run(false);
-    let multi = run(true);
+    let single = run_with_workers(0);
+    let multi = run_with_workers(2);
     let s = single.registry.as_ref().unwrap().snapshot();
     let m = multi.registry.as_ref().unwrap().snapshot();
     assert!(
@@ -65,9 +64,13 @@ fn counters_are_scheduler_independent() {
             "counter {name} differs between schedulers"
         );
     }
+    let names = |c: &std::collections::BTreeMap<String, u64>| -> Vec<String> {
+        let signal = c.keys().filter(|n| !n.starts_with("pool."));
+        signal.cloned().collect()
+    };
     assert_eq!(
-        s.counters.keys().collect::<Vec<_>>(),
-        m.counters.keys().collect::<Vec<_>>(),
+        names(&s.counters),
+        names(&m.counters),
         "counter sets differ between schedulers"
     );
 }
@@ -90,7 +93,7 @@ fn histogram_quantiles_are_monotone() {
         );
     }
     // ...and for every histogram a real pipeline run recorded.
-    let out = run(false);
+    let out = run();
     let snap = out.registry.as_ref().unwrap().snapshot();
     assert!(!snap.histograms.is_empty(), "run recorded no histograms");
     for (name, h) in &snap.histograms {
@@ -108,7 +111,7 @@ fn histogram_quantiles_are_monotone() {
 /// accounting, per-stage ratios, and dispatcher fractions intact.
 #[test]
 fn stats_json_round_trips_through_parser() {
-    let out = run(false);
+    let out = run();
     let text = stats_json(&out).to_json();
     let doc = rfd_telemetry::json::parse(&text).expect("stats json must parse");
 
