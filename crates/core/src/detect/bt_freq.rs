@@ -10,6 +10,7 @@
 use super::{Classification, FastDetector};
 use crate::chunk::PeakBlock;
 use rfd_dsp::fft::Fft;
+use rfd_dsp::Complex32;
 use rfd_phy::Protocol;
 
 /// FFT size used per analysis window.
@@ -26,6 +27,12 @@ pub struct BtFreqDetector {
     pub bin_threshold: f32,
     /// Windows averaged per peak.
     pub windows: usize,
+    /// Scratch: the window being transformed, in place.
+    spectrum: Vec<Complex32>,
+    /// Scratch: power spectrum summed over the windows of a peak.
+    acc: Vec<f32>,
+    /// Scratch: `acc` folded into 1 MHz channel bins.
+    bins: Vec<f32>,
 }
 
 impl BtFreqDetector {
@@ -42,6 +49,9 @@ impl BtFreqDetector {
             nbins,
             bin_threshold: 0.6,
             windows: 8,
+            spectrum: vec![Complex32::ZERO; FFT_SIZE],
+            acc: vec![0.0; FFT_SIZE],
+            bins: vec![0.0; nbins],
         }
     }
 }
@@ -63,25 +73,27 @@ impl FastDetector for BtFreqDetector {
         if pb.end_us() - pb.start_us() > 5.0 * rfd_phy::bluetooth::SLOT_US {
             return Vec::new();
         }
-        // Average the power spectrum over a few windows spread across the
-        // peak.
-        let mut acc = vec![0.0f32; FFT_SIZE];
+        // Average the power spectrum (|X_k|² / n) over a few windows spread
+        // across the peak.
+        self.acc.fill(0.0);
         let nwin = self.windows.min(samples.len() / FFT_SIZE).max(1);
         let stride = (samples.len() - FFT_SIZE) / nwin.max(1) + 1;
-        let mut ps = vec![0.0f32; FFT_SIZE];
+        let scale = 1.0 / FFT_SIZE as f32;
         for w in 0..nwin {
             let a = (w * stride).min(samples.len() - FFT_SIZE);
-            self.fft.power_spectrum(&samples[a..a + FFT_SIZE], &mut ps);
-            for (o, p) in acc.iter_mut().zip(ps.iter()) {
-                *o += p;
+            self.spectrum.copy_from_slice(&samples[a..a + FFT_SIZE]);
+            self.fft.forward(&mut self.spectrum);
+            for (o, z) in self.acc.iter_mut().zip(self.spectrum.iter()) {
+                *o += z.norm_sqr() * scale;
             }
         }
         // Fold FFT bins into 1-MHz channel bins centered on integer-MHz
         // offsets: offset o maps to bin round(o/1 MHz) + K.
         let fs = pb.sample_rate;
         let k_half = (self.nbins - 1) / 2;
-        let mut bins = vec![0.0f32; self.nbins];
-        for (k, &p) in acc.iter().enumerate() {
+        let bins = &mut self.bins;
+        bins.fill(0.0);
+        for (k, &p) in self.acc.iter().enumerate() {
             let f = rfd_dsp::fft::bin_frequency(k, FFT_SIZE, fs);
             let idx = ((f / 1e6).round() as isize + k_half as isize)
                 .clamp(0, self.nbins as isize - 1) as usize;
@@ -91,14 +103,13 @@ impl FastDetector for BtFreqDetector {
         if total <= 0.0 {
             return Vec::new();
         }
-        let hot: Vec<usize> = (0..self.nbins)
-            .filter(|&i| bins[i] / total >= self.bin_threshold)
-            .collect();
-        if hot.len() != 1 {
+        // Exactly one bin above threshold, or it is not Bluetooth.
+        let mut hot = (0..self.nbins).filter(|&i| bins[i] / total >= self.bin_threshold);
+        let (Some(hot_bin), None) = (hot.next(), hot.next()) else {
             return Vec::new();
-        }
+        };
         // Map the bin back to an RF channel number via its center frequency.
-        let f_center = self.band_center_hz + (hot[0] as f64 - k_half as f64) * 1e6;
+        let f_center = self.band_center_hz + (hot_bin as f64 - k_half as f64) * 1e6;
         let ch = ((f_center - 2e6) / 1e6).round();
         let channel = (0.0..79.0).contains(&ch).then_some(ch as u8);
         vec![Classification {
@@ -117,7 +128,6 @@ mod tests {
     use crate::chunk::Peak;
     use rfd_dsp::nco::frequency_shift;
     use rfd_dsp::rng::GaussianGen;
-    use rfd_dsp::Complex32;
     use std::sync::Arc;
 
     fn block_from(samples: Vec<Complex32>) -> PeakBlock {

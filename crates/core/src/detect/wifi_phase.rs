@@ -18,19 +18,40 @@
 //! window; a matching prefix classifies the peak as 802.11 and bounds the
 //! sample range worth forwarding (a CCK payload stops matching where DBPSK
 //! ends, reproducing Table 4's selectivity).
+//!
+//! The per-peak work is one fused loop over windows, and it is what keeps
+//! this detector an order of magnitude cheaper than the demodulator it
+//! gates: each window's |Δφ| values are computed from its own samples into
+//! a scratch the detector owns (no whole-peak buffer, nothing allocated but
+//! the vote), then scored against every cyclic offset of the pattern in a
+//! single pass. The loop stops at the third consecutive miss, so on a CCK
+//! frame the samples after the PLCP header are never read at all.
 
 use super::{Classification, FastDetector};
 use crate::chunk::PeakBlock;
-use rfd_dsp::phase::wrap_phase;
+use rfd_dsp::phase::{phase_diff_abs_into_slice, wrap_phase};
 use rfd_dsp::resample::resample_windowed_sinc;
 use rfd_dsp::Complex32;
 use rfd_phy::wifi::barker::BARKER11;
 use rfd_phy::Protocol;
 
+/// Consecutive non-matching windows that end the matched prefix (slack for
+/// scrambler-flip noise at symbol boundaries).
+const MAX_MISSES: usize = 3;
+
+/// Cyclic offsets correlated per pass over a window: the accumulators of one
+/// pass are a fixed-size array, which the compiler keeps in vector registers.
+const LANES: usize = 8;
+
 /// The phase detector.
 pub struct WifiPhaseDetector {
-    /// |Δφ| pattern over one symbol period, mean-removed.
-    pattern: Vec<f32>,
+    /// Samples per 802.11 symbol: the period of the |Δφ| pattern.
+    sps: usize,
+    /// The mean-removed |Δφ| pattern of one symbol, repeated over one window
+    /// plus one period (rounded up to whole [`LANES`]), so that cyclic offset
+    /// `off` of the pattern against a window is the plain slice
+    /// `tiled[off..off + wlen]`.
+    tiled: Vec<f32>,
     /// Pattern energy (for normalization).
     pattern_norm: f32,
     /// Correlation threshold for a window to count as matching.
@@ -39,6 +60,9 @@ pub struct WifiPhaseDetector {
     pub min_windows: usize,
     /// Symbols examined per correlation window.
     symbols_per_window: usize,
+    /// Scratch: the |Δφ| values of the window being scored, one per sample
+    /// of `symbols_per_window` symbols.
+    dphi: Vec<f32>,
 }
 
 impl WifiPhaseDetector {
@@ -78,37 +102,86 @@ impl WifiPhaseDetector {
             *p -= mean;
         }
         let pattern_norm = pattern.iter().map(|p| p * p).sum::<f32>().sqrt();
+        let symbols_per_window = 4;
+        let wlen = sps * symbols_per_window;
         Self {
-            pattern,
+            sps,
+            tiled: (0..wlen + sps.next_multiple_of(LANES))
+                .map(|i| pattern[i % sps])
+                .collect(),
             pattern_norm,
             window_threshold: 0.5,
             min_windows: 8,
-            symbols_per_window: 4,
+            symbols_per_window,
+            dphi: vec![0.0; wlen],
         }
+    }
+
+    /// Phase changes per correlation window.
+    fn wlen(&self) -> usize {
+        self.sps * self.symbols_per_window
     }
 
     /// Normalized correlation of one window of measured |Δφ| against the
     /// tiled pattern, maximized over cyclic offsets.
+    ///
+    /// One pass over the window per [`LANES`] offsets (one pass in all at
+    /// 8 Msps): each sample updates every offset's sum at once, one vector
+    /// lane per offset, so each sum still accumulates in window order.
     fn window_score(&self, dphi: &[f32]) -> f32 {
-        let sps = self.pattern.len();
+        let sps = self.sps;
+        debug_assert_eq!(dphi.len(), self.wlen());
         let mean = dphi.iter().sum::<f32>() / dphi.len() as f32;
         let tiles = (dphi.len() as f32 / sps as f32).sqrt();
+        let mut energy = 0.0f32;
+        for &d in dphi {
+            let c = d - mean;
+            energy += c * c;
+        }
+        // Normalized correlation: tiled-pattern norm is
+        // pattern_norm * sqrt(#tiles).
+        let denom = (self.pattern_norm * tiles * energy.sqrt()).max(1e-9);
         let mut best = -1.0f32;
-        for off in 0..sps {
-            let mut dot = 0.0f32;
-            let mut energy = 0.0f32;
-            for (i, &d) in dphi.iter().enumerate() {
+        for first in (0..sps).step_by(LANES) {
+            let mut dots = [0.0f32; LANES];
+            for (&d, pattern) in dphi.iter().zip(self.tiled[first..].windows(LANES)) {
                 let c = d - mean;
-                let p = self.pattern[(i + off) % sps];
-                dot += c * p;
-                energy += c * c;
+                for (dot, &p) in dots.iter_mut().zip(pattern) {
+                    *dot += c * p;
+                }
             }
-            // Normalized correlation: tiled-pattern norm is
-            // pattern_norm * sqrt(#tiles).
-            let denom = (self.pattern_norm * tiles * energy.sqrt()).max(1e-9);
-            best = best.max(dot / denom);
+            for &dot in &dots[..LANES.min(sps - first)] {
+                best = best.max(dot / denom);
+            }
         }
         best
+    }
+
+    /// Matches `samples` window by window from the start. Returns the number
+    /// of matching windows, the |Δφ| index one past the last matching window,
+    /// and how many windows were examined before the scan stopped.
+    fn match_prefix(&mut self, samples: &[Complex32]) -> (usize, usize, usize) {
+        let wlen = self.wlen();
+        let mut matched = 0usize;
+        let mut misses = 0usize;
+        let mut end_matched = 0usize;
+        let mut examined = 0usize;
+        // A window of `wlen` phase changes spans `wlen + 1` samples.
+        for (wi, win) in samples.windows(wlen + 1).step_by(wlen).enumerate() {
+            phase_diff_abs_into_slice(win, &mut self.dphi);
+            examined += 1;
+            if self.window_score(&self.dphi) >= self.window_threshold {
+                matched += 1;
+                misses = 0;
+                end_matched = (wi + 1) * wlen;
+            } else {
+                misses += 1;
+                if misses >= MAX_MISSES {
+                    break;
+                }
+            }
+        }
+        (matched, end_matched, examined)
     }
 }
 
@@ -123,34 +196,10 @@ impl FastDetector for WifiPhaseDetector {
 
     fn on_peak(&mut self, pb: &PeakBlock) -> Vec<Classification> {
         let samples = pb.peak_samples();
-        let sps = self.pattern.len();
-        let wlen = sps * self.symbols_per_window;
-        if samples.len() < wlen * self.min_windows.min(4) {
+        if samples.len() < self.wlen() * self.min_windows.min(4) {
             return Vec::new();
         }
-        // Measured |Δφ| for the whole peak (vectorized conj-multiply pass).
-        let mut dphi = Vec::new();
-        rfd_dsp::phase::phase_diff_abs_into(samples, &mut dphi);
-        // Window-by-window match; find the matched prefix (with a little
-        // slack for scrambler-flip noise at symbol boundaries).
-        let mut matched = 0usize;
-        let mut misses = 0usize;
-        let mut end_matched = 0usize;
-        for (wi, win) in dphi.chunks(wlen).enumerate() {
-            if win.len() < wlen {
-                break;
-            }
-            if self.window_score(win) >= self.window_threshold {
-                matched += 1;
-                misses = 0;
-                end_matched = (wi + 1) * wlen;
-            } else {
-                misses += 1;
-                if misses >= 3 {
-                    break;
-                }
-            }
-        }
+        let (matched, end_matched, _) = self.match_prefix(samples);
         if matched >= self.min_windows {
             let range_end = pb.peak.start + end_matched as u64 + 1;
             vec![Classification {
@@ -171,11 +220,28 @@ mod tests {
     use super::*;
     use crate::chunk::Peak;
     use rfd_dsp::nco::frequency_shift;
-    use rfd_dsp::rng::GaussianGen;
+    use rfd_dsp::rng::{GaussianGen, Xoshiro256};
     use rfd_phy::wifi::frame::{icmp_echo_body, MacAddr, MacFrame};
     use rfd_phy::wifi::modulator::{modulate, WifiTxConfig};
     use rfd_phy::wifi::plcp::WifiRate;
     use std::sync::Arc;
+
+    /// A peak spanning all of `samples`.
+    fn block_of(samples: Vec<Complex32>, noise_floor: f32) -> PeakBlock {
+        PeakBlock {
+            peak: Peak {
+                id: 0,
+                start: 0,
+                end: samples.len() as u64,
+                mean_power: 1.0,
+                noise_floor,
+            },
+            samples: Arc::new(samples),
+            sample_start: 0,
+            sample_rate: 8e6,
+            ingest: None,
+        }
+    }
 
     fn wifi_block(rate: WifiRate, payload: usize, snr_db: f32, seed: u64) -> PeakBlock {
         let psdu = MacFrame::data(
@@ -190,20 +256,7 @@ mod tests {
         let mut at8 = resample_windowed_sinc(&w.samples, 11e6, 8e6, 8);
         let noise = rfd_dsp::energy::db_to_power(-snr_db);
         GaussianGen::new(seed).add_awgn(&mut at8, noise);
-        let n = at8.len() as u64;
-        PeakBlock {
-            peak: Peak {
-                id: 0,
-                start: 0,
-                end: n,
-                mean_power: 1.0,
-                noise_floor: noise,
-            },
-            samples: Arc::new(at8),
-            sample_start: 0,
-            sample_rate: 8e6,
-            ingest: None,
-        }
+        block_of(at8, noise)
     }
 
     fn bt_block(seed: u64) -> PeakBlock {
@@ -212,20 +265,178 @@ mod tests {
             .map(|i| (i * 7 + seed as usize).is_multiple_of(3))
             .collect();
         let w = modulate_bits(&bits, BtTxConfig { sample_rate: 8e6 });
-        let n = w.samples.len() as u64;
-        PeakBlock {
-            peak: Peak {
-                id: 0,
-                start: 0,
-                end: n,
-                mean_power: 1.0,
-                noise_floor: 1e-4,
-            },
-            samples: Arc::new(w.samples),
-            sample_start: 0,
-            sample_rate: 8e6,
-            ingest: None,
+        block_of(w.samples, 1e-4)
+    }
+
+    fn noise_block(seed: u64) -> PeakBlock {
+        let mut sig = vec![Complex32::ZERO; 8000];
+        GaussianGen::new(seed).add_awgn(&mut sig, 1.0);
+        block_of(sig, 1.0)
+    }
+
+    /// The detector as it was before the fused window loop: `libm` |Δφ|
+    /// over the whole peak into a fresh buffer, then per window one pass per
+    /// cyclic offset through a modulo index. The oracle for the "faster, not
+    /// different" tests below.
+    struct Reference {
+        pattern: Vec<f32>,
+        pattern_norm: f32,
+        window_threshold: f32,
+        min_windows: usize,
+        symbols_per_window: usize,
+    }
+
+    impl Reference {
+        fn of(d: &WifiPhaseDetector) -> Self {
+            Self {
+                pattern: d.tiled[..d.sps].to_vec(),
+                pattern_norm: d.pattern_norm,
+                window_threshold: d.window_threshold,
+                min_windows: d.min_windows,
+                symbols_per_window: d.symbols_per_window,
+            }
         }
+
+        fn window_score(&self, dphi: &[f32]) -> f32 {
+            let sps = self.pattern.len();
+            let mean = dphi.iter().sum::<f32>() / dphi.len() as f32;
+            let tiles = (dphi.len() as f32 / sps as f32).sqrt();
+            let mut best = -1.0f32;
+            for off in 0..sps {
+                let mut dot = 0.0f32;
+                let mut energy = 0.0f32;
+                for (i, &d) in dphi.iter().enumerate() {
+                    let c = d - mean;
+                    let p = self.pattern[(i + off) % sps];
+                    dot += c * p;
+                    energy += c * c;
+                }
+                let denom = (self.pattern_norm * tiles * energy.sqrt()).max(1e-9);
+                best = best.max(dot / denom);
+            }
+            best
+        }
+
+        fn on_peak(&self, pb: &PeakBlock) -> Vec<Classification> {
+            let samples = pb.peak_samples();
+            let wlen = self.pattern.len() * self.symbols_per_window;
+            if samples.len() < wlen * self.min_windows.min(4) {
+                return Vec::new();
+            }
+            let dphi: Vec<f32> = samples
+                .windows(2)
+                .map(|w| wrap_phase((w[1] * w[0].conj()).arg()).abs())
+                .collect();
+            let mut matched = 0usize;
+            let mut misses = 0usize;
+            let mut end_matched = 0usize;
+            for (wi, win) in dphi.chunks(wlen).enumerate() {
+                if win.len() < wlen {
+                    break;
+                }
+                if self.window_score(win) >= self.window_threshold {
+                    matched += 1;
+                    misses = 0;
+                    end_matched = (wi + 1) * wlen;
+                } else {
+                    misses += 1;
+                    if misses >= 3 {
+                        break;
+                    }
+                }
+            }
+            if matched >= self.min_windows {
+                let range_end = pb.peak.start + end_matched as u64 + 1;
+                vec![Classification {
+                    peak_id: pb.peak.id,
+                    protocol: Protocol::Wifi,
+                    confidence: 0.85,
+                    channel: None,
+                    range: Some((pb.peak.start, range_end.min(pb.peak.end))),
+                }]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    #[test]
+    fn window_score_is_bit_identical_to_the_per_offset_loop() {
+        let d = WifiPhaseDetector::new(8e6);
+        let reference = Reference::of(&d);
+        let wlen = d.wlen();
+        let check = |win: &[f32], what: &str| {
+            assert_eq!(
+                d.window_score(win).to_bits(),
+                reference.window_score(win).to_bits(),
+                "{what}"
+            );
+        };
+        // Windows at random (mostly symbol-unaligned) positions of real
+        // DBPSK, CCK, GFSK and noise |Δφ|.
+        let mut rng = Xoshiro256::new(0xBA2C);
+        for (name, pb) in [
+            ("dbpsk", wifi_block(WifiRate::R1, 300, 12.0, 1)),
+            ("cck", wifi_block(WifiRate::R11, 1500, 20.0, 2)),
+            ("gfsk", bt_block(3)),
+            ("awgn", noise_block(4)),
+        ] {
+            let mut dphi = Vec::new();
+            rfd_dsp::phase::phase_diff_abs_into(&pb.samples, &mut dphi);
+            for _ in 0..2500 {
+                let a = (rng.next_f32() * (dphi.len() - wlen) as f32) as usize;
+                check(&dphi[a..a + wlen], name);
+            }
+        }
+        // Degenerate windows: zero energy takes the 1e-9 denominator floor.
+        check(&vec![0.0; wlen], "all zero");
+        check(&vec![1.25; wlen], "all equal");
+        check(&vec![std::f32::consts::PI; wlen], "all pi");
+    }
+
+    #[test]
+    fn votes_equal_the_libm_whole_peak_detector() {
+        let mut d = WifiPhaseDetector::new(8e6);
+        let reference = Reference::of(&d);
+        let mut blocks = vec![bt_block(5), bt_block(6), noise_block(9), noise_block(10)];
+        let mut voted = 0;
+        for rate in [WifiRate::R1, WifiRate::R2, WifiRate::R5_5, WifiRate::R11] {
+            for snr_step in 1..=10 {
+                for seed in 0..4u64 {
+                    let pb = wifi_block(rate, 200, 3.0 * snr_step as f32, 100 + seed);
+                    let shifted = frequency_shift(&pb.samples, 30e3, 8e6);
+                    blocks.push(PeakBlock {
+                        samples: Arc::new(shifted),
+                        ..pb.clone()
+                    });
+                    blocks.push(pb);
+                }
+            }
+        }
+        for (i, pb) in blocks.iter().enumerate() {
+            let votes = d.on_peak(pb);
+            assert_eq!(votes, reference.on_peak(pb), "block {i}");
+            voted += votes.len();
+        }
+        // The sweep straddles the detection knee: both outcomes occur.
+        assert!(voted > blocks.len() / 4 && voted < blocks.len());
+    }
+
+    #[test]
+    fn cck_payload_is_not_read_past_the_third_miss() {
+        // 1500 bytes at 11 Mbps: a 192 us DBPSK preamble + header (48
+        // windows of 4 us) in front of ~1.1 ms of CCK.
+        let mut d = WifiPhaseDetector::new(8e6);
+        let pb = wifi_block(WifiRate::R11, 1500, 25.0, 8);
+        let samples = pb.peak_samples();
+        let (matched, _, examined) = d.match_prefix(samples);
+        assert!(matched >= d.min_windows);
+        let header_windows = 192 * 8 / d.wlen();
+        assert!(
+            examined <= header_windows + MAX_MISSES,
+            "phased {examined} of {} windows",
+            samples.len() / d.wlen()
+        );
     }
 
     #[test]
@@ -274,22 +485,7 @@ mod tests {
     #[test]
     fn rejects_noise() {
         let mut d = WifiPhaseDetector::new(8e6);
-        let mut sig = vec![Complex32::ZERO; 8000];
-        GaussianGen::new(9).add_awgn(&mut sig, 1.0);
-        let pb = PeakBlock {
-            peak: Peak {
-                id: 0,
-                start: 0,
-                end: 8000,
-                mean_power: 1.0,
-                noise_floor: 1.0,
-            },
-            samples: Arc::new(sig),
-            sample_start: 0,
-            sample_rate: 8e6,
-            ingest: None,
-        };
-        assert!(d.on_peak(&pb).is_empty());
+        assert!(d.on_peak(&noise_block(9)).is_empty());
     }
 
     #[test]

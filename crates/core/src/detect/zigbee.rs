@@ -100,6 +100,8 @@ pub struct ZigbeePhaseDetector {
     pub max_samples: usize,
     /// Minimum samples required.
     pub min_samples: usize,
+    /// Scratch: first phase derivative of the inspected samples.
+    d1: Vec<f32>,
 }
 
 impl ZigbeePhaseDetector {
@@ -108,6 +110,7 @@ impl ZigbeePhaseDetector {
         Self {
             max_samples: 4096,
             min_samples: 256,
+            d1: Vec::new(),
         }
     }
 }
@@ -141,15 +144,14 @@ impl FastDetector for ZigbeePhaseDetector {
         // transitions.
         let fs = pb.sample_rate;
         let expect = (std::f32::consts::FRAC_PI_2 as f64 * 2e6 / fs) as f32;
-        let mut d1 = Vec::with_capacity(n - 1);
-        for w in samples[..n].windows(2) {
-            d1.push((w[1] * w[0].conj()).arg());
-        }
+        let d1 = &mut self.d1;
+        d1.clear();
+        d1.extend(samples[..n].windows(2).map(|w| (w[1] * w[0].conj()).arg()));
         let mean = d1.iter().sum::<f32>() / d1.len() as f32;
         // Remove carrier offset, then test |φ'| clustering near ±expect.
         let mut near = 0usize;
         let mut sum_abs = 0.0f64;
-        for &v in &d1 {
+        for &v in d1.iter() {
             let c = wrap_phase(v - mean);
             sum_abs += c.abs() as f64;
             if (c.abs() - expect).abs() < 0.4 * expect {

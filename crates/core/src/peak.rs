@@ -74,8 +74,8 @@ pub struct PeakDetector {
     /// Current noise floor estimate (linear power).
     floor: f32,
     floor_fixed: bool,
-    /// Recent chunk-average powers (sliding window for the online floor).
-    recent_avgs: std::collections::VecDeque<f32>,
+    /// Minimum of the recent block-average powers (the online floor).
+    recent_avgs: SlidingMin,
     /// State: samples accumulated for the current (open) peak.
     open: Option<OpenPeak>,
     /// Count of consecutive below-threshold samples while a peak is open.
@@ -119,6 +119,51 @@ fn seq_mean_samples(samples: &[Complex32]) -> f32 {
     (samples.iter().map(|z| z.norm_sqr() as f64).sum::<f64>() / samples.len() as f64) as f32
 }
 
+/// Detection blocks the online noise floor looks back over: longer than any
+/// packet (20 ms at 8 Msps), so a long transmission cannot drag the floor
+/// up.
+const FLOOR_WINDOW_BLOCKS: usize = 800;
+
+/// Minimum over the last `window` pushed values in amortized O(1) per push.
+///
+/// A monotonic deque: it keeps only the values that can still become the
+/// minimum — each younger than, and greater than, the one before it — so
+/// the front is the minimum of the window. That is the same `f32` a fold of
+/// `f32::min` over the whole window returns, for any values that compare
+/// (the detector pushes only positive averages, never NaN).
+struct SlidingMin {
+    window: usize,
+    /// Values pushed so far; the next value's position.
+    pushed: u64,
+    /// `(position, value)`, positions and values both increasing.
+    candidates: std::collections::VecDeque<(u64, f32)>,
+}
+
+impl SlidingMin {
+    fn new(window: usize) -> Self {
+        Self {
+            window,
+            pushed: 0,
+            candidates: Default::default(),
+        }
+    }
+
+    /// Adds `v` and returns the minimum of the last `window` values, `v`
+    /// included.
+    fn push(&mut self, v: f32) -> f32 {
+        while self.candidates.back().is_some_and(|&(_, b)| b >= v) {
+            self.candidates.pop_back();
+        }
+        self.candidates.push_back((self.pushed, v));
+        self.pushed += 1;
+        let oldest = self.pushed.saturating_sub(self.window as u64);
+        while self.candidates.front().is_some_and(|&(at, _)| at < oldest) {
+            self.candidates.pop_front();
+        }
+        self.candidates.front().expect("just pushed").1
+    }
+}
+
 struct OpenPeak {
     start: u64,
     /// Buffered samples from `buf_start`.
@@ -159,7 +204,7 @@ impl PeakDetector {
             avg: RunningPower::new(cfg.avg_window),
             floor,
             floor_fixed: cfg.noise_floor.is_some(),
-            recent_avgs: Default::default(),
+            recent_avgs: SlidingMin::new(FLOOR_WINDOW_BLOCKS),
             open: None,
             below: 0,
             tail: Vec::new(),
@@ -236,6 +281,17 @@ impl PeakDetector {
         self.pend.extend_from_slice(&s[off..]);
     }
 
+    /// Online noise floor: the minimum block-average power over a sliding
+    /// window of blocks. Updated before thresholding so the very first block
+    /// already has a sane floor. Blocks are fixed-size, so the floor
+    /// trajectory is independent of the inbound chunking. Only positive
+    /// averages count: an all-zero block would pin the floor at zero.
+    fn track_floor(&mut self, block_avg: f32) {
+        if block_avg > 0.0 {
+            self.floor = self.recent_avgs.push(block_avg);
+        }
+    }
+
     /// Runs one detection block through whichever per-block pass this
     /// stream uses.
     fn run_block(
@@ -263,24 +319,8 @@ impl PeakDetector {
     ) {
         let block_start = self.cursor;
 
-        // Online noise floor: the minimum block-average power over a sliding
-        // window longer than any packet (so a long transmission cannot drag
-        // the floor up). Updated before thresholding so the very first block
-        // already has a sane floor. Blocks are fixed-size, so the floor
-        // trajectory is independent of the inbound chunking.
         if !self.floor_fixed {
-            let block_avg = seq_mean(power);
-            if block_avg > 0.0 {
-                if self.recent_avgs.len() >= 800 {
-                    self.recent_avgs.pop_front();
-                }
-                self.recent_avgs.push_back(block_avg);
-                let min = self
-                    .recent_avgs
-                    .iter()
-                    .fold(f32::INFINITY, |m, &v| m.min(v));
-                self.floor = min;
-            }
+            self.track_floor(seq_mean(power));
         }
         let threshold = self.floor * db_to_power(self.cfg.threshold_db);
 
@@ -396,18 +436,7 @@ impl PeakDetector {
         let block_start = self.cursor;
 
         if !self.floor_fixed {
-            let block_avg = seq_mean_samples(samples);
-            if block_avg > 0.0 {
-                if self.recent_avgs.len() >= 800 {
-                    self.recent_avgs.pop_front();
-                }
-                self.recent_avgs.push_back(block_avg);
-                let min = self
-                    .recent_avgs
-                    .iter()
-                    .fold(f32::INFINITY, |m, &v| m.min(v));
-                self.floor = min;
-            }
+            self.track_floor(seq_mean_samples(samples));
         }
         let threshold = self.floor * db_to_power(self.cfg.threshold_db);
 
@@ -831,6 +860,48 @@ mod tests {
             "floor {floor}"
         );
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn sliding_min_equals_the_naive_fold_after_every_push() {
+        // The fold this replaced: min over a VecDeque of the last 800 values.
+        let naive = |recent: &std::collections::VecDeque<f32>| {
+            recent.iter().fold(f32::INFINITY, |m, &v| m.min(v))
+        };
+        for seed in [1u64, 2, 3] {
+            let mut rng = rfd_dsp::rng::Xoshiro256::new(seed);
+            let mut sliding = SlidingMin::new(FLOOR_WINDOW_BLOCKS);
+            let mut recent = std::collections::VecDeque::new();
+            let mut pushes = 0usize;
+            while pushes < 10 * FLOOR_WINDOW_BLOCKS {
+                // Runs of equal values (a steady noise floor), some longer
+                // than the window, drawn from a few levels so that minima
+                // repeat, expire and return; plus a slow upward drift so
+                // the minimum is often the oldest value in the window.
+                let level = 1e-4 * (1 + (rng.next_f32() * 6.0) as u32) as f32
+                    + 1e-7 * (pushes / 500) as f32;
+                let run = match (rng.next_f32() * 8.0) as u32 {
+                    0..=2 => 1,
+                    3..=4 => 1 + (rng.next_f32() * 40.0) as usize,
+                    5..=6 => 1 + (rng.next_f32() * 400.0) as usize,
+                    _ => FLOOR_WINDOW_BLOCKS + 7,
+                };
+                for _ in 0..run {
+                    if recent.len() >= FLOOR_WINDOW_BLOCKS {
+                        recent.pop_front();
+                    }
+                    recent.push_back(level);
+                    let got = sliding.push(level);
+                    assert_eq!(
+                        got.to_bits(),
+                        naive(&recent).to_bits(),
+                        "seed {seed}, push {pushes}"
+                    );
+                    pushes += 1;
+                }
+            }
+            assert!(sliding.candidates.len() <= FLOOR_WINDOW_BLOCKS);
+        }
     }
 
     #[test]

@@ -30,9 +30,13 @@
 //!   halves, then reduce pairwise) and two/four SSE2 accumulators produce.
 //! * Complex reductions stripe 4 complex lanes with the tree
 //!   `(c0+c2) + (c1+c3)`.
-//! * Transcendentals (`atan2`, `sin_cos`) always run in scalar `libm` code,
+//! * Transcendentals (`atan2`, `sin_cos`) run in scalar `libm` code,
 //!   identical across backends; the vector backends only accelerate the
-//!   complex multiplies feeding them.
+//!   complex multiplies feeding them. The one exception is the |Δφ| of the
+//!   802.11 Barker detector, whose output is only ever thresholded: it is a
+//!   fixed polynomial defined once, in plain Rust, in
+//!   [`crate::phase::phase_diff_abs_into_slice`]. It is element-wise and
+//!   goes through no table entry, so it too is backend-independent.
 //!
 //! Rust never reassociates floating point, so the scalar reference is
 //! bit-stable regardless of optimization level, and

@@ -229,6 +229,16 @@ impl<T> Sender<T> {
     /// Blocks until there is room, then enqueues `item`. Fails only if all
     /// receivers are gone (returning the item).
     pub fn send(&self, item: T) -> Result<(), SendError<T>> {
+        self.send_by(item, None)
+    }
+
+    /// Like [`Sender::send`], but also fails (returning the item) when the
+    /// queue is still full after `timeout`.
+    pub fn send_timeout(&self, item: T, timeout: Duration) -> Result<(), SendError<T>> {
+        self.send_by(item, Some(Instant::now() + timeout))
+    }
+
+    fn send_by(&self, item: T, deadline: Option<Instant>) -> Result<(), SendError<T>> {
         let mut st = self.ch.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if st.receivers == 0 {
@@ -241,7 +251,17 @@ impl<T> Sender<T> {
                 self.ch.not_empty.notify_one();
                 return Ok(());
             }
-            st = self.ch.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = match deadline {
+                None => self.ch.not_full.wait(st).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(SendError(item));
+                    }
+                    let wait = self.ch.not_full.wait_timeout(st, deadline - now);
+                    wait.unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
         }
     }
 
@@ -614,6 +634,11 @@ struct PoolShared<I, O> {
     rescued: AtomicU64,
 }
 
+/// How long a supervised [`TaskPool::submit`] waits on a full injector before
+/// it checks again that a worker is still alive to drain it (the same parked
+/// wait the workers' drain phase uses).
+const SUBMIT_RECHECK: Duration = Duration::from_micros(100);
+
 /// The per-worker task-function factory, shared so dead workers can be
 /// respawned with a fresh task function.
 type MakeTaskFn<I, O> = dyn Fn(usize) -> Box<dyn FnMut(I) -> O + Send> + Send + Sync;
@@ -792,25 +817,41 @@ impl<I: Send + 'static, O: Send + 'static> TaskPool<I, O> {
     pub fn submit(&mut self, item: I) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.supervise {
-            self.ensure_workers();
-        }
-        if !self.handles.iter().any(Option::is_some) {
-            self.run_inline(seq, item);
-            return seq;
-        }
-        let send_res = {
-            let tx = self.tx.as_ref().expect("pool already finished");
-            tx.send((seq, item))
-        };
-        if let Err(SendError((_, item))) = send_res {
+        let mut job = (seq, item);
+        loop {
             if self.supervise {
-                self.run_inline(seq, item);
-            } else {
-                panic!("task pool workers are gone (a task panicked)");
+                self.ensure_workers();
+            }
+            if !self.handles.iter().any(Option::is_some) {
+                // Nobody is left to take what the injector still holds: run
+                // that here, ahead of the new item, rather than at `finish`.
+                let stranded = match &self.rescue_rx {
+                    Some(rx) => rx.try_recv_batch(usize::MAX),
+                    None => Vec::new(),
+                };
+                for (seq, item) in stranded.into_iter().chain([job]) {
+                    self.run_inline(seq, item);
+                }
+                return seq;
+            }
+            let tx = self.tx.as_ref().expect("pool already finished");
+            if !self.supervise {
+                // Dying workers drop the only receivers, so this send fails
+                // rather than blocks.
+                if tx.send(job).is_err() {
+                    panic!("task pool workers are gone (a task panicked)");
+                }
+                return seq;
+            }
+            // The pool's own `rescue_rx` keeps the channel open, so a plain
+            // send into a full injector would outlive the last worker and
+            // block forever: wait in slices, and look at the workers again
+            // after each.
+            match tx.send_timeout(job, SUBMIT_RECHECK) {
+                Ok(()) => return seq,
+                Err(SendError(unsent)) => job = unsent,
             }
         }
-        seq
     }
 
     /// Reaps workers that died (a panic escaped the task wrapper, e.g. in
@@ -1386,6 +1427,53 @@ mod tests {
         let mut got: Vec<u64> = results.iter().map(|(_, v)| *v).collect();
         got.sort_unstable();
         assert_eq!(got, (100..112).collect::<Vec<u64>>(), "no item lost");
+    }
+
+    #[test]
+    fn submit_into_a_full_injector_survives_the_death_of_the_last_worker() {
+        // Every worker (and every respawn) parks in the factory until the
+        // gate opens, then dies without ever taking an item. The gate opens
+        // between the first submit, which fills the one-slot injector, and
+        // the second, which therefore finds live handles and a full queue:
+        // the wait that used to outlive the last worker and never return.
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let gate_rx = Mutex::new(gate_rx);
+        let mut pool = TaskPool::new(
+            PoolConfig {
+                workers: 2,
+                queue_cap: 1,
+                refill_batch: 1,
+                supervise: true,
+                max_restarts: 2,
+            },
+            move |idx| {
+                if idx < 2 {
+                    // Returns (with an error) once the sender is dropped.
+                    let _ = gate_rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                    panic!("injected factory panic for worker {idx}");
+                }
+                Box::new(|x: u64| {
+                    assert!(x % 10 != 7, "injected task panic on {x}");
+                    x + 100
+                })
+            },
+        );
+        pool.submit(0);
+        drop(gate_tx);
+        for i in 1..100u64 {
+            pool.submit(i);
+        }
+        let mut lost = pool.take_panicked();
+        let (results, stats) = pool.finish();
+        lost.extend(stats.lost);
+        lost.sort_unstable();
+        assert_eq!(lost, (0..10).map(|k| 10 * k + 7).collect::<Vec<u64>>());
+        let mut seqs: Vec<u64> = results.iter().map(|(seq, _)| *seq).collect();
+        seqs.sort_unstable();
+        let expect: Vec<u64> = (0..100).filter(|i| i % 10 != 7).collect();
+        assert_eq!(seqs, expect, "every submit is a result or a panicked seq");
+        assert!(results.iter().all(|(seq, v)| *v == seq + 100));
+        assert_eq!((stats.restarts, stats.rescued, stats.panics), (2, 100, 10));
     }
 
     #[test]
