@@ -45,7 +45,8 @@
 #      benchmark links against), and one short bench/run.sh per workload,
 #      which fails on a truth mismatch, on iterations that disagree, or on
 #      a live/fleet stream that differs from `rfdump -r`. No timing is
-#      compared.
+#      compared. bench/ builds --locked and the step ends by requiring
+#      bench/ and BENCHMARK.json to be unchanged in git.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -631,15 +632,25 @@ echo "== benchmark hard checks: bench/ tests, perf_trace builds, five workloads 
 # The benchmark is its own workspace that the tier-1 legs never compile, and
 # it is what judges a PR after submission: a PR that breaks its build or a
 # byte-identity check should hear it here first. Sharing the root target
-# directory lets run.sh reuse the rfdump binary built above.
+# directory lets run.sh reuse the rfdump binary built above. --locked: the
+# benchmark's lockfile is part of the tree a PR may not edit, so a build
+# that would rewrite it must fail here, not pass and leave a dirty file.
 bench_target="$PWD/target"
-CARGO_TARGET_DIR="$bench_target" cargo test -q --offline --manifest-path bench/Cargo.toml
-CARGO_TARGET_DIR="$bench_target" cargo build --release --offline \
+CARGO_TARGET_DIR="$bench_target" cargo test -q --offline --locked \
+    --manifest-path bench/Cargo.toml
+CARGO_TARGET_DIR="$bench_target" cargo build --release --offline --locked \
     --manifest-path bench/Cargo.toml --bin perf_trace
 for workload in wifi_u60 quiet_u05 mix_wifi_bt live_rt_u60 fleet_max_quiet_x2; do
     CARGO_TARGET_DIR="$bench_target" bash bench/run.sh \
         --workload "$workload" --seed 2009 --seconds 1 --trace 0 >/dev/null \
         || { echo "benchmark workload $workload failed a hard check"; exit 1; }
 done
+test -z "$(git status --porcelain -- bench BENCHMARK.json)" || {
+    echo "bench/ or BENCHMARK.json changed during the run; the likely cause is a new"
+    echo "crate -> crate dependency edge in the workspace, which makes cargo rewrite"
+    echo "bench/Cargo.lock:"
+    git status --porcelain -- bench BENCHMARK.json
+    exit 1
+}
 
 echo "ci: all checks passed"

@@ -264,12 +264,15 @@ impl ChunkedTraceReader {
         let mut raw = vec![0u8; n * 4];
         self.file.read_exact(&mut raw)?;
         self.remaining -= n as u64;
-        let mut out = Vec::with_capacity(n);
-        for pair in raw.chunks_exact(4) {
-            let i = i16::from_le_bytes([pair[0], pair[1]]);
-            let q = i16::from_le_bytes([pair[2], pair[3]]);
-            out.push((i, q));
-        }
+        let out = raw
+            .chunks_exact(4)
+            .map(|b| {
+                (
+                    i16::from_le_bytes([b[0], b[1]]),
+                    i16::from_le_bytes([b[2], b[3]]),
+                )
+            })
+            .collect();
         Ok(Some(out))
     }
 
@@ -394,6 +397,24 @@ mod tests {
         for (a, b) in whole.iter().zip(streamed.iter()) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
+        }
+
+        // The raw pairs a network sender puts on the wire: the documented
+        // conversion gives the same samples, and the last chunk is short.
+        r.seek_to_sample(0).unwrap();
+        let mut lens = Vec::new();
+        let mut raw = Vec::new();
+        while let Some(chunk) = r.next_chunk(256).unwrap() {
+            lens.push(chunk.len());
+            raw.extend(chunk);
+        }
+        assert_eq!(lens, [256, 256, 256, 235]);
+        for (a, &(i, q)) in whole.iter().zip(&raw) {
+            let b = from_i16_iq(i, q).scale(h.scale);
+            assert_eq!(
+                (a.re.to_bits(), a.im.to_bits()),
+                (b.re.to_bits(), b.im.to_bits())
+            );
         }
         std::fs::remove_file(&path).ok();
     }

@@ -54,8 +54,11 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RFDC";
 pub const CHECKPOINT_VERSION: u16 = 1;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, bit-reflected) — same flavour rfd-net uses for
-// stream frames, reimplemented here so the crate stays dependency-free.
+// CRC32 (IEEE 802.3 polynomial, bit-reflected), byte at a time. The same
+// value as `rfd_dsp::coding::crc32` (the slice-by-8 one RFDN frames use), kept
+// separate on purpose: this crate has no dependencies, and a new crate ->
+// crate edge would make cargo rewrite `bench/Cargo.lock`, which no PR may
+// edit. Entries are ~63 bytes per record, so this CRC is on no measured path.
 // ---------------------------------------------------------------------------
 
 const fn crc32_table() -> [u32; 256] {

@@ -10,7 +10,8 @@
 //! duplicated and no lost data.
 
 use crate::frame::{
-    encode_frame, Frame, FrameDecoder, RecordMsg, Role, SeqFrame, StreamMeta, DEFAULT_CHUNK_SAMPLES,
+    encode_frame, encode_frame_into, Frame, FrameDecoder, RecordMsg, Role, SeqFrame, StreamMeta,
+    DEFAULT_CHUNK_SAMPLES,
 };
 use rfd_dsp::Complex32;
 use rfd_fault::{Action, FaultPlan, SplitMix64};
@@ -130,6 +131,8 @@ pub struct SendReport {
 pub struct TraceSender {
     stream: TcpStream,
     dec: FrameDecoder,
+    /// The one encode buffer every outgoing frame is built in.
+    wire: Vec<u8>,
     out_seq: u32,
     sent_meta: bool,
     /// Server-assigned session id (0 until the first Ack arrives).
@@ -150,6 +153,7 @@ impl TraceSender {
         let mut tx = Self {
             stream,
             dec: FrameDecoder::new(),
+            wire: Vec::new(),
             out_seq: 0,
             sent_meta: false,
             session: 0,
@@ -197,10 +201,11 @@ impl TraceSender {
     }
 
     fn write_frame(&mut self, frame: &Frame) -> io::Result<u64> {
-        let bytes = encode_frame(frame, self.out_seq);
+        self.wire.clear();
+        encode_frame_into(frame, self.out_seq, &mut self.wire);
         self.out_seq = self.out_seq.wrapping_add(1);
-        self.stream.write_all(&bytes)?;
-        Ok(bytes.len() as u64)
+        self.stream.write_all(&self.wire)?;
+        Ok(self.wire.len() as u64)
     }
 
     fn note_reverse_frame(&mut self, frame: &Frame) {

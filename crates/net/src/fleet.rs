@@ -786,11 +786,11 @@ impl Conn {
 
     /// Queues a frame on the outbox (flushed opportunistically).
     fn queue_frame(&mut self, stats: &NetStats, frame: &Frame) {
-        let bytes = crate::frame::encode_frame(frame, self.out_seq);
+        let before = self.out.len();
+        crate::frame::encode_frame_into(frame, self.out_seq, &mut self.out);
         self.out_seq = self.out_seq.wrapping_add(1);
         stats.frames_out.add(1);
-        stats.bytes_out.add(bytes.len() as u64);
-        self.out.extend_from_slice(&bytes);
+        stats.bytes_out.add((self.out.len() - before) as u64);
     }
 }
 

@@ -20,7 +20,7 @@ use super::barker::despread_symbol;
 use super::cck;
 use super::frame::MacFrame;
 use super::plcp::{sfd_bits, PlcpHeader, WifiRate};
-use rfd_dsp::coding::{bits_to_bytes_lsb, Crc, Scrambler};
+use rfd_dsp::coding::{bits_to_bytes_lsb, crc32, Scrambler};
 use rfd_dsp::resample::resample_windowed_sinc;
 use rfd_dsp::Complex32;
 use std::f32::consts::FRAC_PI_2;
@@ -226,7 +226,7 @@ fn fcs_raw_ok(psdu: &[u8]) -> bool {
         return false;
     }
     let (data, fcs) = psdu.split_at(psdu.len() - 4);
-    Crc::crc32_ieee().compute(data) as u32 == u32::from_le_bytes(fcs.try_into().unwrap())
+    crc32(data) == u32::from_le_bytes(fcs.try_into().unwrap())
 }
 
 /// Finds `pattern` in `bits[..limit]`, returning the start index.

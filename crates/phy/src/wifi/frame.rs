@@ -5,7 +5,7 @@
 //! MAC-level ACKs, beacons, and ARP-like broadcasts — each with a real FCS
 //! (CRC-32) so the receiver can verify end-to-end correctness.
 
-use rfd_dsp::coding::Crc;
+use rfd_dsp::coding::crc32;
 
 /// A 48-bit MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,7 +150,7 @@ impl MacFrame {
             out.extend_from_slice(&(self.seq << 4).to_le_bytes());
         }
         out.extend_from_slice(&self.body);
-        let fcs = Crc::crc32_ieee().compute(&out) as u32;
+        let fcs = crc32(&out);
         out.extend_from_slice(&fcs.to_le_bytes());
         out
     }
@@ -163,7 +163,7 @@ impl MacFrame {
         }
         let (data, fcs_bytes) = psdu.split_at(psdu.len() - 4);
         let fcs_rx = u32::from_le_bytes(fcs_bytes.try_into().ok()?);
-        if Crc::crc32_ieee().compute(data) as u32 != fcs_rx {
+        if crc32(data) != fcs_rx {
             return None;
         }
         let fc = u16::from_le_bytes(data[0..2].try_into().ok()?);

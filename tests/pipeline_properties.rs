@@ -4,8 +4,8 @@
 //! [`rfd_integration::seeded_cases`], so every failure reproduces exactly.
 
 use rfd_dsp::coding::{
-    bits_to_bytes_lsb, bytes_to_bits_lsb, hamming1510_decode, hamming1510_encode, repeat3_decode,
-    repeat3_encode, Crc, Scrambler, Whitener,
+    bits_to_bytes_lsb, bytes_to_bits_lsb, crc32, hamming1510_decode, hamming1510_encode,
+    repeat3_decode, repeat3_encode, Crc, Scrambler, Whitener,
 };
 use rfd_dsp::rng::GaussianGen;
 use rfd_dsp::Complex32;
@@ -200,19 +200,27 @@ fn fused_peak_detector_matches_unfused_reference() {
 fn crc_detects_small_errors() {
     seeded_cases(0x5EED_0002, 96, |rng| {
         let data = random_bytes(rng, 4, 64);
-        let crc = [Crc::crc32_ieee(), Crc::crc16_x25(), Crc::crc16_802154()]
-            [rng.next_range(3) as usize]
-            .clone();
-        let good = crc.compute(&data);
+        let which = rng.next_range(3) as usize;
+        let crc = [Crc::crc32_ieee(), Crc::crc16_x25(), Crc::crc16_802154()][which].clone();
+        // On the CRC-32 draws the table-driven `crc32` must agree with the
+        // bit-serial engine on the clean and on both corrupted inputs.
+        let compute = |bytes: &[u8]| {
+            let v = crc.compute(bytes);
+            if which == 0 {
+                assert_eq!(u64::from(crc32(bytes)), v, "fast crc32 disagrees");
+            }
+            v
+        };
+        let good = compute(&data);
         let nbits = data.len() * 8;
         let b1 = rng.next_range(nbits as u64) as usize;
         let b2 = rng.next_range(nbits as u64) as usize;
         let mut bad = data.clone();
         bad[b1 / 8] ^= 1 << (b1 % 8);
-        assert_ne!(crc.compute(&bad), good, "single-bit error missed");
+        assert_ne!(compute(&bad), good, "single-bit error missed");
         if b2 != b1 {
             bad[b2 / 8] ^= 1 << (b2 % 8);
-            assert_ne!(crc.compute(&bad), good, "double-bit error missed");
+            assert_ne!(compute(&bad), good, "double-bit error missed");
         }
     });
 }
