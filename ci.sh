@@ -50,6 +50,48 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# start_serve STDOUT LOG WHAT [serve args...]: spawns `rfdump serve` in the
+# background (stdout to STDOUT, stderr to LOG, pid in $serve_pid) and
+# returns once it has announced its address; fails the run as "WHAT never
+# came up ..." if it exits or stays silent for 10 s.
+start_serve() {
+    local out=$1 log=$2 what=$3
+    shift 3
+    ./target/release/rfdump serve "$@" > "$out" 2> "$log" < /dev/null &
+    serve_pid=$!
+    for _ in $(seq 1 100); do
+        if grep -q "serving on" "$log" 2>/dev/null; then return 0; fi
+        kill -0 "$serve_pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    cat "$log" >&2 || true
+    echo "$what"
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+}
+
+# wait_gone LOG WHAT: waits for $serve_pid to exit on its own (a bounded run
+# that ended, or a SIGINT just sent) and fails the run as WHAT unless it
+# does so within 30 s with status 0.
+wait_gone() {
+    local log=$1 what=$2 rc=0
+    for _ in $(seq 1 300); do
+        kill -0 "$serve_pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$serve_pid" 2>/dev/null; then
+        kill "$serve_pid" 2>/dev/null || true
+        rc=timeout
+    else
+        wait "$serve_pid" || rc=$?
+    fi
+    if [ "$rc" != 0 ]; then
+        cat "$log" >&2 || true
+        echo "$what (exit: $rc)"
+        exit 1
+    fi
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -173,34 +215,13 @@ echo "== smoke: localhost serve/send loopback =="
 # A once-mode server replays the same trace over TCP; its record stream
 # (stdout) must be byte-identical to the offline run above.
 port=17099
-./target/release/rfdump serve --listen "127.0.0.1:$port" --once --workers 0 \
-    > "$work/records-net.txt" 2> "$work/serve-log.txt" < /dev/null &
-serve_pid=$!
-up=0
-for _ in $(seq 1 100); do
-    if grep -q "serving on" "$work/serve-log.txt" 2>/dev/null; then up=1; break; fi
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.1
-done
-if [ "$up" != 1 ]; then
-    cat "$work/serve-log.txt" >&2 || true
-    echo "server never came up on port $port"
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
+start_serve "$work/records-net.txt" "$work/serve-log.txt" \
+    "server never came up on port $port" \
+    --listen "127.0.0.1:$port" --once --workers 0
 ./target/release/rfdump send --connect "127.0.0.1:$port" --rate max "$trace"
 # --once: the server exits on its own after the producer session.
-down=0
-for _ in $(seq 1 300); do
-    if ! kill -0 "$serve_pid" 2>/dev/null; then down=1; break; fi
-    sleep 0.1
-done
-if [ "$down" != 1 ]; then
-    kill "$serve_pid" 2>/dev/null || true
-    echo "server did not shut down within 30s of the session ending"
-    exit 1
-fi
-wait "$serve_pid"
+wait_gone "$work/serve-log.txt" \
+    "server did not shut down cleanly within 30s of the session ending"
 if ! diff -u "$work/records-w0.txt" "$work/records-net.txt"; then
     echo "live loopback record stream differs from the offline run"
     exit 1
@@ -215,22 +236,9 @@ fleet_port=17103
 for w in 0 4; do
     port=$fleet_port
     fleet_port=$((fleet_port + 1))
-    ./target/release/rfdump serve --listen "127.0.0.1:$port" --fleet --expect 3 \
-        --workers "$w" -q \
-        > /dev/null 2> "$work/serve-fleet-log-w$w.txt" < /dev/null &
-    serve_pid=$!
-    up=0
-    for _ in $(seq 1 100); do
-        if grep -q "serving on" "$work/serve-fleet-log-w$w.txt" 2>/dev/null; then up=1; break; fi
-        kill -0 "$serve_pid" 2>/dev/null || break
-        sleep 0.1
-    done
-    if [ "$up" != 1 ]; then
-        cat "$work/serve-fleet-log-w$w.txt" >&2 || true
-        echo "fleet server never came up on port $port (workers $w)"
-        kill "$serve_pid" 2>/dev/null || true
-        exit 1
-    fi
+    start_serve /dev/null "$work/serve-fleet-log-w$w.txt" \
+        "fleet server never came up on port $port (workers $w)" \
+        --listen "127.0.0.1:$port" --fleet --expect 3 --workers "$w" -q
     # Filtered watchers first, so every subscription is live before any
     # source starts streaming.
     watch_pids=""
@@ -250,11 +258,7 @@ for w in 0 4; do
         wait "$pid" || { echo "fleet sender failed (workers $w)"; exit 1; }
     done
     # --expect 3: the server exits on its own once all sources are done.
-    wait "$serve_pid" || {
-        cat "$work/serve-fleet-log-w$w.txt" >&2 || true
-        echo "fleet server exited nonzero (workers $w)"
-        exit 1
-    }
+    wait_gone "$work/serve-fleet-log-w$w.txt" "fleet server exited nonzero (workers $w)"
     for pid in $watch_pids; do
         wait "$pid" || { echo "fleet watch exited nonzero (workers $w)"; exit 1; }
     done
@@ -267,20 +271,16 @@ for w in 0 4; do
 done
 # A watch for a source that never joins must drain the stream and fail
 # with a clean nonzero exit.
-./target/release/rfdump serve --listen "127.0.0.1:$fleet_port" --fleet --expect 1 \
-    --workers 0 -q > /dev/null 2> "$work/serve-fleet-absent-log.txt" < /dev/null &
-serve_pid=$!
-for _ in $(seq 1 100); do
-    grep -q "serving on" "$work/serve-fleet-absent-log.txt" 2>/dev/null && break
-    sleep 0.1
-done
+start_serve /dev/null "$work/serve-fleet-absent-log.txt" \
+    "absent-source server never came up on port $fleet_port" \
+    --listen "127.0.0.1:$fleet_port" --fleet --expect 1 --workers 0 -q
 ./target/release/rfdump watch --connect "127.0.0.1:$fleet_port" --source ghost \
     > /dev/null 2> "$work/fleet-ghost-log.txt" &
 watch_pid=$!
 sleep 0.5
 ./target/release/rfdump send --connect "127.0.0.1:$fleet_port" --rate max \
     --source real "$trace" 2>/dev/null
-wait "$serve_pid"
+wait_gone "$work/serve-fleet-absent-log.txt" "absent-source server exited nonzero"
 rc=0
 wait "$watch_pid" || rc=$?
 if [ "$rc" = 0 ]; then
@@ -300,23 +300,11 @@ churn_port=17110
 for w in 0 4; do
     port=$churn_port
     churn_port=$((churn_port + 1))
-    ./target/release/rfdump serve --listen "127.0.0.1:$port" --fleet --expect 3 \
+    start_serve /dev/null "$work/serve-churn-log-w$w.txt" \
+        "churn server never came up on port $port (workers $w)" \
+        --listen "127.0.0.1:$port" --fleet --expect 3 \
         --resume-grace 10 --workers "$w" -q \
-        --stats-json "$work/churn-stats-w$w.json" \
-        > /dev/null 2> "$work/serve-churn-log-w$w.txt" < /dev/null &
-    serve_pid=$!
-    up=0
-    for _ in $(seq 1 100); do
-        if grep -q "serving on" "$work/serve-churn-log-w$w.txt" 2>/dev/null; then up=1; break; fi
-        kill -0 "$serve_pid" 2>/dev/null || break
-        sleep 0.1
-    done
-    if [ "$up" != 1 ]; then
-        cat "$work/serve-churn-log-w$w.txt" >&2 || true
-        echo "churn server never came up on port $port (workers $w)"
-        kill "$serve_pid" 2>/dev/null || true
-        exit 1
-    fi
+        --stats-json "$work/churn-stats-w$w.json"
     watch_pids=""
     for s in alpha beta gamma; do
         ./target/release/rfdump watch --connect "127.0.0.1:$port" --source "$s" \
@@ -348,11 +336,7 @@ for w in 0 4; do
         wait "$pid" || { echo "steady fleet sender failed (workers $w)"; exit 1; }
     done
     # --expect 3: the server exits on its own once all sources finalize.
-    wait "$serve_pid" || {
-        cat "$work/serve-churn-log-w$w.txt" >&2 || true
-        echo "churn server exited nonzero (workers $w)"
-        exit 1
-    }
+    wait_gone "$work/serve-churn-log-w$w.txt" "churn server exited nonzero (workers $w)"
     for pid in $watch_pids; do
         wait "$pid" || { echo "churn watch exited nonzero (workers $w)"; exit 1; }
     done
@@ -373,22 +357,10 @@ echo "== fleet quarantine smoke: garbage-flooding sender is quarantined =="
 # re-handshakes are then refused and the sender must give up with a clean
 # nonzero exit, while the clean sources drain byte-identically.
 port=17112
-./target/release/rfdump serve --listen "127.0.0.1:$port" --fleet --expect 3 \
-    --workers 0 -q --stats-json "$work/quarantine-stats.json" \
-    > /dev/null 2> "$work/serve-quarantine-log.txt" < /dev/null &
-serve_pid=$!
-up=0
-for _ in $(seq 1 100); do
-    if grep -q "serving on" "$work/serve-quarantine-log.txt" 2>/dev/null; then up=1; break; fi
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.1
-done
-if [ "$up" != 1 ]; then
-    cat "$work/serve-quarantine-log.txt" >&2 || true
-    echo "quarantine server never came up on port $port"
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
+start_serve /dev/null "$work/serve-quarantine-log.txt" \
+    "quarantine server never came up on port $port" \
+    --listen "127.0.0.1:$port" --fleet --expect 3 \
+    --workers 0 -q --stats-json "$work/quarantine-stats.json"
 watch_pids=""
 for s in alpha beta; do
     ./target/release/rfdump watch --connect "127.0.0.1:$port" --source "$s" \
@@ -413,11 +385,7 @@ done
 # --expect 3: quarantine finalizes the noisy source with whatever landed
 # before the cutoff, so it still counts as done and the bounded run
 # terminates once the two clean sources drain.
-wait "$serve_pid" || {
-    cat "$work/serve-quarantine-log.txt" >&2 || true
-    echo "quarantine server exited nonzero"
-    exit 1
-}
+wait_gone "$work/serve-quarantine-log.txt" "quarantine server exited nonzero"
 for pid in $watch_pids; do
     wait "$pid" || { echo "quarantine watch exited nonzero"; exit 1; }
 done
@@ -462,24 +430,12 @@ echo "== fleet overload smoke: cpu chaos on one source, the clean one diffs clea
 # source stays under budget and its watch stream diffs byte-identical to
 # the offline run.
 port=17113
-./target/release/rfdump serve --listen "127.0.0.1:$port" --fleet --expect 2 \
+start_serve /dev/null "$work/serve-overload-log.txt" \
+    "overload server never came up on port $port" \
+    --listen "127.0.0.1:$port" --fleet --expect 2 \
     --latency-budget 100 --queue-cap 32 --workers 0 -q \
     --chaos "seed=11;cpu=net.fleet.analysis.laggy/10ms" \
-    --stats-json "$work/overload-stats.json" \
-    > /dev/null 2> "$work/serve-overload-log.txt" < /dev/null &
-serve_pid=$!
-up=0
-for _ in $(seq 1 100); do
-    if grep -q "serving on" "$work/serve-overload-log.txt" 2>/dev/null; then up=1; break; fi
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.1
-done
-if [ "$up" != 1 ]; then
-    cat "$work/serve-overload-log.txt" >&2 || true
-    echo "overload server never came up on port $port"
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
+    --stats-json "$work/overload-stats.json"
 # Watch the clean source only — the starved one's stream is legitimately
 # degraded by drop-oldest shedding, and that visibility is the point.
 ./target/release/rfdump watch --connect "127.0.0.1:$port" --source quick \
@@ -497,11 +453,7 @@ for pid in $send_pids; do
     wait "$pid" || { echo "overload fleet sender failed"; exit 1; }
 done
 # --expect 2: the server exits on its own once both sources finalize.
-wait "$serve_pid" || {
-    cat "$work/serve-overload-log.txt" >&2 || true
-    echo "overload server exited nonzero"
-    exit 1
-}
+wait_gone "$work/serve-overload-log.txt" "overload server exited nonzero"
 wait "$watch_pid" || { echo "overload watch exited nonzero"; exit 1; }
 if ! diff -u "$work/records-w0.txt" "$work/overload-quick.txt"; then
     echo "clean source stream differs beside a cpu-starved source"
@@ -521,28 +473,15 @@ RFD_FAULTS="seed=7;slow=analyze@0.02/100us;cpu=detect@0.01/100us" \
 
 echo "== chaos smoke: loopback with injected producer disconnects =="
 port=17100
-./target/release/rfdump serve --listen "127.0.0.1:$port" --once --workers 0 \
-    --resume-grace 10 \
-    > "$work/records-chaos.txt" 2> "$work/serve-chaos-log.txt" < /dev/null &
-serve_pid=$!
-up=0
-for _ in $(seq 1 100); do
-    if grep -q "serving on" "$work/serve-chaos-log.txt" 2>/dev/null; then up=1; break; fi
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.1
-done
-if [ "$up" != 1 ]; then
-    cat "$work/serve-chaos-log.txt" >&2 || true
-    echo "chaos server never came up on port $port"
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
+start_serve "$work/records-chaos.txt" "$work/serve-chaos-log.txt" \
+    "chaos server never came up on port $port" \
+    --listen "127.0.0.1:$port" --once --workers 0 --resume-grace 10
 # The sender's connection is dropped on every 7th chunk, three times; it
 # must reconnect, resume from the acknowledged sample, and the delivered
 # record stream must still be byte-identical to the offline run.
 ./target/release/rfdump send --connect "127.0.0.1:$port" --rate max \
     --chaos "seed=3;disconnect=net.send.chunk%7x3" "$trace"
-wait "$serve_pid"
+wait_gone "$work/serve-chaos-log.txt" "chaos server exited nonzero"
 if ! diff -u "$work/records-w0.txt" "$work/records-chaos.txt"; then
     echo "chaos loopback record stream differs from the offline run"
     exit 1
@@ -550,33 +489,14 @@ fi
 
 echo "== clean shutdown: SIGINT flushes --stats-json and exits 0 =="
 port=17101
-./target/release/rfdump serve --listen "127.0.0.1:$port" --workers 0 -q \
-    --stats-json "$work/serve-stats.json" \
-    > /dev/null 2> "$work/serve-int-log.txt" < /dev/null &
-serve_pid=$!
-up=0
-for _ in $(seq 1 100); do
-    if grep -q "serving on" "$work/serve-int-log.txt" 2>/dev/null; then up=1; break; fi
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.1
-done
-if [ "$up" != 1 ]; then
-    cat "$work/serve-int-log.txt" >&2 || true
-    echo "shutdown-test server never came up on port $port"
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
+start_serve /dev/null "$work/serve-int-log.txt" \
+    "shutdown-test server never came up on port $port" \
+    --listen "127.0.0.1:$port" --workers 0 -q --stats-json "$work/serve-stats.json"
 ./target/release/rfdump send --connect "127.0.0.1:$port" --rate max "$trace"
 # Give the session a moment to finalize, then interrupt the server.
 sleep 1
 kill -INT "$serve_pid"
-rc=0
-wait "$serve_pid" || rc=$?
-if [ "$rc" != 0 ]; then
-    cat "$work/serve-int-log.txt" >&2 || true
-    echo "serve exited with $rc after SIGINT (want 0)"
-    exit 1
-fi
+wait_gone "$work/serve-int-log.txt" "serve did not exit 0 after SIGINT"
 [ -s "$work/serve-stats.json" ] || { echo "stats json not flushed on SIGINT"; exit 1; }
 cargo run --release -q -p rfd-examples --bin stats_inspect "$work/serve-stats.json" >/dev/null
 
@@ -586,23 +506,10 @@ echo "== observability smoke: live /metrics scrape off a serving endpoint =="
 # in-repo validator) carrying the volume counters, the event-log counters
 # and the per-stage latency waterfall. rfdump top must render it too.
 port=17102
-./target/release/rfdump serve --listen "127.0.0.1:$port" --workers 0 -q \
-    --metrics-addr 127.0.0.1:0 \
-    > /dev/null 2> "$work/serve-obs-log.txt" < /dev/null &
-serve_pid=$!
-up=0
-for _ in $(seq 1 100); do
-    if grep -q "serving on" "$work/serve-obs-log.txt" 2>/dev/null \
-        && grep -q "metrics on" "$work/serve-obs-log.txt" 2>/dev/null; then up=1; break; fi
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.1
-done
-if [ "$up" != 1 ]; then
-    cat "$work/serve-obs-log.txt" >&2 || true
-    echo "metrics-smoke server never came up on port $port"
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
+# (The metrics endpoint is bound, and announced, before the ingest port.)
+start_serve /dev/null "$work/serve-obs-log.txt" \
+    "metrics-smoke server never came up on port $port" \
+    --listen "127.0.0.1:$port" --workers 0 -q --metrics-addr 127.0.0.1:0
 mport="$(sed -n 's/^rfdump: metrics on //p' "$work/serve-obs-log.txt" | head -n1)"
 [ -n "$mport" ] || { echo "could not discover metrics address"; kill "$serve_pid"; exit 1; }
 ./target/release/rfdump send --connect "127.0.0.1:$port" --rate max "$trace"
@@ -620,13 +527,7 @@ done
 grep -q "stage latency" "$work/top.txt" \
     || { echo "rfdump top did not render the latency table"; kill "$serve_pid"; exit 1; }
 kill -INT "$serve_pid"
-rc=0
-wait "$serve_pid" || rc=$?
-if [ "$rc" != 0 ]; then
-    cat "$work/serve-obs-log.txt" >&2 || true
-    echo "metrics-smoke serve exited with $rc after SIGINT (want 0)"
-    exit 1
-fi
+wait_gone "$work/serve-obs-log.txt" "metrics-smoke serve did not exit 0 after SIGINT"
 
 echo "== benchmark hard checks: bench/ tests, perf_trace builds, five workloads correct =="
 # The benchmark is its own workspace that the tier-1 legs never compile, and

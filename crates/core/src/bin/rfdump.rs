@@ -20,8 +20,8 @@
 //!
 //! ```text
 //! rfdump -r trace.rfdt [options]
-//! rfdump serve --listen ADDR [--once]
-//!              [--fleet [--expect N] [--source-timeout SECS]]
+//! rfdump serve --listen ADDR [--once | --expect N] [--source-timeout SECS]
+//!              [--fleet]
 //!              [--queue-cap N] [--overflow block|drop-oldest]
 //!              [--sub-queue-cap N] [--resume-grace SECS]
 //!              [arch options] [-q]
@@ -63,14 +63,15 @@
 //!   --resume         recover from the journal in DIR: replay durable
 //!                    records, skip their re-analysis, and produce output
 //!                    byte-identical to an uninterrupted run
-//!   --fleet          (serve) multi-sensor ingest: accept N concurrent
-//!                    senders, shard each `--source` onto its own pipeline
-//!                    instance, and merge the record streams with
-//!                    per-source tags
-//!   --expect N       (serve --fleet) shut down cleanly once N sources
-//!                    have completed (bounded runs; fleet's `--once`)
-//!   --source-timeout S (serve --fleet) evict a source after S seconds of
-//!                    silence (no frames; default 30)
+//!   --expect N       (serve) shut down cleanly once N sources — `--source`
+//!                    senders or plain sessions — have completed (bounded
+//!                    runs); `--once` is `--expect 1`
+//!   --source-timeout S (serve) evict a source after S seconds of silence
+//!                    (no frames; default 30)
+//!   --fleet          (serve) accepted and unnecessary: every `serve` admits
+//!                    N concurrent senders, shards each onto its own
+//!                    pipeline instance, and tags the records of those that
+//!                    named themselves with `--source`
 //!   --source ID      (send) name this capture source; the server shards
 //!                    and tags its records by ID. (watch) print only ID's
 //!                    records, bare — byte-identical to `rfdump -r` on the
@@ -84,23 +85,22 @@
 //! `send` reconnects with capped exponential backoff and resumes from the
 //! server's acknowledged sample (--retries 0 disables, single attempt).
 //! Under `--source`, a reconnecting sender re-handshakes with its source
-//! id and the fleet server resumes its parked session (see
-//! `serve --resume-grace`); the per-source record stream stays
-//! byte-identical to an uninterrupted run.
+//! id (a plain one with the session number the server acked) and the
+//! server resumes its parked session (see `serve --resume-grace`); the
+//! record stream stays byte-identical to an uninterrupted run.
 //! `watch` resumes its subscription from the last received record.
 //! ```
 
 use rfd_fault::FaultPlan;
 use rfd_net::{
-    OverflowPolicy, ResilientSender, ResilientSubscriber, RetryPolicy, SendRate, Server,
-    ServerConfig, SubEvent, TraceSender,
+    FleetConfig, FleetServer, HubMsg, OverflowPolicy, ResilientSender, ResilientSubscriber,
+    RetryPolicy, SendRate, SubEvent, TraceSender,
 };
 use rfdump::arch::{
     default_workers, run_architecture_with_registry, ArchConfig, ArchKind, DetectorSet,
 };
 use rfdump::durability::DurabilityConfig;
 use rfdump::governor::GovernorConfig;
-use rfdump::live::LivePipeline;
 use rfdump::protocols::render_table2;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -224,8 +224,8 @@ fn usage() -> ExitCode {
          \x20             [--chaos SPEC] [--governor auto|0|1|2]\n\
          \x20             [--latency-budget MS [--chunk-min N] [--chunk-max N]]\n\
          \x20             [--journal DIR] [--resume] [--metrics-addr ADDR]\n\
-         \x20      rfdump serve --listen ADDR [--once]\n\
-         \x20             [--fleet [--expect N] [--source-timeout SECS]]\n\
+         \x20      rfdump serve --listen ADDR [--once | --expect N]\n\
+         \x20             [--source-timeout SECS] [--fleet]\n\
          \x20             [--latency-budget MS [--chunk-min N] [--chunk-max N]]\n\
          \x20             [--queue-cap N] [--overflow block|drop-oldest]\n\
          \x20             [--sub-queue-cap N] [--resume-grace SECS]\n\
@@ -371,28 +371,22 @@ fn parse_args() -> Result<Options, String> {
 /// Options for `rfdump serve`.
 struct ServeOptions {
     listen: String,
-    net: ServerConfig,
+    net: FleetConfig,
     arch: ArchConfig,
     quiet: bool,
     stats_json: Option<String>,
     trace_out: Option<String>,
     metrics_addr: Option<String>,
-    fleet: bool,
-    expect: Option<u64>,
-    source_timeout: Option<Duration>,
-    latency_budget: Option<Duration>,
 }
 
 fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
     let mut listen = None;
-    let mut net = ServerConfig::default();
+    let mut net = FleetConfig::default();
+    let mut once = false;
     let mut quiet = false;
     let mut stats_json = None;
     let mut trace_out = None;
     let mut metrics_addr = None;
-    let mut fleet = false;
-    let mut expect = None;
-    let mut source_timeout = None;
     let mut latency_budget_ms = None;
     let mut chunk_min = None;
     let mut chunk_max = None;
@@ -429,10 +423,15 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         };
         match a.as_str() {
             "--listen" => listen = Some(next("an address")?.to_string()),
-            "--once" => net.once = true,
-            "--fleet" => fleet = true,
+            "--once" => {
+                once = true;
+                net.expect = Some(1);
+            }
+            // Accepted for scripts written when tagged senders needed their
+            // own server mode; every `serve` admits them now.
+            "--fleet" => {}
             "--expect" => {
-                expect = Some(
+                net.expect = Some(
                     next("a count")?
                         .parse()
                         .map_err(|_| "--expect needs a positive integer".to_string())?,
@@ -445,7 +444,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--source-timeout needs positive seconds".to_string());
                 }
-                source_timeout = Some(Duration::from_secs_f64(secs));
+                net.idle_timeout = Duration::from_secs_f64(secs);
             }
             "--queue-cap" => {
                 net.queue_cap = next("a count")?
@@ -525,22 +524,13 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
     if resume && journal.is_none() {
         return Err("--resume needs --journal DIR".to_string());
     }
-    if expect.is_some() && !fleet {
-        return Err("--expect needs --fleet".to_string());
-    }
-    if matches!(expect, Some(0)) {
+    if net.expect == Some(0) {
         return Err("--expect needs a positive integer".to_string());
-    }
-    if fleet && net.once {
-        return Err("--fleet is incompatible with --once (use --expect N)".to_string());
-    }
-    if source_timeout.is_some() && !fleet {
-        return Err("--source-timeout needs --fleet".to_string());
     }
     if journal.is_some() && !matches!(arch.kind, ArchKind::RfDump(_)) {
         return Err("--journal requires the rfdump architecture".to_string());
     }
-    if latency_budget_ms.is_some() && net.once {
+    if latency_budget_ms.is_some() && once {
         // `--once` is a bounded one-shot run; bounded-latency mode is a
         // steady-state control loop and has nothing to govern there.
         return Err("--latency-budget is incompatible with --once".to_string());
@@ -562,6 +552,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
     if net.faults.is_none() {
         net.faults = FaultPlan::ambient();
     }
+    net.latency_budget = latency_budget_ms.map(|ms| Duration::from_secs_f64(ms / 1e3));
     arch.telemetry =
         arch.telemetry || stats_json.is_some() || trace_out.is_some() || metrics_addr.is_some();
     Ok(ServeOptions {
@@ -572,10 +563,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         stats_json,
         trace_out,
         metrics_addr,
-        fleet,
-        expect,
-        source_timeout,
-        latency_budget: latency_budget_ms.map(|ms| Duration::from_secs_f64(ms / 1e3)),
     })
 }
 
@@ -641,15 +628,13 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             Err(code) => return code,
         },
     };
-    if opts.fleet {
-        return cmd_serve_fleet(opts, metrics, registry);
-    }
-    let mut pipeline = LivePipeline::new(opts.arch);
-    if let Some(reg) = &registry {
-        pipeline = pipeline.with_registry(reg.clone());
-    }
-    let shared_out = pipeline.shared_output();
-    let server = match Server::bind(&opts.listen, opts.net, Box::new(pipeline), registry) {
+    // One fresh pipeline per source: a tagged source journals under
+    // `DIR/<id>`, an anonymous session (factory called with "") under `DIR`
+    // itself. The slot keeps the last finished source's architecture output
+    // for --stats-json / --trace-out.
+    let slot: rfdump::live::SharedOutput = Arc::new(std::sync::Mutex::new(None));
+    let factory = rfdump::fleet::pipeline_factory(opts.arch, registry.clone(), slot.clone());
+    let server = match FleetServer::bind(&opts.listen, opts.net, factory, registry) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("rfdump: cannot listen on {}: {e}", opts.listen);
@@ -691,172 +676,31 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             handle.shutdown();
         });
     }
-    // Print records locally through an in-process subscription, so a bare
-    // `serve` terminal shows the same stream network subscribers get.
+    // Print records locally through an in-process subscription, the way an
+    // unfiltered network `watch` prints them: an anonymous session's lines
+    // bare, a tagged source's as `[source] line`.
     let local = server.subscribe();
     let quiet = opts.quiet;
     let printer = std::thread::spawn(move || {
         while let Ok(msg) = local.rx.recv() {
             match msg {
-                rfd_net::HubMsg::Record(r) if !quiet => {
-                    println!("{}", r.line);
+                HubMsg::Record(r) if !quiet => println!("{}", r.line),
+                HubMsg::SourceRecord { source, record } if !quiet => {
+                    println!("[{source}] {}", record.line);
                 }
-                rfd_net::HubMsg::Record(_) => {}
-                rfd_net::HubMsg::Meta(m) => eprintln!(
+                HubMsg::Record(_) | HubMsg::SourceRecord { .. } | HubMsg::Stats(_) => {}
+                HubMsg::Meta(m) => eprintln!(
                     "rfdump: session started at {:.1} Msps, band center {:.1} MHz",
                     m.sample_rate / 1e6,
                     m.center_hz / 1e6,
                 ),
-                rfd_net::HubMsg::Stats(_) => {}
-                rfd_net::HubMsg::Bye => break,
-                // Tagged fleet messages never reach a single-stream server.
-                _ => {}
-            }
-        }
-    });
-    let stats = match server.run() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("rfdump: server failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let _ = printer.join();
-    eprintln!(
-        "rfdump: served {} session(s), {} samples, {} records, ingest RT ratio {:.3}",
-        stats.sessions,
-        stats.samples_in,
-        stats.records_published,
-        stats.ingest_rt_ratio(),
-    );
-    let out = shared_out.lock().unwrap_or_else(|e| e.into_inner()).take();
-    let clean_stop = user_stop.load(Ordering::SeqCst);
-    if let Some(path) = &opts.stats_json {
-        match &out {
-            Some(out) => {
-                let doc = rfdump::stats::stats_json_with_net(out, Some(&stats));
-                if let Err(e) =
-                    rfd_journal::atomic_write(std::path::Path::new(path), doc.to_json().as_bytes())
-                {
-                    eprintln!("rfdump: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("rfdump: stats written to {path}");
-            }
-            None => {
-                eprintln!("rfdump: no session completed; not writing {path}");
-                if !clean_stop {
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    if let Some(path) = &opts.trace_out {
-        match &out {
-            Some(out) => {
-                if let Err(e) = rfdump::stats::write_chrome_trace(out, std::path::Path::new(path)) {
-                    eprintln!("rfdump: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("rfdump: span trace written to {path}");
-            }
-            None => {
-                eprintln!("rfdump: no session completed; not writing {path}");
-                if !clean_stop {
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    if let Some(m) = metrics {
-        m.join();
-    }
-    ExitCode::SUCCESS
-}
-
-/// The `--fleet` branch of `serve`: multi-sensor ingest through
-/// [`rfd_net::FleetServer`], one fresh pipeline instance per source, with
-/// the merged tagged stream printed locally as `[source] line`.
-fn cmd_serve_fleet(
-    opts: ServeOptions,
-    metrics: Option<rfd_obs::MetricsHandle>,
-    registry: Option<Arc<rfd_telemetry::Registry>>,
-) -> ExitCode {
-    let slot: rfdump::live::SharedOutput = Arc::new(std::sync::Mutex::new(None));
-    let factory = rfdump::fleet::pipeline_factory(opts.arch, registry.clone(), slot.clone());
-    let mut cfg = rfd_net::FleetConfig {
-        queue_cap: opts.net.queue_cap,
-        overflow: opts.net.overflow,
-        sub_queue_cap: opts.net.sub_queue_cap,
-        expect: opts.expect,
-        resume_grace: opts.net.resume_grace,
-        faults: opts.net.faults.clone(),
-        latency_budget: opts.latency_budget,
-        ..rfd_net::FleetConfig::default()
-    };
-    if let Some(t) = opts.source_timeout {
-        cfg.idle_timeout = t;
-    }
-    let server = match rfd_net::FleetServer::bind(&opts.listen, cfg, factory, registry) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("rfdump: cannot listen on {}: {e}", opts.listen);
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(a) => eprintln!("rfdump: serving on {a}"),
-        Err(_) => eprintln!("rfdump: serving on {}", opts.listen),
-    }
-    let user_stop = Arc::new(AtomicBool::new(false));
-    rfd_fault::signal::install_sigint();
-    {
-        let handle = server.handle();
-        let user_stop = Arc::clone(&user_stop);
-        std::thread::spawn(move || loop {
-            if rfd_fault::signal::sigint_seen() {
-                user_stop.store(true, Ordering::SeqCst);
-                eprintln!("rfdump: interrupt - shutting down");
-                handle.shutdown();
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        });
-    }
-    if stdin_is_stream() {
-        let handle = server.handle();
-        let user_stop = Arc::clone(&user_stop);
-        std::thread::spawn(move || {
-            use std::io::Read;
-            let mut sink = [0u8; 256];
-            let mut stdin = std::io::stdin().lock();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            user_stop.store(true, Ordering::SeqCst);
-            eprintln!("rfdump: stdin closed - shutting down");
-            handle.shutdown();
-        });
-    }
-    // Local view of the merged stream, prefixed the same way an
-    // unfiltered network `watch` prints it.
-    let local = server.subscribe();
-    let quiet = opts.quiet;
-    let printer = std::thread::spawn(move || {
-        while let Ok(msg) = local.rx.recv() {
-            match msg {
-                rfd_net::HubMsg::SourceRecord { source, record } if !quiet => {
-                    println!("[{source}] {}", record.line);
-                }
-                rfd_net::HubMsg::SourceRecord { .. } => {}
-                rfd_net::HubMsg::SourceMeta { source, meta } => eprintln!(
+                HubMsg::SourceMeta { source, meta } => eprintln!(
                     "rfdump: source '{source}' joined at {:.1} Msps, band center {:.1} MHz",
                     meta.sample_rate / 1e6,
                     meta.center_hz / 1e6,
                 ),
-                rfd_net::HubMsg::SourceBye { source } => {
-                    eprintln!("rfdump: source '{source}' done")
-                }
-                rfd_net::HubMsg::Bye => break,
-                _ => {}
+                HubMsg::SourceBye { source } => eprintln!("rfdump: source '{source}' done"),
+                HubMsg::Bye => break,
             }
         }
     });
@@ -869,12 +713,13 @@ fn cmd_serve_fleet(
     };
     let _ = printer.join();
     eprintln!(
-        "rfdump: served {} source(s) ({} done, {} refused), {} samples, {} records",
+        "rfdump: served {} source(s) ({} done, {} refused), {} samples, {} records, ingest RT ratio {:.3}",
         snap.sources_joined,
         snap.sources_done,
         snap.rejects,
         snap.net.samples_in,
         snap.net.records_published,
+        snap.net.ingest_rt_ratio(),
     );
     let out = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
     let clean_stop = user_stop.load(Ordering::SeqCst);

@@ -1,9 +1,10 @@
-//! Fleet glue: adapts the offline architecture to `rfd_net`'s multi-sensor
-//! ingest plane.
+//! Server glue: adapts the offline architecture to `rfd_net`'s ingest
+//! server — every `rfdump serve` runs on the factory built here.
 //!
-//! [`rfd_net::FleetServer`] shards each capture source onto its own
-//! pipeline instance, which it obtains from an injected
-//! [`rfd_net::PipelineFactory`]. This module builds that factory out of an
+//! [`rfd_net::FleetServer`] shards each capture source — a tagged sensor
+//! or a plain, anonymous session — onto its own pipeline instance, which
+//! it obtains from an injected [`rfd_net::PipelineFactory`]. This module
+//! builds that factory out of an
 //! [`ArchConfig`]: every call constructs a fresh [`LivePipeline`] (so
 //! per-source analysis shares no mutable state and each source's record
 //! stream stays byte-identical to an offline run over the same trace),
@@ -17,11 +18,13 @@
 //! from the [`rfd_net::FleetSnapshot`] instead.
 //!
 //! Durability shards with the pipeline: when `cfg.durability` is set, each
-//! source journals under its own subdirectory (`DIR/<source-id>`), so a
-//! fleet run is resumable per source with the same byte-identical-output
-//! guarantee a single-stream `--journal` run has. Source ids are validated
-//! at the wire (`[A-Za-z0-9._-]`, ≤64 chars), so the join cannot escape
-//! `DIR`.
+//! tagged source journals under its own subdirectory (`DIR/<source-id>`),
+//! so a fleet run is resumable per source with the same
+//! byte-identical-output guarantee an offline `--journal` run has. Source
+//! ids are validated at the wire (`[A-Za-z0-9._-]`, ≤64 chars), so the join
+//! cannot escape `DIR`. An anonymous source arrives as `""`, and
+//! `DIR.join("")` is `DIR`: a plain `serve --journal DIR [--resume]`
+//! session journals in `DIR` itself.
 
 use crate::arch::ArchConfig;
 use crate::live::{LivePipeline, SharedOutput};
@@ -137,12 +140,23 @@ mod tests {
         };
         let samples = vec![Complex32::new(1e-3, 0.0); 20_000];
         factory("roof").analyze(&meta, samples.clone());
-        factory("van.2").analyze(&meta, samples);
+        factory("van.2").analyze(&meta, samples.clone());
         assert!(tmp.join("roof").is_dir(), "journal sharded under DIR/roof");
         assert!(
             tmp.join("van.2").is_dir(),
             "journal sharded under DIR/van.2"
         );
+        // An anonymous source ("") journals in DIR itself, where a plain
+        // `serve --journal DIR` always wrote.
+        let files_in_dir = || {
+            let entries = std::fs::read_dir(&tmp).unwrap();
+            entries
+                .filter(|e| e.as_ref().unwrap().path().is_file())
+                .count()
+        };
+        assert_eq!(files_in_dir(), 0);
+        factory("").analyze(&meta, samples);
+        assert!(files_in_dir() > 0, "anonymous journal goes to DIR");
         let _ = std::fs::remove_dir_all(&tmp);
     }
 }

@@ -1,5 +1,7 @@
-//! The live analysis pipeline: the glue that lets `rfd_net`'s streaming
-//! server run the full offline architecture over each ingested session.
+//! The live analysis pipeline: the glue that lets `rfd_net`'s ingest
+//! server run the full offline architecture over each source's stream
+//! (the server gets one instance per source from [`crate::fleet`]'s
+//! factory).
 //!
 //! `rfd-net` is deliberately ignorant of the analysis stack (it only knows
 //! the [`rfd_net::Pipeline`] trait); this module closes the loop by running
@@ -50,14 +52,9 @@ impl LivePipeline {
         self
     }
 
-    /// The slot that receives each completed session's architecture output.
-    pub fn shared_output(&self) -> SharedOutput {
-        self.output.clone()
-    }
-
     /// Replaces the output slot with an externally owned one, so several
-    /// pipeline instances (one per fleet source) can deposit into a single
-    /// slot the serving CLI drains after shutdown. Last writer wins.
+    /// pipeline instances (one per source) can deposit into a single slot
+    /// the serving CLI drains after shutdown. Last writer wins.
     pub fn with_output(mut self, slot: SharedOutput) -> Self {
         self.output = slot;
         self
@@ -128,7 +125,8 @@ mod tests {
             durability: None,
         };
         let offline = crate::arch::run_architecture(&cfg, &samples, fs);
-        let mut live = LivePipeline::new(cfg);
+        let slot = SharedOutput::default();
+        let mut live = LivePipeline::new(cfg).with_output(slot.clone());
         let meta = StreamMeta {
             sample_rate: fs,
             center_hz: 0.0,
@@ -140,7 +138,7 @@ mod tests {
             assert_eq!(msg.line, rec.format_line());
         }
         assert!(
-            live.shared_output().lock().unwrap().is_some(),
+            slot.lock().unwrap().is_some(),
             "session output must be deposited"
         );
     }

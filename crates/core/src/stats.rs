@@ -46,7 +46,7 @@
 //!   rollups `sources_joined` / `sources_done` / `rejects` plus a
 //!   `per_source` object keyed by source id — ingest, records, drops,
 //!   throttles and fan-out latency p50/p99 per source, keys sorted; null
-//!   unless the run was a `serve --fleet` server). This comment is the
+//!   unless the run was a `serve` server). This comment is the
 //!   single authoritative record of the v7→v8 bump.
 //! * **9** — fleet survivability: the `fleet` section gains session-resume
 //!   and health rollups (`resumes`, `sources_parked`, `sources_expired`,
@@ -65,6 +65,12 @@
 //!   `fleet.per_source` row gains `deadline_p99_us` and its current `shed`
 //!   rung (`none` / `throttle` / `drop-oldest`). This comment is the
 //!   single authoritative record of the v9→v10 bump.
+//!
+//! Still 10, no key added: since plain `serve` became a fleet of one
+//! anonymous source, `net` and `fleet` are null together (offline) or
+//! present together (any `serve`). `fleet.per_source` lists tagged sources;
+//! an anonymous session is in the rollups only, its row gone once its
+//! records are published.
 
 use crate::arch::ArchOutput;
 use crate::records::PacketInfo;
@@ -85,31 +91,21 @@ fn stage_of(block_name: &str) -> &str {
 }
 
 /// Builds the versioned stats document for a finished architecture run
-/// (offline: the `net` section is null). Live servers use
-/// [`stats_json_with_net`].
+/// (offline: the `net` and `fleet` sections are null). `serve` uses
+/// [`stats_json_with_fleet`].
 pub fn stats_json(out: &ArchOutput) -> JsonValue {
-    stats_json_with_net(out, None)
+    stats_json_full(out, None)
 }
 
-/// Builds the versioned stats document, attaching live server statistics
-/// as the `net` section when present.
-pub fn stats_json_with_net(out: &ArchOutput, net: Option<&rfd_net::NetStatsSnapshot>) -> JsonValue {
-    stats_json_full(out, net, None)
-}
-
-/// Builds the versioned stats document for a fleet server run: the fleet's
+/// Builds the versioned stats document for a `serve` run: the server's
 /// wire-level rollup becomes the `net` section and the per-source
 /// aggregation the `fleet` section.
 pub fn stats_json_with_fleet(out: &ArchOutput, fleet: &rfd_net::FleetSnapshot) -> JsonValue {
-    stats_json_full(out, Some(&fleet.net), Some(fleet))
+    stats_json_full(out, Some(fleet))
 }
 
-/// Builds the versioned stats document with every optional live section.
-pub fn stats_json_full(
-    out: &ArchOutput,
-    net: Option<&rfd_net::NetStatsSnapshot>,
-    fleet: Option<&rfd_net::FleetSnapshot>,
-) -> JsonValue {
+/// Builds the versioned stats document; `fleet` fills both live sections.
+fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> JsonValue {
     let total_samples = (out.trace_seconds * out.sample_rate).round();
     let wall_s = out.stats.wall.as_secs_f64();
 
@@ -265,17 +261,17 @@ pub fn stats_json_full(
         }
     }
 
-    // Live capture server statistics (null for offline runs).
-    match net {
-        None => doc.push("net", JsonValue::Null),
-        Some(snap) => doc.push("net", snap.to_json()),
-    }
-
-    // Sharded multi-sensor ingest rollups (v8; null unless the run was a
-    // fleet server).
+    // Live capture server statistics: the wire-level rollup (`net`, v3) and
+    // the per-source rollups (`fleet`, v8). Both null for offline runs.
     match fleet {
-        None => doc.push("fleet", JsonValue::Null),
-        Some(snap) => doc.push("fleet", snap.to_json()),
+        None => {
+            doc.push("net", JsonValue::Null);
+            doc.push("fleet", JsonValue::Null);
+        }
+        Some(snap) => {
+            doc.push("net", snap.net.to_json());
+            doc.push("fleet", snap.to_json());
+        }
     }
 
     // The DSP kernel backend the run executed with (v7).
@@ -687,16 +683,33 @@ mod tests {
             Some(rfd_telemetry::json::JsonValue::Null)
         ));
 
-        let snap = rfd_net::NetStatsSnapshot {
-            sessions: 1,
-            samples_in: 80_000,
-            chunks_in: 20,
-            ingest_signal_us: 10_000,
-            ingest_wall_us: 5_000,
-            ..Default::default()
+        // A plain `serve` run: one anonymous session, so a `net` rollup and
+        // a `fleet` section without rows.
+        let snap = rfd_net::FleetSnapshot {
+            net: rfd_net::NetStatsSnapshot {
+                sessions: 1,
+                samples_in: 80_000,
+                chunks_in: 20,
+                ingest_signal_us: 10_000,
+                ingest_wall_us: 5_000,
+                ..Default::default()
+            },
+            sources_joined: 1,
+            sources_done: 1,
+            rejects: 0,
+            resumes: 0,
+            sources_parked: 0,
+            sources_expired: 0,
+            flapping: 0,
+            quarantined: 0,
+            evicted: 0,
+            latency: None,
+            per_source: Vec::new(),
         };
-        let doc_text = stats_json_with_net(&fake_output(), Some(&snap)).to_json();
+        let doc_text = stats_json_with_fleet(&fake_output(), &snap).to_json();
         let doc = rfd_telemetry::json::parse(&doc_text).unwrap();
+        let fleet = doc.get("fleet").unwrap();
+        assert_eq!(fleet.get("sources_done").unwrap().as_f64(), Some(1.0));
         let net = doc.get("net").unwrap();
         assert_eq!(net.get("sessions").unwrap().as_f64(), Some(1.0));
         assert_eq!(net.get("samples_in").unwrap().as_f64(), Some(80_000.0));

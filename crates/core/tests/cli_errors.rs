@@ -129,21 +129,15 @@ fn serve_on_invalid_address_fails_cleanly() {
 }
 
 #[test]
-fn serve_expect_without_fleet_is_rejected() {
-    let out = rfdump(&["serve", "--listen", "127.0.0.1:0", "--expect", "3"]);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    assert_clean_failure(&out, "--expect without --fleet", "--expect needs --fleet");
-}
-
-#[test]
-fn serve_source_timeout_without_fleet_is_rejected() {
-    let out = rfdump(&["serve", "--listen", "127.0.0.1:0", "--source-timeout", "30"]);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    assert_clean_failure(
-        &out,
-        "--source-timeout without --fleet",
-        "--source-timeout needs --fleet",
-    );
+fn serve_expect_zero_is_rejected_with_or_without_fleet() {
+    // `--fleet` is accepted and changes nothing, this check included.
+    for fleet in [&[][..], &["--fleet"][..]] {
+        let mut args = vec!["serve", "--listen", "127.0.0.1:0", "--expect", "0"];
+        args.extend_from_slice(fleet);
+        let out = rfdump(&args);
+        assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+        assert_clean_failure(&out, "--expect 0", "--expect needs a positive integer");
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@
 
 use crate::frame::{
     encode_frame, encode_frame_into, Frame, FrameDecoder, RecordMsg, Role, SeqFrame, StreamMeta,
-    DEFAULT_CHUNK_SAMPLES,
+    DEFAULT_CHUNK_SAMPLES, MAX_CHUNK_SAMPLES,
 };
 use rfd_dsp::Complex32;
 use rfd_fault::{Action, FaultPlan, SplitMix64};
@@ -105,6 +105,42 @@ impl SendRate {
             "max" => Some(SendRate::Max),
             "real-time" | "realtime" => Some(SendRate::RealTime),
             _ => None,
+        }
+    }
+}
+
+/// The chunk size a sender cuts a stream into: the caller's request, kept
+/// to at least one sample and far enough under [`MAX_CHUNK_SAMPLES`] that a
+/// chunk is never the latency of a whole capture.
+fn clamp_chunk(chunk_samples: usize) -> usize {
+    chunk_samples.clamp(1, DEFAULT_CHUNK_SAMPLES * 16)
+}
+
+/// When a send started and how fast its samples are due.
+struct Pacer {
+    t0: Instant,
+    rate: SendRate,
+    sample_rate: f64,
+}
+
+impl Pacer {
+    fn start(t0: Instant, rate: SendRate, meta: &StreamMeta) -> Self {
+        Self {
+            t0,
+            rate,
+            sample_rate: meta.sample_rate,
+        }
+    }
+
+    /// Under [`SendRate::RealTime`], sleeps off any lead over the wall-clock
+    /// position the chunk starting at `start_sample` corresponds to.
+    fn wait_until_due(&self, start_sample: u64) {
+        if self.rate == SendRate::RealTime {
+            let due = Duration::from_secs_f64(start_sample as f64 / self.sample_rate);
+            let elapsed = self.t0.elapsed();
+            if due > elapsed {
+                std::thread::sleep(due - elapsed);
+            }
         }
     }
 }
@@ -294,8 +330,46 @@ impl TraceSender {
         }
     }
 
+    /// Opens the sample stream, once per connection.
+    fn open(&mut self, meta: StreamMeta, report: &mut SendReport) -> io::Result<()> {
+        meta.validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        if !self.sent_meta {
+            let open = self.open_frame(meta);
+            report.bytes += self.write_frame(&open)?;
+            self.sent_meta = true;
+        }
+        Ok(())
+    }
+
+    /// Puts one chunk on the wire — the body of every send loop: pace,
+    /// drain the reverse path (throttles, acks), write, count. A chunk no
+    /// frame can carry is the caller's error, not a panic in the encoder.
+    fn send_chunk(
+        &mut self,
+        pacer: &Pacer,
+        start_sample: u64,
+        iq: Vec<(i16, i16)>,
+        report: &mut SendReport,
+    ) -> io::Result<()> {
+        let n = iq.len();
+        if n > MAX_CHUNK_SAMPLES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("chunk of {n} samples exceeds the frame limit of {MAX_CHUNK_SAMPLES}"),
+            ));
+        }
+        pacer.wait_until_due(start_sample);
+        report.throttles += self.poll_throttles()?;
+        report.bytes += self.write_frame(&Frame::SampleChunk { start_sample, iq })?;
+        report.samples += n as u64;
+        report.chunks += 1;
+        Ok(())
+    }
+
     /// Streams pre-quantized i16 IQ chunks. The caller supplies an iterator
-    /// of chunks; pacing is applied per chunk.
+    /// of chunks; pacing is applied per chunk. A chunk of more than
+    /// [`MAX_CHUNK_SAMPLES`] samples fails the send with `InvalidInput`.
     pub fn send_quantized<I>(
         &mut self,
         meta: StreamMeta,
@@ -305,38 +379,16 @@ impl TraceSender {
     where
         I: IntoIterator<Item = Vec<(i16, i16)>>,
     {
-        meta.validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let mut report = SendReport::default();
-        let t0 = Instant::now();
-        if !self.sent_meta {
-            let open = self.open_frame(meta);
-            report.bytes += self.write_frame(&open)?;
-            self.sent_meta = true;
-        }
-        let mut start_sample = 0u64;
+        let pacer = Pacer::start(Instant::now(), rate, &meta);
+        self.open(meta, &mut report)?;
         for iq in chunks {
-            if iq.is_empty() {
-                continue;
+            if !iq.is_empty() {
+                self.send_chunk(&pacer, report.samples, iq, &mut report)?;
             }
-            if rate == SendRate::RealTime {
-                // Wall-clock position this chunk's first sample corresponds
-                // to; sleep off any lead.
-                let due = Duration::from_secs_f64(start_sample as f64 / meta.sample_rate);
-                let elapsed = t0.elapsed();
-                if due > elapsed {
-                    std::thread::sleep(due - elapsed);
-                }
-            }
-            report.throttles += self.poll_throttles()?;
-            let n = iq.len() as u64;
-            report.bytes += self.write_frame(&Frame::SampleChunk { start_sample, iq })?;
-            start_sample += n;
-            report.samples += n;
-            report.chunks += 1;
         }
         self.stream.flush()?;
-        report.wall = t0.elapsed();
+        report.wall = pacer.t0.elapsed();
         Ok(report)
     }
 
@@ -350,7 +402,6 @@ impl TraceSender {
         rate: SendRate,
         chunk_samples: usize,
     ) -> io::Result<SendReport> {
-        let chunk = chunk_samples.max(1);
         let inv = if meta.scale != 0.0 {
             1.0 / meta.scale
         } else {
@@ -360,7 +411,7 @@ impl TraceSender {
             let x = (v * inv).round();
             x.clamp(f32::from(i16::MIN), f32::from(i16::MAX)) as i16
         };
-        let chunks = samples.chunks(chunk).map(move |c| {
+        let chunks = samples.chunks(clamp_chunk(chunk_samples)).map(move |c| {
             c.iter()
                 .map(|s| (quant(s.re), quant(s.im)))
                 .collect::<Vec<(i16, i16)>>()
@@ -385,34 +436,15 @@ impl TraceSender {
             center_hz: h.center_hz,
             scale: h.scale,
         };
-        let chunk = chunk_samples.clamp(1, DEFAULT_CHUNK_SAMPLES * 16);
-        meta.validate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let chunk = clamp_chunk(chunk_samples);
         let mut report = SendReport::default();
-        let t0 = Instant::now();
-        if !self.sent_meta {
-            let open = self.open_frame(meta);
-            report.bytes += self.write_frame(&open)?;
-            self.sent_meta = true;
-        }
-        let mut start_sample = 0u64;
+        let pacer = Pacer::start(Instant::now(), rate, &meta);
+        self.open(meta, &mut report)?;
         while let Some(iq) = reader.next_chunk(chunk)? {
-            if rate == SendRate::RealTime {
-                let due = Duration::from_secs_f64(start_sample as f64 / meta.sample_rate);
-                let elapsed = t0.elapsed();
-                if due > elapsed {
-                    std::thread::sleep(due - elapsed);
-                }
-            }
-            report.throttles += self.poll_throttles()?;
-            let n = iq.len() as u64;
-            report.bytes += self.write_frame(&Frame::SampleChunk { start_sample, iq })?;
-            start_sample += n;
-            report.samples += n;
-            report.chunks += 1;
+            self.send_chunk(&pacer, report.samples, iq, &mut report)?;
         }
         self.stream.flush()?;
-        report.wall = t0.elapsed();
+        report.wall = pacer.t0.elapsed();
         Ok(report)
     }
 
@@ -573,6 +605,25 @@ impl ResilientSender {
         Ok(tx)
     }
 
+    /// Books one failed attempt: gives up with `err` once the retry budget
+    /// is spent, otherwise emits the backoff event, sleeps the policy's
+    /// delay and counts a reconnect.
+    fn back_off(
+        &self,
+        attempt: &mut u32,
+        report: &mut SendReport,
+        err: io::Error,
+    ) -> io::Result<()> {
+        if *attempt >= self.retry.max_retries {
+            return Err(err);
+        }
+        self.emit_backoff(*attempt, &err);
+        std::thread::sleep(self.retry.backoff(*attempt));
+        *attempt += 1;
+        report.reconnects += 1;
+        Ok(())
+    }
+
     /// Streams a `.rfdt` trace file, transparently reconnecting and
     /// resuming on failure (injected or real).
     pub fn send_trace_file(
@@ -584,7 +635,6 @@ impl ResilientSender {
         let mut report = SendReport::default();
         let t0 = Instant::now();
         let mut attempt = 0u32;
-        let mut had_backoff = false;
 
         // Connect before touching the trace file — the plain sender's error
         // ordering, which callers rely on: a dead server surfaces as the
@@ -596,16 +646,7 @@ impl ResilientSender {
         let mut pre = loop {
             match self.connect() {
                 Ok(tx) => break Some(tx),
-                Err(e) => {
-                    if attempt >= self.retry.max_retries {
-                        return Err(e);
-                    }
-                    self.emit_backoff(attempt, &e);
-                    had_backoff = true;
-                    std::thread::sleep(self.retry.backoff(attempt));
-                    attempt += 1;
-                    report.reconnects += 1;
-                }
+                Err(e) => self.back_off(&mut attempt, &mut report, e)?,
             }
         };
         attempt = 0;
@@ -619,7 +660,8 @@ impl ResilientSender {
         };
         meta.validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let chunk = chunk_samples.clamp(1, DEFAULT_CHUNK_SAMPLES * 16);
+        let chunk = clamp_chunk(chunk_samples);
+        let pacer = Pacer::start(t0, rate, &meta);
 
         let mut session: Option<u64> = None;
         let mut pos = 0u64;
@@ -632,51 +674,27 @@ impl ResilientSender {
             let mut tx = match conn.and_then(|tx| self.handshake(tx, meta, session, &mut pos)) {
                 Ok(tx) => tx,
                 Err(e) => {
-                    if attempt >= self.retry.max_retries {
-                        return Err(e);
-                    }
-                    self.emit_backoff(attempt, &e);
-                    had_backoff = true;
-                    std::thread::sleep(self.retry.backoff(attempt));
-                    attempt += 1;
-                    report.reconnects += 1;
+                    self.back_off(&mut attempt, &mut report, e)?;
                     continue 'session;
                 }
             };
-            // Every `continue 'session` path above and below marks a
-            // backoff, so reaching here with the flag set means this
-            // handshake is a recovery.
-            if had_backoff {
+            // Every backoff counts a reconnect, so a handshake that follows
+            // one is a recovery.
+            if report.reconnects > 0 {
                 self.emit_resume(session, pos);
             }
             session = Some(tx.session);
             reader.seek_to_sample(pos)?;
             let mut start_sample = pos;
             while let Some(iq) = reader.next_chunk(chunk)? {
-                if rate == SendRate::RealTime {
-                    let due = Duration::from_secs_f64(start_sample as f64 / meta.sample_rate);
-                    let elapsed = t0.elapsed();
-                    if due > elapsed {
-                        std::thread::sleep(due - elapsed);
-                    }
-                }
                 let n = iq.len() as u64;
-                match self.send_chunk(&mut tx, start_sample, iq, &mut report) {
+                match self.send_chunk(&mut tx, &pacer, start_sample, iq, &mut report) {
                     Ok(()) => {
                         start_sample += n;
-                        report.samples += n;
-                        report.chunks += 1;
                         attempt = 0; // progress resets the retry budget
                     }
                     Err(e) => {
-                        if attempt >= self.retry.max_retries {
-                            return Err(e);
-                        }
-                        self.emit_backoff(attempt, &e);
-                        had_backoff = true;
-                        std::thread::sleep(self.retry.backoff(attempt));
-                        attempt += 1;
-                        report.reconnects += 1;
+                        self.back_off(&mut attempt, &mut report, e)?;
                         pos = tx.acked;
                         continue 'session;
                     }
@@ -689,25 +707,16 @@ impl ResilientSender {
                     report.wall = t0.elapsed();
                     return Ok(report);
                 }
-                Err(e) => {
-                    if attempt >= self.retry.max_retries {
-                        return Err(e);
-                    }
-                    self.emit_backoff(attempt, &e);
-                    had_backoff = true;
-                    std::thread::sleep(self.retry.backoff(attempt));
-                    attempt += 1;
-                    report.reconnects += 1;
-                    continue 'session;
-                }
+                Err(e) => self.back_off(&mut attempt, &mut report, e)?,
             }
         }
     }
 
-    /// Writes one chunk, applying any injected fault at `net.send.chunk`.
+    /// Sends one chunk, applying any injected fault at `net.send.chunk`.
     fn send_chunk(
         &self,
         tx: &mut TraceSender,
+        pacer: &Pacer,
         start_sample: u64,
         iq: Vec<(i16, i16)>,
         report: &mut SendReport,
@@ -770,9 +779,7 @@ impl ResilientSender {
             Some(Action::Kill) => std::process::abort(),
             None => {}
         }
-        report.throttles += tx.poll_throttles()?;
-        report.bytes += tx.write_frame(&Frame::SampleChunk { start_sample, iq })?;
-        Ok(())
+        tx.send_chunk(pacer, start_sample, iq, report)
     }
 }
 
@@ -1181,5 +1188,39 @@ mod tests {
         }
         // Far attempts are capped (within jitter) regardless of exponent.
         assert!(p.backoff(30) <= p.cap);
+    }
+
+    #[test]
+    fn a_chunk_no_frame_can_carry_is_clamped_or_refused_never_a_panic() {
+        use crate::fleet::{FleetConfig, FleetServer, PipelineFactory};
+        let factory: PipelineFactory =
+            Box::new(|_| Box::new(|_: &StreamMeta, _: Vec<Complex32>| Vec::<RecordMsg>::new()));
+        let cfg = FleetConfig {
+            expect: Some(1),
+            ..Default::default()
+        };
+        let server = FleetServer::bind("127.0.0.1:0", cfg, factory, None).unwrap();
+        let addr = server.local_addr().unwrap();
+        let run = std::thread::spawn(move || server.run().unwrap());
+        let meta = crate::fleet::tests::meta();
+
+        // send_samples cuts whatever it is asked for down to a legal size.
+        let samples = vec![Complex32::new(0.1, -0.1); 300_000];
+        let mut tx = TraceSender::connect(addr).unwrap();
+        let report = tx
+            .send_samples(meta, &samples, SendRate::Max, 1 << 20)
+            .unwrap();
+        assert_eq!(report.samples, 300_000);
+        assert!(report.chunks > 1);
+
+        // send_quantized sends the caller's own chunks, so it can only refuse.
+        let oversize = vec![(1i16, -1i16); MAX_CHUNK_SAMPLES + 1];
+        let err = tx
+            .send_quantized(meta, [oversize], SendRate::Max)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+
+        tx.finish().unwrap();
+        assert_eq!(run.join().unwrap().net.samples_in, 300_000);
     }
 }

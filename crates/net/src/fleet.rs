@@ -1,53 +1,66 @@
-//! The fleet plane: one server, N concurrent capture senders, one merged
-//! record stream.
+//! The ingest server: one readiness loop, N concurrent capture senders, one
+//! merged record stream.
 //!
 //! ```text
 //!  sender "roof"  ──TCP──▶ ┐                        ┌─▶ pipeline("roof")  ─┐
 //!  sender "lab-3" ──TCP──▶ ├─ readiness loop ──────▶├─▶ pipeline("lab-3") ─┼─▶ RecordHub
-//!  sender "van"   ──TCP──▶ ┘  (one thread,          └─▶ pipeline("van")   ─┘  (tagged)
+//!  sender (no id) ──TCP──▶ ┘  (one thread,          └─▶ pipeline("")      ─┘
 //!                             nonblocking sockets)
 //!  subscriber ◀──TCP── per-sub bounded queue ◀──────────────────────────────────┘
 //! ```
 //!
-//! Where [`Server`](crate::Server) dedicates a blocking thread to every
-//! connection and serializes all sessions through one shared pipeline, the
-//! fleet server is built for *many concurrent senders*:
+//! This is the only server in the crate: `rfdump serve` with one plain
+//! `send` is a fleet of one anonymous source.
 //!
 //! * **One readiness loop** owns every producer socket. Sockets are
 //!   nonblocking; the loop polls them round-robin (the same std-only
 //!   poll-style the obs scrape endpoint uses — no epoll dependency), so a
 //!   hundred senders cost one thread, not a hundred.
-//! * **A source handshake** ([`Frame::SourceHello`]) binds each connection
-//!   to a stable source id. Ids are unique for the life of the server — a
-//!   second claim on a live or parked id is treated as the same sensor
-//!   reconnecting (resume), while a completed or evicted id is refused.
+//! * **Two handshakes, one state machine.** After `Hello(Producer)` a
+//!   sender either names itself ([`Frame::SourceHello`]: a *tagged* source,
+//!   bound to a stable id) or opens with a bare [`Frame::StreamMeta`] (an
+//!   *anonymous* source, known only by the join ordinal its first Ack
+//!   carries as the session id). Ids are unique for the life of the server
+//!   — a second claim on a live or parked id is treated as the same sensor
+//!   reconnecting (resume), while a completed or evicted id is refused. An
+//!   anonymous sender reconnects with [`Frame::Resume`] naming its ordinal
+//!   and goes through the same reattach rule. Everything after admission —
+//!   queue, backpressure, acks, park → resume → expiry, health, shedding —
+//!   is the same code for both; they differ only in where their records are
+//!   published (below) and in that an anonymous source, having no id to
+//!   protect from reuse, leaves the server's tables (and mints no
+//!   per-source metric family) once its records are out.
 //! * **Per-source sharding**: every source gets its own bounded
 //!   [`ChunkQueue`] and its own [`Pipeline`] instance from the injected
-//!   factory, drained by its own analysis thread. Sources never contend on
-//!   a pipeline lock, and one source's backlog cannot delay another's
-//!   analysis.
+//!   factory (called with the id, or `""` for an anonymous source), drained
+//!   by its own analysis thread. Sources never contend on a pipeline lock,
+//!   and one source's backlog cannot delay another's analysis.
 //! * **Per-source backpressure**: a full queue stops the loop from reading
 //!   that source's socket (TCP pushes back to the sender) and sends a
 //!   Throttle advisory on the saturation rising edge — other sockets keep
 //!   being serviced.
-//! * **Tagged fan-out**: records enter the [`RecordHub`] as
-//!   [`HubMsg::SourceRecord`] so subscribers (and `rfdump watch --source`)
-//!   can filter per source.
+//! * **Fan-out by tag**: a tagged source's records enter the [`RecordHub`]
+//!   as [`HubMsg::SourceMeta`] / [`HubMsg::SourceRecord`] /
+//!   [`HubMsg::SourceBye`] so subscribers (and `rfdump watch --source`) can
+//!   filter per source; an anonymous session's enter bare, as
+//!   [`HubMsg::Meta`] / [`HubMsg::Record`], and end with the
+//!   [`HubMsg::Stats`] document.
 //!
 //! # Per-source resume
 //!
 //! A producer that dies without a clean Bye does not lose its session.
 //! The source is *parked* for [`FleetConfig::resume_grace`]: its ingest
 //! queue stays open and its analysis thread keeps blocking on the queue. A
-//! sender that reconnects and re-handshakes with the same source id is
-//! reattached — the server answers the [`Frame::SourceHello`] with an
-//! [`Frame::Ack`] carrying the contiguous ingest high-water mark, the
-//! client seeks to that position, and any overlap it resends is deduped by
-//! the same contiguity accounting an uninterrupted session uses. The
-//! per-source record stream is therefore byte-identical to a run that never
-//! dropped. Ack positions are truthful: the high-water mark only advances
-//! when a chunk is actually committed to the source queue, so a chunk
-//! parked by backpressure is never covered by an ack it could lose.
+//! sender that reconnects and re-handshakes — the same source id in a
+//! [`Frame::SourceHello`], or its session ordinal in a [`Frame::Resume`] —
+//! is reattached: the server answers with an [`Frame::Ack`] carrying the
+//! contiguous ingest high-water mark, the client seeks to that position,
+//! and any overlap it resends is deduped by the same contiguity accounting
+//! an uninterrupted session uses. The per-source record stream is therefore
+//! byte-identical to a run that never dropped. Ack positions are truthful:
+//! the high-water mark only advances when a chunk is actually committed to
+//! the source queue, so a chunk parked by backpressure is never covered by
+//! an ack it could lose.
 //!
 //! A reconnect that lands *before* the loop notices the old socket died is
 //! a takeover: every attach bumps the source's epoch, and a connection
@@ -113,17 +126,17 @@
 //! (disconnect / corrupt / slow one source's read path), and
 //! `net.fleet.analysis.<id>` (slow/cpu-starve one source's consumer per
 //! popped chunk — the overload knob for bounded-latency chaos tests), in
-//! addition to the `net.server.read` site shared with the single-stream
-//! server.
+//! addition to `net.server.read`, which applies to every producer socket.
+//! An anonymous source's `<id>` is `#` and its session ordinal.
 //!
 //! Determinism: each source's samples are accumulated contiguously and
 //! analyzed by a private pipeline exactly like an offline run of that trace
 //! alone, and its records are published in one burst (meta, records in
-//! offline order, source-bye) under the hub lock per message with no
-//! interleaving *within* a source. A filtered subscriber therefore sees a
-//! byte-identical record stream to `rfdump -r trace` at any worker count.
-//! Merge order *between* sources is arrival order and intentionally
-//! unspecified.
+//! offline order, end marker) under the hub lock per message with no
+//! interleaving *within* a source. A filtered subscriber — or the only
+//! subscriber of a lone anonymous session — therefore sees a record stream
+//! byte-identical to `rfdump -r trace` at any worker count. Merge order
+//! *between* sources is arrival order and intentionally unspecified.
 
 use crate::frame::{Frame, FrameDecoder, Role, SeqFrame, StreamMeta};
 use crate::hub::{HubMsg, RecordHub, Subscription};
@@ -140,13 +153,12 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Builds one fresh [`Pipeline`] per fleet source. The source id is passed
-/// so factories can shard side effects (e.g. one journal directory per
-/// source).
+/// Builds one fresh [`Pipeline`] per source. The source id is passed so
+/// factories can shard side effects (e.g. one journal directory per
+/// source); an anonymous source passes `""`.
 pub type PipelineFactory = Box<dyn Fn(&str) -> Box<dyn Pipeline> + Send + Sync>;
 
-/// Send a producer an Ack every this many ingested chunks (matches the
-/// single-stream server).
+/// Send a producer an Ack every this many ingested chunks.
 const ACK_EVERY: u64 = 16;
 
 /// Idle sleep between readiness sweeps when no socket made progress.
@@ -290,7 +302,14 @@ impl SourceHealth {
 /// One source's shared state: written by the readiness loop (ingest side)
 /// and its analysis thread (publish side), read by stats snapshots.
 struct SourceShared {
+    /// Key in the server's tables and display name: the wire id of a tagged
+    /// source, `#<session>` for an anonymous one — `#` is outside the wire
+    /// id alphabet, so no sensor can collide with or claim it.
     name: Arc<str>,
+    /// Whether the source named itself with a `SourceHello`. Decides which
+    /// message family its records are published in and whether its row
+    /// outlives it; nothing between admission and publication reads this.
+    tagged: bool,
     meta: StreamMeta,
     /// Ingest queue. Items carry their commit instant so the analysis
     /// thread can record queue wait into the deadline histogram.
@@ -363,10 +382,10 @@ impl SourceShared {
     }
 }
 
-/// Point-in-time statistics for one fleet source.
+/// Point-in-time statistics for one source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceSnapshot {
-    /// The stable source id.
+    /// The stable source id (`#<session>` for an anonymous source).
     pub source: String,
     /// Sample chunks ingested.
     pub chunks_in: u64,
@@ -496,17 +515,20 @@ pub struct FleetSnapshot {
     pub sources_parked: u64,
     /// Parked sources whose resume grace expired (evicted + finalized).
     pub sources_expired: u64,
-    /// Sources currently in the flapping state.
+    /// Sources currently in the flapping state. This and the two counts
+    /// below are taken over `per_source`, so an anonymous source leaves
+    /// them with its row (`sources_expired` and the `net` rollup keep it).
     pub flapping: u64,
-    /// Sources quarantined (cumulative — quarantine is terminal short of
-    /// eviction).
+    /// Sources quarantined (quarantine is terminal short of eviction).
     pub quarantined: u64,
     /// Sources evicted.
     pub evicted: u64,
     /// Bounded-latency overload control counters (`None` without a
     /// [`FleetConfig::latency_budget`]).
     pub latency: Option<FleetLatencySnapshot>,
-    /// Per-source statistics, sorted by source id.
+    /// Per-source statistics, sorted by source id: every tagged source the
+    /// server has seen, and each anonymous one (as `#<session>`) until its
+    /// records are published.
     pub per_source: Vec<SourceSnapshot>,
 }
 
@@ -595,8 +617,9 @@ struct FleetInner {
     /// Sources awaiting a reconnect, with their eviction deadline.
     parked: Mutex<BTreeMap<Arc<str>, Instant>>,
     registry: Option<Arc<Registry>>,
-    /// `latency.net_fanout_us`, shared with the single-stream server's
-    /// layout so dashboards see one family either way.
+    /// `latency.net_fanout_us`: duration of one record publish call, all
+    /// sources together. Same bucket layout as the core stage histograms,
+    /// constructed locally because rfd-net sits below the analysis stack.
     fanout_hist: Option<Arc<Histogram>>,
     active_gauge: Option<Arc<Gauge>>,
     parked_gauge: Option<Arc<Gauge>>,
@@ -625,6 +648,8 @@ impl FleetInner {
         }
     }
 
+    /// Emits one SlowConsumerEvicted event per eviction the hub has booked
+    /// since the last check (the hub only keeps a counter).
     fn note_evictions(&self) {
         if self.registry.is_none() {
             return;
@@ -660,12 +685,14 @@ impl FleetInner {
             map.len() as u64
         };
         let count = |h: SourceHealth| per_source.iter().filter(|s| s.health == h).count() as u64;
+        let net = self.stats.snapshot(self.hub.evicted());
         FleetSnapshot {
-            net: self.stats.snapshot(self.hub.evicted()),
             sources_joined: self.sources_joined.load(Ordering::Relaxed),
             sources_done: self.sources_done.load(Ordering::Relaxed),
             rejects: self.rejects.load(Ordering::Relaxed),
-            resumes: per_source.iter().map(|s| s.resumes).sum(),
+            // From the rollup, not the rows: an anonymous source's row
+            // leaves with it.
+            resumes: net.resumes,
             sources_parked: parked,
             sources_expired: self.expired.load(Ordering::Relaxed),
             flapping: count(SourceHealth::Flapping),
@@ -679,6 +706,7 @@ impl FleetInner {
                 admission_refused: self.admission_refused.load(Ordering::Relaxed),
                 admission_paused: self.admission_paused.load(Ordering::SeqCst),
             }),
+            net,
             per_source,
         }
     }
@@ -705,7 +733,7 @@ impl FleetHandle {
     }
 }
 
-/// The multi-sensor ingest server. Bind, then [`FleetServer::run`].
+/// The ingest server. Bind, then [`FleetServer::run`].
 pub struct FleetServer {
     listener: TcpListener,
     inner: Arc<FleetInner>,
@@ -715,7 +743,8 @@ pub struct FleetServer {
 enum ConnState {
     /// Nothing received yet; first frame must be a Hello.
     Await,
-    /// Hello(Producer) received; next frame must be a SourceHello.
+    /// Hello(Producer) received; next comes a SourceHello, a StreamMeta or
+    /// (an anonymous sender reconnecting) a Resume.
     Producer,
     /// Streaming samples for a registered source.
     Streaming(Arc<SourceShared>),
@@ -878,7 +907,7 @@ impl FleetServer {
         }
     }
 
-    /// An in-process subscription to the merged tagged stream.
+    /// An in-process subscription to the merged stream.
     pub fn subscribe(&self) -> Subscription {
         self.inner.hub.subscribe()
     }
@@ -1558,53 +1587,24 @@ fn process_frames(
                     .expect("spawn fleet subscriber thread");
                 return Some(Verdict::Subscriber(t));
             }
+            // The two handshakes, plus the anonymous reconnect: each ends in
+            // an admission, and from there the connection is just a source.
             (Stage::Producer, Frame::SourceHello { source, meta }) => {
-                match admit_source(inner, &source, meta) {
-                    Admission::New(src) => {
-                        // Spawn the source's private analysis thread.
-                        let t = {
-                            let inner = inner.clone();
-                            let src = src.clone();
-                            std::thread::Builder::new()
-                                .name(format!("rfd-fleet-{source}"))
-                                .spawn(move || analysis_thread(inner, src))
-                                .expect("spawn fleet analysis thread")
-                        };
-                        analysis_threads.push(t);
-                        // Anchor the sender at position zero.
-                        inner.stats.acks_sent.add(1);
-                        c.queue_frame(
-                            &inner.stats,
-                            &Frame::Ack {
-                                session: src.session,
-                                position: 0,
-                            },
-                        );
-                        c.epoch = src.epoch.load(Ordering::SeqCst);
-                        c.state = ConnState::Streaming(src);
-                    }
-                    Admission::Resumed(src) => {
-                        // Reattach: the authoritative ack carries the
-                        // committed high-water mark; the client seeks to it
-                        // and the contiguity accounting dedupes overlap.
-                        inner.stats.acks_sent.add(1);
-                        c.queue_frame(
-                            &inner.stats,
-                            &Frame::Ack {
-                                session: src.session,
-                                position: src.expected.load(Ordering::SeqCst),
-                            },
-                        );
-                        c.epoch = src.epoch.load(Ordering::SeqCst);
-                        c.chunks_since_ack = 0;
-                        c.state = ConnState::Streaming(src);
-                    }
-                    Admission::Refused => {
-                        inner.rejects.fetch_add(1, Ordering::Relaxed);
-                        c.queue_frame(&inner.stats, &Frame::Bye);
-                        c.closing = true;
-                    }
-                }
+                let admission = admit_source(inner, &source, meta);
+                attach(inner, c, admission, analysis_threads);
+            }
+            (Stage::Producer, Frame::StreamMeta(meta)) => {
+                let admission = admit_new(inner, None, meta);
+                attach(inner, c, admission, analysis_threads);
+            }
+            (Stage::Producer, Frame::Resume { session, .. }) => {
+                // The position is advisory, as after a SourceHello: the ack
+                // carries the server's own high-water mark.
+                let admission = match find_source(inner, &anonymous_name(session)) {
+                    Some(src) => reattach(inner, &src),
+                    None => Admission::Refused,
+                };
+                attach(inner, c, admission, analysis_threads);
             }
             (Stage::Streaming, Frame::SampleChunk { start_sample, iq }) => {
                 let src = src.expect("streaming state carries its source");
@@ -1653,46 +1653,107 @@ fn process_frames(
     }
 }
 
-/// What a SourceHello earned.
+/// What a handshake earned.
 enum Admission {
     /// A brand-new source: registered and announced.
     New(Arc<SourceShared>),
     /// A known live or parked source reattaching (resume / takeover).
     Resumed(Arc<SourceShared>),
-    /// Completed, quarantined or evicted id — refused with a Bye.
+    /// Completed, quarantined, evicted or unknown — refused with a Bye.
     Refused,
 }
 
-/// Admits a SourceHello: a fresh id registers, a known id resumes (parked)
-/// or takes over (still live — newest connection wins), and a retired or
-/// quarantined id is refused.
-fn admit_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admission {
-    let existing = {
-        let map = inner.sources.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(source).cloned()
-    };
-    let src = match existing {
-        None => {
-            // Overload admission control: while the fleet is over its
-            // latency budget, brand-new ids are refused. Known sources
-            // resuming fall through — refusing a resume would turn a
-            // transient overload into data loss.
-            if inner.admission_paused.load(Ordering::SeqCst) {
-                inner.admission_refused.fetch_add(1, Ordering::Relaxed);
-                if let Some(ctr) = &inner.admission_refused_ctr {
-                    ctr.add(1);
-                }
-                inner.emit(
-                    rfd_telemetry::event::EventKind::AdmissionRefused,
-                    format!("source {source} refused: fleet over latency budget"),
-                );
-                return Admission::Refused;
-            }
-            return register_source(inner, source, meta);
-        }
-        Some(src) => src,
-    };
+/// The table key of the anonymous source with join ordinal `session`.
+fn anonymous_name(session: u64) -> String {
+    format!("#{session}")
+}
 
+fn find_source(inner: &FleetInner, name: &str) -> Option<Arc<SourceShared>> {
+    let map = inner.sources.lock().unwrap_or_else(|e| e.into_inner());
+    map.get(name).cloned()
+}
+
+/// Binds a connection to the source its handshake earned. The ack is
+/// authoritative: position zero anchors a new sender, the committed
+/// high-water mark tells a reattaching one where to seek (the contiguity
+/// accounting dedupes any overlap it resends anyway).
+fn attach(
+    inner: &Arc<FleetInner>,
+    c: &mut Conn,
+    admission: Admission,
+    analysis_threads: &mut Vec<std::thread::JoinHandle<()>>,
+) {
+    let src = match admission {
+        Admission::New(src) => {
+            // Spawn the source's private analysis thread.
+            let t = {
+                let inner = inner.clone();
+                let src = src.clone();
+                std::thread::Builder::new()
+                    .name(format!("rfd-fleet-{}", src.name))
+                    .spawn(move || analysis_thread(inner, src))
+                    .expect("spawn fleet analysis thread")
+            };
+            analysis_threads.push(t);
+            src
+        }
+        Admission::Resumed(src) => src,
+        Admission::Refused => {
+            inner.rejects.fetch_add(1, Ordering::Relaxed);
+            c.queue_frame(&inner.stats, &Frame::Bye);
+            c.closing = true;
+            return;
+        }
+    };
+    inner.stats.acks_sent.add(1);
+    c.queue_frame(
+        &inner.stats,
+        &Frame::Ack {
+            session: src.session,
+            position: src.expected.load(Ordering::SeqCst),
+        },
+    );
+    c.epoch = src.epoch.load(Ordering::SeqCst);
+    c.chunks_since_ack = 0;
+    c.state = ConnState::Streaming(src);
+}
+
+/// Admits a SourceHello: a fresh id registers, a known id reattaches.
+fn admit_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admission {
+    match find_source(inner, source) {
+        None => admit_new(inner, Some(source), meta),
+        Some(src) => reattach(inner, &src),
+    }
+}
+
+/// Admits a source the server has not seen: a fresh id, or (`tag` `None`)
+/// an anonymous session.
+fn admit_new(inner: &Arc<FleetInner>, tag: Option<&str>, meta: StreamMeta) -> Admission {
+    // Overload admission control: while the fleet is over its latency
+    // budget, brand-new sources are refused. Known sources resuming never
+    // come through here — refusing a resume would turn a transient
+    // overload into data loss.
+    if inner.admission_paused.load(Ordering::SeqCst) {
+        inner.admission_refused.fetch_add(1, Ordering::Relaxed);
+        if let Some(ctr) = &inner.admission_refused_ctr {
+            ctr.add(1);
+        }
+        inner.emit(
+            rfd_telemetry::event::EventKind::AdmissionRefused,
+            format!(
+                "source {} refused: fleet over latency budget",
+                tag.unwrap_or("(anonymous)")
+            ),
+        );
+        return Admission::Refused;
+    }
+    register_source(inner, tag, meta)
+}
+
+/// Reattaches a connection to a known source: parked → resume at the
+/// committed high-water mark; still attached → takeover (newest connection
+/// wins); finished, quarantined or evicted → refused.
+fn reattach(inner: &Arc<FleetInner>, src: &Arc<SourceShared>) -> Admission {
     // Quarantined / evicted ids are refused; persistent hammering on a
     // quarantined id evicts it outright.
     if src.health() >= SourceHealth::Quarantined {
@@ -1700,7 +1761,7 @@ fn admit_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admi
         if src.health() == SourceHealth::Quarantined && rejects >= inner.cfg.evict_rejects {
             raise_health(
                 inner,
-                &src,
+                src,
                 SourceHealth::Evicted,
                 &format!("{rejects} refused reconnects"),
             );
@@ -1719,7 +1780,7 @@ fn admit_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admi
 
     let was_parked = {
         let mut map = inner.parked.lock().unwrap_or_else(|e| e.into_inner());
-        let hit = map.remove(source).is_some();
+        let hit = map.remove(&src.name).is_some();
         if hit {
             if let Some(g) = &inner.parked_gauge {
                 g.set(map.len() as i64);
@@ -1732,9 +1793,9 @@ fn admit_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admi
         // implied death of the old one (newest connection wins). The epoch
         // bump below strands the old connection; the disconnect still
         // counts against the source's health.
-        health_on_disconnect(inner, &src);
+        health_on_disconnect(inner, src);
         if src.health() >= SourceHealth::Quarantined {
-            finalize_source(inner, &src);
+            finalize_source(inner, src);
             src.rejects.fetch_add(1, Ordering::Relaxed);
             return Admission::Refused;
         }
@@ -1754,16 +1815,22 @@ fn admit_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admi
             if was_parked { "was parked" } else { "takeover" },
         ),
     );
-    Admission::Resumed(src)
+    Admission::Resumed(src.clone())
 }
 
 /// Registers a new source: creates its queue, shared state and per-source
 /// metrics, and announces it on the hub.
-fn register_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> Admission {
-    let name: Arc<str> = Arc::from(source);
-    let reg = inner.registry.as_deref();
+fn register_source(inner: &Arc<FleetInner>, tag: Option<&str>, meta: StreamMeta) -> Admission {
     let session = inner.sources_joined.fetch_add(1, Ordering::SeqCst) + 1;
+    let name: Arc<str> = match tag {
+        Some(id) => Arc::from(id),
+        None => Arc::from(anonymous_name(session)),
+    };
+    // Only ids mint a metric family: ordinals are unbounded, and a
+    // long-lived plain `serve` must not grow per session.
+    let reg = inner.registry.as_deref().filter(|_| tag.is_some());
     let src = Arc::new(SourceShared {
+        tagged: tag.is_some(),
         meta,
         queue: ChunkQueue::new(inner.cfg.queue_cap, inner.cfg.overflow),
         session,
@@ -1785,7 +1852,7 @@ fn register_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> A
         flaps: AtomicU64::new(0),
         decode_errors: AtomicU64::new(0),
         rejects: AtomicU64::new(0),
-        chaos_site: format!("net.fleet.source.{source}"),
+        chaos_site: format!("net.fleet.source.{name}"),
         fanout: Histogram::exponential(1.0, 1e7, 28),
         deadline: Histogram::exponential(1.0, 1e7, 28),
         deadline_win: Mutex::new(HistogramWindow::new()),
@@ -1794,9 +1861,9 @@ fn register_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> A
         shed_violate: AtomicU32::new(0),
         shed_clean: AtomicU32::new(0),
         shed_throttle_pending: AtomicBool::new(false),
-        queue_gauge: reg.map(|r| r.gauge(&format!("net.fleet.source.{source}.queue_depth"))),
-        samples_ctr: reg.map(|r| r.counter(&format!("net.fleet.source.{source}.samples_in"))),
-        records_ctr: reg.map(|r| r.counter(&format!("net.fleet.source.{source}.records"))),
+        queue_gauge: reg.map(|r| r.gauge(&format!("net.fleet.source.{name}.queue_depth"))),
+        samples_ctr: reg.map(|r| r.counter(&format!("net.fleet.source.{name}.samples_in"))),
+        records_ctr: reg.map(|r| r.counter(&format!("net.fleet.source.{name}.records"))),
         name: name.clone(),
     });
     {
@@ -1810,7 +1877,10 @@ fn register_source(inner: &Arc<FleetInner>, source: &str, meta: StreamMeta) -> A
         rfd_telemetry::event::EventKind::SourceJoined,
         format!("source {name} joined ({:.3} Msps)", meta.sample_rate / 1e6),
     );
-    inner.hub.publish(HubMsg::SourceMeta { source: name, meta });
+    inner.hub.publish(match tag {
+        Some(_) => HubMsg::SourceMeta { source: name, meta },
+        None => HubMsg::Meta(meta),
+    });
     Admission::New(src)
 }
 
@@ -1953,8 +2023,10 @@ fn commit_chunk(
 }
 
 /// One source's analysis thread: accumulate the contiguous sample stream,
-/// run the source's private pipeline when the stream ends, publish tagged
-/// records (offline order) and the source's Bye.
+/// run the source's private pipeline when the stream ends, publish its
+/// records (offline order) and its end marker. The `tagged` matches here
+/// and the handshake arms of [`process_frames`] are the whole difference
+/// between the two kinds of source.
 fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
     let analysis_site = format!("net.fleet.analysis.{}", src.name);
     let mut samples: Vec<Complex32> = Vec::new();
@@ -1983,7 +2055,7 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
     let records = if samples.is_empty() {
         Vec::new()
     } else {
-        let mut pipeline = (inner.factory)(&src.name);
+        let mut pipeline = (inner.factory)(if src.tagged { &src.name } else { "" });
         pipeline.analyze(&src.meta, samples)
     };
     for rec in records {
@@ -1997,9 +2069,13 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
             ctr.add(1);
         }
         let t0 = Instant::now();
-        inner.hub.publish(HubMsg::SourceRecord {
-            source: src.name.clone(),
-            record: rec,
+        inner.hub.publish(if src.tagged {
+            HubMsg::SourceRecord {
+                source: src.name.clone(),
+                record: rec,
+            }
+        } else {
+            HubMsg::Record(rec)
         });
         let us = t0.elapsed().as_secs_f64() * 1e6;
         src.fanout.record(us);
@@ -2007,8 +2083,16 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
             h.record(us);
         }
     }
-    inner.hub.publish(HubMsg::SourceBye {
-        source: src.name.clone(),
+    // An anonymous session ends with the stats document (the untagged
+    // stream's end-of-session marker); publishing one after tagged sources
+    // too would renumber every subscriber's resume cursor for no reader.
+    inner.hub.publish(if src.tagged {
+        HubMsg::SourceBye {
+            source: src.name.clone(),
+        }
+    } else {
+        let net = inner.stats.snapshot(inner.hub.evicted());
+        HubMsg::Stats(net.to_json().to_json())
     });
     inner.note_evictions();
     inner
@@ -2031,16 +2115,24 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
             src.records.load(Ordering::Relaxed)
         ),
     );
+    if !src.tagged {
+        // A finished id stays so a second claim on it can be refused; a
+        // finished ordinal protects nothing (a Resume naming it is refused
+        // as unknown), its counters are already in the rollup, and a
+        // long-lived plain `serve` must not grow per session.
+        let mut map = inner.sources.lock().unwrap_or_else(|e| e.into_inner());
+        map.remove(&src.name);
+    }
     inner.sources_done.fetch_add(1, Ordering::SeqCst);
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::client::{RecordSubscriber, SendRate, SubEvent, TraceSender};
     use crate::frame::RecordMsg;
 
-    fn stub_factory() -> PipelineFactory {
+    pub(crate) fn stub_factory() -> PipelineFactory {
         Box::new(|_source: &str| {
             Box::new(
                 |meta: &StreamMeta, samples: Vec<Complex32>| -> Vec<RecordMsg> {
@@ -2054,7 +2146,7 @@ mod tests {
         })
     }
 
-    fn meta() -> StreamMeta {
+    pub(crate) fn meta() -> StreamMeta {
         StreamMeta {
             sample_rate: 1e6,
             center_hz: 0.0,
@@ -2062,7 +2154,7 @@ mod tests {
         }
     }
 
-    fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+    pub(crate) fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
         let t0 = Instant::now();
         while !cond() {
             assert!(t0.elapsed() < Duration::from_secs(10), "timed out: {what}");
@@ -2407,7 +2499,7 @@ mod tests {
         )
         .unwrap();
         let inner = server.inner.clone();
-        let hot = match register_source(&inner, "hot", meta()) {
+        let hot = match register_source(&inner, Some("hot"), meta()) {
             Admission::New(s) => s,
             _ => panic!("fresh id must register"),
         };
@@ -2483,7 +2575,7 @@ mod tests {
         )
         .unwrap();
         let inner = server.inner.clone();
-        let src = match register_source(&inner, "sick", meta()) {
+        let src = match register_source(&inner, Some("sick"), meta()) {
             Admission::New(s) => s,
             _ => panic!("fresh id must register"),
         };

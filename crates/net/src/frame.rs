@@ -95,6 +95,10 @@ pub const MAX_PAYLOAD: usize = 1 << 20;
 /// of I/Q per frame — small enough to interleave Throttle round-trips,
 /// large enough to amortize the header).
 pub const DEFAULT_CHUNK_SAMPLES: usize = 4096;
+/// The most samples one [`Frame::SampleChunk`] can carry under
+/// [`MAX_PAYLOAD`]: its payload is a 12-byte prefix (start sample, count)
+/// plus 4 bytes per sample.
+pub const MAX_CHUNK_SAMPLES: usize = (MAX_PAYLOAD - 12) / 4;
 /// Upper bound on a fleet source id, in bytes. Small enough that tagging
 /// every record with the full id stays cheap on the wire.
 pub const MAX_SOURCE_ID: usize = 64;

@@ -16,11 +16,11 @@ use std::sync::{Arc, Mutex};
 
 /// What flows to subscribers, in publish order.
 ///
-/// The single-stream server publishes the untagged variants; a fleet server
-/// publishes the `Source*` variants so each message carries the source it
-/// belongs to and subscribers can filter per source. The untagged `Bye`
-/// stays a *global* end-of-stream marker in both modes — it passes every
-/// filter, so even a filtered subscriber observes server shutdown.
+/// An anonymous producer session is published in the untagged variants; a
+/// tagged source in the `Source*` variants, so each message carries the
+/// source it belongs to and subscribers can filter per source. The untagged
+/// `Bye` is the *global* end-of-stream marker — it passes every filter, so
+/// even a filtered subscriber observes server shutdown.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HubMsg {
     /// Stream metadata for the session now starting.

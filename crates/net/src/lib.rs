@@ -13,12 +13,13 @@
 //!   (block = lossless backpressure, drop-oldest = lossy real-time).
 //! * [`hub`] — record fan-out with per-subscriber bounded queues and
 //!   slow-consumer eviction.
-//! * [`server`] — the TCP server: producers in, subscribers out, one
-//!   [`Pipeline`] in the middle.
-//! * [`fleet`] — the multi-sensor ingest server: one nonblocking readiness
-//!   loop accepts N concurrent capture senders, shards each source onto its
-//!   own pipeline instance, and merges the record streams with per-source
-//!   tags.
+//! * [`fleet`] — the ingest server, the only one: one nonblocking
+//!   readiness loop accepts N concurrent capture senders — tagged with a
+//!   source id or anonymous — shards each onto its own pipeline instance,
+//!   and merges the record streams (tagged ones with per-source tags).
+//! * [`server`] — what that server shares with callers and subscriber
+//!   threads: the [`Pipeline`] trait, the wire-level statistics, and the
+//!   subscriber side of a connection.
 //! * [`client`] — [`TraceSender`] and [`RecordSubscriber`], what the CLI's
 //!   `send` / `watch` modes wrap.
 //!
@@ -51,4 +52,4 @@ pub use frame::{
 };
 pub use hub::{HubMsg, RecordHub, Subscription};
 pub use queue::{ChunkQueue, OverflowPolicy, PushOutcome, TryPushError};
-pub use server::{NetStatsSnapshot, Pipeline, Server, ServerConfig, ServerHandle};
+pub use server::{NetStatsSnapshot, Pipeline, Server, ServerConfig};

@@ -15,11 +15,10 @@
 //!    take the server down.
 
 use rfd_fault::FaultPlan;
-use rfd_integration::{mixed_trace, piconet, random_bytes, seeded_cases};
-use rfd_net::{RecordSubscriber, ResilientSender, SendRate, Server, ServerConfig, SubEvent};
+use rfd_integration::{arch_server, mixed_trace, piconet, random_bytes, seeded_cases};
+use rfd_net::{FleetConfig, RecordSubscriber, ResilientSender, SendRate, SubEvent};
 use rfdump::arch::{run_architecture, ArchConfig, ArchOutput};
 use rfdump::dispatch::QUARANTINE_STRIKES;
-use rfdump::live::LivePipeline;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -141,21 +140,12 @@ fn offline_lines(path: &std::path::Path) -> Vec<String> {
 #[test]
 fn injected_disconnects_resume_without_loss_duplication_or_reorder() {
     let path = trace_file("chaos-resume.rfdt");
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            once: true,
-            resume_grace: Duration::from_secs(10),
-            ..Default::default()
-        },
-        Box::new(LivePipeline::new({
-            let mut c = ArchConfig::rfdump(vec![piconet()]);
-            c.telemetry = false;
-            c
-        })),
-        None,
-    )
-    .unwrap();
+    let once = FleetConfig {
+        expect: Some(1),
+        resume_grace: Duration::from_secs(10),
+        ..Default::default()
+    };
+    let server = arch_server(once, rfdump::arch::default_workers());
     let addr = server.local_addr().unwrap();
     let run = std::thread::spawn(move || server.run().unwrap());
 
@@ -179,7 +169,11 @@ fn injected_disconnects_resume_without_loss_duplication_or_reorder() {
         }
     }
     let stats = run.join().unwrap();
-    assert_eq!(stats.sessions, 1, "resume must not fork a second session");
+    assert_eq!(
+        stats.net.sessions, 1,
+        "resume must not fork a second session"
+    );
+    assert!(stats.net.resumes >= 1, "reconnects must go through Resume");
     assert_eq!(
         lines,
         offline_lines(&path),
@@ -190,17 +184,7 @@ fn injected_disconnects_resume_without_loss_duplication_or_reorder() {
 #[test]
 fn garbage_floods_never_take_the_server_down() {
     let path = trace_file("chaos-flood.rfdt");
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig::default(),
-        Box::new(LivePipeline::new({
-            let mut c = ArchConfig::rfdump(vec![piconet()]);
-            c.telemetry = false;
-            c
-        })),
-        None,
-    )
-    .unwrap();
+    let server = arch_server(FleetConfig::default(), rfdump::arch::default_workers());
     let addr = server.local_addr().unwrap();
     let handle = server.handle();
     let run = std::thread::spawn(move || server.run().unwrap());
@@ -216,13 +200,13 @@ fn garbage_floods_never_take_the_server_down() {
     // Wait until the floods have been seen and at least one was rejected as
     // malformed (tiny floods may close before a full frame header arrives).
     let t0 = std::time::Instant::now();
-    while (handle.stats().connections < 8 || handle.stats().decode_errors == 0)
+    while (handle.stats().net.connections < 8 || handle.stats().net.decode_errors == 0)
         && t0.elapsed() < Duration::from_secs(10)
     {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(
-        handle.stats().decode_errors >= 1,
+        handle.stats().net.decode_errors >= 1,
         "garbage must be rejected, not silently accepted"
     );
 

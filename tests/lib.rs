@@ -36,6 +36,17 @@ pub fn mixed_trace(n_pings: usize, n_l2pings: usize, snr_db: f32, seed: u64) -> 
     scene.render(&events, horizon)
 }
 
+/// An ingest server analysing with the full architecture the way `rfdump
+/// serve -p LAP:UAP --workers N` does (telemetry off), on an ephemeral
+/// loopback port.
+pub fn arch_server(net: rfd_net::FleetConfig, workers: usize) -> rfd_net::FleetServer {
+    let mut cfg = rfdump::arch::ArchConfig::rfdump(vec![piconet()]);
+    cfg.telemetry = false;
+    cfg.workers = workers;
+    let factory = rfdump::fleet::pipeline_factory(cfg, None, Default::default());
+    rfd_net::FleetServer::bind("127.0.0.1:0", net, factory, None).unwrap()
+}
+
 /// Deterministic randomized-case harness: runs `f` for `cases` iterations,
 /// each with a freshly seeded [`Xoshiro256`], and re-raises any panic with
 /// the failing case number so a failure reproduces exactly.

@@ -1,17 +1,16 @@
 //! Live loopback vs offline differential: a trace replayed through
-//! `TraceSender → Server(LivePipeline) → RecordSubscriber` must yield a
-//! record stream **byte-identical** to offline `run_architecture` on the
-//! same trace — at any worker count. This is the acceptance contract of
+//! `TraceSender → FleetServer(LivePipeline) → RecordSubscriber` must yield
+//! a record stream **byte-identical** to offline `run_architecture` on the
+//! same trace — at any worker count, from an untagged sender (a plain
+//! `serve` session) and from tagged ones. This is the acceptance contract of
 //! the whole net subsystem: the wire (i16 IQ + scale) and the end-of-
 //! session sorted publish preserve both samples and ordering exactly.
 
-use rfd_integration::{mixed_trace, piconet};
+use rfd_integration::{arch_server, mixed_trace, piconet};
 use rfd_net::{
-    FleetConfig, FleetServer, HubMsg, RecordSubscriber, SendRate, Server, ServerConfig, SubEvent,
-    TraceSender,
+    FleetConfig, FleetServer, HubMsg, RecordSubscriber, SendRate, SubEvent, TraceSender,
 };
 use rfdump::arch::{run_architecture, ArchConfig};
-use rfdump::live::LivePipeline;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -47,20 +46,12 @@ fn offline_lines(path: &std::path::Path, workers: usize) -> Vec<String> {
 }
 
 fn loopback_lines(path: &std::path::Path, workers: usize, rate: SendRate) -> Vec<String> {
-    let mut cfg = ArchConfig::rfdump(vec![piconet()]);
-    cfg.telemetry = false;
-    cfg.workers = workers;
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            once: true,
-            queue_cap: 8,
-            ..Default::default()
-        },
-        Box::new(LivePipeline::new(cfg)),
-        None,
-    )
-    .unwrap();
+    let once = FleetConfig {
+        expect: Some(1),
+        queue_cap: 8,
+        ..Default::default()
+    };
+    let server = arch_server(once, workers);
     let addr = server.local_addr().unwrap();
     let run = std::thread::spawn(move || server.run().unwrap());
 
@@ -78,7 +69,7 @@ fn loopback_lines(path: &std::path::Path, workers: usize, rate: SendRate) -> Vec
             _ => {}
         }
     }
-    let stats = run.join().unwrap();
+    let stats = run.join().unwrap().net;
     assert_eq!(stats.sessions, 1);
     assert_eq!(stats.samples_in, report.samples);
     assert_eq!(stats.seq_gaps, 0, "lossless path must have no seq gaps");
@@ -112,22 +103,11 @@ fn loopback_is_byte_identical_to_offline_at_any_worker_count() {
 #[test]
 fn two_subscribers_see_the_same_stream() {
     let path = trace_file("fanout.rfdt");
-    let cfg = {
-        let mut c = ArchConfig::rfdump(vec![piconet()]);
-        c.telemetry = false;
-        c.workers = 0;
-        c
+    let once = FleetConfig {
+        expect: Some(1),
+        ..Default::default()
     };
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            once: true,
-            ..Default::default()
-        },
-        Box::new(LivePipeline::new(cfg)),
-        None,
-    )
-    .unwrap();
+    let server = arch_server(once, 0);
     let addr = server.local_addr().unwrap();
     let run = std::thread::spawn(move || server.run().unwrap());
 
@@ -152,7 +132,7 @@ fn two_subscribers_see_the_same_stream() {
     }
     assert_eq!(streams[0], streams[1]);
     assert_eq!(streams[0], offline_lines(&path, 0));
-    let stats = run.join().unwrap();
+    let stats = run.join().unwrap().net;
     assert_eq!(stats.subscribers, 2);
     assert_eq!(stats.subscribers_evicted, 0);
 }
