@@ -45,8 +45,10 @@
 #      benchmark links against), and one short bench/run.sh per workload,
 #      which fails on a truth mismatch, on iterations that disagree, or on
 #      a live/fleet stream that differs from `rfdump -r`. No timing is
-#      compared. bench/ builds --locked and the step ends by requiring
-#      bench/ and BENCHMARK.json to be unchanged in git.
+#      compared; the three offline runs must peak under 64 MB resident
+#      (memory constant in trace length). bench/ builds --locked and the
+#      step ends by requiring bench/ and BENCHMARK.json to be unchanged in
+#      git.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -542,9 +544,19 @@ CARGO_TARGET_DIR="$bench_target" cargo test -q --offline --locked \
 CARGO_TARGET_DIR="$bench_target" cargo build --release --offline --locked \
     --manifest-path bench/Cargo.toml --bin perf_trace
 for workload in wifi_u60 quiet_u05 mix_wifi_bt live_rt_u60 fleet_max_quiet_x2; do
-    CARGO_TARGET_DIR="$bench_target" bash bench/run.sh \
-        --workload "$workload" --seed 2009 --seconds 1 --trace 0 >/dev/null \
+    result="$(CARGO_TARGET_DIR="$bench_target" bash bench/run.sh \
+        --workload "$workload" --seed 2009 --seconds 1 --trace 0 | tail -n1)" \
         || { echo "benchmark workload $workload failed a hard check"; exit 1; }
+    # Memory is constant in capture length: `rfdump -r` peaks near 8 MB on
+    # 8, 12 and 16 Msample files alike (it repeats to 0.1 MB), where holding
+    # the trace costs 16.5 B per sample — 135 MB for the shortest of them.
+    case "$workload" in wifi_u60|quiet_u05|mix_wifi_bt)
+        rss="$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9]*\).*/\1/p' <<<"$result")"
+        [ -n "$rss" ] && [ "$rss" -lt 64 ] || {
+            echo "$workload: peak_rss_mb '$rss' is not under 64: something holds the whole trace"
+            exit 1
+        } ;;
+    esac
 done
 test -z "$(git status --porcelain -- bench BENCHMARK.json)" || {
     echo "bench/ or BENCHMARK.json changed during the run; the likely cause is a new"

@@ -24,6 +24,13 @@ pub trait Analyzer: Send {
 
     /// Analyzes a dispatched peak (guaranteed to carry a qualifying vote
     /// for [`Analyzer::protocol`]).
+    ///
+    /// Every record returned must carry `start_us == d.block.start_us()`:
+    /// a record is stamped with where its *peak* starts, whatever the
+    /// demodulator found inside it. The streaming session's release order
+    /// rests on this — peaks are disjoint and ordered and dispatches are
+    /// released in sequence, so records leave in start-time order and none
+    /// ever has to be held back for a sort.
     fn analyze(&mut self, d: &Dispatch) -> Vec<PacketRecord>;
 }
 
@@ -274,6 +281,11 @@ mod tests {
     use crate::dispatch::Vote;
     use std::sync::Arc;
 
+    /// Where the test peaks sit in the stream: far from zero, so a record
+    /// stamped relative to its own samples cannot pass for one stamped with
+    /// its peak's start.
+    const PEAK_AT: u64 = 1_234_567;
+
     fn dispatch_for(
         samples: Vec<rfd_dsp::Complex32>,
         protocol: Protocol,
@@ -285,13 +297,13 @@ mod tests {
             block: PeakBlock {
                 peak: Peak {
                     id: 0,
-                    start: 0,
-                    end: n,
+                    start: PEAK_AT,
+                    end: PEAK_AT + n,
                     mean_power: 1.0,
                     noise_floor: 1e-4,
                 },
                 samples: Arc::new(samples),
-                sample_start: 0,
+                sample_start: PEAK_AT,
                 sample_rate: 8e6,
                 ingest: None,
             },
@@ -301,6 +313,14 @@ mod tests {
                 channel,
                 range: None,
             }],
+        }
+    }
+
+    /// The ordering contract of [`Analyzer::analyze`].
+    fn assert_stamped_with_peak_start(recs: &[PacketRecord], d: &Dispatch) {
+        assert!(!recs.is_empty());
+        for r in recs {
+            assert_eq!(r.start_us, d.block.start_us());
         }
     }
 
@@ -321,6 +341,7 @@ mod tests {
         let d = dispatch_for(at8, Protocol::Wifi, None);
         let recs = WifiAnalyzer.analyze(&d);
         assert_eq!(recs.len(), 1);
+        assert_stamped_with_peak_start(&recs, &d);
         match &recs[0].info {
             PacketInfo::Wifi { fcs_ok, seq, .. } => {
                 assert!(fcs_ok);
@@ -338,6 +359,7 @@ mod tests {
         let d = dispatch_for(noise, Protocol::Wifi, None);
         let recs = WifiAnalyzer.analyze(&d);
         assert!(matches!(recs[0].info, PacketInfo::DetectedOnly { .. }));
+        assert_stamped_with_peak_start(&recs, &d);
     }
 
     #[test]
@@ -372,6 +394,22 @@ mod tests {
             other => panic!("expected decoded bt, got {other:?}"),
         }
         assert_eq!(recs[0].channel, Some(37));
+        assert_stamped_with_peak_start(&recs, &d);
+    }
+
+    #[test]
+    fn bt_and_zigbee_analyzers_fall_back_to_detected_only() {
+        let noise: Vec<rfd_dsp::Complex32> = (0..6_000)
+            .map(|i| rfd_dsp::Complex32::cis(i as f32 * 1.1).scale(0.3))
+            .collect();
+        let d = dispatch_for(noise.clone(), Protocol::Bluetooth, None);
+        let recs = BtAnalyzer::new(8e6, 37e6, Vec::new()).analyze(&d);
+        assert!(matches!(recs[0].info, PacketInfo::DetectedOnly { .. }));
+        assert_stamped_with_peak_start(&recs, &d);
+        let d = dispatch_for(noise, Protocol::Zigbee, None);
+        let recs = ZigbeeAnalyzer::new(37e6, 37e6).analyze(&d);
+        assert!(matches!(recs[0].info, PacketInfo::DetectedOnly { .. }));
+        assert_stamped_with_peak_start(&recs, &d);
     }
 
     #[test]
@@ -414,6 +452,7 @@ mod tests {
             recs[0].info,
             PacketInfo::Zigbee { payload_len: 8 }
         ));
+        assert_stamped_with_peak_start(&recs, &d);
     }
 
     #[test]
@@ -424,6 +463,7 @@ mod tests {
         let d = dispatch_for(sig, Protocol::Microwave, None);
         let recs = MicrowaveAnalyzer.analyze(&d);
         assert!(matches!(recs[0].info, PacketInfo::Microwave));
+        assert_stamped_with_peak_start(&recs, &d);
     }
 
     #[test]
@@ -438,5 +478,6 @@ mod tests {
         let d = dispatch_for(sig, Protocol::Microwave, None);
         let recs = MicrowaveAnalyzer.analyze(&d);
         assert!(matches!(recs[0].info, PacketInfo::DetectedOnly { .. }));
+        assert_stamped_with_peak_start(&recs, &d);
     }
 }

@@ -9,10 +9,17 @@
 //!   specific fast detectors (timing and/or phase/frequency); a dispatcher
 //!   forwards only classified peaks to the per-protocol analyzers.
 //!
-//! Each architecture is assembled as an `rfd-flowgraph` graph so per-block
-//! CPU time comes out of the same accounting machinery, and each can run
-//! with or without the demodulation stage (the paper's "no demodulation"
-//! curves isolate detection cost).
+//! All three run behind one incremental [`Session`] — `open`, `push`
+//! samples as they arrive, `finish` — and [`run_architecture`] is that loop
+//! over a slice. RFDump is a true streaming session: each push returns the
+//! records it made final, in final order, and nothing is kept per sample,
+//! peak or record, so a file, a socket and a fleet of sockets are the same
+//! code and memory is constant in stream length. The two naïve baselines
+//! are whole-trace references assembled as `rfd-flowgraph` graphs; behind
+//! the session they accumulate and run at `finish`. Every architecture
+//! reports per-stage CPU time through the same [`RunStats`] rows, and each
+//! can run with or without the demodulation stage (the paper's "no
+//! demodulation" curves isolate detection cost).
 
 use crate::analyze::{Analyzer, BtAnalyzer, MicrowaveAnalyzer, WifiAnalyzer, ZigbeeAnalyzer};
 use crate::chunk::{PeakBlock, SampleChunk};
@@ -21,9 +28,7 @@ use crate::detect::{
     MicrowaveTimingDetector, WifiDifsDetector, WifiPhaseDetector, WifiSifsDetector,
     ZigbeePhaseDetector, ZigbeeTimingDetector,
 };
-use crate::dispatch::{
-    AnalysisPool, Dispatch, DispatchConfig, DispatchStats, Dispatcher, PooledAnalysis,
-};
+use crate::dispatch::{AnalysisPool, Dispatch, DispatchConfig, DispatchStats, Dispatcher};
 use crate::eval::ClassifiedPeak;
 use crate::governor::{GovernorConfig, GovernorReport, LoadGovernor};
 use crate::peak::{PeakDetector, PeakDetectorConfig};
@@ -32,8 +37,7 @@ use rfd_dsp::Complex32;
 use rfd_ether::Band;
 use rfd_fault::{Action, FaultPlan, FaultStats};
 use rfd_flowgraph::blocks::VecSink;
-use rfd_flowgraph::sync::Mutex;
-use rfd_flowgraph::{Block, Flowgraph, Payload, RunStats, WorkStatus};
+use rfd_flowgraph::{Block, BlockStats, Flowgraph, Payload, RunStats, WorkStatus};
 use rfd_phy::bluetooth::demod::PiconetId;
 use rfd_phy::Protocol;
 use rfd_telemetry::event::EventKind;
@@ -167,6 +171,9 @@ impl ArchConfig {
     }
 }
 
+/// Per-protocol record totals: `(records, of which demodulated)`.
+pub type RecordCounts = std::collections::BTreeMap<Protocol, (u64, u64)>;
+
 /// Everything an architecture run produces.
 #[derive(Debug)]
 pub struct ArchOutput {
@@ -175,6 +182,10 @@ pub struct ArchOutput {
     /// Classified peaks (detection-stage output; for naïve architectures
     /// these are synthesized from decoded packets).
     pub classified: Vec<ClassifiedPeak>,
+    /// How many records the run released, per protocol. Kept by the session
+    /// as it goes, so the stats document can report it for a `serve`
+    /// session that retained no record.
+    pub record_counts: RecordCounts,
     /// Dispatcher statistics (RFDump only).
     pub dispatch_stats: Option<DispatchStats>,
     /// Per-block CPU accounting.
@@ -210,82 +221,214 @@ impl ArchOutput {
     }
 }
 
-/// Runs an architecture over a trace.
+/// Runs an architecture over a whole trace: open a [`Session`], push
+/// everything, finish. What tests, examples, the paper-figure harnesses and
+/// the benchmark call.
 pub fn run_architecture(cfg: &ArchConfig, samples: &[Complex32], fs: f64) -> ArchOutput {
     run_architecture_with_registry(cfg, samples, fs, None)
 }
 
 /// Like [`run_architecture`], but accumulating telemetry into `shared`
-/// when provided (and [`ArchConfig::telemetry`] is on) instead of a fresh
-/// per-run registry. This is how `rfdump serve --metrics-addr` exposes one
-/// long-lived registry across every capture session: the scrape endpoint
-/// holds the same `Arc`, so counters and stage-latency histograms keep
-/// accumulating while sessions come and go.
+/// (see [`Session::open`]).
 pub fn run_architecture_with_registry(
     cfg: &ArchConfig,
     samples: &[Complex32],
     fs: f64,
     shared: Option<Arc<Registry>>,
 ) -> ArchOutput {
-    let trace_seconds = samples.len() as f64 / fs;
-    let registry = cfg
-        .telemetry
-        .then(|| shared.unwrap_or_else(|| Arc::new(Registry::new())));
-    if let Some(reg) = &registry {
-        reg.counter("trace.samples").add(samples.len() as u64);
-        // Which DSP kernel backend this run executes with (scrapes as
-        // `rfd_kernel_backend`; values match `kernels::Backend as u8`).
-        reg.gauge("kernel.backend")
-            .set(i64::from(rfd_dsp::kernels::active() as u8));
+    let mut session = Session::open(cfg, fs, Some(samples.len() as u64), shared);
+    let mut all = Released::default();
+    for piece in samples.chunks(PUSH_SAMPLES) {
+        all.append(session.push(piece));
     }
-    let mut out = match cfg.kind {
-        ArchKind::Naive => run_naive(cfg, &registry, samples, fs, trace_seconds, false),
-        ArchKind::NaiveEnergy => run_naive_energy(cfg, &registry, samples, fs, trace_seconds),
-        ArchKind::RfDump(set) => run_rfdump(cfg, &registry, set, samples, fs, trace_seconds),
-    };
-    out.registry = registry;
-    out.faults = cfg.faults.as_ref().map(|p| p.snapshot());
+    let (last, mut out) = session.finish();
+    all.append(last);
+    out.records = all.records;
+    out.classified = all.classified;
     out
+}
+
+/// What one [`Session::push`] (or the closing [`Session::finish`]) made
+/// final. A session keeps neither: what it returns here it has forgotten.
+#[derive(Debug, Default)]
+pub struct Released {
+    /// Records in their final order: each batch continues the one before,
+    /// so the batches concatenated are the run's record stream.
+    pub records: Vec<PacketRecord>,
+    /// Peaks whose classification became final (detection-stage output).
+    pub classified: Vec<ClassifiedPeak>,
+}
+
+impl Released {
+    fn append(&mut self, mut more: Released) {
+        self.records.append(&mut more.records);
+        self.classified.append(&mut more.classified);
+    }
+}
+
+/// Samples [`run_architecture`] (and `rfdump -r`) hand a session at a time:
+/// what one sweep of the flowgraph scheduler moved, so a journaled run
+/// commits at the cadence it always has.
+pub const PUSH_SAMPLES: usize = 64 * crate::CHUNK_SAMPLES;
+
+/// One architecture run, driven incrementally: samples in through
+/// [`push`](Self::push) as they arrive, records out as soon as they are
+/// final, everything else at [`finish`](Self::finish). Every front end is
+/// this loop — a trace file, a socket, a fleet of sockets, and
+/// [`run_architecture`] over a slice.
+///
+/// For RFDump nothing waits for the last sample and memory does not grow
+/// with the stream: see the ordering argument at `RfDump::store`. The two
+/// naïve baselines are whole-trace references (Figure 9); behind this API
+/// they accumulate and run at `finish`.
+pub struct Session {
+    cfg: ArchConfig,
+    fs: f64,
+    registry: Option<Arc<Registry>>,
+    counts: RecordCounts,
+    kind: SessionKind,
+}
+
+enum SessionKind {
+    RfDump(Box<RfDump>),
+    /// A naïve baseline: the samples so far.
+    Batch(Vec<Complex32>),
+}
+
+impl Session {
+    /// Opens a run of `cfg` over a stream at `fs`. `declared_len` is the
+    /// stream's length in samples when the source states one up front (a
+    /// trace file's header); it goes into the journal fingerprint, and a
+    /// stream that cannot say (a socket) fingerprints as open-ended.
+    /// Telemetry accumulates into `shared` when provided (and
+    /// [`ArchConfig::telemetry`] is on) instead of a fresh per-run
+    /// registry: this is how `rfdump serve --metrics-addr` exposes one
+    /// long-lived registry across every capture session.
+    pub fn open(
+        cfg: &ArchConfig,
+        fs: f64,
+        declared_len: Option<u64>,
+        shared: Option<Arc<Registry>>,
+    ) -> Self {
+        let registry = cfg
+            .telemetry
+            .then(|| shared.unwrap_or_else(|| Arc::new(Registry::new())));
+        if let Some(reg) = &registry {
+            // Which DSP kernel backend this run executes with (scrapes as
+            // `rfd_kernel_backend`; values match `kernels::Backend as u8`).
+            reg.gauge("kernel.backend")
+                .set(i64::from(rfd_dsp::kernels::active() as u8));
+        }
+        let kind = match cfg.kind {
+            ArchKind::RfDump(set) => SessionKind::RfDump(Box::new(RfDump::open(
+                cfg,
+                set,
+                fs,
+                declared_len,
+                &registry,
+            ))),
+            ArchKind::Naive | ArchKind::NaiveEnergy => SessionKind::Batch(Vec::new()),
+        };
+        Self {
+            cfg: cfg.clone(),
+            fs,
+            registry,
+            counts: RecordCounts::new(),
+            kind,
+        }
+    }
+
+    /// What a `--resume` recovered from the journal, known as soon as the
+    /// session is open (`None` when journaling is off).
+    pub fn recovery(&self) -> Option<crate::durability::RecoveryReport> {
+        match &self.kind {
+            SessionKind::RfDump(r) => r.journal.as_ref().map(|j| j.report()),
+            SessionKind::Batch(_) => None,
+        }
+    }
+
+    /// Feeds the next contiguous samples and returns what they made final.
+    /// On a resumed run the first push also releases the recovered records.
+    pub fn push(&mut self, samples: &[Complex32]) -> Released {
+        if let Some(reg) = &self.registry {
+            reg.counter("trace.samples").add(samples.len() as u64);
+        }
+        let mut out = Released::default();
+        match &mut self.kind {
+            SessionKind::RfDump(r) => r.push(samples, &mut out),
+            SessionKind::Batch(all) => all.extend_from_slice(samples),
+        }
+        tally(&mut self.counts, &out.records);
+        out
+    }
+
+    /// Ends the stream: flushes every stage and returns the last records
+    /// together with the run's accounting. `records` and `classified` of
+    /// the returned [`ArchOutput`] are empty — they went out through
+    /// [`Released`].
+    pub fn finish(mut self) -> (Released, ArchOutput) {
+        let mut last = Released::default();
+        let mut out = match self.kind {
+            SessionKind::RfDump(r) => r.finish(&mut last),
+            SessionKind::Batch(ref samples) => {
+                let seconds = samples.len() as f64 / self.fs;
+                let mut out = match self.cfg.kind {
+                    ArchKind::NaiveEnergy => {
+                        run_naive_energy(&self.cfg, &self.registry, samples, self.fs, seconds)
+                    }
+                    _ => run_naive(&self.cfg, &self.registry, samples, self.fs, seconds, false),
+                };
+                last.records = std::mem::take(&mut out.records);
+                last.classified = std::mem::take(&mut out.classified);
+                out
+            }
+        };
+        tally(&mut self.counts, &last.records);
+        out.record_counts = self.counts;
+        out.registry = self.registry;
+        out.faults = self.cfg.faults.as_ref().map(|p| p.snapshot());
+        (last, out)
+    }
+}
+
+fn tally(counts: &mut RecordCounts, records: &[PacketRecord]) {
+    for r in records {
+        let (total, decoded) = counts.entry(r.protocol).or_default();
+        *total += 1;
+        if !matches!(r.info, PacketInfo::DetectedOnly { .. }) {
+            *decoded += 1;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Shared blocks
 // ---------------------------------------------------------------------------
 
-/// Emits the trace as chunks, cut incrementally at emission time so the
-/// governor's adaptive chunk size takes effect chunk by chunk. Without a
-/// governor every chunk is the configured size, reproducing the old
-/// pre-chunked stream exactly. Chunk size never affects the record output:
-/// the peak detector re-blocks internally (see [`crate::peak::DETECT_BLOCK`]).
+/// Emits the trace as chunks of the configured size (the naïve baselines'
+/// source; the RFDump session walks borrowed slices instead). Chunk size
+/// never affects the record output: the peak detector re-blocks internally
+/// (see [`crate::peak::DETECT_BLOCK`]).
 struct ChunkSource {
     samples: Vec<Complex32>,
     fs: f64,
     pos: usize,
     seq: u64,
-    /// Configured chunk size (the fixed size without a governor).
-    base: usize,
-    /// Live chunk-size authority in bounded-latency mode.
-    ctl: Option<Arc<LoadGovernor>>,
-    /// Stamp each chunk's ingest time on emission (telemetry or budget
-    /// runs only, so plain runs pay zero clock reads on the hot path).
+    /// Chunk size, samples.
+    size: usize,
+    /// Stamp each chunk's ingest time on emission (telemetry runs only, so
+    /// plain runs pay zero clock reads on the hot path).
     stamp: bool,
 }
 
 impl ChunkSource {
-    fn new(
-        samples: &[Complex32],
-        fs: f64,
-        base: usize,
-        ctl: Option<Arc<LoadGovernor>>,
-        stamp: bool,
-    ) -> Self {
+    fn new(samples: &[Complex32], fs: f64, size: usize, stamp: bool) -> Self {
         Self {
             samples: samples.to_vec(),
             fs,
             pos: 0,
             seq: 0,
-            base: base.max(1),
-            ctl,
+            size: size.max(1),
             stamp,
         }
     }
@@ -303,12 +446,7 @@ impl Block for ChunkSource {
             if self.pos >= self.samples.len() {
                 return WorkStatus::Done;
             }
-            let sz = self
-                .ctl
-                .as_ref()
-                .map_or(self.base, |g| g.chunk_size())
-                .max(1);
-            let end = (self.pos + sz).min(self.samples.len());
+            let end = (self.pos + self.size).min(self.samples.len());
             outputs[0].push(Box::new(SampleChunk {
                 seq: self.seq,
                 start: self.pos as u64,
@@ -567,7 +705,6 @@ fn run_naive(
         samples,
         fs,
         cfg.chunk_samples,
-        None,
         registry.is_some(),
     )));
     let tee = fg.add(Box::new(ChunkTee {
@@ -611,6 +748,7 @@ fn run_naive(
     ArchOutput {
         records,
         classified,
+        record_counts: RecordCounts::new(),
         dispatch_stats: None,
         stats,
         trace_seconds,
@@ -715,7 +853,6 @@ fn run_naive_energy(
         samples,
         fs,
         cfg.chunk_samples,
-        None,
         registry.is_some(),
     )));
     let peak = fg.add(Box::new(PeakDetectBlock::new(cfg, registry, fs)));
@@ -745,6 +882,7 @@ fn run_naive_energy(
     ArchOutput {
         records,
         classified,
+        record_counts: RecordCounts::new(),
         dispatch_stats: None,
         stats,
         trace_seconds,
@@ -761,86 +899,299 @@ fn run_naive_energy(
 }
 
 // ---------------------------------------------------------------------------
-// RFDump
+// RFDump: the streaming session
 // ---------------------------------------------------------------------------
 
-/// Detection + dispatch: runs the fast-detector bank over each peak and
-/// finalizes classifications, emitting each dispatch once.
-struct DetectDispatchBlock {
+/// The session's stages, in pipeline order, under the names the flowgraph
+/// blocks they replaced had — `-s`, stats-json and the
+/// `flowgraph.block.<name>.*` counters keep reading the same rows. The
+/// rows of the last two carry only their own bookkeeping: detector and
+/// analyzer CPU is carved out of them into one pseudo-row each (see
+/// `RfDump::finish`).
+const STAGE_NAMES: [&str; 4] = [
+    "source:trace",
+    "detect:peak/energy",
+    "detect:fast-detectors+dispatch",
+    "analyze:pool",
+];
+const SOURCE: usize = 0;
+const PEAK: usize = 1;
+const DETECT: usize = 2;
+const ANALYZE: usize = 3;
+
+/// One stage's accounting: CPU is timed once per push, not per chunk.
+#[derive(Default)]
+struct Stage {
+    cpu: Duration,
+    items_in: u64,
+    items_out: u64,
+}
+
+/// Registry handles the session records into (telemetry runs only; see
+/// [`crate::latency`] for the stamp-point conventions).
+struct SessionTelemetry {
+    registry: Arc<Registry>,
+    peaks: Arc<Counter>,
+    detect: Arc<Histogram>,
+    dispatch: Arc<Histogram>,
+    /// `latency.journal_us`, on journaled runs.
+    journal: Option<Arc<Histogram>>,
+    e2e: Arc<Histogram>,
+    /// `session.release_lag_us`: at release, how far the pushed stream
+    /// had run past the record's start. Signal time on both sides, so at
+    /// workers 0 it is exact and repeats for a given trace and partition;
+    /// what it measures is the dispatcher's hold plus the peak itself.
+    release_lag: Arc<Histogram>,
+    /// `records.<protocol>`, one per output port.
+    records: Vec<Arc<Counter>>,
+    /// Per-detector (vote counter, confidence histogram), parallel to the
+    /// detector bank.
+    detectors: Vec<(Arc<Counter>, Arc<Histogram>)>,
+}
+
+/// The RFDump architecture as an incremental state machine: the peak
+/// detector, the fast-detector bank and dispatcher, and the analysis pool
+/// with its journal, each carrying state from one push to the next.
+struct RfDump {
+    det: PeakDetector,
     detectors: Vec<Box<dyn FastDetector>>,
+    /// Per-detector CPU, parallel to `detectors` (reported as pseudo-rows).
+    detector_cpu: Vec<Duration>,
     dispatcher: Dispatcher,
-    /// Per-detector CPU accumulation (merged into the stats table later).
-    timings: Arc<Mutex<Vec<(String, Duration)>>>,
-    classified: Arc<Mutex<Vec<ClassifiedPeak>>>,
-    stats_out: Arc<Mutex<Option<DispatchStats>>>,
-    /// Per-detector (vote counter, confidence histogram), parallel to
-    /// `detectors`; empty when telemetry is off.
-    det_tel: Vec<(Arc<Counter>, Arc<Histogram>)>,
+    /// `None` only once `finish` has taken it.
+    pool: Option<AnalysisPool>,
+    /// Durability: the detect stage notes every emitted dispatch sequence
+    /// (the end-of-run commit value) and skips forwarding dispatches the
+    /// journal already holds records for; the analysis stage journals
+    /// records as they merge out of the reorderer and then commits the
+    /// pool's merge watermark.
+    journal: Option<Arc<crate::durability::JournalState>>,
+    /// Records recovered from the journal, not yet released. They belong to
+    /// the dispatches below the recovered watermark, so they precede
+    /// everything this run produces; the first push releases them.
+    recovered: Vec<PacketRecord>,
+    /// Degradation ladder. The detection stage is where load is observed
+    /// (peak end time = signal progress) and where levels ≥ 2 shed the
+    /// expensive phase/frequency detectors and raise the confidence floor;
+    /// under a latency budget it also owns the live chunk size.
+    governor: Option<Arc<LoadGovernor>>,
     /// Chaos injection site `detect` (honours the delay actions and `kill`
     /// — the protocol-agnostic stage is never failed or shed, so `panic`
     /// and `io` rules aimed here are deliberately inert).
     faults: Option<Arc<FaultPlan>>,
-    /// Degradation ladder. The detection stage is where load is observed
-    /// (peak end time = signal progress) and where levels ≥ 2 shed the
-    /// expensive phase/frequency detectors and raise the confidence floor.
-    governor: Option<Arc<LoadGovernor>>,
-    /// For governor transition spans/counters.
-    registry: Option<Arc<Registry>>,
-    /// `latency.dispatch_us` stage histogram when telemetry is on.
-    dispatch_hist: Option<Arc<Histogram>>,
-    /// Durability: this block notes every emitted dispatch sequence (the
-    /// end-of-run commit value) and skips forwarding dispatches the journal
-    /// already holds records for.
-    journal: Option<Arc<crate::durability::JournalState>>,
+    tel: Option<SessionTelemetry>,
+    /// Stamp each chunk's ingest time (telemetry or budget runs only, so
+    /// plain runs pay zero clock reads per chunk).
+    stamp: bool,
+    /// Configured chunk size (the fixed size without a latency budget).
+    chunk_samples: usize,
+    fs: f64,
+    /// Samples pushed so far.
+    pos: u64,
+    stages: [Stage; 4],
+    /// Time spent inside `push`/`finish`.
+    wall: Duration,
+    /// When the last `push` returned (what the governor books as idle).
+    last_return: Instant,
+    /// Start time of the last released record: the ordering contract.
+    last_start_us: f64,
 }
 
-impl DetectDispatchBlock {
-    fn route(&self, dispatches: Vec<Dispatch>, outputs: &mut [Vec<Payload>]) {
-        let mut classified = self.classified.lock();
-        for d in dispatches {
-            for v in &d.votes {
-                let (a, b) = match v.range {
-                    Some(r) => r,
-                    None => (d.block.peak.start, d.block.peak.end),
-                };
-                classified.push(ClassifiedPeak {
-                    protocol: v.protocol,
-                    start_sample: a,
-                    end_sample: b,
-                });
+impl RfDump {
+    fn open(
+        cfg: &ArchConfig,
+        set: DetectorSet,
+        fs: f64,
+        declared_len: Option<u64>,
+        registry: &Option<Arc<Registry>>,
+    ) -> Self {
+        let governor = cfg.governor.map(|g| Arc::new(LoadGovernor::new(g)));
+        if let Some(g) = &governor {
+            g.init_chunk(cfg.chunk_samples);
+            if let Some(reg) = registry {
+                g.set_registry(reg.clone());
             }
-            if let Some(j) = &self.journal {
-                j.note_emitted(d.seq);
-                if j.should_skip(d.seq) {
-                    // Deterministic redo: this dispatch's records were
-                    // recovered from the journal; detection bookkeeping
-                    // above still ran so `classified` stays identical.
-                    continue;
+        }
+        // Bounded-latency mode needs ingest stamps even with telemetry off:
+        // the budget loop is fed by sample->record latencies.
+        let budgeted = governor
+            .as_ref()
+            .is_some_and(|g| g.latency_budget_us().is_some());
+
+        // The analysis stage: one pool at any worker count (its tasks run
+        // on the pushing thread at workers 0), each executor building its
+        // own analyzer lineup.
+        let factory_cfg = cfg.clone();
+        let pool = AnalysisPool::new(
+            cfg.workers,
+            move || make_analyzers(&factory_cfg, fs),
+            cfg.demodulate,
+            registry.clone(),
+            cfg.faults.clone(),
+            governor.clone(),
+        );
+        let ports: Vec<Protocol> = pool.protocols().to_vec();
+
+        // Crash-safe durability: open (or recover) the journal first, so
+        // the recovered commit watermark can gate dispatch forwarding. A
+        // stream of undeclared length fingerprints as open-ended. An IO
+        // error here degrades to a non-durable run rather than failing it.
+        let mut recovered = Vec::new();
+        let journal = cfg.durability.as_ref().and_then(|d| {
+            let fingerprint =
+                crate::durability::config_fingerprint(cfg, declared_len.unwrap_or(u64::MAX), fs);
+            match crate::durability::JournalState::prepare(
+                d,
+                &fingerprint,
+                ports.len(),
+                governor.clone(),
+                cfg.faults.clone(),
+                registry.clone(),
+            ) {
+                Ok((js, rec)) => {
+                    // Recovered state resumes exactly where the crashed run
+                    // left it: the shed level, the strike ledger, and the
+                    // records already durable.
+                    if let Some(r) = rec {
+                        if let Some(g) = &governor {
+                            g.restore_level(r.governor_level);
+                        }
+                        pool.restore_supervision(&r.strikes);
+                        recovered = r.into_release_order();
+                    }
+                    Some(js)
+                }
+                Err(e) => {
+                    eprintln!("rfdump: journaling disabled: {e}");
+                    None
                 }
             }
-            if let Some(h) = &self.dispatch_hist {
-                crate::latency::record_since(h, d.block.ingest);
-            }
-            outputs[0].push(Box::new(d));
+        });
+
+        let detectors = build_detectors(cfg, set, fs);
+        let tel = registry.as_ref().map(|reg| SessionTelemetry {
+            registry: reg.clone(),
+            peaks: reg.counter("peaks.detected"),
+            detect: crate::latency::stage_histogram(reg, crate::latency::DETECT),
+            dispatch: crate::latency::stage_histogram(reg, crate::latency::DISPATCH),
+            journal: journal
+                .as_ref()
+                .map(|_| crate::latency::stage_histogram(reg, crate::latency::JOURNAL)),
+            e2e: crate::latency::stage_histogram(reg, crate::latency::E2E),
+            release_lag: reg.histogram("session.release_lag_us", || {
+                Histogram::exponential(100.0, 1e7, 50)
+            }),
+            records: ports
+                .iter()
+                .map(|p| reg.counter(&format!("records.{}", p.name())))
+                .collect(),
+            detectors: detectors
+                .iter()
+                .map(|d| {
+                    (
+                        reg.counter(&format!("detector.{}.votes", d.name())),
+                        reg.histogram(&format!("detector.{}.confidence", d.name()), || {
+                            Histogram::linear(0.0, 1.0, 20)
+                        }),
+                    )
+                })
+                .collect(),
+        });
+        let dispatcher = match registry {
+            Some(reg) => Dispatcher::with_telemetry(DispatchConfig::default(), reg),
+            None => Dispatcher::new(DispatchConfig::default()),
+        };
+        Self {
+            det: PeakDetector::new(
+                PeakDetectorConfig {
+                    noise_floor: cfg.noise_floor,
+                    ..Default::default()
+                },
+                fs,
+            ),
+            detector_cpu: vec![Duration::ZERO; detectors.len()],
+            detectors,
+            dispatcher,
+            pool: Some(pool),
+            journal,
+            recovered,
+            governor,
+            faults: cfg.faults.clone(),
+            stamp: tel.is_some() || budgeted,
+            tel,
+            chunk_samples: cfg.chunk_samples.max(1),
+            fs,
+            pos: 0,
+            stages: Default::default(),
+            wall: Duration::ZERO,
+            last_return: Instant::now(),
+            last_start_us: f64::NEG_INFINITY,
         }
     }
-}
 
-/// Name of the combined fast-detector + dispatcher block; the per-detector
-/// pseudo-rows in the stats table are carved out of this block's CPU.
-const DISPATCH_BLOCK_NAME: &str = "detect:fast-detectors+dispatch";
+    /// The three phases the sweep scheduler ran per sweep, over one push:
+    /// peaks for all of it, detect + dispatch for each peak, then submit
+    /// each dispatch and take one ordered drain.
+    fn push(&mut self, samples: &[Complex32], out: &mut Released) {
+        let t0 = Instant::now();
+        if let Some(g) = &self.governor {
+            g.note_idle(t0 - self.last_return);
+        }
+        self.release_recovered(out);
 
-impl Block for DetectDispatchBlock {
-    fn name(&self) -> &str {
-        DISPATCH_BLOCK_NAME
+        // Walk the push in chunk-size steps — sub-slices, never copies —
+        // cut at multiples of the chunk size so a push boundary inside a
+        // detection block costs one partial block, not a copy of every
+        // block after it. A step is what gets an ingest stamp and what,
+        // under a latency budget, the governor resizes.
+        let mut peaks = Vec::new();
+        let mut rest = samples;
+        let mut steps = 0u64;
+        while !rest.is_empty() {
+            let size = self
+                .governor
+                .as_ref()
+                .map_or(self.chunk_samples, |g| g.chunk_size().max(1));
+            let to_boundary = size - (self.pos % size as u64) as usize;
+            let (step, tail) = rest.split_at(to_boundary.min(rest.len()));
+            let ingest = self.stamp.then(Instant::now);
+            self.det.push_samples(self.pos, step, ingest, &mut peaks);
+            self.pos += step.len() as u64;
+            rest = tail;
+            steps += 1;
+        }
+        self.stages[SOURCE].items_out += steps;
+        self.stages[PEAK].items_in += steps;
+        self.note_peaks(&peaks);
+        self.stages[PEAK].cpu += t0.elapsed();
+
+        let dispatches = self.detect(peaks, out);
+        self.analyze(dispatches, out);
+        self.last_return = Instant::now();
+        self.wall += self.last_return - t0;
     }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        while let Some(p) = inputs[0].pop_front() {
-            let pk = p.downcast::<PeakBlock>().expect("PeakBlock");
+
+    fn release_recovered(&mut self, out: &mut Released) {
+        out.records.extend(std::mem::take(&mut self.recovered));
+    }
+
+    fn note_peaks(&mut self, peaks: &[PeakBlock]) {
+        self.stages[PEAK].items_out += peaks.len() as u64;
+        if let Some(t) = &self.tel {
+            t.peaks.add(peaks.len() as u64);
+            for pk in peaks {
+                crate::latency::record_since(&t.detect, pk.ingest);
+            }
+        }
+    }
+
+    /// Detection + dispatch: runs the fast-detector bank over each peak and
+    /// returns the dispatches whose classification that made final.
+    fn detect(&mut self, peaks: Vec<PeakBlock>, out: &mut Released) -> Vec<Dispatch> {
+        let t0 = Instant::now();
+        self.stages[DETECT].items_in += peaks.len() as u64;
+        let mut forwarded = Vec::new();
+        for pk in peaks {
             if let Some(plan) = &self.faults {
                 match plan.decide("detect") {
                     Some(Action::Slow(d)) => std::thread::sleep(d),
@@ -851,7 +1202,8 @@ impl Block for DetectDispatchBlock {
             }
             if let Some(g) = &self.governor {
                 if let Some((from, to)) = g.observe(pk.end_us()) {
-                    if let Some(reg) = &self.registry {
+                    if let Some(t) = &self.tel {
+                        let reg = &t.registry;
                         reg.counter("governor.transitions").inc();
                         reg.gauge("governor.level").set(i64::from(to));
                         reg.tracer().record(
@@ -878,154 +1230,246 @@ impl Block for DetectDispatchBlock {
                 }
             }
             let mut votes: Vec<Classification> = Vec::new();
-            {
-                let mut timings = self.timings.lock();
-                for (i, det) in self.detectors.iter_mut().enumerate() {
-                    if let Some(g) = &self.governor {
-                        if !g.detector_allowed(det.name()) {
-                            g.note_shed_detector();
-                            continue;
-                        }
+            for (i, det) in self.detectors.iter_mut().enumerate() {
+                if let Some(g) = &self.governor {
+                    if !g.detector_allowed(det.name()) {
+                        g.note_shed_detector();
+                        continue;
                     }
-                    let t0 = Instant::now();
-                    let before = votes.len();
-                    votes.extend(det.on_peak(&pk));
-                    timings[i].1 += t0.elapsed();
-                    if let Some((counter, hist)) = self.det_tel.get(i) {
-                        counter.add((votes.len() - before) as u64);
-                        for v in &votes[before..] {
-                            hist.record(v.confidence as f64);
-                        }
+                }
+                let t0 = Instant::now();
+                let before = votes.len();
+                votes.extend(det.on_peak(&pk));
+                self.detector_cpu[i] += t0.elapsed();
+                if let Some(t) = &self.tel {
+                    let (counter, hist) = &t.detectors[i];
+                    counter.add((votes.len() - before) as u64);
+                    for v in &votes[before..] {
+                        hist.record(v.confidence as f64);
                     }
                 }
             }
-            if let Some(floor) = self.governor.as_ref().and_then(|g| g.confidence_floor()) {
-                let g = self.governor.as_ref().expect("floor implies governor");
-                votes.retain(|c| {
-                    let keep = c.confidence >= floor;
-                    if !keep {
-                        g.note_shed_vote();
-                    }
-                    keep
+            if let Some(g) = &self.governor {
+                if let Some(floor) = g.confidence_floor() {
+                    votes.retain(|c| {
+                        let keep = c.confidence >= floor;
+                        if !keep {
+                            g.note_shed_vote();
+                        }
+                        keep
+                    });
+                }
+            }
+            let dispatches = self.dispatcher.on_peak(pk, votes);
+            self.route(dispatches, &mut forwarded, out);
+        }
+        self.stages[DETECT].cpu += t0.elapsed();
+        forwarded
+    }
+
+    fn route(
+        &mut self,
+        dispatches: Vec<Dispatch>,
+        forwarded: &mut Vec<Dispatch>,
+        out: &mut Released,
+    ) {
+        for d in dispatches {
+            for v in &d.votes {
+                let (a, b) = match v.range {
+                    Some(r) => r,
+                    None => (d.block.peak.start, d.block.peak.end),
+                };
+                out.classified.push(ClassifiedPeak {
+                    protocol: v.protocol,
+                    start_sample: a,
+                    end_sample: b,
                 });
             }
-            let dispatches = self.dispatcher.on_peak(*pk, votes);
-            self.route(dispatches, outputs);
+            if let Some(j) = &self.journal {
+                j.note_emitted(d.seq);
+                if j.should_skip(d.seq) {
+                    // Deterministic redo: this dispatch's records were
+                    // recovered from the journal; detection bookkeeping
+                    // above still ran so `classified` stays identical.
+                    continue;
+                }
+            }
+            if let Some(t) = &self.tel {
+                crate::latency::record_since(&t.dispatch, d.block.ingest);
+            }
+            self.stages[DETECT].items_out += 1;
+            forwarded.push(d);
         }
-        WorkStatus::Again
     }
-    fn finish(&mut self, outputs: &mut [Vec<Payload>]) {
-        let mut votes = Vec::new();
-        for det in self.detectors.iter_mut() {
-            votes.extend(det.finish());
+
+    /// The analysis stage: submit, then release whatever the reorderer has
+    /// in sequence. The drain never blocks, so a record a worker finishes
+    /// later leaves with the next push (or at `finish`).
+    fn analyze(&mut self, dispatches: Vec<Dispatch>, out: &mut Released) {
+        let t0 = Instant::now();
+        self.stages[ANALYZE].items_in += dispatches.len() as u64;
+        let pool = self.pool.as_mut().expect("pool lives until finish");
+        for d in dispatches {
+            // With worker threads, blocks when the injector is full:
+            // backpressure toward whoever is pushing. With none, runs the
+            // task right here.
+            pool.submit(d);
         }
-        // Late votes cannot be absorbed without a peak; flush pending.
-        let _ = votes;
-        let dispatches = self.dispatcher.finish();
-        self.route(dispatches, outputs);
-        *self.stats_out.lock() = Some(self.dispatcher.stats().clone());
+        let ready = pool.drain_ordered();
+        self.store(ready, out);
+        // One commit rule at any worker count: submissions are the dense
+        // dispatch sequence minus the recovered prefix, so pool-local merge
+        // position `k` means absolute dispatch `base + k` is durable now
+        // that the drain is journaled.
+        if let (Some(j), Some(pool)) = (&self.journal, &self.pool) {
+            j.set_strikes(&pool.strike_counts());
+            j.commit(j.base() + pool.merged_seq());
+        }
+        self.stages[ANALYZE].cpu += t0.elapsed();
     }
-}
 
-/// Name of the analysis block; its row in the stats table carries only the
-/// submit/merge bookkeeping — analyzer CPU (spent on the pool's workers, or
-/// inside this block's own `work` at workers 0) is reported as one
-/// pseudo-row per analyzer.
-const POOL_BLOCK_NAME: &str = "analyze:pool";
-
-/// The analysis stage as a flowgraph block: dispatches in, nothing out of
-/// the graph — records accumulate per output port behind shared storage.
-struct PooledAnalyzeBlock {
-    pool: Option<AnalysisPool>,
-    per_port: Arc<Mutex<Vec<Vec<PacketRecord>>>>,
-    result: Arc<Mutex<Option<PooledAnalysis>>>,
-    /// Durability: records are journaled as they merge out of the
-    /// reorderer, then the pool's merge watermark (offset by the recovered
-    /// base) becomes the commit — everything below it is durable.
-    journal: Option<Arc<crate::durability::JournalState>>,
-    /// `latency.journal_us` stage histogram (time since ingest at append).
-    journal_hist: Option<Arc<Histogram>>,
-    /// `latency.e2e_us` end-to-end histogram (time since ingest at store).
-    e2e_hist: Option<Arc<Histogram>>,
-    /// `records.<protocol>` counters, one per output port.
-    record_counters: Option<Vec<Arc<Counter>>>,
-    /// Feeds the bounded-latency control loop, when configured.
-    governor: Option<Arc<LoadGovernor>>,
-}
-
-impl PooledAnalyzeBlock {
-    fn store(&self, recs: Vec<(usize, PacketRecord, Option<Instant>)>) {
+    fn store(&mut self, recs: Vec<(usize, PacketRecord, Option<Instant>)>, out: &mut Released) {
         if recs.is_empty() {
             return;
         }
-        let mut pp = self.per_port.lock();
+        let now_us = self.pos as f64 / self.fs * 1e6;
         for (port, r, ingest) in recs {
+            // What lets a push release records for good: every record of a
+            // dispatch starts where its peak starts, peaks are disjoint
+            // and ordered, and the reorderer releases dispatches in
+            // sequence — so release order is the final, start-time order.
+            debug_assert!(
+                r.start_us >= self.last_start_us,
+                "record released out of start-time order"
+            );
+            self.last_start_us = r.start_us;
             if let Some(j) = &self.journal {
                 j.journal_record(port, &r);
-                if let Some(h) = &self.journal_hist {
+            }
+            if let Some(t) = &self.tel {
+                if let Some(h) = &t.journal {
                     crate::latency::record_since(h, ingest);
                 }
-            }
-            if let Some(cs) = &self.record_counters {
-                cs[port].inc();
-            }
-            if let Some(h) = &self.e2e_hist {
-                crate::latency::record_since(h, ingest);
+                t.records[port].inc();
+                crate::latency::record_since(&t.e2e, ingest);
+                t.release_lag.record(now_us - r.start_us);
             }
             if let Some(g) = &self.governor {
                 g.record_e2e(ingest);
             }
-            pp[port].push(r);
+            out.records.push(r);
         }
-        drop(pp);
         if let Some(g) = &self.governor {
             g.latency_tick();
         }
     }
-    /// Journals a commit at the pool's merge watermark: submissions are the
-    /// dense dispatch sequence minus the recovered prefix, so pool-local
-    /// merge position `k` means absolute dispatch `base + k` is durable.
-    fn commit_merged(&self) {
-        let (Some(j), Some(pool)) = (&self.journal, self.pool.as_ref()) else {
-            return;
-        };
-        j.set_strikes(&pool.strike_counts());
-        j.commit(j.base() + pool.merged_seq());
-    }
-}
 
-impl Block for PooledAnalyzeBlock {
-    fn name(&self) -> &str {
-        POOL_BLOCK_NAME
-    }
-    fn num_outputs(&self) -> usize {
-        0
-    }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        _outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        let ready = {
-            let pool = self.pool.as_mut().expect("pool lives until finish");
-            while let Some(p) = inputs[0].pop_front() {
-                let d = p.downcast::<Dispatch>().expect("Dispatch");
-                // With worker threads, blocks when the injector is full:
-                // backpressure toward the detection stage (and, through it,
-                // the trace reader). With none, runs the task right here.
-                pool.submit(*d);
-            }
-            pool.drain_ordered()
-        };
-        self.store(ready);
-        self.commit_merged();
-        WorkStatus::Again
-    }
-    fn finish(&mut self, _outputs: &mut [Vec<Payload>]) {
-        let pool = self.pool.take().expect("finish called exactly once");
+    /// End of stream: flush the peak detector, the dispatcher's hold and
+    /// the pool, in that order, then make the journal durable.
+    fn finish(mut self, out: &mut Released) -> ArchOutput {
+        let t0 = Instant::now();
+        self.release_recovered(out);
+        let mut peaks = Vec::new();
+        self.det.finish(&mut peaks);
+        self.note_peaks(&peaks);
+        self.stages[PEAK].cpu += t0.elapsed();
+        let dispatches = self.detect(peaks, out);
+        self.analyze(dispatches, out);
+
+        let t1 = Instant::now();
+        for det in self.detectors.iter_mut() {
+            // Late votes cannot be absorbed without a peak; flush pending.
+            let _ = det.finish();
+        }
+        let tail = self.dispatcher.finish();
+        let mut dispatches = Vec::new();
+        self.route(tail, &mut dispatches, out);
+        self.stages[DETECT].cpu += t1.elapsed();
+        self.analyze(dispatches, out);
+
+        let t2 = Instant::now();
+        let pool = self.pool.take().expect("finish runs once");
         let (rest, result) = pool.finish();
-        self.store(rest);
-        *self.result.lock() = Some(result);
+        self.store(rest, out);
+        self.stages[ANALYZE].cpu += t2.elapsed();
+        // Everything emitted is now merged and released: commit it,
+        // checkpoint, and make the journal durable before reporting.
+        if let Some(j) = &self.journal {
+            j.finalize_run();
+        }
+        self.wall += t0.elapsed();
+
+        let mut blocks: Vec<BlockStats> = STAGE_NAMES
+            .iter()
+            .zip(&self.stages)
+            .map(|(name, s)| BlockStats {
+                name: name.to_string(),
+                cpu: s.cpu,
+                items_in: s.items_in,
+                items_out: s.items_out,
+            })
+            .collect();
+        // The per-stage counters the flowgraph scheduler published.
+        if let Some(t) = &self.tel {
+            for b in &blocks {
+                let counter = |what: &str| {
+                    t.registry
+                        .counter(&format!("flowgraph.block.{}.{what}", b.name))
+                };
+                counter("cpu_us").add(b.cpu.as_micros() as u64);
+                counter("items_in").add(b.items_in);
+                counter("items_out").add(b.items_out);
+            }
+            t.registry.counter("flowgraph.runs").inc();
+        }
+        // Break out per-detector and per-analyzer CPU as pseudo-rows. That
+        // time was spent inside the detect stage (and, at workers 0, inside
+        // the analysis stage's `submit`) and is already counted there, so
+        // move it out of those rows rather than adding it twice —
+        // `total_cpu()` must stay <= wall on a single thread.
+        blocks[DETECT].cpu = blocks[DETECT]
+            .cpu
+            .saturating_sub(self.detector_cpu.iter().sum());
+        blocks[ANALYZE].cpu = blocks[ANALYZE]
+            .cpu
+            .saturating_sub(result.analyzers.iter().map(|a| a.cpu).sum());
+        for (det, cpu) in self.detectors.iter().zip(&self.detector_cpu) {
+            blocks.push(BlockStats {
+                name: det.name().to_string(),
+                cpu: *cpu,
+                items_in: 0,
+                items_out: 0,
+            });
+        }
+        for a in &result.analyzers {
+            blocks.push(BlockStats {
+                name: a.name.clone(),
+                cpu: a.cpu,
+                items_in: a.items_in,
+                items_out: a.items_out,
+            });
+        }
+        ArchOutput {
+            records: Vec::new(),
+            classified: Vec::new(),
+            record_counts: RecordCounts::new(),
+            dispatch_stats: Some(self.dispatcher.stats().clone()),
+            stats: RunStats {
+                blocks,
+                wall: self.wall,
+            },
+            trace_seconds: self.pos as f64 / self.fs,
+            sample_rate: self.fs,
+            registry: None,
+            // Worker statistics describe threads; with none there is no section.
+            pool_stats: (!result.pool.workers.is_empty()).then_some(result.pool),
+            faults: None,
+            governor: self.governor.as_ref().map(|g| g.report()),
+            latency: self.governor.as_ref().and_then(|g| g.latency_report()),
+            panics: result.panics,
+            quarantined: result.quarantined,
+            recovery: self.journal.as_ref().map(|j| j.report()),
+        }
     }
 }
 
@@ -1087,249 +1531,6 @@ fn build_detectors(cfg: &ArchConfig, set: DetectorSet, fs: f64) -> Vec<Box<dyn F
         v.push(Box::new(BtFreqDetector::new(fs, cfg.band.center_hz)));
     }
     v
-}
-
-fn run_rfdump(
-    cfg: &ArchConfig,
-    registry: &Option<Arc<Registry>>,
-    set: DetectorSet,
-    samples: &[Complex32],
-    fs: f64,
-    trace_seconds: f64,
-) -> ArchOutput {
-    let governor = cfg.governor.map(|g| Arc::new(LoadGovernor::new(g)));
-    if let Some(g) = &governor {
-        g.init_chunk(cfg.chunk_samples);
-        if let Some(reg) = registry {
-            g.set_registry(reg.clone());
-        }
-    }
-    // Bounded-latency mode needs ingest stamps even with telemetry off:
-    // the budget loop is fed by sample->record latencies.
-    let budgeted = governor
-        .as_ref()
-        .is_some_and(|g| g.latency_budget_us().is_some());
-    let stamp = registry.is_some() || budgeted;
-
-    // The analysis stage: one pool at any worker count (its tasks run on
-    // the scheduler thread at workers 0), each executor building its own
-    // analyzer lineup.
-    let factory_cfg = cfg.clone();
-    let pool = AnalysisPool::new(
-        cfg.workers,
-        move || make_analyzers(&factory_cfg, fs),
-        cfg.demodulate,
-        registry.clone(),
-        cfg.faults.clone(),
-        governor.clone(),
-    );
-    let ports: Vec<Protocol> = pool.protocols().to_vec();
-
-    // Crash-safe durability: open (or recover) the journal before the graph
-    // is built, so recovered record streams can seed the per-port storage
-    // and the recovered commit watermark can gate dispatch forwarding. An
-    // IO error here degrades to a non-durable run rather than failing it.
-    let mut recovered = None;
-    let journal = cfg.durability.as_ref().and_then(|d| {
-        let n_samples = samples.len() as u64;
-        let fingerprint = crate::durability::config_fingerprint(cfg, n_samples, fs);
-        match crate::durability::JournalState::prepare(
-            d,
-            &fingerprint,
-            ports.len(),
-            governor.clone(),
-            cfg.faults.clone(),
-            registry.clone(),
-        ) {
-            Ok((js, rec)) => {
-                recovered = rec;
-                Some(js)
-            }
-            Err(e) => {
-                eprintln!("rfdump: journaling disabled: {e}");
-                None
-            }
-        }
-    });
-    // Recovered state resumes exactly where the crashed run left it: the
-    // shed level, the strike ledger, and the per-port record streams.
-    let mut seeded: Vec<Vec<PacketRecord>> = Vec::new();
-    if let Some(r) = recovered {
-        if let Some(g) = &governor {
-            g.restore_level(r.governor_level);
-        }
-        pool.restore_supervision(&r.strikes);
-        seeded = r.per_port;
-    }
-    seeded.resize(ports.len(), Vec::new());
-
-    let detectors = build_detectors(cfg, set, fs);
-    let timings = Arc::new(Mutex::new(
-        detectors
-            .iter()
-            .map(|d| (d.name().to_string(), Duration::ZERO))
-            .collect::<Vec<_>>(),
-    ));
-    let classified = Arc::new(Mutex::new(Vec::new()));
-    let dstats = Arc::new(Mutex::new(None));
-
-    // Per-detector vote counters and confidence histograms.
-    let det_tel: Vec<(Arc<Counter>, Arc<Histogram>)> = match registry {
-        Some(reg) => detectors
-            .iter()
-            .map(|d| {
-                (
-                    reg.counter(&format!("detector.{}.votes", d.name())),
-                    reg.histogram(&format!("detector.{}.confidence", d.name()), || {
-                        Histogram::linear(0.0, 1.0, 20)
-                    }),
-                )
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    let dispatcher = match registry {
-        Some(reg) => Dispatcher::with_telemetry(DispatchConfig::default(), reg),
-        None => Dispatcher::new(DispatchConfig::default()),
-    };
-
-    // Stage-latency histograms and per-protocol record counters (telemetry
-    // runs only; see `crate::latency` for the stamp-point conventions).
-    let dispatch_hist = registry
-        .as_ref()
-        .map(|r| crate::latency::stage_histogram(r, crate::latency::DISPATCH));
-    let journal_hist = registry
-        .as_ref()
-        .filter(|_| journal.is_some())
-        .map(|r| crate::latency::stage_histogram(r, crate::latency::JOURNAL));
-    let e2e_hist = registry
-        .as_ref()
-        .map(|r| crate::latency::stage_histogram(r, crate::latency::E2E));
-    let record_counters: Option<Vec<Arc<Counter>>> = registry.as_ref().map(|r| {
-        ports
-            .iter()
-            .map(|p| r.counter(&format!("records.{}", p.name())))
-            .collect()
-    });
-
-    let mut fg = Flowgraph::new();
-    if let Some(reg) = registry {
-        fg.set_telemetry(reg.clone());
-    }
-    let src = fg.add(Box::new(ChunkSource::new(
-        samples,
-        fs,
-        cfg.chunk_samples,
-        governor.clone(),
-        stamp,
-    )));
-    let peak = fg.add(Box::new(PeakDetectBlock::new(cfg, registry, fs)));
-    let detect = fg.add(Box::new(DetectDispatchBlock {
-        detectors,
-        dispatcher,
-        timings: timings.clone(),
-        classified: classified.clone(),
-        stats_out: dstats.clone(),
-        det_tel,
-        faults: cfg.faults.clone(),
-        governor: governor.clone(),
-        registry: registry.clone(),
-        dispatch_hist,
-        journal: journal.clone(),
-    }));
-    fg.connect(src, 0, peak, 0);
-    fg.connect(peak, 0, detect, 0);
-
-    let per_port = Arc::new(Mutex::new(seeded));
-    let pool_result = Arc::new(Mutex::new(None));
-    let analyze = fg.add(Box::new(PooledAnalyzeBlock {
-        pool: Some(pool),
-        per_port: per_port.clone(),
-        result: pool_result.clone(),
-        journal: journal.clone(),
-        journal_hist,
-        e2e_hist,
-        record_counters,
-        governor: governor.clone(),
-    }));
-    fg.connect(detect, 0, analyze, 0);
-
-    let mut stats = fg.run();
-    // Everything emitted is now merged and sunk: commit it, checkpoint, and
-    // make the journal durable before reporting.
-    if let Some(j) = &journal {
-        j.finalize_run();
-    }
-    // Break out per-detector timings as pseudo-blocks. Their CPU was spent
-    // inside the dispatch block's `work()` and is already counted there, so
-    // move it out of that row rather than adding it twice — `total_cpu()`
-    // must stay <= wall on a single thread.
-    let detector_cpu: Duration = timings.lock().iter().map(|(_, cpu)| *cpu).sum();
-    if let Some(b) = stats
-        .blocks
-        .iter_mut()
-        .find(|b| b.name == DISPATCH_BLOCK_NAME)
-    {
-        b.cpu = b.cpu.saturating_sub(detector_cpu);
-    }
-    for (name, cpu) in timings.lock().iter() {
-        stats.blocks.push(rfd_flowgraph::BlockStats {
-            name: name.clone(),
-            cpu: *cpu,
-            items_in: 0,
-            items_out: 0,
-        });
-    }
-
-    // Surface analyzer CPU as one pseudo-row per analyzer. It was spent
-    // either inside the analysis block's `work` (workers 0) or on workers
-    // while that block sat blocked on submit/join, so carve the analyzer
-    // total out of the block's row (same saturating treatment as the
-    // detector timings above).
-    let result = pool_result.lock().take().expect("analysis stage finished");
-    let analyzer_cpu: Duration = result.analyzers.iter().map(|a| a.cpu).sum();
-    if let Some(b) = stats.blocks.iter_mut().find(|b| b.name == POOL_BLOCK_NAME) {
-        b.cpu = b.cpu.saturating_sub(analyzer_cpu);
-    }
-    for a in &result.analyzers {
-        stats.blocks.push(rfd_flowgraph::BlockStats {
-            name: a.name.clone(),
-            cpu: a.cpu,
-            items_in: a.items_in,
-            items_out: a.items_out,
-        });
-    }
-
-    // Per-port record streams concatenate in port order and stable-sort by
-    // start time, so the output byte stream is independent of the worker
-    // count.
-    let mut records: Vec<PacketRecord> = Vec::new();
-    for port in per_port.lock().iter_mut() {
-        records.append(port);
-    }
-    records.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-
-    let classified = Arc::try_unwrap(classified)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone());
-    let dispatch_stats = dstats.lock().clone();
-    ArchOutput {
-        records,
-        classified,
-        dispatch_stats,
-        stats,
-        trace_seconds,
-        sample_rate: fs,
-        registry: None,
-        // Worker statistics describe threads; with none there is no section.
-        pool_stats: (cfg.workers > 0).then_some(result.pool),
-        faults: None,
-        governor: governor.as_ref().map(|g| g.report()),
-        latency: governor.as_ref().and_then(|g| g.latency_report()),
-        panics: result.panics,
-        quarantined: result.quarantined,
-        recovery: journal.as_ref().map(|j| j.report()),
-    }
 }
 
 /// Synthesizes classified peaks from decoded records (for the naïve
@@ -1415,6 +1616,75 @@ mod tests {
             .count();
         assert!(decoded_wifi >= 9, "decoded {decoded_wifi} wifi frames");
         assert!(out.dispatch_stats.is_some());
+    }
+
+    #[test]
+    fn session_releases_records_while_the_stream_is_still_coming() {
+        let trace = mixed_trace();
+        let fs = trace.band.sample_rate;
+        let cfg = ArchConfig::rfdump(piconets());
+        let whole = run_architecture(&cfg, &trace.samples, fs);
+
+        let mut session = Session::open(&cfg, fs, None, None);
+        let mut early = Released::default();
+        for piece in trace.samples.chunks(4096) {
+            early.append(session.push(piece));
+        }
+        let (last, out) = session.finish();
+        assert!(
+            !early.records.is_empty() && !last.records.is_empty(),
+            "{} before finish, {} at it",
+            early.records.len(),
+            last.records.len()
+        );
+        early.append(last);
+        assert_eq!(early.records, whole.records);
+        assert_eq!(early.classified, whole.classified);
+        // The output keeps the counts, not the records.
+        assert!(out.records.is_empty() && out.classified.is_empty());
+        assert_eq!(out.record_counts, whole.record_counts);
+        let total: u64 = out.record_counts.values().map(|(total, _)| total).sum();
+        assert_eq!(total, whole.records.len() as u64);
+    }
+
+    #[test]
+    fn release_lag_is_signal_time_and_pinned_on_the_golden_wifi_trace() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/wifi.rfdt");
+        let (header, samples) = rfd_ether::trace::read_trace(std::path::Path::new(path)).unwrap();
+        let mut cfg = ArchConfig::rfdump(piconets());
+        cfg.band = rfd_ether::Band {
+            sample_rate: header.sample_rate,
+            center_hz: header.center_hz,
+        };
+        cfg.workers = 0;
+        let lag = |samples: &[Complex32]| {
+            let out = run_architecture(&cfg, samples, header.sample_rate);
+            let snap = out.registry.as_ref().unwrap().snapshot();
+            let h = snap.histograms["session.release_lag_us"].clone();
+            assert_eq!(h.count, out.records.len() as u64);
+            h
+        };
+        // Eight packets in 14.5 ms: no more peaks than the dispatcher
+        // holds, so every record leaves at `finish` and lags by its
+        // distance from the end of the trace — the first (at 0.55 ms) most.
+        let once = lag(&samples);
+        assert_eq!(once.max, 13_970.125);
+        assert!(
+            (12_000.0..=16_000.0).contains(&once.p95),
+            "p95 {} us",
+            once.p95
+        );
+        // Played three times over, all but the last eight peaks leave once
+        // eight later peaks have been seen, which on this trace is one
+        // pass: the hold, not the length of the stream, sets the lag.
+        let thrice = lag(&[&samples[..], &samples[..], &samples[..]].concat());
+        assert!(
+            (14_000.0..=20_000.0).contains(&thrice.p95),
+            "p95 {} us",
+            thrice.p95
+        );
+        // No clock is read: the same trace gives the same histogram.
+        assert_eq!(lag(&samples).counts, once.counts);
     }
 
     #[test]

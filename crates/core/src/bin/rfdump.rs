@@ -97,7 +97,7 @@ use rfd_net::{
     RetryPolicy, SendRate, SubEvent, TraceSender,
 };
 use rfdump::arch::{
-    default_workers, run_architecture_with_registry, ArchConfig, ArchKind, DetectorSet,
+    default_workers, ArchConfig, ArchKind, DetectorSet, Released, Session, PUSH_SAMPLES,
 };
 use rfdump::durability::DurabilityConfig;
 use rfdump::governor::GovernorConfig;
@@ -584,6 +584,15 @@ fn stdin_is_stream() -> bool {
     }
 }
 
+/// Prints a line scripts wait for — a bound address — to stderr in one
+/// write. `eprintln!` hands an unbuffered stderr each formatted piece
+/// separately, so a reader polling a log file can catch `127.0` where
+/// `127.0.0.1:7099` is on its way.
+fn announce(line: String) {
+    use std::io::Write as _;
+    let _ = std::io::stderr().write_all((line + "\n").as_bytes());
+}
+
 /// Binds and spawns the `--metrics-addr` scrape endpoint around a fresh
 /// registry. Prints the bound address to stderr (port 0 resolves here, so
 /// scripts can discover the ephemeral port).
@@ -599,8 +608,8 @@ fn bind_metrics(
         }
     };
     match srv.local_addr() {
-        Ok(a) => eprintln!("rfdump: metrics on {a}"),
-        Err(_) => eprintln!("rfdump: metrics on {addr}"),
+        Ok(a) => announce(format!("rfdump: metrics on {a}")),
+        Err(_) => announce(format!("rfdump: metrics on {addr}")),
     }
     Ok((srv.spawn(), reg))
 }
@@ -642,8 +651,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         }
     };
     match server.local_addr() {
-        Ok(a) => eprintln!("rfdump: serving on {a}"),
-        Err(_) => eprintln!("rfdump: serving on {}", opts.listen),
+        Ok(a) => announce(format!("rfdump: serving on {a}")),
+        Err(_) => announce(format!("rfdump: serving on {}", opts.listen)),
     }
     // Clean shutdown on SIGINT (always) and on stdin EOF (only when stdin
     // is a pipe/file): subscribers get a Bye, stats are still flushed, and
@@ -1256,13 +1265,14 @@ fn main() -> ExitCode {
     let Some(path) = &opts.trace else {
         return usage();
     };
-    let (header, samples) = match rfd_ether::trace::read_trace(std::path::Path::new(path)) {
-        Ok(t) => t,
+    let mut reader = match rfd_ether::trace::ChunkedTraceReader::open(std::path::Path::new(path)) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("rfdump: cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let header = *reader.header();
     eprintln!(
         "rfdump: {} samples at {:.1} Msps ({:.1} ms), band center {:.1} MHz",
         header.n_samples,
@@ -1301,8 +1311,7 @@ fn main() -> ExitCode {
         if let Some(plan) = &cfg.faults {
             plan.disarm_kills();
         }
-        let fp =
-            rfdump::durability::config_fingerprint(&cfg, samples.len() as u64, header.sample_rate);
+        let fp = rfdump::durability::config_fingerprint(&cfg, header.n_samples, header.sample_rate);
         if let Err(e) = rfdump::durability::preflight(d, &fp) {
             eprintln!("rfdump: cannot resume: {e}");
             return ExitCode::FAILURE;
@@ -1315,12 +1324,10 @@ fn main() -> ExitCode {
             Err(code) => return code,
         },
     };
-    let out = run_architecture_with_registry(&cfg, &samples, header.sample_rate, registry);
-    if let Some(m) = metrics {
-        m.join();
-    }
-
-    if let Some(r) = out.recovery.as_ref().filter(|r| r.resumed) {
+    // The file goes through the same session a socket does: read a piece,
+    // push it, print what that made final.
+    let mut session = Session::open(&cfg, header.sample_rate, Some(header.n_samples), registry);
+    if let Some(r) = session.recovery().filter(|r| r.resumed) {
         eprintln!(
             "rfdump: resumed from journal: {} entries replayed, {} record(s) recovered, resume latency {:.1} ms",
             r.entries_replayed,
@@ -1328,15 +1335,33 @@ fn main() -> ExitCode {
             r.resume_latency_us as f64 / 1e3,
         );
     }
-
-    if !opts.quiet {
-        for rec in &out.records {
-            println!("{}", rec.format_line());
+    let mut packets = 0usize;
+    let mut print = |released: Released| {
+        packets += released.records.len();
+        if !opts.quiet {
+            for rec in &released.records {
+                println!("{}", rec.format_line());
+            }
+        }
+    };
+    let mut samples = Vec::new();
+    loop {
+        match reader.read_into(&mut samples, PUSH_SAMPLES) {
+            Ok(0) => break,
+            Ok(_) => print(session.push(&samples)),
+            Err(e) => {
+                eprintln!("rfdump: cannot read {path}: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
+    let (last, out) = session.finish();
+    print(last);
+    if let Some(m) = metrics {
+        m.join();
+    }
     eprintln!(
-        "rfdump: {} packets, CPU/RT {:.3}",
-        out.records.len(),
+        "rfdump: {packets} packets, CPU/RT {:.3}",
         out.cpu_over_realtime()
     );
     if out.panics > 0 || !out.quarantined.is_empty() {

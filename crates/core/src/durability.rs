@@ -173,6 +173,19 @@ pub struct RecoveredRun {
     pub governor_level: u8,
 }
 
+impl RecoveredRun {
+    /// The recovered records in the order the crashed run released them.
+    /// Records are journaled in release order — start time, a dispatch's
+    /// protocols in port order — but [`replay`] has to keep them per port
+    /// (the `RESUME` truncation rule is per port), so the order is rebuilt
+    /// here the way it is defined.
+    pub fn into_release_order(self) -> Vec<PacketRecord> {
+        let mut all: Vec<PacketRecord> = self.per_port.into_iter().flatten().collect();
+        all.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+        all
+    }
+}
+
 /// Replays a recovered entry list into per-port record streams.
 ///
 /// Returns `(per_port, base, meta_payload)`. Stops quietly at the first

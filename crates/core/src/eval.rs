@@ -12,7 +12,7 @@ use rfd_phy::Protocol;
 
 /// A peak classified as some protocol (what the detection stage outputs),
 /// reduced to what evaluation needs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassifiedPeak {
     /// Protocol claimed.
     pub protocol: Protocol,

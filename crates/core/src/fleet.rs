@@ -7,10 +7,12 @@
 //! builds that factory out of an
 //! [`ArchConfig`]: every call constructs a fresh [`LivePipeline`] (so
 //! per-source analysis shares no mutable state and each source's record
-//! stream stays byte-identical to an offline run over the same trace),
-//! while all instances deposit their completed [`ArchOutput`] into one
-//! shared slot so the serving CLI can still render `--stats-json` after
-//! the fleet stops.
+//! stream stays byte-identical to an offline run over the same trace).
+//! A pipeline opens one streaming [`crate::arch::Session`] per capture
+//! stream, which the server pushes chunk by chunk, publishing records as
+//! they are released; when the stream ends the session's [`ArchOutput`]
+//! (accounting only — it retains no record) goes into one shared slot so
+//! the serving CLI can still render `--stats-json` after the fleet stops.
 //!
 //! With several sources the slot holds the *last finished* source's
 //! architecture output; the per-source ingest numbers live in the
@@ -63,8 +65,23 @@ mod tests {
     use super::*;
     use crate::arch::{ArchKind, DetectorSet};
     use rfd_dsp::Complex32;
-    use rfd_net::frame::StreamMeta;
+    use rfd_net::frame::{RecordMsg, StreamMeta};
     use std::sync::Mutex;
+
+    /// One whole session through a pipeline, in socket-sized chunks.
+    fn run(
+        mut pipeline: Box<dyn rfd_net::Pipeline>,
+        meta: &StreamMeta,
+        samples: &[Complex32],
+    ) -> Vec<RecordMsg> {
+        let mut session = pipeline.open(meta);
+        let mut records = Vec::new();
+        for chunk in samples.chunks(4096) {
+            records.extend(session.push(chunk));
+        }
+        records.extend(session.finish());
+        records
+    }
 
     fn test_cfg() -> ArchConfig {
         ArchConfig {
@@ -91,8 +108,8 @@ mod tests {
     fn factory_instances_are_independent_and_share_the_output_slot() {
         let slot: SharedOutput = Arc::new(Mutex::new(None));
         let factory = pipeline_factory(test_cfg(), None, slot.clone());
-        let mut a = factory("roof");
-        let mut b = factory("lab-3");
+        let a = factory("roof");
+        let b = factory("lab-3");
         let fs = 8e6f64;
         let samples: Vec<Complex32> = (0..40_000)
             .map(|i| {
@@ -111,8 +128,8 @@ mod tests {
         };
         // Same samples through two independent instances: identical lines
         // (the per-source byte-identity contract in miniature).
-        let ra = a.analyze(&meta, samples.clone());
-        let rb = b.analyze(&meta, samples);
+        let ra = run(a, &meta, &samples);
+        let rb = run(b, &meta, &samples);
         let la: Vec<&str> = ra.iter().map(|r| r.line.as_str()).collect();
         let lb: Vec<&str> = rb.iter().map(|r| r.line.as_str()).collect();
         assert_eq!(la, lb);
@@ -139,8 +156,8 @@ mod tests {
             scale: 1.0,
         };
         let samples = vec![Complex32::new(1e-3, 0.0); 20_000];
-        factory("roof").analyze(&meta, samples.clone());
-        factory("van.2").analyze(&meta, samples.clone());
+        run(factory("roof"), &meta, &samples);
+        run(factory("van.2"), &meta, &samples);
         assert!(tmp.join("roof").is_dir(), "journal sharded under DIR/roof");
         assert!(
             tmp.join("van.2").is_dir(),
@@ -155,7 +172,7 @@ mod tests {
                 .count()
         };
         assert_eq!(files_in_dir(), 0);
-        factory("").analyze(&meta, samples);
+        run(factory(""), &meta, &samples);
         assert!(files_in_dir() > 0, "anonymous journal goes to DIR");
         let _ = std::fs::remove_dir_all(&tmp);
     }

@@ -145,6 +145,8 @@ pub enum LatencyAction {
 pub struct LoadGovernor {
     cfg: GovernorConfig,
     t0: Instant,
+    /// Time since `t0` the pipeline spent waiting for input, µs.
+    idle_us: AtomicU64,
     level: AtomicU8,
     /// Smoothed ratio × 1e6 (atomics hold no floats).
     ratio_micro: AtomicU64,
@@ -189,6 +191,7 @@ impl LoadGovernor {
         Self {
             cfg,
             t0: Instant::now(),
+            idle_us: AtomicU64::new(0),
             level: AtomicU8::new(cfg.force_level.unwrap_or(0).min(MAX_LEVEL)),
             ratio_micro: AtomicU64::new(0),
             escalations: AtomicU64::new(0),
@@ -422,6 +425,15 @@ impl LoadGovernor {
         }
     }
 
+    /// Books time the pipeline spent waiting for its next samples (a live
+    /// stream between two chunks). The real-time ratio is processing time
+    /// over signal time, so a session paced by its sender must not read as
+    /// a pipeline that only just keeps up.
+    pub fn note_idle(&self, idle: Duration) {
+        self.idle_us
+            .fetch_add(idle.as_micros() as u64, Ordering::Relaxed);
+    }
+
     /// Feeds one progress observation: the pipeline has processed signal
     /// up to `signal_us` microseconds of stream time. Returns the level
     /// transition `(from, to)` if this observation changed it.
@@ -432,8 +444,9 @@ impl LoadGovernor {
         if signal_us <= 0.0 {
             return None;
         }
-        let wall_us = self.t0.elapsed().as_secs_f64() * 1e6;
-        let inst = wall_us / signal_us;
+        let busy_us =
+            self.t0.elapsed().as_secs_f64() * 1e6 - self.idle_us.load(Ordering::Relaxed) as f64;
+        let inst = busy_us / signal_us;
         // EWMA over observations; seeded by the first sample.
         let prev = self.ratio_micro.load(Ordering::Relaxed) as f64 / 1e6;
         let smoothed = if prev == 0.0 {

@@ -4,15 +4,16 @@
 //! factory).
 //!
 //! `rfd-net` is deliberately ignorant of the analysis stack (it only knows
-//! the [`rfd_net::Pipeline`] trait); this module closes the loop by running
-//! [`run_architecture`] over a session's samples with the stream's own
-//! band parameters. Records are rendered with the same
+//! the [`rfd_net::Pipeline`] trait); this module closes the loop by opening
+//! an [`arch::Session`](crate::arch::Session) per stream, with the stream's
+//! own band parameters, and pushing each chunk into it as the server pops
+//! it. Records are rendered with the same
 //! [`PacketRecord::format_line`](crate::records::PacketRecord::format_line)
-//! the offline CLI prints, in the same globally time-sorted order — which
-//! is what makes a subscriber's stream byte-identical to `rfdump -r` on
-//! the same trace.
+//! the offline CLI prints and leave in the order the session releases them
+//! — the order `rfdump -r` prints, which is what makes a subscriber's
+//! stream byte-identical to it on the same trace.
 
-use crate::arch::{run_architecture_with_registry, ArchConfig, ArchOutput};
+use crate::arch::{ArchConfig, ArchOutput, Released, Session};
 use rfd_dsp::Complex32;
 use rfd_net::frame::{RecordMsg, StreamMeta};
 use rfd_telemetry::Registry;
@@ -62,25 +63,48 @@ impl LivePipeline {
 }
 
 impl rfd_net::Pipeline for LivePipeline {
-    fn analyze(&mut self, meta: &StreamMeta, samples: Vec<Complex32>) -> Vec<RecordMsg> {
+    fn open(&mut self, meta: &StreamMeta) -> Box<dyn rfd_net::Session + '_> {
         let mut cfg = self.cfg.clone();
         cfg.band = rfd_ether::Band {
             sample_rate: meta.sample_rate,
             center_hz: meta.center_hz,
         };
-        let out =
-            run_architecture_with_registry(&cfg, &samples, meta.sample_rate, self.registry.clone());
-        let records = out
-            .records
-            .iter()
-            .map(|r| RecordMsg {
-                start_us: r.start_us,
-                end_us: r.end_us,
-                line: r.format_line(),
-            })
-            .collect();
-        *self.output.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-        records
+        // A socket cannot say how long its stream will be.
+        let session = Session::open(&cfg, meta.sample_rate, None, self.registry.clone());
+        Box::new(LiveSession {
+            session,
+            output: &self.output,
+        })
+    }
+}
+
+struct LiveSession<'a> {
+    session: Session,
+    output: &'a SharedOutput,
+}
+
+fn render(released: Released) -> Vec<RecordMsg> {
+    released
+        .records
+        .iter()
+        .map(|r| RecordMsg {
+            start_us: r.start_us,
+            end_us: r.end_us,
+            line: r.format_line(),
+        })
+        .collect()
+}
+
+impl rfd_net::Session for LiveSession<'_> {
+    fn push(&mut self, samples: &[Complex32]) -> Vec<RecordMsg> {
+        render(self.session.push(samples))
+    }
+
+    fn finish(self: Box<Self>) -> Vec<RecordMsg> {
+        let LiveSession { session, output } = *self;
+        let (last, out) = session.finish();
+        *output.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+        render(last)
     }
 }
 
@@ -132,7 +156,13 @@ mod tests {
             center_hz: 0.0,
             scale: 1.0,
         };
-        let records = live.analyze(&meta, samples);
+        // Pushed in socket-sized chunks, as the server would.
+        let mut session = live.open(&meta);
+        let mut records = Vec::new();
+        for chunk in samples.chunks(4096) {
+            records.extend(session.push(chunk));
+        }
+        records.extend(session.finish());
         assert_eq!(records.len(), offline.records.len());
         for (msg, rec) in records.iter().zip(offline.records.iter()) {
             assert_eq!(msg.line, rec.format_line());

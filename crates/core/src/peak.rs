@@ -244,23 +244,41 @@ impl PeakDetector {
     /// historical sequential order, so the output is bit-identical to
     /// [`PeakDetector::push_chunk_unfused`].
     pub fn push_chunk(&mut self, chunk: &SampleChunk, out: &mut Vec<PeakBlock>) {
-        self.unfused_mode = false;
-        self.reblock(chunk, out);
+        self.push_samples(chunk.start, &chunk.samples, chunk.ingest, out);
     }
 
-    /// Feeds `chunk` through the fixed-size re-blocker, running each
-    /// completed [`DETECT_BLOCK`] through the active (fused or unfused)
-    /// per-block pass. Full blocks aligned with the inbound chunk are
-    /// processed straight from its buffer — the default 200-sample chunking
-    /// pays no copy.
-    fn reblock(&mut self, chunk: &SampleChunk, out: &mut Vec<PeakBlock>) {
-        let s = chunk.samples.as_slice();
+    /// [`push_chunk`](Self::push_chunk) for a borrowed slice: `samples[0]`
+    /// is absolute sample `start`, `ingest` the stamp the resulting peaks
+    /// inherit. The streaming session feeds sub-slices of whatever buffer
+    /// it was handed through this, so no chunk is ever allocated for it.
+    pub fn push_samples(
+        &mut self,
+        start: u64,
+        samples: &[Complex32],
+        ingest: Option<std::time::Instant>,
+        out: &mut Vec<PeakBlock>,
+    ) {
+        self.unfused_mode = false;
+        self.reblock(start, samples, ingest, out);
+    }
+
+    /// Feeds `s` through the fixed-size re-blocker, running each completed
+    /// [`DETECT_BLOCK`] through the active (fused or unfused) per-block
+    /// pass. Full blocks aligned with the inbound slice are processed
+    /// straight from it — the default 200-sample chunking pays no copy.
+    fn reblock(
+        &mut self,
+        start: u64,
+        s: &[Complex32],
+        ingest: Option<std::time::Instant>,
+        out: &mut Vec<PeakBlock>,
+    ) {
         debug_assert_eq!(
-            chunk.start,
+            start,
             self.cursor + self.pend.len() as u64,
             "chunks must be contiguous"
         );
-        self.last_ingest = chunk.ingest;
+        self.last_ingest = ingest;
         let mut off = 0usize;
         if !self.pend.is_empty() {
             let need = DETECT_BLOCK - self.pend.len();
@@ -269,13 +287,13 @@ impl PeakDetector {
             off = take;
             if self.pend.len() == DETECT_BLOCK {
                 let full = std::mem::take(&mut self.pend);
-                self.run_block(&full, chunk.ingest, out);
+                self.run_block(&full, ingest, out);
                 self.pend = full;
                 self.pend.clear();
             }
         }
         while s.len() - off >= DETECT_BLOCK {
-            self.run_block(&s[off..off + DETECT_BLOCK], chunk.ingest, out);
+            self.run_block(&s[off..off + DETECT_BLOCK], ingest, out);
             off += DETECT_BLOCK;
         }
         self.pend.extend_from_slice(&s[off..]);
@@ -424,7 +442,7 @@ impl PeakDetector {
     /// Re-blocks exactly like the fused path.
     pub fn push_chunk_unfused(&mut self, chunk: &SampleChunk, out: &mut Vec<PeakBlock>) {
         self.unfused_mode = true;
-        self.reblock(chunk, out);
+        self.reblock(chunk.start, &chunk.samples, chunk.ingest, out);
     }
 
     fn push_block_unfused(

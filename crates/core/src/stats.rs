@@ -73,7 +73,6 @@
 //! records are published.
 
 use crate::arch::ArchOutput;
-use crate::records::PacketInfo;
 use rfd_telemetry::json::JsonValue;
 use rfd_telemetry::rt::RtMonitor;
 use std::io;
@@ -201,15 +200,13 @@ fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> 
     }
 
     // Packet-count summary of the record stream — the cheap invariant a
-    // differential harness checks across scheduler modes.
-    let mut per_proto: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
-    for r in &out.records {
-        let e = per_proto.entry(r.protocol.name()).or_default();
-        e.0 += 1;
-        if !matches!(r.info, PacketInfo::DetectedOnly { .. }) {
-            e.1 += 1;
-        }
-    }
+    // differential harness checks across scheduler modes. Read from the
+    // session's running counts, keyed by protocol name as ever.
+    let per_proto: std::collections::BTreeMap<&str, (u64, u64)> = out
+        .record_counts
+        .iter()
+        .map(|(p, &counts)| (p.name(), counts))
+        .collect();
     let mut proto_json = JsonValue::Obj(Vec::new());
     for (name, (total, decoded)) in &per_proto {
         proto_json.push(
@@ -220,10 +217,11 @@ fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> 
             ]),
         );
     }
+    let total: u64 = per_proto.values().map(|(total, _)| total).sum();
     doc.push(
         "records",
         JsonValue::obj(vec![
-            ("total", JsonValue::num(out.records.len() as f64)),
+            ("total", JsonValue::num(total as f64)),
             ("per_protocol", proto_json),
         ]),
     );
@@ -470,6 +468,7 @@ mod tests {
         ArchOutput {
             records: Vec::new(),
             classified: Vec::new(),
+            record_counts: Default::default(),
             dispatch_stats: Some(ds),
             stats: RunStats {
                 blocks: vec![
@@ -575,24 +574,12 @@ mod tests {
     #[test]
     fn records_section_counts_per_protocol_and_decoded() {
         let mut out = fake_output();
-        out.records = vec![
-            crate::records::PacketRecord {
-                protocol: rfd_phy::Protocol::Wifi,
-                start_us: 0.0,
-                end_us: 100.0,
-                snr_db: 20.0,
-                channel: None,
-                info: PacketInfo::DetectedOnly { confidence: 0.7 },
-            },
-            crate::records::PacketRecord {
-                protocol: rfd_phy::Protocol::Microwave,
-                start_us: 200.0,
-                end_us: 300.0,
-                snr_db: 20.0,
-                channel: None,
-                info: PacketInfo::Microwave,
-            },
-        ];
+        // One detected-only 802.11 record, one confirmed microwave burst.
+        out.record_counts = [
+            (rfd_phy::Protocol::Wifi, (1, 0)),
+            (rfd_phy::Protocol::Microwave, (1, 1)),
+        ]
+        .into();
         let doc = rfd_telemetry::json::parse(&stats_json(&out).to_json()).unwrap();
         let recs = doc.get("records").unwrap();
         assert_eq!(recs.get("total").unwrap().as_f64(), Some(2.0));

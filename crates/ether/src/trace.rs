@@ -211,6 +211,8 @@ pub struct ChunkedTraceReader {
     file: std::io::BufReader<std::fs::File>,
     header: TraceHeader,
     remaining: u64,
+    /// Byte scratch [`read_into`](Self::read_into) refills.
+    raw: Vec<u8>,
 }
 
 impl ChunkedTraceReader {
@@ -240,6 +242,7 @@ impl ChunkedTraceReader {
             remaining: header.n_samples,
             file,
             header,
+            raw: Vec::new(),
         })
     }
 
@@ -300,14 +303,24 @@ impl ChunkedTraceReader {
         Ok(())
     }
 
-    /// Reads up to `max_samples` scaled complex samples — the streaming
-    /// equivalent of [`read_trace`]'s payload conversion.
-    pub fn next_samples(&mut self, max_samples: usize) -> io::Result<Option<Vec<Complex32>>> {
-        Ok(self.next_chunk(max_samples)?.map(|iq| {
-            iq.into_iter()
-                .map(|(i, q)| from_i16_iq(i, q).scale(self.header.scale))
-                .collect()
-        }))
+    /// Refills `buf` with the next up-to-`max_samples` scaled complex
+    /// samples — exactly the values [`decode_trace`] produces — and returns
+    /// how many there are; `0` once the trace is exhausted. `buf` and the
+    /// reader's byte scratch are reused, so a replay loop allocates nothing
+    /// per call.
+    pub fn read_into(&mut self, buf: &mut Vec<Complex32>, max_samples: usize) -> io::Result<usize> {
+        buf.clear();
+        let n = (self.remaining.min(max_samples.max(1) as u64)) as usize;
+        self.raw.resize(n * 4, 0);
+        self.file.read_exact(&mut self.raw)?;
+        self.remaining -= n as u64;
+        let scale = self.header.scale;
+        buf.extend(self.raw.chunks_exact(4).map(|b| {
+            let i = i16::from_le_bytes([b[0], b[1]]);
+            let q = i16::from_le_bytes([b[2], b[3]]);
+            from_i16_iq(i, q).scale(scale)
+        }));
+        Ok(n)
     }
 }
 
@@ -386,9 +399,10 @@ mod tests {
         let mut r = ChunkedTraceReader::open(&path).unwrap();
         assert_eq!(r.header(), &h);
         let mut streamed = Vec::new();
-        while let Some(chunk) = r.next_samples(256).unwrap() {
+        let mut chunk = Vec::new();
+        while r.read_into(&mut chunk, 256).unwrap() > 0 {
             assert!(chunk.len() <= 256);
-            streamed.extend(chunk);
+            streamed.extend_from_slice(&chunk);
         }
         assert_eq!(r.remaining(), 0);
         assert_eq!(streamed.len(), whole.len());

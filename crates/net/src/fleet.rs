@@ -95,7 +95,9 @@
 //!
 //! With [`FleetConfig::latency_budget`] set, every source also carries a
 //! *deadline* histogram: per-chunk queue wait (committed → popped by the
-//! analysis thread) plus per-record finalize → publish lag. A periodic
+//! analysis thread) plus, per record, the time from the start of the push
+//! that released it to its publication — what analysing one chunk cost,
+//! not a whole session. A periodic
 //! sweep in the readiness loop diffs each histogram through a
 //! [`HistogramWindow`] and compares the windowed p99 against the budget,
 //! walking a per-source shed ladder with the same streak hysteresis the
@@ -129,16 +131,18 @@
 //! addition to `net.server.read`, which applies to every producer socket.
 //! An anonymous source's `<id>` is `#` and its session ordinal.
 //!
-//! Determinism: each source's samples are accumulated contiguously and
-//! analyzed by a private pipeline exactly like an offline run of that trace
-//! alone, and its records are published in one burst (meta, records in
-//! offline order, end marker) under the hub lock per message with no
-//! interleaving *within* a source. A filtered subscriber — or the only
-//! subscriber of a lone anonymous session — therefore sees a record stream
-//! byte-identical to `rfdump -r trace` at any worker count. Merge order
-//! *between* sources is arrival order and intentionally unspecified.
+//! Determinism: each source's chunks are pushed, contiguous and in order,
+//! into a private pipeline session exactly like an offline run of that
+//! trace alone, and what each push releases is published at once — meta
+//! first, records in offline order, the end marker last — by the one thread
+//! that owns the session, so nothing reorders *within* a source. A filtered
+//! subscriber — or the only subscriber of a lone anonymous session —
+//! therefore sees a record stream byte-identical to `rfdump -r trace` at
+//! any worker count, and sees it while the sender is still sending. Merge
+//! order *between* sources is arrival order and intentionally unspecified
+//! (two anonymous sessions at once interleave their bare records).
 
-use crate::frame::{Frame, FrameDecoder, Role, SeqFrame, StreamMeta};
+use crate::frame::{Frame, FrameDecoder, RecordMsg, Role, SeqFrame, StreamMeta};
 use crate::hub::{HubMsg, RecordHub, Subscription};
 use crate::queue::{ChunkQueue, OverflowPolicy, TryPushError};
 use crate::server::{serve_subscriber, NetStats, NetStatsSnapshot, Pipeline, SubscriberCtx};
@@ -226,7 +230,7 @@ pub struct FleetConfig {
     pub faults: Option<Arc<FaultPlan>>,
     /// Bounded-latency mode: per-source deadline budget. When set, the
     /// deadline sweep sheds sources whose windowed p99 (queue wait +
-    /// finalize → publish lag) exceeds this budget and refuses admission
+    /// push → publish lag) exceeds this budget and refuses admission
     /// to new sources while the fleet is over budget. `None` (the
     /// default) disables overload control entirely.
     pub latency_budget: Option<Duration>,
@@ -349,7 +353,7 @@ struct SourceShared {
     /// Per-record publish duration, µs — the source's fan-out latency.
     fanout: Histogram,
     /// Deadline samples, µs: per-chunk queue wait plus per-record
-    /// finalize → publish lag. The overload sweep reads this through
+    /// push → publish lag. The overload sweep reads this through
     /// `deadline_win`; recorded unconditionally (it is two `Instant`
     /// reads per chunk) so snapshots are populated even without a budget.
     deadline: Histogram,
@@ -1039,8 +1043,9 @@ impl FleetServer {
             let _ = t.join();
         }
         // One forced sweep after every analysis thread published, so
-        // violations recorded in the final burst (e.g. a chaos-slowed
-        // pipeline's publish lag) still reach the counters and event log.
+        // violations recorded since the last periodic one (e.g. a
+        // chaos-slowed pipeline's publish lag) still reach the counters
+        // and event log.
         latency_sweep(inner, true);
         inner.note_evictions();
         if !bye_published {
@@ -2022,15 +2027,16 @@ fn commit_chunk(
     true
 }
 
-/// One source's analysis thread: accumulate the contiguous sample stream,
-/// run the source's private pipeline when the stream ends, publish its
-/// records (offline order) and its end marker. The `tagged` matches here
-/// and the handshake arms of [`process_frames`] are the whole difference
-/// between the two kinds of source.
+/// One source's analysis thread: push each chunk of the contiguous sample
+/// stream into the source's private pipeline session as it is popped,
+/// publish what every push returns at once, and close with the source's end
+/// marker. The `tagged` matches here and the handshake arms of
+/// [`process_frames`] are the whole difference between the two kinds of
+/// source.
 fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
     let analysis_site = format!("net.fleet.analysis.{}", src.name);
-    let mut samples: Vec<Complex32> = Vec::new();
-    while let Some((committed, chunk)) = src.queue.pop() {
+    let next_chunk = || {
+        let (committed, chunk) = src.queue.pop()?;
         // Chaos: a slow/cpu fault here starves this source's consumer so
         // its queue wait — and only its — blows the deadline budget.
         if let Some(plan) = &inner.cfg.faults {
@@ -2043,45 +2049,51 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
         // Queue wait is the first half of the deadline metric: how long a
         // committed chunk sat before this thread consumed it.
         src.deadline.record(committed.elapsed().as_secs_f64() * 1e6);
-        samples.extend_from_slice(&chunk);
         if let Some(g) = &src.queue_gauge {
             g.set(src.queue.len() as i64);
         }
-    }
+        Some(chunk)
+    };
+    let publish = |records: Vec<RecordMsg>, pushed_at: Instant| {
+        for rec in records {
+            // Push → publish lag is the second half of the deadline
+            // metric: what the analysis of the chunk that released this
+            // record cost (a chaos-slowed pipeline shows up here).
+            src.deadline.record(pushed_at.elapsed().as_secs_f64() * 1e6);
+            inner.stats.records_published.add(1);
+            src.records.fetch_add(1, Ordering::Relaxed);
+            if let Some(ctr) = &src.records_ctr {
+                ctr.add(1);
+            }
+            let t0 = Instant::now();
+            inner.hub.publish(if src.tagged {
+                HubMsg::SourceRecord {
+                    source: src.name.clone(),
+                    record: rec,
+                }
+            } else {
+                HubMsg::Record(rec)
+            });
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            src.fanout.record(us);
+            if let Some(h) = &inner.fanout_hist {
+                h.record(us);
+            }
+        }
+    };
     // A source cut off before any sample arrived (e.g. quarantined on its
     // first frames) publishes no records — don't spin up a pipeline (or
     // its journal directory) for an empty stream.
-    let finalized_at = Instant::now();
-    let records = if samples.is_empty() {
-        Vec::new()
-    } else {
+    let mut chunks = std::iter::from_fn(next_chunk).peekable();
+    if chunks.peek().is_some() {
         let mut pipeline = (inner.factory)(if src.tagged { &src.name } else { "" });
-        pipeline.analyze(&src.meta, samples)
-    };
-    for rec in records {
-        // Finalize → publish lag is the second half of the deadline
-        // metric: a chaos-slowed pipeline shows up here.
-        src.deadline
-            .record(finalized_at.elapsed().as_secs_f64() * 1e6);
-        inner.stats.records_published.add(1);
-        src.records.fetch_add(1, Ordering::Relaxed);
-        if let Some(ctr) = &src.records_ctr {
-            ctr.add(1);
+        let mut session = pipeline.open(&src.meta);
+        for samples in chunks {
+            let pushed_at = Instant::now();
+            publish(session.push(&samples), pushed_at);
         }
-        let t0 = Instant::now();
-        inner.hub.publish(if src.tagged {
-            HubMsg::SourceRecord {
-                source: src.name.clone(),
-                record: rec,
-            }
-        } else {
-            HubMsg::Record(rec)
-        });
-        let us = t0.elapsed().as_secs_f64() * 1e6;
-        src.fanout.record(us);
-        if let Some(h) = &inner.fanout_hist {
-            h.record(us);
-        }
+        let finished_at = Instant::now();
+        publish(session.finish(), finished_at);
     }
     // An anonymous session ends with the stats document (the untagged
     // stream's end-of-session marker); publishing one after tagged sources

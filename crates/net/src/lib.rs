@@ -18,8 +18,9 @@
 //!   source id or anonymous — shards each onto its own pipeline instance,
 //!   and merges the record streams (tagged ones with per-source tags).
 //! * [`server`] — what that server shares with callers and subscriber
-//!   threads: the [`Pipeline`] trait, the wire-level statistics, and the
-//!   subscriber side of a connection.
+//!   threads: the [`Pipeline`] / [`Session`] traits the analysis stage is
+//!   injected through, the wire-level statistics, and the subscriber side
+//!   of a connection.
 //! * [`client`] — [`TraceSender`] and [`RecordSubscriber`], what the CLI's
 //!   `send` / `watch` modes wrap.
 //!
@@ -27,7 +28,10 @@
 //! this crate never depends on the pipeline crate (the dependency points
 //! the other way: the `rfdump` binary implements [`Pipeline`] with its
 //! offline architecture, which is what makes the live record stream
-//! byte-identical to offline output on the same samples).
+//! byte-identical to offline output on the same samples). A pipeline is
+//! driven incrementally — a [`Session`] is pushed each chunk as it arrives
+//! and returns the records that chunk made final — so subscribers receive
+//! records while the capture is still streaming in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,4 +56,4 @@ pub use frame::{
 };
 pub use hub::{HubMsg, RecordHub, Subscription};
 pub use queue::{ChunkQueue, OverflowPolicy, PushOutcome, TryPushError};
-pub use server::{NetStatsSnapshot, Pipeline, Server, ServerConfig};
+pub use server::{NetStatsSnapshot, Pipeline, Server, ServerConfig, Session};

@@ -10,13 +10,13 @@
 //!  subscriber ◀─TCP── per-sub bounded queue ◀── RecordHub ┘
 //! ```
 //!
-//! Determinism note: a session's records are published after its sample
-//! stream ends, in exactly the order the offline pipeline emits them
-//! (concatenated per-port, stable-sorted by start time). This is forced by
-//! the byte-identity contract with offline `rfdump`: the offline record
-//! stream is globally time-sorted, and a globally sorted order cannot be
-//! emitted before the last sample is seen. A future watermarking scheme
-//! could bound the latency; the wire protocol needs no change for it.
+//! Records leave while the samples are still arriving: a session is pushed
+//! chunk by chunk and every push returns the records it made final. That
+//! is the offline order, so no watermark and no sort is needed — every
+//! record of a dispatch starts where its peak starts, peaks are disjoint
+//! and ordered, and dispatches are released in sequence. A subscriber's
+//! stream is therefore byte-identical to offline `rfdump` on the same
+//! samples, only earlier.
 //!
 //! The [`Server`] type at the bottom is a preset over
 //! [`FleetServer`](crate::FleetServer), not a second server.
@@ -29,27 +29,66 @@ use rfd_telemetry::{Counter, Registry};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// The analysis stage the server drives: a complete sample stream in,
-/// rendered record lines out.
+/// The analysis stage the server drives, one [`Session`] per capture
+/// stream.
 ///
 /// The server deliberately does not depend on `rfdump` (the core crate
 /// implements this trait and hands it in), so the wire layer stays reusable
 /// and cheap to test with stub pipelines.
 pub trait Pipeline: Send {
-    /// Processes one session's samples into record messages, in final
-    /// (time-sorted) emission order.
-    fn analyze(&mut self, meta: &StreamMeta, samples: Vec<Complex32>) -> Vec<RecordMsg>;
+    /// Starts analysing a stream with these parameters.
+    fn open(&mut self, meta: &StreamMeta) -> Box<dyn Session + '_>;
 }
 
+/// One stream's analysis: samples in as they arrive, rendered record lines
+/// out as soon as they are final.
+pub trait Session {
+    /// Feeds the next contiguous samples; returns the records they made
+    /// final, continuing the order of everything returned before.
+    fn push(&mut self, samples: &[Complex32]) -> Vec<RecordMsg>;
+
+    /// Ends the stream; returns the remaining records.
+    fn finish(self: Box<Self>) -> Vec<RecordMsg>;
+}
+
+/// A whole-session function is a pipeline whose session accumulates the
+/// stream and calls it at `finish` — what stub pipelines in tests and the
+/// benchmark's no-op pipelines are written as. The only batch code in this
+/// crate.
 impl<F> Pipeline for F
 where
     F: FnMut(&StreamMeta, Vec<Complex32>) -> Vec<RecordMsg> + Send,
 {
-    fn analyze(&mut self, meta: &StreamMeta, samples: Vec<Complex32>) -> Vec<RecordMsg> {
-        self(meta, samples)
+    fn open(&mut self, meta: &StreamMeta) -> Box<dyn Session + '_> {
+        Box::new(Accumulate {
+            run: self,
+            meta: *meta,
+            samples: Vec::new(),
+        })
+    }
+}
+
+struct Accumulate<'a, F> {
+    run: &'a mut F,
+    meta: StreamMeta,
+    samples: Vec<Complex32>,
+}
+
+impl<F> Session for Accumulate<'_, F>
+where
+    F: FnMut(&StreamMeta, Vec<Complex32>) -> Vec<RecordMsg>,
+{
+    fn push(&mut self, samples: &[Complex32]) -> Vec<RecordMsg> {
+        self.samples.extend_from_slice(samples);
+        Vec::new()
+    }
+
+    fn finish(self: Box<Self>) -> Vec<RecordMsg> {
+        let Accumulate { run, meta, samples } = *self;
+        run(&meta, samples)
     }
 }
 
@@ -485,6 +524,43 @@ pub struct ServerConfig {
 /// `FleetServer` itself, delete it.
 pub struct Server(FleetServer);
 
+/// Where the preset's one pipeline waits between sessions.
+type Shared = Arc<(Mutex<Option<Box<dyn Pipeline>>>, Condvar)>;
+
+/// One source's claim on the shared pipeline: taken out of the slot when
+/// its session opens, put back when the source's analysis thread drops it.
+struct Turn {
+    shared: Shared,
+    held: Option<Box<dyn Pipeline>>,
+}
+
+impl Pipeline for Turn {
+    fn open(&mut self, meta: &StreamMeta) -> Box<dyn Session + '_> {
+        let (slot, freed) = &*self.shared;
+        self.held
+            .get_or_insert_with(|| {
+                let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
+                loop {
+                    match slot.take() {
+                        Some(pipeline) => break pipeline,
+                        None => slot = freed.wait(slot).unwrap_or_else(|e| e.into_inner()),
+                    }
+                }
+            })
+            .open(meta)
+    }
+}
+
+impl Drop for Turn {
+    fn drop(&mut self) {
+        let (slot, freed) = &*self.shared;
+        if let Some(pipeline) = self.held.take() {
+            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(pipeline);
+            freed.notify_one();
+        }
+    }
+}
+
 impl Server {
     /// Binds `addr` with default [`FleetConfig`] knobs; `cfg.once` is
     /// `expect: Some(1)`.
@@ -494,12 +570,11 @@ impl Server {
         pipeline: Box<dyn Pipeline>,
         registry: Option<Arc<Registry>>,
     ) -> io::Result<Self> {
-        let shared = Arc::new(Mutex::new(pipeline));
+        let shared: Shared = Arc::new((Mutex::new(Some(pipeline)), Condvar::new()));
         let factory: PipelineFactory = Box::new(move |_| {
-            let shared = shared.clone();
-            Box::new(move |meta: &StreamMeta, samples: Vec<Complex32>| {
-                let mut pipeline = shared.lock().unwrap_or_else(|e| e.into_inner());
-                pipeline.analyze(meta, samples)
+            Box::new(Turn {
+                shared: shared.clone(),
+                held: None,
             })
         });
         let cfg = FleetConfig {

@@ -384,6 +384,13 @@ fn fleet_sender_kill_restart_matches_offline(workers: usize) {
 /// advisories sent, drop-oldest forcing room), while the unfaulted source
 /// stays under budget and its record stream stays byte-identical to
 /// offline analysis.
+///
+/// The deadline metric is, per chunk, how long it waited in the source's
+/// queue and, per record, the time from the start of the push that released
+/// it to its publication. For the clean source that is the cost of
+/// analysing 1000-sample chunks, at most a queue's worth (32) of them:
+/// milliseconds against the 100 ms budget, even while the starved source's
+/// spinning thread holds one of two cores.
 #[test]
 fn fleet_cpu_chaos_sheds_the_starved_source_and_keeps_the_clean_one_byte_identical() {
     use std::collections::BTreeMap;

@@ -3,8 +3,9 @@
 //! a record stream **byte-identical** to offline `run_architecture` on the
 //! same trace — at any worker count, from an untagged sender (a plain
 //! `serve` session) and from tagged ones. This is the acceptance contract of
-//! the whole net subsystem: the wire (i16 IQ + scale) and the end-of-
-//! session sorted publish preserve both samples and ordering exactly.
+//! the whole net subsystem: the wire (i16 IQ + scale) and the chunk-by-
+//! chunk push into the streaming session preserve both samples and
+//! ordering exactly.
 
 use rfd_integration::{arch_server, mixed_trace, piconet};
 use rfd_net::{

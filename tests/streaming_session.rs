@@ -1,0 +1,362 @@
+//! The streaming core's contract: an [`rfdump::arch::Session`] may be fed in
+//! pieces of any size and what it releases, concatenated, is exactly what
+//! `run_architecture` reports for the whole trace — records and classified
+//! peaks, at any worker count, across a crash and a resume — and over the
+//! wire a subscriber holds records while the sender is still sending.
+//!
+//! Nothing here asserts on elapsed time: `wait_for`'s timeout is a hang
+//! guard, not a measurement.
+
+use rfd_dsp::rng::Xoshiro256;
+use rfd_dsp::Complex32;
+use rfd_integration::{arch_server, mixed_trace, piconet};
+use rfd_mac::{
+    merge_schedules, DcfConfig, L2PingConfig, L2PingSim, WifiDcfSim, ZigbeeConfig, ZigbeeSim,
+};
+use rfd_net::{FleetConfig, RecordSubscriber, SendRate, StreamMeta, SubEvent, TraceSender};
+use rfdump::arch::{run_architecture, ArchConfig, Released, Session};
+use rfdump::durability::DurabilityConfig;
+use rfdump::eval::ClassifiedPeak;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
+
+/// One trace and the configuration it is analysed under.
+struct Case {
+    name: &'static str,
+    cfg: ArchConfig,
+    samples: Vec<Complex32>,
+    fs: f64,
+}
+
+fn rendered(name: &'static str, events: Vec<rfd_mac::TxEvent>, seed: u64) -> Case {
+    let events = merge_schedules(vec![events]);
+    let horizon = events.iter().map(|e| e.end_us()).fold(0.0, f64::max) + 1_000.0;
+    let mut scene = rfd_ether::scene::Scene::new(1e-4, seed);
+    let gain = 28.0 + rfd_dsp::energy::power_to_db(1e-4);
+    for node in 0..24 {
+        scene.set_node(node, gain, (node as f64 - 6.0) * 300.0);
+    }
+    let trace = scene.render(&events, horizon);
+    Case {
+        name,
+        cfg: ArchConfig {
+            band: trace.band,
+            noise_floor: Some(trace.noise_power),
+            zigbee: name == "zigbee",
+            telemetry: false,
+            ..ArchConfig::rfdump(vec![piconet()])
+        },
+        fs: trace.band.sample_rate,
+        samples: trace.samples,
+    }
+}
+
+fn golden(name: &'static str) -> Case {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join(format!("{name}.rfdt"));
+    let (header, samples) = rfd_ether::trace::read_trace(&path).unwrap();
+    Case {
+        name,
+        cfg: ArchConfig {
+            band: rfd_ether::Band {
+                sample_rate: header.sample_rate,
+                center_hz: header.center_hz,
+            },
+            zigbee: name == "zigbee",
+            telemetry: false,
+            ..ArchConfig::rfdump(vec![piconet()])
+        },
+        fs: header.sample_rate,
+        samples,
+    }
+}
+
+/// Seeded Wi-Fi, Bluetooth, ZigBee and mixed scenes plus the three golden
+/// traces.
+fn cases() -> Vec<Case> {
+    let mut wifi = WifiDcfSim::new(DcfConfig {
+        seed: 311,
+        ..Default::default()
+    });
+    wifi.queue_ping_flow(1, 2, 4, 300, 6_000.0, 0.0);
+    let mut bt = L2PingSim::new(L2PingConfig {
+        count: 10,
+        ..Default::default()
+    });
+    let mut zigbee = ZigbeeSim::new(ZigbeeConfig {
+        count: 6,
+        interval_us: 3_000.0,
+        seed: 313,
+        ..Default::default()
+    });
+    let mixed = mixed_trace(3, 8, 28.0, 4242);
+    vec![
+        rendered("wifi", wifi.run(), 311),
+        rendered("bluetooth", bt.run(), 312),
+        rendered("zigbee", zigbee.run(), 313),
+        Case {
+            name: "mixed",
+            cfg: ArchConfig {
+                band: mixed.band,
+                noise_floor: Some(mixed.noise_power),
+                telemetry: false,
+                ..ArchConfig::rfdump(vec![piconet()])
+            },
+            fs: mixed.band.sample_rate,
+            samples: mixed.samples,
+        },
+        golden("wifi"),
+        golden("bluetooth"),
+        golden("zigbee"),
+    ]
+}
+
+/// How a stream is cut into pushes.
+#[derive(Debug, Clone, Copy)]
+enum Pieces {
+    Of(usize),
+    /// Seeded sizes in `1..=8192`.
+    Random(u64),
+}
+
+/// What a run released, in the form `rfdump -r` prints it.
+#[derive(Debug, Default, PartialEq)]
+struct Stream {
+    lines: Vec<String>,
+    classified: Vec<ClassifiedPeak>,
+}
+
+impl Stream {
+    fn absorb(&mut self, released: Released) {
+        self.lines
+            .extend(released.records.iter().map(|r| r.format_line()));
+        self.classified.extend(released.classified);
+    }
+}
+
+fn offline(cfg: &ArchConfig, samples: &[Complex32], fs: f64) -> Stream {
+    let out = run_architecture(cfg, samples, fs);
+    Stream {
+        lines: out.records.iter().map(|r| r.format_line()).collect(),
+        classified: out.classified,
+    }
+}
+
+/// Pushes `samples` into `session`, cut as `pieces` says.
+fn push_cut(session: &mut Session, samples: &[Complex32], pieces: Pieces, got: &mut Stream) {
+    let mut rng = Xoshiro256::new(match pieces {
+        Pieces::Random(seed) => seed,
+        Pieces::Of(_) => 0,
+    });
+    let mut rest = samples;
+    while !rest.is_empty() {
+        let n = match pieces {
+            Pieces::Of(n) => n,
+            Pieces::Random(_) => 1 + rng.next_range(8192) as usize,
+        };
+        let (piece, tail) = rest.split_at(n.min(rest.len()));
+        got.absorb(session.push(piece));
+        rest = tail;
+    }
+}
+
+fn streamed(cfg: &ArchConfig, samples: &[Complex32], fs: f64, pieces: Pieces) -> Stream {
+    let mut got = Stream::default();
+    let mut session = Session::open(cfg, fs, Some(samples.len() as u64), None);
+    push_cut(&mut session, samples, pieces, &mut got);
+    got.absorb(session.finish().0);
+    got
+}
+
+#[test]
+fn any_partition_of_the_stream_yields_the_offline_records_and_peaks() {
+    for case in cases() {
+        let want = offline(&case.cfg, &case.samples, case.fs);
+        assert!(
+            !want.lines.is_empty(),
+            "{}: no records, the property is vacuous",
+            case.name
+        );
+        for workers in [0, 2, 4] {
+            let cfg = ArchConfig {
+                workers,
+                ..case.cfg.clone()
+            };
+            for pieces in [
+                Pieces::Of(199),
+                Pieces::Of(200),
+                Pieces::Of(4096),
+                Pieces::Of(1 << 20),
+                Pieces::Random(case.samples.len() as u64),
+            ] {
+                assert_eq!(
+                    streamed(&cfg, &case.samples, case.fs, pieces),
+                    want,
+                    "{} at {workers} workers, pushed in {pieces:?}",
+                    case.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_sample_at_a_time_yields_the_offline_records_and_peaks() {
+    let case = golden("bluetooth");
+    assert_eq!(
+        streamed(&case.cfg, &case.samples, case.fs, Pieces::Of(1)),
+        offline(&case.cfg, &case.samples, case.fs),
+    );
+}
+
+#[test]
+fn a_session_abandoned_mid_stream_resumes_under_another_partition() {
+    let dir = std::env::temp_dir().join(format!("rfd-streaming-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (k, case) in cases().into_iter().enumerate() {
+        let want = offline(&case.cfg, &case.samples, case.fs);
+        let mut rng = Xoshiro256::new(0x5E55 + k as u64);
+        for (crash_workers, resume_workers) in [(0, 0), (2, 0), (0, 4)] {
+            let journal = dir.join(format!("{}-{crash_workers}-{resume_workers}", case.name));
+            let journaled = |workers, resume| ArchConfig {
+                workers,
+                durability: Some(DurabilityConfig {
+                    dir: journal.clone(),
+                    resume,
+                }),
+                ..case.cfg.clone()
+            };
+            // The crash: a journaled session fed up to a seeded sample and
+            // dropped without `finish`, as `kill -9` would leave it.
+            let n = case.samples.len();
+            let cut = n / 4 + rng.next_range(n as u64 / 2) as usize;
+            let mut crashed = Session::open(&journaled(crash_workers, false), case.fs, None, None);
+            let mut before = Stream::default();
+            push_cut(
+                &mut crashed,
+                &case.samples[..cut],
+                Pieces::Random(cut as u64),
+                &mut before,
+            );
+            drop(crashed);
+
+            // The redo, from sample zero, cut differently.
+            let mut got = Stream::default();
+            let mut resumed = Session::open(&journaled(resume_workers, true), case.fs, None, None);
+            assert!(resumed.recovery().is_some_and(|r| r.resumed));
+            push_cut(&mut resumed, &case.samples, Pieces::Of(4096), &mut got);
+            got.absorb(resumed.finish().0);
+            assert_eq!(
+                got, want,
+                "{}: crash at sample {cut} ({crash_workers} workers), resume at {resume_workers}",
+                case.name
+            );
+            assert!(
+                before.lines.len() <= want.lines.len()
+                    && before.lines[..] == want.lines[..before.lines.len()],
+                "{}: what the crashed run had released is a prefix of the stream",
+                case.name
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+    let t0 = std::time::Instant::now();
+    while !cond() {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(30),
+            "timed out: {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+}
+
+fn trace_file(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rfd-streaming-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    let trace = mixed_trace(3, 8, 28.0, 4242);
+    rfd_ether::trace::write_trace(
+        &path,
+        trace.band.sample_rate,
+        trace.band.center_hz,
+        &trace.samples,
+    )
+    .unwrap();
+    path
+}
+
+/// Over `FleetServer` with the real pipeline: the second half of the trace
+/// is not sent until the subscriber holds a record of the first.
+#[test]
+fn records_reach_a_subscriber_before_the_sender_has_finished() {
+    let path = trace_file("half-then-half.rfdt");
+    let (header, samples) = rfd_ether::trace::read_trace(&path).unwrap();
+    let mut cfg = ArchConfig::rfdump(vec![piconet()]);
+    cfg.band = rfd_ether::Band {
+        sample_rate: header.sample_rate,
+        center_hz: header.center_hz,
+    };
+    cfg.telemetry = false;
+    cfg.workers = 0;
+    let want = offline(&cfg, &samples, header.sample_rate).lines;
+
+    let once = FleetConfig {
+        expect: Some(1),
+        ..Default::default()
+    };
+    let server = arch_server(once, 0);
+    let addr = server.local_addr().unwrap();
+    let run = std::thread::spawn(move || server.run().unwrap());
+
+    let mut sub = RecordSubscriber::connect(addr).unwrap();
+    let seen = Arc::new(Mutex::new(Vec::<String>::new()));
+    let collector = {
+        let seen = seen.clone();
+        std::thread::spawn(move || loop {
+            match sub.next_event().unwrap() {
+                SubEvent::Record(r) => seen.lock().unwrap().push(r.line),
+                SubEvent::Bye => break,
+                _ => {}
+            }
+        })
+    };
+
+    let mut reader = rfd_ether::trace::ChunkedTraceReader::open(&path).unwrap();
+    let mut chunks = Vec::new();
+    while let Some(iq) = reader.next_chunk(4096).unwrap() {
+        chunks.push(iq);
+    }
+    let half = chunks.len() / 2;
+    let mut held_at_half = 0;
+    let paused = chunks.into_iter().enumerate().map(|(k, iq)| {
+        if k == half {
+            wait_for("a record of the first half reaches the subscriber", || {
+                !seen.lock().unwrap().is_empty()
+            });
+            held_at_half = seen.lock().unwrap().len();
+        }
+        iq
+    });
+    let meta = StreamMeta {
+        sample_rate: header.sample_rate,
+        center_hz: header.center_hz,
+        scale: header.scale,
+    };
+    let mut tx = TraceSender::connect(addr).unwrap();
+    tx.send_quantized(meta, paused, SendRate::Max).unwrap();
+    tx.finish().unwrap();
+    collector.join().unwrap();
+    run.join().unwrap();
+
+    assert!(held_at_half >= 1);
+    assert!(
+        held_at_half < want.len(),
+        "the first half cannot have produced the whole stream"
+    );
+    assert_eq!(*seen.lock().unwrap(), want);
+    let _ = std::fs::remove_file(&path);
+}
