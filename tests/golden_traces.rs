@@ -1,6 +1,9 @@
 //! Golden-trace snapshots: three small deterministic i16 I/Q traces
 //! committed under `tests/golden/` together with the exact record stream
-//! the pipeline must report for each.
+//! the pipeline must report for each. The Wi-Fi and Bluetooth traces also
+//! pin the two naïve baselines (`<name>.naive.expected`,
+//! `<name>.naive-energy.expected`), configured as `rfdump -r TRACE -a
+//! naive|naive-energy -p 9E8B33:47` configures them.
 //!
 //! The `.rfdt` file is the source of truth — the pipeline's input is its
 //! decoded (i16-quantized) samples, so the expected output is a property
@@ -18,7 +21,7 @@
 use rfd_mac::{
     merge_schedules, DcfConfig, L2PingConfig, L2PingSim, WifiDcfSim, ZigbeeConfig, ZigbeeSim,
 };
-use rfdump::arch::{run_architecture, ArchConfig};
+use rfdump::arch::{run_architecture, ArchConfig, ArchKind, DetectorSet};
 use std::path::{Path, PathBuf};
 
 fn golden_dir() -> PathBuf {
@@ -81,18 +84,42 @@ fn render(name: &str) -> rfd_ether::scene::EtherTrace {
     scene.render(&events, horizon)
 }
 
-fn config(name: &str, band: rfd_ether::Band) -> ArchConfig {
+const RFDUMP: ArchKind = ArchKind::RfDump(DetectorSet::TimingAndPhase);
+
+/// Every pinned (trace, architecture) pair.
+const GOLDENS: [(&str, ArchKind); 7] = [
+    ("wifi", RFDUMP),
+    ("bluetooth", RFDUMP),
+    ("zigbee", RFDUMP),
+    ("wifi", ArchKind::Naive),
+    ("bluetooth", ArchKind::Naive),
+    ("wifi", ArchKind::NaiveEnergy),
+    ("bluetooth", ArchKind::NaiveEnergy),
+];
+
+fn config(name: &str, kind: ArchKind, band: rfd_ether::Band) -> ArchConfig {
     ArchConfig {
+        kind,
         band,
         zigbee: name == "zigbee",
         ..ArchConfig::rfdump(vec![rfd_integration::piconet()])
     }
 }
 
-fn check_golden(name: &str) {
+/// `<name>.expected` for RFDump, `<name>.<arch>.expected` for a baseline.
+fn expected_path(name: &str, kind: ArchKind) -> PathBuf {
+    let arch = match kind {
+        ArchKind::RfDump(_) => "",
+        ArchKind::Naive => ".naive",
+        ArchKind::NaiveEnergy => ".naive-energy",
+    };
+    golden_dir().join(format!("{name}{arch}.expected"))
+}
+
+fn check_golden(name: &str, kind: ArchKind) {
     let dir = golden_dir();
     let trace_path = dir.join(format!("{name}.rfdt"));
-    let expected_path = dir.join(format!("{name}.expected"));
+    let expected_path = expected_path(name, kind);
 
     if !trace_path.exists() {
         assert!(
@@ -114,6 +141,7 @@ fn check_golden(name: &str) {
     let (header, samples) = rfd_ether::trace::read_trace(&trace_path).unwrap();
     let cfg = config(
         name,
+        kind,
         rfd_ether::Band {
             sample_rate: header.sample_rate,
             center_hz: header.center_hz,
@@ -154,7 +182,7 @@ fn check_golden(name: &str) {
 
 #[test]
 fn golden_wifi_trace_matches_snapshot() {
-    check_golden("wifi");
+    check_golden("wifi", RFDUMP);
 }
 
 /// Kernel-backend matrix: the committed golden record streams must be
@@ -170,10 +198,9 @@ fn golden_record_streams_identical_across_kernel_backends() {
         // against files mid-rewrite would race.
         return;
     }
-    for name in ["wifi", "bluetooth", "zigbee"] {
-        let dir = golden_dir();
-        let trace_path = dir.join(format!("{name}.rfdt"));
-        let expected_path = dir.join(format!("{name}.expected"));
+    for (name, kind) in GOLDENS {
+        let trace_path = golden_dir().join(format!("{name}.rfdt"));
+        let expected_path = expected_path(name, kind);
         assert!(
             trace_path.exists(),
             "{} missing — regenerate the goldens first",
@@ -182,6 +209,7 @@ fn golden_record_streams_identical_across_kernel_backends() {
         let (header, samples) = rfd_ether::trace::read_trace(&trace_path).unwrap();
         let cfg = config(
             name,
+            kind,
             rfd_ether::Band {
                 sample_rate: header.sample_rate,
                 center_hz: header.center_hz,
@@ -200,7 +228,7 @@ fn golden_record_streams_identical_across_kernel_backends() {
             got.push('\n');
             assert_eq!(
                 got, want,
-                "{name}: {backend} kernels diverged from the golden snapshot"
+                "{name} ({kind:?}): {backend} kernels diverged from the golden snapshot"
             );
         }
         // Leave the process on the scalar reference so the snapshot tests
@@ -211,10 +239,30 @@ fn golden_record_streams_identical_across_kernel_backends() {
 
 #[test]
 fn golden_bluetooth_trace_matches_snapshot() {
-    check_golden("bluetooth");
+    check_golden("bluetooth", RFDUMP);
 }
 
 #[test]
 fn golden_zigbee_trace_matches_snapshot() {
-    check_golden("zigbee");
+    check_golden("zigbee", RFDUMP);
+}
+
+#[test]
+fn golden_wifi_trace_matches_naive_snapshot() {
+    check_golden("wifi", ArchKind::Naive);
+}
+
+#[test]
+fn golden_bluetooth_trace_matches_naive_snapshot() {
+    check_golden("bluetooth", ArchKind::Naive);
+}
+
+#[test]
+fn golden_wifi_trace_matches_naive_energy_snapshot() {
+    check_golden("wifi", ArchKind::NaiveEnergy);
+}
+
+#[test]
+fn golden_bluetooth_trace_matches_naive_energy_snapshot() {
+    check_golden("bluetooth", ArchKind::NaiveEnergy);
 }
