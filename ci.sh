@@ -10,7 +10,9 @@
 #      the host resolves, so together they cover the kernel matrix
 #   3. a smoke run of the rfdump CLI over a tiny generated .rfdt trace,
 #      checking that --stats-json emits a document the in-repo parser and
-#      schema checks accept, that --workers 0 and --workers 4 print a
+#      schema checks accept (for -a naive too), that -a naive and -a
+#      naive-energy print their committed golden snapshots, that
+#      --workers 0 and --workers 4 print a
 #      byte-identical record stream, and that every DSP kernel backend
 #      the host supports (rfdump kernel) prints that same stream —
 #      failing if auto resolves to scalar on a SIMD-capable host.
@@ -131,6 +133,19 @@ trace="$work/rfdump-example.rfdt"
 # stats_inspect parses the document with the in-repo codec and asserts the
 # rfd-stats schema/version before printing; a malformed document fails here.
 cargo run --release -q -p rfd-examples --bin stats_inspect "$work/stats.json" >/dev/null
+
+# The naïve baselines: each prints its golden snapshot, and a naïve run's
+# stats document passes the same inspector.
+for t in wifi bluetooth; do
+    for a in naive naive-energy; do
+        ./target/release/rfdump -r "tests/golden/$t.rfdt" -a "$a" -p 9E8B33:47 \
+            --workers 0 2>/dev/null | diff -u "tests/golden/$t.$a.expected" - \
+            || { echo "-a $a diverged from its golden snapshot on $t.rfdt"; exit 1; }
+    done
+done
+./target/release/rfdump -r "$trace" -a naive -q -s --stats-json "$work/stats-naive.json" \
+    2>/dev/null
+cargo run --release -q -p rfd-examples --bin stats_inspect "$work/stats-naive.json" >/dev/null
 
 echo "== determinism: --workers 0 vs --workers 4 =="
 ./target/release/rfdump -r "$trace" --workers 0 > "$work/records-w0.txt"

@@ -15,14 +15,15 @@
 //! records it made final, in final order, and nothing is kept per sample,
 //! peak or record, so a file, a socket and a fleet of sockets are the same
 //! code and memory is constant in stream length. The two naïve baselines
-//! are whole-trace references assembled as `rfd-flowgraph` graphs; behind
-//! the session they accumulate and run at `finish`. Every architecture
-//! reports per-stage CPU time through the same [`RunStats`] rows, and each
-//! can run with or without the demodulation stage (the paper's "no
-//! demodulation" curves isolate detection cost).
+//! are whole-trace references, each a plain loop that feeds its
+//! demodulators from the slice; behind the session they accumulate and run
+//! at `finish`. Every architecture reports per-stage CPU time through the
+//! same [`RunStats`] rows, and each can run with or without the
+//! demodulation stage (the paper's "no demodulation" curves isolate
+//! detection cost).
 
 use crate::analyze::{Analyzer, BtAnalyzer, MicrowaveAnalyzer, WifiAnalyzer, ZigbeeAnalyzer};
-use crate::chunk::{PeakBlock, SampleChunk};
+use crate::chunk::PeakBlock;
 use crate::detect::{
     BtFreqDetector, BtPhaseDetector, BtTimingDetector, Classification, FastDetector,
     MicrowaveTimingDetector, WifiDifsDetector, WifiPhaseDetector, WifiSifsDetector,
@@ -36,13 +37,11 @@ use crate::records::{PacketInfo, PacketRecord};
 use rfd_dsp::Complex32;
 use rfd_ether::Band;
 use rfd_fault::{Action, FaultPlan, FaultStats};
-use rfd_flowgraph::blocks::VecSink;
-use rfd_flowgraph::{Block, BlockStats, Flowgraph, Payload, RunStats, WorkStatus};
+use rfd_flowgraph::{BlockStats, RunStats};
 use rfd_phy::bluetooth::demod::PiconetId;
 use rfd_phy::Protocol;
 use rfd_telemetry::event::EventKind;
 use rfd_telemetry::{Counter, Histogram, Registry};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -92,7 +91,7 @@ pub struct ArchConfig {
     /// two settings is the observability overhead.
     pub telemetry: bool,
     /// Worker threads for the RFDump analysis stage. `0` = the pool's
-    /// tasks run on the scheduler thread; `N >= 1` runs them on a
+    /// tasks run on the pushing thread; `N >= 1` runs them on a
     /// work-stealing pool of `N` threads. Either way results pass through
     /// the same deterministic merge, so the record output is byte-identical
     /// at any count. Ignored by the naïve architectures.
@@ -112,7 +111,10 @@ pub struct ArchConfig {
     /// internally at a fixed [`crate::peak::DETECT_BLOCK`], so the record
     /// stream is byte-identical at any chunk size. With a latency budget
     /// the governor additionally steps the live size down/up between
-    /// `GovernorConfig::chunk_min` and this configured value.
+    /// `GovernorConfig::chunk_min` and this configured value. The one
+    /// exception is the naïve baseline, whose continuous receivers are fed
+    /// pieces cut from this size, and whose 802.11 records depend on the
+    /// cut (see `run_naive`).
     pub chunk_samples: usize,
     /// Crash-safe durability (RFDump only): journal emitted records and
     /// commit watermarks under a directory, and optionally resume from them.
@@ -267,8 +269,7 @@ impl Released {
 }
 
 /// Samples [`run_architecture`] (and `rfdump -r`) hand a session at a time:
-/// what one sweep of the flowgraph scheduler moved, so a journaled run
-/// commits at the cadence it always has.
+/// 64 chunks, the cadence at which a journaled run has always committed.
 pub const PUSH_SAMPLES: usize = 64 * crate::CHUNK_SAMPLES;
 
 /// One architecture run, driven incrementally: samples in through
@@ -371,16 +372,35 @@ impl Session {
         let mut out = match self.kind {
             SessionKind::RfDump(r) => r.finish(&mut last),
             SessionKind::Batch(ref samples) => {
-                let seconds = samples.len() as f64 / self.fs;
-                let mut out = match self.cfg.kind {
+                let (mut records, stats) = match self.cfg.kind {
                     ArchKind::NaiveEnergy => {
-                        run_naive_energy(&self.cfg, &self.registry, samples, self.fs, seconds)
+                        run_naive_energy(&self.cfg, &self.registry, samples, self.fs)
                     }
-                    _ => run_naive(&self.cfg, &self.registry, samples, self.fs, seconds, false),
+                    _ => run_naive(&self.cfg, samples, self.fs),
                 };
-                last.records = std::mem::take(&mut out.records);
-                last.classified = std::mem::take(&mut out.classified);
-                out
+                if let Some(reg) = &self.registry {
+                    stats.publish(reg);
+                }
+                records.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+                last.classified = classified_from_records(&records, self.fs);
+                last.records = records;
+                ArchOutput {
+                    records: Vec::new(),
+                    classified: Vec::new(),
+                    record_counts: RecordCounts::new(),
+                    dispatch_stats: None,
+                    stats,
+                    trace_seconds: samples.len() as f64 / self.fs,
+                    sample_rate: self.fs,
+                    registry: None,
+                    pool_stats: None,
+                    faults: None,
+                    governor: None,
+                    latency: None,
+                    panics: 0,
+                    quarantined: Vec::new(),
+                    recovery: None,
+                }
             }
         };
         tally(&mut self.counts, &last.records);
@@ -402,512 +422,212 @@ fn tally(counts: &mut RecordCounts, records: &[PacketRecord]) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared blocks
+// The naïve baselines: every demodulator over every sample, or every busy one
 // ---------------------------------------------------------------------------
 
-/// Emits the trace as chunks of the configured size (the naïve baselines'
-/// source; the RFDump session walks borrowed slices instead). Chunk size
-/// never affects the record output: the peak detector re-blocks internally
-/// (see [`crate::peak::DETECT_BLOCK`]).
-struct ChunkSource {
-    samples: Vec<Complex32>,
-    fs: f64,
-    pos: usize,
-    seq: u64,
-    /// Chunk size, samples.
-    size: usize,
-    /// Stamp each chunk's ingest time on emission (telemetry runs only, so
-    /// plain runs pay zero clock reads on the hot path).
-    stamp: bool,
-}
-
-impl ChunkSource {
-    fn new(samples: &[Complex32], fs: f64, size: usize, stamp: bool) -> Self {
-        Self {
-            samples: samples.to_vec(),
-            fs,
-            pos: 0,
-            seq: 0,
-            size: size.max(1),
-            stamp,
-        }
-    }
-}
-
-impl Block for ChunkSource {
-    fn name(&self) -> &str {
-        "source:trace"
-    }
-    fn num_inputs(&self) -> usize {
-        0
-    }
-    fn work(&mut self, _i: &mut [VecDeque<Payload>], outputs: &mut [Vec<Payload>]) -> WorkStatus {
-        for _ in 0..64 {
-            if self.pos >= self.samples.len() {
-                return WorkStatus::Done;
-            }
-            let end = (self.pos + self.size).min(self.samples.len());
-            outputs[0].push(Box::new(SampleChunk {
-                seq: self.seq,
-                start: self.pos as u64,
-                samples: Arc::new(self.samples[self.pos..end].to_vec()),
-                sample_rate: self.fs,
-                ingest: self.stamp.then(Instant::now),
-            }));
-            self.seq += 1;
-            self.pos = end;
-        }
-        WorkStatus::Again
-    }
-}
-
-/// Peak detection with integrated energy filtering (the protocol-agnostic
-/// stage; doubles as the energy gate of the naïve+energy baseline).
-struct PeakDetectBlock {
-    det: PeakDetector,
-    /// `peaks.detected` counter when telemetry is on.
-    peak_counter: Option<Arc<Counter>>,
-    /// `latency.detect_us` stage histogram when telemetry is on.
-    detect_hist: Option<Arc<Histogram>>,
-}
-
-impl PeakDetectBlock {
-    fn new(cfg: &ArchConfig, registry: &Option<Arc<Registry>>, fs: f64) -> Self {
-        Self {
-            det: PeakDetector::new(
-                PeakDetectorConfig {
-                    noise_floor: cfg.noise_floor,
-                    ..Default::default()
-                },
-                fs,
-            ),
-            peak_counter: registry.as_ref().map(|r| r.counter("peaks.detected")),
-            detect_hist: registry
-                .as_ref()
-                .map(|r| crate::latency::stage_histogram(r, crate::latency::DETECT)),
-        }
-    }
-
-    fn emit(&self, peaks: Vec<crate::chunk::PeakBlock>, outputs: &mut [Vec<Payload>]) {
-        if let Some(c) = &self.peak_counter {
-            c.add(peaks.len() as u64);
-        }
-        for pk in peaks {
-            if let Some(h) = &self.detect_hist {
-                crate::latency::record_since(h, pk.ingest);
-            }
-            outputs[0].push(Box::new(pk));
-        }
-    }
-}
-
-impl Block for PeakDetectBlock {
-    fn name(&self) -> &str {
-        "detect:peak/energy"
-    }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        let mut peaks = Vec::new();
-        while let Some(p) = inputs[0].pop_front() {
-            let chunk = p.downcast::<SampleChunk>().expect("SampleChunk");
-            self.det.push_chunk(&chunk, &mut peaks);
-        }
-        self.emit(peaks, outputs);
-        WorkStatus::Again
-    }
-    fn finish(&mut self, outputs: &mut [Vec<Payload>]) {
-        let mut peaks = Vec::new();
-        self.det.finish(&mut peaks);
-        self.emit(peaks, outputs);
-    }
-}
-
-/// Tee for sample chunks (naïve architecture fan-out).
-struct ChunkTee {
-    n: usize,
-}
-
-impl Block for ChunkTee {
-    fn name(&self) -> &str {
-        "tee:chunks"
-    }
-    fn num_outputs(&self) -> usize {
-        self.n
-    }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        while let Some(p) = inputs[0].pop_front() {
-            let chunk = p.downcast::<SampleChunk>().expect("SampleChunk");
-            for port in outputs.iter_mut() {
-                port.push(Box::new((*chunk).clone()));
-            }
-        }
-        WorkStatus::Again
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Naïve architecture
-// ---------------------------------------------------------------------------
-
-/// Continuous 802.11 receiver over the raw stream.
-struct NaiveWifiBlock {
-    rx: rfd_phy::wifi::WifiRx,
-    fs: f64,
-    buf: Vec<Complex32>,
-}
-
-impl NaiveWifiBlock {
-    const BATCH: usize = 8192;
-
-    fn flush_results(&mut self, outputs: &mut [Vec<Payload>]) {
-        for r in self.rx.take_results() {
-            let start_us = r.start_chip as f64 / rfd_phy::wifi::CHIP_RATE * 1e6;
-            let end_us = start_us + 192.0 + r.header.length_us as f64;
-            let frame = r.frame.as_ref();
-            let rec = PacketRecord {
-                protocol: Protocol::Wifi,
-                start_us,
-                end_us,
-                snr_db: f32::NAN,
-                channel: None,
-                info: PacketInfo::Wifi {
-                    rate: r.header.rate,
-                    kind: frame.map(|f| f.kind),
-                    src: frame.and_then(|f| f.addr2),
-                    dst: frame.map(|f| f.addr1),
-                    seq: frame.map(|f| f.seq),
-                    psdu_len: r.psdu.len(),
-                    fcs_ok: r.fcs_ok,
-                },
-            };
-            outputs[0].push(Box::new(rec));
-        }
-    }
-}
-
-impl Block for NaiveWifiBlock {
-    fn name(&self) -> &str {
-        "demod:wifi-continuous"
-    }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        while let Some(p) = inputs[0].pop_front() {
-            let chunk = p.downcast::<SampleChunk>().expect("SampleChunk");
-            self.buf.extend_from_slice(&chunk.samples);
-            if self.buf.len() >= Self::BATCH {
-                self.rx.process(&self.buf);
-                self.buf.clear();
-            }
-        }
-        self.flush_results(outputs);
-        WorkStatus::Again
-    }
-    fn finish(&mut self, outputs: &mut [Vec<Payload>]) {
-        let buf = std::mem::take(&mut self.buf);
-        if !buf.is_empty() {
-            self.rx.process(&buf);
-        }
-        let _ = self.fs;
-        self.flush_results(outputs);
-    }
-}
-
-/// One continuous Bluetooth channel receiver over the raw stream (the
-/// naïve architecture runs one of these blocks per covered channel, as in
-/// the paper's Figure 1).
-struct NaiveBtChannelBlock {
-    name: String,
-    rx: rfd_phy::bluetooth::demod::BtChannelRx,
-    fs: f64,
-}
-
-impl NaiveBtChannelBlock {
-    fn record(fs: f64, r: &rfd_phy::bluetooth::demod::BtRxResult) -> PacketRecord {
-        let start_us = r.start_sample as f64 / fs * 1e6;
-        let dur = r
-            .parsed
-            .as_ref()
-            .map(|p| 126.0 + p.payload.len() as f64 * 8.0)
-            .unwrap_or(366.0);
-        PacketRecord {
-            protocol: Protocol::Bluetooth,
-            start_us,
-            end_us: start_us + dur,
-            snr_db: f32::NAN,
-            channel: Some(r.channel),
-            info: PacketInfo::Bluetooth {
-                lap: r.piconet.lap,
-                ptype: r.parsed.as_ref().map(|p| p.ptype),
-                payload_len: r.parsed.as_ref().map(|p| p.payload.len()).unwrap_or(0),
-                crc_ok: r.parsed.as_ref().map(|p| p.crc_ok).unwrap_or(false),
-            },
-        }
-    }
-}
-
-impl Block for NaiveBtChannelBlock {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        while let Some(p) = inputs[0].pop_front() {
-            let chunk = p.downcast::<SampleChunk>().expect("SampleChunk");
-            self.rx.process(&chunk.samples);
-        }
-        for r in self.rx.take_results() {
-            outputs[0].push(Box::new(Self::record(self.fs, &r)));
-        }
-        WorkStatus::Again
-    }
-    fn finish(&mut self, outputs: &mut [Vec<Payload>]) {
-        for r in self.rx.finish() {
-            outputs[0].push(Box::new(Self::record(self.fs, &r)));
-        }
-    }
-}
-
-fn run_naive(
-    cfg: &ArchConfig,
-    registry: &Option<Arc<Registry>>,
-    samples: &[Complex32],
-    fs: f64,
-    trace_seconds: f64,
-    _gated: bool,
-) -> ArchOutput {
-    // One demodulator block per technology/channel, as in the paper's
-    // Figure 1 (1 Wi-Fi receiver + one Bluetooth receiver per covered
-    // channel).
-    let bt_channels: Vec<u8> = (0..rfd_phy::bluetooth::NUM_CHANNELS)
-        .filter(|&ch| {
-            (rfd_phy::bluetooth::hop::channel_freq_hz(ch) - cfg.band.center_hz).abs() + 0.5e6
-                <= fs / 2.0
+/// The Bluetooth channels wholly inside the monitored band, each with its
+/// offset from the band centre, Hz.
+fn covered_bt_channels(cfg: &ArchConfig, fs: f64) -> Vec<(u8, f64)> {
+    (0..rfd_phy::bluetooth::NUM_CHANNELS)
+        .map(|ch| {
+            let offset = rfd_phy::bluetooth::hop::channel_freq_hz(ch) - cfg.band.center_hz;
+            (ch, offset)
         })
-        .collect();
-    let mut fg = Flowgraph::new();
-    if let Some(reg) = registry {
-        fg.set_telemetry(reg.clone());
-    }
-    let src = fg.add(Box::new(ChunkSource::new(
-        samples,
-        fs,
-        cfg.chunk_samples,
-        registry.is_some(),
-    )));
-    let tee = fg.add(Box::new(ChunkTee {
-        n: 1 + bt_channels.len(),
-    }));
-    fg.connect(src, 0, tee, 0);
+        .filter(|&(_, offset)| offset.abs() + 0.5e6 <= fs / 2.0)
+        .collect()
+}
 
-    let wifi = fg.add(Box::new(NaiveWifiBlock {
-        rx: rfd_phy::wifi::WifiRx::new(fs),
-        fs,
-        buf: Vec::new(),
-    }));
-    let sink_w = Box::new(VecSink::<PacketRecord>::new("sink:records-wifi"));
-    let out_w = sink_w.storage();
-    let kw = fg.add(sink_w);
-    fg.connect(tee, 0, wifi, 0);
-    fg.connect(wifi, 0, kw, 0);
-
-    let mut bt_outs = Vec::new();
-    for (i, &ch) in bt_channels.iter().enumerate() {
-        let offset = rfd_phy::bluetooth::hop::channel_freq_hz(ch) - cfg.band.center_hz;
-        let blk = fg.add(Box::new(NaiveBtChannelBlock {
-            name: format!("demod:bt-ch{ch}-continuous"),
-            rx: rfd_phy::bluetooth::demod::BtChannelRx::new(ch, fs, offset, cfg.piconets.clone()),
-            fs,
-        }));
-        let sink = Box::new(VecSink::<PacketRecord>::new("sink:records-bt"));
-        bt_outs.push(sink.storage());
-        let k = fg.add(sink);
-        fg.connect(tee, 1 + i, blk, 0);
-        fg.connect(blk, 0, k, 0);
-    }
-    let stats = fg.run();
-
-    let mut records: Vec<PacketRecord> = out_w.lock().clone();
-    for o in &bt_outs {
-        records.extend(o.lock().iter().cloned());
-    }
-    records.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-    let classified = classified_from_records(&records, fs);
-    ArchOutput {
-        records,
-        classified,
-        record_counts: RecordCounts::new(),
-        dispatch_stats: None,
-        stats,
-        trace_seconds,
-        sample_rate: fs,
-        registry: None,
-        pool_stats: None,
-        faults: None,
-        governor: None,
-        latency: None,
-        panics: 0,
-        quarantined: Vec::new(),
-        recovery: None,
+/// A CPU row for one demodulator (or the energy gate): `items_in` is what
+/// it was fed, `items_out` the records (or peaks) it produced.
+fn stage_row(name: String, items_in: u64) -> BlockStats {
+    BlockStats {
+        name,
+        cpu: Duration::ZERO,
+        items_in,
+        items_out: 0,
     }
 }
 
-/// All demodulators applied to each energy-gated peak block.
-struct DemodAllBlock {
-    fs: f64,
-    band_center_hz: f64,
-    piconets: Vec<PiconetId>,
-    channels: Vec<u8>,
-    demodulate: bool,
+/// Runs `f`, charging its CPU time to `row`.
+fn timed<T>(row: &mut BlockStats, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    row.cpu += t0.elapsed();
+    out
 }
 
-impl Block for DemodAllBlock {
-    fn name(&self) -> &str {
-        "demod:all-on-busy"
+/// A decoded 802.11 frame as record info.
+fn wifi_info(rx: &rfd_phy::wifi::demod::WifiRxResult) -> PacketInfo {
+    let frame = rx.frame.as_ref();
+    PacketInfo::Wifi {
+        rate: rx.header.rate,
+        kind: frame.map(|f| f.kind),
+        src: frame.and_then(|f| f.addr2),
+        dst: frame.map(|f| f.addr1),
+        seq: frame.map(|f| f.seq),
+        psdu_len: rx.psdu.len(),
+        fcs_ok: rx.fcs_ok,
     }
-    fn work(
-        &mut self,
-        inputs: &mut [VecDeque<Payload>],
-        outputs: &mut [Vec<Payload>],
-    ) -> WorkStatus {
-        while let Some(p) = inputs[0].pop_front() {
-            let pk = p.downcast::<PeakBlock>().expect("PeakBlock");
-            if !self.demodulate {
-                continue;
-            }
-            // 802.11 demodulator.
-            if let Some(rx) = rfd_phy::wifi::demodulate(&pk.samples, self.fs) {
-                let frame = rx.frame.as_ref();
-                outputs[0].push(Box::new(PacketRecord {
-                    protocol: Protocol::Wifi,
-                    start_us: pk.start_us(),
-                    end_us: pk.end_us(),
-                    snr_db: pk.peak.snr_db(),
-                    channel: None,
-                    info: PacketInfo::Wifi {
-                        rate: rx.header.rate,
-                        kind: frame.map(|f| f.kind),
-                        src: frame.and_then(|f| f.addr2),
-                        dst: frame.map(|f| f.addr1),
-                        seq: frame.map(|f| f.seq),
-                        psdu_len: rx.psdu.len(),
-                        fcs_ok: rx.fcs_ok,
-                    },
-                }));
-            }
-            // Every Bluetooth channel demodulator.
-            for &ch in &self.channels {
-                let offset = rfd_phy::bluetooth::hop::channel_freq_hz(ch) - self.band_center_hz;
-                let mut rx = rfd_phy::bluetooth::demod::BtChannelRx::new(
-                    ch,
-                    self.fs,
-                    offset,
-                    self.piconets.clone(),
-                );
-                rx.process(&pk.samples);
-                for r in rx.finish() {
-                    outputs[0].push(Box::new(PacketRecord {
-                        protocol: Protocol::Bluetooth,
-                        start_us: pk.start_us(),
-                        end_us: pk.end_us(),
-                        snr_db: pk.peak.snr_db(),
-                        channel: Some(ch),
-                        info: PacketInfo::Bluetooth {
-                            lap: r.piconet.lap,
-                            ptype: r.parsed.as_ref().map(|p| p.ptype),
-                            payload_len: r.parsed.as_ref().map(|p| p.payload.len()).unwrap_or(0),
-                            crc_ok: r.parsed.as_ref().map(|p| p.crc_ok).unwrap_or(false),
-                        },
-                    }));
-                }
-            }
+}
+
+/// A Bluetooth receiver result as record info.
+fn bt_info(rx: &rfd_phy::bluetooth::demod::BtRxResult) -> PacketInfo {
+    let parsed = rx.parsed.as_ref();
+    PacketInfo::Bluetooth {
+        lap: rx.piconet.lap,
+        ptype: parsed.map(|p| p.ptype),
+        payload_len: parsed.map_or(0, |p| p.payload.len()),
+        crc_ok: parsed.is_some_and(|p| p.crc_ok),
+    }
+}
+
+/// The naïve architecture (Figure 1): one continuous 802.11 receiver and
+/// one continuous Bluetooth receiver per covered channel, each fed the
+/// whole stream. Records come out Wi-Fi first, then channel by channel.
+fn run_naive(cfg: &ArchConfig, samples: &[Complex32], fs: f64) -> (Vec<PacketRecord>, RunStats) {
+    let t0 = Instant::now();
+    let c = cfg.chunk_samples.max(1);
+    let chunks = samples.len().div_ceil(c) as u64;
+
+    // `WifiRx::process` resamples each call on its own, so its records
+    // depend on where the stream is cut: it is fed whole chunks batched to
+    // at least 8192 samples, the partition the naïve goldens pin.
+    let mut rx = rfd_phy::wifi::WifiRx::new(fs);
+    let mut row = stage_row("demod:wifi-continuous".into(), chunks);
+    let mut records: Vec<PacketRecord> = timed(&mut row, || {
+        for piece in samples.chunks(8192usize.div_ceil(c) * c) {
+            rx.process(piece);
         }
-        WorkStatus::Again
+        rx.take_results()
+            .iter()
+            .map(|r| {
+                let start_us = r.start_chip as f64 / rfd_phy::wifi::CHIP_RATE * 1e6;
+                PacketRecord {
+                    protocol: Protocol::Wifi,
+                    start_us,
+                    end_us: start_us + 192.0 + r.header.length_us as f64,
+                    snr_db: f32::NAN,
+                    channel: None,
+                    info: wifi_info(r),
+                }
+            })
+            .collect()
+    });
+    row.items_out = records.len() as u64;
+    let mut blocks = vec![row];
+
+    for (ch, offset) in covered_bt_channels(cfg, fs) {
+        let mut rx =
+            rfd_phy::bluetooth::demod::BtChannelRx::new(ch, fs, offset, cfg.piconets.clone());
+        let mut row = stage_row(format!("demod:bt-ch{ch}-continuous"), chunks);
+        let before = records.len();
+        timed(&mut row, || {
+            for piece in samples.chunks(c) {
+                rx.process(piece);
+            }
+            records.extend(rx.finish().iter().map(|r| {
+                let start_us = r.start_sample as f64 / fs * 1e6;
+                let dur = r
+                    .parsed
+                    .as_ref()
+                    .map_or(366.0, |p| 126.0 + p.payload.len() as f64 * 8.0);
+                PacketRecord {
+                    protocol: Protocol::Bluetooth,
+                    start_us,
+                    end_us: start_us + dur,
+                    snr_db: f32::NAN,
+                    channel: Some(r.channel),
+                    info: bt_info(r),
+                }
+            }));
+        });
+        row.items_out = (records.len() - before) as u64;
+        blocks.push(row);
     }
+    let wall = t0.elapsed();
+    (records, RunStats { blocks, wall })
 }
 
+/// Naïve + energy detection: the peak detector gates the stream, then every
+/// demodulator — 802.11 and a fresh receiver per covered Bluetooth channel
+/// — runs over every peak, in peak order.
 fn run_naive_energy(
     cfg: &ArchConfig,
     registry: &Option<Arc<Registry>>,
     samples: &[Complex32],
     fs: f64,
-    trace_seconds: f64,
-) -> ArchOutput {
-    let mut fg = Flowgraph::new();
+) -> (Vec<PacketRecord>, RunStats) {
+    let t0 = Instant::now();
+    let chunks = samples.len().div_ceil(cfg.chunk_samples.max(1)) as u64;
+    let mut gate = stage_row("detect:peak/energy".into(), chunks);
+    // The detector re-blocks at `DETECT_BLOCK`, so one push of the whole
+    // slice finds the peaks any partition of it would.
+    let peaks = timed(&mut gate, || {
+        let mut det = PeakDetector::new(
+            PeakDetectorConfig {
+                noise_floor: cfg.noise_floor,
+                ..Default::default()
+            },
+            fs,
+        );
+        let mut peaks = Vec::new();
+        det.push_samples(0, samples, None, &mut peaks);
+        det.finish(&mut peaks);
+        peaks
+    });
+    gate.items_out = peaks.len() as u64;
     if let Some(reg) = registry {
-        fg.set_telemetry(reg.clone());
+        reg.counter("peaks.detected").add(peaks.len() as u64);
     }
-    let src = fg.add(Box::new(ChunkSource::new(
-        samples,
-        fs,
-        cfg.chunk_samples,
-        registry.is_some(),
-    )));
-    let peak = fg.add(Box::new(PeakDetectBlock::new(cfg, registry, fs)));
-    let channels: Vec<u8> = (0..rfd_phy::bluetooth::NUM_CHANNELS)
-        .filter(|&ch| {
-            (rfd_phy::bluetooth::hop::channel_freq_hz(ch) - cfg.band.center_hz).abs() + 0.5e6
-                <= fs / 2.0
-        })
-        .collect();
-    let demod = fg.add(Box::new(DemodAllBlock {
-        fs,
-        band_center_hz: cfg.band.center_hz,
-        piconets: cfg.piconets.clone(),
-        channels,
-        demodulate: cfg.demodulate,
-    }));
-    let sink = Box::new(VecSink::<PacketRecord>::new("sink:records"));
-    let out = sink.storage();
-    let k = fg.add(sink);
-    fg.connect(src, 0, peak, 0);
-    fg.connect(peak, 0, demod, 0);
-    fg.connect(demod, 0, k, 0);
-    let stats = fg.run();
-    let mut records = out.lock().clone();
-    records.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-    let classified = classified_from_records(&records, fs);
-    ArchOutput {
-        records,
-        classified,
-        record_counts: RecordCounts::new(),
-        dispatch_stats: None,
-        stats,
-        trace_seconds,
-        sample_rate: fs,
-        registry: None,
-        pool_stats: None,
-        faults: None,
-        governor: None,
-        latency: None,
-        panics: 0,
-        quarantined: Vec::new(),
-        recovery: None,
-    }
+
+    let channels = covered_bt_channels(cfg, fs);
+    let mut demod = stage_row("demod:all-on-busy".into(), peaks.len() as u64);
+    let mut records = Vec::new();
+    timed(&mut demod, || {
+        if !cfg.demodulate {
+            return;
+        }
+        for pk in &peaks {
+            let record = |protocol, channel, info| PacketRecord {
+                protocol,
+                start_us: pk.start_us(),
+                end_us: pk.end_us(),
+                snr_db: pk.peak.snr_db(),
+                channel,
+                info,
+            };
+            if let Some(rx) = rfd_phy::wifi::demodulate(&pk.samples, fs) {
+                records.push(record(Protocol::Wifi, None, wifi_info(&rx)));
+            }
+            for &(ch, offset) in &channels {
+                let mut rx = rfd_phy::bluetooth::demod::BtChannelRx::new(
+                    ch,
+                    fs,
+                    offset,
+                    cfg.piconets.clone(),
+                );
+                rx.process(&pk.samples);
+                for r in rx.finish() {
+                    records.push(record(Protocol::Bluetooth, Some(ch), bt_info(&r)));
+                }
+            }
+        }
+    });
+    demod.items_out = records.len() as u64;
+    let wall = t0.elapsed();
+    let blocks = vec![gate, demod];
+    (records, RunStats { blocks, wall })
 }
 
 // ---------------------------------------------------------------------------
 // RFDump: the streaming session
 // ---------------------------------------------------------------------------
 
-/// The session's stages, in pipeline order, under the names the flowgraph
-/// blocks they replaced had — `-s`, stats-json and the
-/// `flowgraph.block.<name>.*` counters keep reading the same rows. The
-/// rows of the last two carry only their own bookkeeping: detector and
-/// analyzer CPU is carved out of them into one pseudo-row each (see
-/// `RfDump::finish`).
+/// The session's stages, in pipeline order, under the row names `-s`,
+/// stats-json and the `flowgraph.block.<name>.*` counters have always
+/// read. The rows of the last two carry only their own bookkeeping:
+/// detector and analyzer CPU is carved out of them into one pseudo-row
+/// each (see `RfDump::finish`).
 const STAGE_NAMES: [&str; 4] = [
     "source:trace",
     "detect:peak/energy",
@@ -1129,9 +849,8 @@ impl RfDump {
         }
     }
 
-    /// The three phases the sweep scheduler ran per sweep, over one push:
-    /// peaks for all of it, detect + dispatch for each peak, then submit
-    /// each dispatch and take one ordered drain.
+    /// Three phases over one push: peaks for all of it, detect + dispatch
+    /// for each peak, then submit each dispatch and take one ordered drain.
     fn push(&mut self, samples: &[Complex32], out: &mut Released) {
         let t0 = Instant::now();
         if let Some(g) = &self.governor {
@@ -1399,29 +1118,23 @@ impl RfDump {
         }
         self.wall += t0.elapsed();
 
-        let mut blocks: Vec<BlockStats> = STAGE_NAMES
-            .iter()
-            .zip(&self.stages)
-            .map(|(name, s)| BlockStats {
-                name: name.to_string(),
-                cpu: s.cpu,
-                items_in: s.items_in,
-                items_out: s.items_out,
-            })
-            .collect();
-        // The per-stage counters the flowgraph scheduler published.
+        let mut stats = RunStats {
+            blocks: STAGE_NAMES
+                .iter()
+                .zip(&self.stages)
+                .map(|(name, s)| BlockStats {
+                    name: name.to_string(),
+                    cpu: s.cpu,
+                    items_in: s.items_in,
+                    items_out: s.items_out,
+                })
+                .collect(),
+            wall: self.wall,
+        };
         if let Some(t) = &self.tel {
-            for b in &blocks {
-                let counter = |what: &str| {
-                    t.registry
-                        .counter(&format!("flowgraph.block.{}.{what}", b.name))
-                };
-                counter("cpu_us").add(b.cpu.as_micros() as u64);
-                counter("items_in").add(b.items_in);
-                counter("items_out").add(b.items_out);
-            }
-            t.registry.counter("flowgraph.runs").inc();
+            stats.publish(&t.registry);
         }
+        let blocks = &mut stats.blocks;
         // Break out per-detector and per-analyzer CPU as pseudo-rows. That
         // time was spent inside the detect stage (and, at workers 0, inside
         // the analysis stage's `submit`) and is already counted there, so
@@ -1454,10 +1167,7 @@ impl RfDump {
             classified: Vec::new(),
             record_counts: RecordCounts::new(),
             dispatch_stats: Some(self.dispatcher.stats().clone()),
-            stats: RunStats {
-                blocks,
-                wall: self.wall,
-            },
+            stats,
             trace_seconds: self.pos as f64 / self.fs,
             sample_rate: self.fs,
             registry: None,

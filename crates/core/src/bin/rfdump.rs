@@ -154,6 +154,49 @@ fn parse_chunk_bound(flag: &str, v: &str) -> Result<usize, String> {
     }
 }
 
+/// Parses a `-d` detector set.
+fn parse_detector_set(name: &str) -> Result<DetectorSet, String> {
+    match name {
+        "timing" => Ok(DetectorSet::Timing),
+        "phase" => Ok(DetectorSet::Phase),
+        "both" => Ok(DetectorSet::TimingAndPhase),
+        "all" => Ok(DetectorSet::All),
+        other => Err(format!("unknown detector set '{other}'")),
+    }
+}
+
+/// Parses an `-a` architecture name; RFDump runs the `-d` detector set.
+fn parse_arch(name: &str, detector_set: DetectorSet) -> Result<ArchKind, String> {
+    match name {
+        "rfdump" => Ok(ArchKind::RfDump(detector_set)),
+        "naive" => Ok(ArchKind::Naive),
+        "naive-energy" => Ok(ArchKind::NaiveEnergy),
+        other => Err(format!("unknown architecture '{other}'")),
+    }
+}
+
+/// The flag combinations `rfdump -r` and `serve` both reject: `--resume`
+/// needs a journal, and journaling and a latency budget exist only in the
+/// RFDump session.
+fn check_arch_flags(
+    arch: ArchKind,
+    journal: bool,
+    resume: bool,
+    latency_budget: bool,
+) -> Result<(), String> {
+    if resume && !journal {
+        return Err("--resume needs --journal DIR".to_string());
+    }
+    let rfdump = matches!(arch, ArchKind::RfDump(_));
+    if journal && !rfdump {
+        return Err("--journal requires the rfdump architecture".to_string());
+    }
+    if latency_budget && !rfdump {
+        return Err("--latency-budget requires the rfdump architecture".to_string());
+    }
+    Ok(())
+}
+
 /// Folds the bounded-latency flags into the governor config: a budget
 /// turns the governor on (adaptive, unless `--governor` already pinned or
 /// configured it) and carries the chunk ladder bounds.
@@ -272,15 +315,7 @@ fn parse_args() -> Result<Options, String> {
         match a.as_str() {
             "-r" => opts.trace = Some(args.next().ok_or("-r needs a file")?),
             "-a" => arch_name = args.next().ok_or("-a needs an architecture")?,
-            "-d" => {
-                detector_set = match args.next().ok_or("-d needs a set")?.as_str() {
-                    "timing" => DetectorSet::Timing,
-                    "phase" => DetectorSet::Phase,
-                    "both" => DetectorSet::TimingAndPhase,
-                    "all" => DetectorSet::All,
-                    other => return Err(format!("unknown detector set '{other}'")),
-                }
-            }
+            "-d" => detector_set = parse_detector_set(&args.next().ok_or("-d needs a set")?)?,
             "-n" => opts.demodulate = false,
             "-p" => {
                 let spec = args.next().ok_or("-p needs LAP:UAP")?;
@@ -340,21 +375,13 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    opts.arch = match arch_name.as_str() {
-        "rfdump" => ArchKind::RfDump(detector_set),
-        "naive" => ArchKind::Naive,
-        "naive-energy" => ArchKind::NaiveEnergy,
-        other => return Err(format!("unknown architecture '{other}'")),
-    };
-    if opts.resume && opts.journal.is_none() {
-        return Err("--resume needs --journal DIR".to_string());
-    }
-    if opts.journal.is_some() && !matches!(opts.arch, ArchKind::RfDump(_)) {
-        return Err("--journal requires the rfdump architecture".to_string());
-    }
-    if opts.latency_budget_ms.is_some() && !matches!(opts.arch, ArchKind::RfDump(_)) {
-        return Err("--latency-budget requires the rfdump architecture".to_string());
-    }
+    opts.arch = parse_arch(&arch_name, detector_set)?;
+    check_arch_flags(
+        opts.arch,
+        opts.journal.is_some(),
+        opts.resume,
+        opts.latency_budget_ms.is_some(),
+    )?;
     apply_latency_flags(
         &mut opts.governor,
         opts.latency_budget_ms,
@@ -462,15 +489,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                     .ok_or_else(|| format!("unknown overflow policy '{s}'"))?;
             }
             "-a" => arch_name = next("an architecture")?.to_string(),
-            "-d" => {
-                detector_set = match next("a set")? {
-                    "timing" => DetectorSet::Timing,
-                    "phase" => DetectorSet::Phase,
-                    "both" => DetectorSet::TimingAndPhase,
-                    "all" => DetectorSet::All,
-                    other => return Err(format!("unknown detector set '{other}'")),
-                }
-            }
+            "-d" => detector_set = parse_detector_set(next("a set")?)?,
             "-n" => arch.demodulate = false,
             "-p" => {
                 let spec = next("LAP:UAP")?;
@@ -515,28 +534,20 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    arch.kind = match arch_name.as_str() {
-        "rfdump" => ArchKind::RfDump(detector_set),
-        "naive" => ArchKind::Naive,
-        "naive-energy" => ArchKind::NaiveEnergy,
-        other => return Err(format!("unknown architecture '{other}'")),
-    };
-    if resume && journal.is_none() {
-        return Err("--resume needs --journal DIR".to_string());
-    }
+    arch.kind = parse_arch(&arch_name, detector_set)?;
+    check_arch_flags(
+        arch.kind,
+        journal.is_some(),
+        resume,
+        latency_budget_ms.is_some(),
+    )?;
     if net.expect == Some(0) {
         return Err("--expect needs a positive integer".to_string());
-    }
-    if journal.is_some() && !matches!(arch.kind, ArchKind::RfDump(_)) {
-        return Err("--journal requires the rfdump architecture".to_string());
     }
     if latency_budget_ms.is_some() && once {
         // `--once` is a bounded one-shot run; bounded-latency mode is a
         // steady-state control loop and has nothing to govern there.
         return Err("--latency-budget is incompatible with --once".to_string());
-    }
-    if latency_budget_ms.is_some() && !matches!(arch.kind, ArchKind::RfDump(_)) {
-        return Err("--latency-budget requires the rfdump architecture".to_string());
     }
     apply_latency_flags(&mut arch.governor, latency_budget_ms, chunk_min, chunk_max)?;
     arch.durability = journal.map(|dir| DurabilityConfig {

@@ -308,6 +308,12 @@ impl WifiRx {
 
     /// Processes a block of input samples; any frames completed inside the
     /// buffered history are appended to the result list.
+    ///
+    /// Each call resamples its block to the chip rate on its own: no filter
+    /// state carries across calls, so the chips at a call boundary differ
+    /// from those of one uninterrupted call. A continuous capture's records
+    /// therefore depend on how it is partitioned into calls; a caller that
+    /// needs repeatable records must fix that partition.
     pub fn process(&mut self, samples: &[Complex32]) {
         let new_chips = if (self.input_rate - super::CHIP_RATE).abs() < 1.0 {
             samples.to_vec()
