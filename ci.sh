@@ -15,7 +15,8 @@
 #      --workers 0 and --workers 4 print a
 #      byte-identical record stream, and that every DSP kernel backend
 #      the host supports (rfdump kernel) prints that same stream —
-#      failing if auto resolves to scalar on a SIMD-capable host.
+#      failing if auto resolves to scalar on a SIMD-capable host, or if a
+#      fused multiply-add appears in the kernel layer or the resampler.
 #   4. chaos smokes: the suite again under an ambient output-preserving
 #      RFD_FAULTS plan, a serve/send loopback with injected producer
 #      disconnects diffed against offline output, and a SIGINT shutdown
@@ -171,6 +172,13 @@ case " $available " in
         [ "$backend" = sse2 ] \
             || { echo "auto resolved to $backend on an SSE2-capable host"; exit 1; } ;;
 esac
+# A fused multiply-add rounds once where the scalar reference rounds twice,
+# so one in a vector backend or in the resampler changes bits silently.
+if grep -rnE 'fmadd|fmsub|\.mul_add\(|enable = "[^"]*fma' \
+    crates/dsp/src/kernels/ crates/dsp/src/resample.rs; then
+    echo "FMA in the kernel layer breaks the bit-exactness contract"
+    exit 1
+fi
 # Every supported backend must print a record stream byte-identical to the
 # default (auto) run above — the bit-exactness contract, end to end.
 for b in $available; do

@@ -30,6 +30,11 @@
 //!   halves, then reduce pairwise) and two/four SSE2 accumulators produce.
 //! * Complex reductions stripe 4 complex lanes with the tree
 //!   `(c0+c2) + (c1+c3)`.
+//! * The polyphase resampler's rows ([`polyphase_rows`]) are many short
+//!   dot products computed side by side: a lane is one *output*, never a
+//!   slice of one output's taps, so each output adds its products in tap
+//!   order exactly as the scalar loop does — a `mul` then an `add`, never
+//!   a fused multiply-add, whose single rounding would change the bits.
 //! * Transcendentals (`atan2`, `sin_cos`) run in scalar `libm` code,
 //!   identical across backends; the vector backends only accelerate the
 //!   complex multiplies feeding them. The one exception is the |Δφ| of the
@@ -127,7 +132,12 @@ struct KernelTable {
     conj_mul_adjacent: fn(&[Complex32], &mut [Complex32]),
     /// One radix-2 butterfly stage across all blocks (element-wise per k).
     fft_stage: fn(&mut [Complex32], usize, &[Complex32], bool),
+    /// Polyphase rows: one independent tap-ordered sum per lane (per output).
+    polyphase_rows: PolyphaseRowsFn,
 }
+
+/// `(src, offs, taps, scale, out)` of [`polyphase_rows`].
+type PolyphaseRowsFn = fn(&[f32], &[usize], &[f32], Option<f32>, &mut [f32]);
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     sum_sq_f32: scalar::sum_sq_f32,
@@ -137,6 +147,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     conj_dot: scalar::conj_dot,
     conj_mul_adjacent: scalar::conj_mul_adjacent,
     fft_stage: scalar::fft_stage,
+    polyphase_rows: scalar::polyphase_rows,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -148,6 +159,7 @@ static SSE2_TABLE: KernelTable = KernelTable {
     conj_dot: sse2_avx2::sse2_conj_dot,
     conj_mul_adjacent: sse2_avx2::sse2_conj_mul_adjacent,
     fft_stage: sse2_avx2::sse2_fft_stage,
+    polyphase_rows: sse2_avx2::sse2_polyphase_rows,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -159,6 +171,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     conj_dot: sse2_avx2::avx2_conj_dot,
     conj_mul_adjacent: sse2_avx2::avx2_conj_mul_adjacent,
     fft_stage: sse2_avx2::avx2_fft_stage,
+    polyphase_rows: sse2_avx2::avx2_polyphase_rows,
 };
 
 fn table_for(b: Backend) -> &'static KernelTable {
@@ -286,6 +299,16 @@ pub fn as_flat(samples: &[Complex32]) -> &[f32] {
     }
 }
 
+/// Mutable counterpart of [`as_flat`].
+pub(crate) fn as_flat_mut(samples: &mut [Complex32]) -> &mut [f32] {
+    // SAFETY: as for `as_flat`; the exclusive borrow of `samples` is moved
+    // into the returned slice, so no alias to the samples survives.
+    #[allow(unsafe_code)]
+    unsafe {
+        std::slice::from_raw_parts_mut(samples.as_mut_ptr() as *mut f32, samples.len() * 2)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Public kernel entry points (dispatch through the active table).
 // ---------------------------------------------------------------------------
@@ -361,6 +384,32 @@ pub fn fft_stage(buf: &mut [Complex32], half: usize, tw: &[Complex32], inverse: 
         "fft_stage buffer/stage mismatch"
     );
     (table().fft_stage)(buf, half, tw, inverse);
+}
+
+/// Polyphase rows: `out[m] = (Σ_i src[offs[i] + m] * taps[i]) * scale`.
+///
+/// Each output is one accumulator starting at `0.0` that adds the products
+/// in tap order; `scale` (when `Some`) multiplies the finished sum. The
+/// vector backends put one *output* per lane, so every output keeps that
+/// summation order and all backends agree bit for bit.
+pub fn polyphase_rows(
+    src: &[f32],
+    offs: &[usize],
+    taps: &[f32],
+    scale: Option<f32>,
+    out: &mut [f32],
+) {
+    assert_eq!(offs.len(), taps.len(), "polyphase_rows length mismatch");
+    // The vector backends read unchecked: every row must fit, without wrap.
+    let reach = offs
+        .iter()
+        .max()
+        .map_or(Some(0), |&o| o.checked_add(out.len()));
+    assert!(
+        reach.is_some_and(|r| r <= src.len()),
+        "polyphase_rows row out of bounds"
+    );
+    (table().polyphase_rows)(src, offs, taps, scale, out);
 }
 
 #[cfg(test)]
@@ -479,6 +528,13 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "polyphase_rows row out of bounds")]
+    fn polyphase_rows_rejects_a_wrapping_offset() {
+        let mut out = [0.0f32; 8];
+        polyphase_rows(&[0.0; 16], &[usize::MAX - 2], &[1.0], None, &mut out);
     }
 
     #[test]

@@ -110,6 +110,38 @@ pub(super) fn conj_mul_adjacent(samples: &[Complex32], out: &mut [Complex32]) {
     }
 }
 
+pub(super) fn polyphase_rows(
+    src: &[f32],
+    offs: &[usize],
+    taps: &[f32],
+    scale: Option<f32>,
+    out: &mut [f32],
+) {
+    polyphase_rows_from(src, offs, taps, scale, out, 0);
+}
+
+/// Outputs `from..` of [`polyphase_rows`]; the vector backends finish their
+/// remainder lanes with it.
+pub(super) fn polyphase_rows_from(
+    src: &[f32],
+    offs: &[usize],
+    taps: &[f32],
+    scale: Option<f32>,
+    out: &mut [f32],
+    from: usize,
+) {
+    for (m, o) in out.iter_mut().enumerate().skip(from) {
+        let mut acc = 0.0f32;
+        for (&off, &w) in offs.iter().zip(taps) {
+            acc += src[off + m] * w;
+        }
+        *o = match scale {
+            Some(k) => acc * k,
+            None => acc,
+        };
+    }
+}
+
 pub(super) fn fft_stage(buf: &mut [Complex32], half: usize, tw: &[Complex32], inverse: bool) {
     let len = half * 2;
     for start in (0..buf.len()).step_by(len) {

@@ -51,6 +51,7 @@ sse2_wrapper!(sse2_fir_dot, fir_dot_sse2, (window: &[f32], taps2: &[f32]) -> Com
 sse2_wrapper!(sse2_conj_dot, conj_dot_sse2, (signal: &[Complex32], pattern: &[Complex32]) -> Complex32);
 sse2_wrapper!(sse2_conj_mul_adjacent, conj_mul_adjacent_sse2, (samples: &[Complex32], out: &mut [Complex32]) -> ());
 sse2_wrapper!(sse2_fft_stage, fft_stage_sse2, (buf: &mut [Complex32], half: usize, tw: &[Complex32], inverse: bool) -> ());
+sse2_wrapper!(sse2_polyphase_rows, polyphase_rows_sse2, (src: &[f32], offs: &[usize], taps: &[f32], scale: Option<f32>, out: &mut [f32]) -> ());
 
 avx2_wrapper!(avx2_sum_sq_f32, sum_sq_avx2, (xs: &[f32]) -> f64);
 avx2_wrapper!(avx2_dot_f32, dot_avx2, (a: &[f32], b: &[f32]) -> f64);
@@ -59,6 +60,7 @@ avx2_wrapper!(avx2_fir_dot, fir_dot_avx2, (window: &[f32], taps2: &[f32]) -> Com
 avx2_wrapper!(avx2_conj_dot, conj_dot_avx2, (signal: &[Complex32], pattern: &[Complex32]) -> Complex32);
 avx2_wrapper!(avx2_conj_mul_adjacent, conj_mul_adjacent_avx2, (samples: &[Complex32], out: &mut [Complex32]) -> ());
 avx2_wrapper!(avx2_fft_stage, fft_stage_avx2, (buf: &mut [Complex32], half: usize, tw: &[Complex32], inverse: bool) -> ());
+avx2_wrapper!(avx2_polyphase_rows, polyphase_rows_avx2, (src: &[f32], offs: &[usize], taps: &[f32], scale: Option<f32>, out: &mut [f32]) -> ());
 
 /// Sign mask flipping the odd (imaginary) lanes of a 128-bit vector.
 #[inline]
@@ -356,6 +358,63 @@ unsafe fn fft_stage_sse2(buf: &mut [Complex32], half: usize, tw: &[Complex32], i
     }
 }
 
+/// One output per lane: `out[m..m+4]` each sum their taps in order, starting
+/// from zero, then take the optional scale — the scalar loop, four outputs
+/// at a time. Four accumulators keep four add chains in flight.
+#[target_feature(enable = "sse2")]
+unsafe fn polyphase_rows_sse2(
+    src: &[f32],
+    offs: &[usize],
+    taps: &[f32],
+    scale: Option<f32>,
+    out: &mut [f32],
+) {
+    unsafe {
+        let n = out.len();
+        let s = src.as_ptr();
+        let o = out.as_mut_ptr();
+        let mut m = 0usize;
+        while m + 16 <= n {
+            let mut a0 = _mm_setzero_ps();
+            let mut a1 = _mm_setzero_ps();
+            let mut a2 = _mm_setzero_ps();
+            let mut a3 = _mm_setzero_ps();
+            for (&off, &w) in offs.iter().zip(taps) {
+                let wv = _mm_set1_ps(w);
+                let row = s.add(off + m);
+                a0 = _mm_add_ps(a0, _mm_mul_ps(_mm_loadu_ps(row), wv));
+                a1 = _mm_add_ps(a1, _mm_mul_ps(_mm_loadu_ps(row.add(4)), wv));
+                a2 = _mm_add_ps(a2, _mm_mul_ps(_mm_loadu_ps(row.add(8)), wv));
+                a3 = _mm_add_ps(a3, _mm_mul_ps(_mm_loadu_ps(row.add(12)), wv));
+            }
+            if let Some(k) = scale {
+                let kv = _mm_set1_ps(k);
+                a0 = _mm_mul_ps(a0, kv);
+                a1 = _mm_mul_ps(a1, kv);
+                a2 = _mm_mul_ps(a2, kv);
+                a3 = _mm_mul_ps(a3, kv);
+            }
+            _mm_storeu_ps(o.add(m), a0);
+            _mm_storeu_ps(o.add(m + 4), a1);
+            _mm_storeu_ps(o.add(m + 8), a2);
+            _mm_storeu_ps(o.add(m + 12), a3);
+            m += 16;
+        }
+        while m + 4 <= n {
+            let mut a = _mm_setzero_ps();
+            for (&off, &w) in offs.iter().zip(taps) {
+                a = _mm_add_ps(a, _mm_mul_ps(_mm_loadu_ps(s.add(off + m)), _mm_set1_ps(w)));
+            }
+            if let Some(k) = scale {
+                a = _mm_mul_ps(a, _mm_set1_ps(k));
+            }
+            _mm_storeu_ps(o.add(m), a);
+            m += 4;
+        }
+        super::scalar::polyphase_rows_from(src, offs, taps, scale, out, m);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2
 // ---------------------------------------------------------------------------
@@ -609,5 +668,64 @@ unsafe fn fft_stage_avx2(buf: &mut [Complex32], half: usize, tw: &[Complex32], i
             }
             start += len;
         }
+    }
+}
+
+/// The SSE2 kernel's lane-per-output schedule at eight lanes: 32 outputs
+/// per tile in four accumulators, then 8 at a time, then the scalar loop.
+#[target_feature(enable = "avx2")]
+unsafe fn polyphase_rows_avx2(
+    src: &[f32],
+    offs: &[usize],
+    taps: &[f32],
+    scale: Option<f32>,
+    out: &mut [f32],
+) {
+    unsafe {
+        let n = out.len();
+        let s = src.as_ptr();
+        let o = out.as_mut_ptr();
+        let mut m = 0usize;
+        while m + 32 <= n {
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            let mut a2 = _mm256_setzero_ps();
+            let mut a3 = _mm256_setzero_ps();
+            for (&off, &w) in offs.iter().zip(taps) {
+                let wv = _mm256_set1_ps(w);
+                let row = s.add(off + m);
+                a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_loadu_ps(row), wv));
+                a1 = _mm256_add_ps(a1, _mm256_mul_ps(_mm256_loadu_ps(row.add(8)), wv));
+                a2 = _mm256_add_ps(a2, _mm256_mul_ps(_mm256_loadu_ps(row.add(16)), wv));
+                a3 = _mm256_add_ps(a3, _mm256_mul_ps(_mm256_loadu_ps(row.add(24)), wv));
+            }
+            if let Some(k) = scale {
+                let kv = _mm256_set1_ps(k);
+                a0 = _mm256_mul_ps(a0, kv);
+                a1 = _mm256_mul_ps(a1, kv);
+                a2 = _mm256_mul_ps(a2, kv);
+                a3 = _mm256_mul_ps(a3, kv);
+            }
+            _mm256_storeu_ps(o.add(m), a0);
+            _mm256_storeu_ps(o.add(m + 8), a1);
+            _mm256_storeu_ps(o.add(m + 16), a2);
+            _mm256_storeu_ps(o.add(m + 24), a3);
+            m += 32;
+        }
+        while m + 8 <= n {
+            let mut a = _mm256_setzero_ps();
+            for (&off, &w) in offs.iter().zip(taps) {
+                a = _mm256_add_ps(
+                    a,
+                    _mm256_mul_ps(_mm256_loadu_ps(s.add(off + m)), _mm256_set1_ps(w)),
+                );
+            }
+            if let Some(k) = scale {
+                a = _mm256_mul_ps(a, _mm256_set1_ps(k));
+            }
+            _mm256_storeu_ps(o.add(m), a);
+            m += 8;
+        }
+        super::scalar::polyphase_rows_from(src, offs, taps, scale, out, m);
     }
 }

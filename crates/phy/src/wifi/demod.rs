@@ -108,8 +108,9 @@ pub fn demodulate(samples: &[Complex32], sample_rate: f64) -> Option<WifiRxResul
 /// Sustained (75th percentile of windowed) power — robust to a noise prefix.
 fn sustained_power(chips: &[Complex32]) -> f32 {
     let mut powers: Vec<f32> = chips.chunks(64).map(window_power).collect();
-    powers.sort_by(f32::total_cmp);
-    powers[(powers.len() - 1) * 3 / 4]
+    // Under a total order the selected element is bitwise the sorted one.
+    let at = (powers.len() - 1) * 3 / 4;
+    *powers.select_nth_unstable_by(at, f32::total_cmp).1
 }
 
 fn window_power(w: &[Complex32]) -> f32 {

@@ -292,6 +292,48 @@ fn xcorr_matches_scalar_bitwise() {
 }
 
 #[test]
+fn polyphase_rows_match_scalar_bitwise() {
+    // Output counts around both tile widths (16 SSE2 lanes, 32 AVX2 lanes)
+    // and their single-vector steps; tap counts of half_taps 4, 8 and 12.
+    seeded_cases(0xD1F0_000C, 10, |rng| {
+        for taps_n in [1usize, 9, 17, 25] {
+            for &n in SIZES {
+                let src = rand_vec_f32(rng, 3 * n + 40);
+                let offs: Vec<usize> = (0..taps_n)
+                    .map(|_| rng.next_range(2 * n as u64 + 41) as usize)
+                    .collect();
+                let taps = rand_vec_f32(rng, taps_n);
+                for scale in [None, Some(rand_f32(rng))] {
+                    differential(&format!("polyphase_rows taps={taps_n} n={n}"), || {
+                        let mut out = vec![0.0f32; n];
+                        kernels::polyphase_rows(&src, &offs, &taps, scale, &mut out);
+                        out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+                    });
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn windowed_sinc_resampler_matches_scalar_bitwise() {
+    use rfd_dsp::resample::resample_windowed_sinc;
+    seeded_cases(0xD1F0_000D, 4, |rng| {
+        for (fs_in, fs_out) in [(8e6, 11e6), (11e6, 8e6), (4e6, 11e6), (8e6, 8e6)] {
+            for n in [0usize, 17, 64, 301, 2_722] {
+                let input = rand_vec_c32(rng, n);
+                differential(&format!("resample {fs_in}->{fs_out} n={n}"), || {
+                    resample_windowed_sinc(&input, fs_in, fs_out, 8)
+                        .iter()
+                        .map(|&z| c_bits(z))
+                        .collect::<Vec<_>>()
+                });
+            }
+        }
+    });
+}
+
+#[test]
 fn pure_denormal_slices_are_bit_exact() {
     // A slice that is *entirely* denormal is the harshest flush-to-zero
     // probe: any backend that flushes loses every bit of the result.
