@@ -36,9 +36,9 @@
 #      where a garbage-flooding sender is quarantined by the health machine
 #      while the clean sources drain unharmed.
 #   8. bounded-latency smokes: an offline run under a generous
-#      --latency-budget (with the --chunk-min/--chunk-max bounds plumbed)
-#      must print a record stream byte-identical to the no-budget run at
-#      --workers 0 and 4 with zero violations booked, and a --fleet server
+#      --latency-budget must print a record stream byte-identical to the
+#      no-budget run at --workers 0 and 4 with zero violations booked in a
+#      version-11 stats document, and a --fleet server
 #      under an injected per-source cpu fault must book budget violations
 #      and shed only the starved source — budget_violated/source_shed
 #      events in stats-json — while the clean source's stream still diffs
@@ -424,22 +424,20 @@ grep -q '"health":"quarantined"' "$work/quarantine-stats.json" \
     || { echo "stats json did not report the quarantined source"; exit 1; }
 
 echo "== latency smoke: a generous --latency-budget is record-invisible =="
-# Bounded-latency mode with a budget the pipeline never violates must be
-# free in record terms: the stream stays byte-identical to the no-budget
-# run, sequential and pooled, with the adaptive-chunk bounds plumbed
-# through. The stats document carries the armed-but-idle latency_mode
-# section (zero violations) and the inspector must render it.
+# A budget the pipeline never violates is free in record terms at any
+# worker count; the v11 stats document carries the armed-but-idle
+# latency_mode (zero violations, no chunk rung) and the inspector renders it.
 for w in 0 4; do
     ./target/release/rfdump -r "$trace" --workers "$w" --latency-budget 60000 \
-        --chunk-min 64 --chunk-max 4096 \
         --stats-json "$work/latency-stats-w$w.json" \
         > "$work/records-lat-w$w.txt"
-    if ! diff -u "$work/records-w0.txt" "$work/records-lat-w$w.txt"; then
-        echo "record stream changed under an unviolated --latency-budget (workers $w)"
-        exit 1
-    fi
+    diff -u "$work/records-w0.txt" "$work/records-lat-w$w.txt" \
+        || { echo "record stream changed under an unviolated budget (workers $w)"; exit 1; }
     grep -q '"violations":0' "$work/latency-stats-w$w.json" \
         || { echo "generous budget booked violations (workers $w)"; exit 1; }
+    grep -q '"version":11' "$work/latency-stats-w$w.json" \
+        && ! grep -o '"latency_mode":{[^}]*' "$work/latency-stats-w$w.json" | grep -q '"chunk":{' \
+        || { echo "stats document is not v11 or latency_mode has a chunk (workers $w)"; exit 1; }
 done
 cargo run --release -q -p rfd-examples --bin stats_inspect \
     "$work/latency-stats-w0.json" > "$work/latency-inspect.txt"

@@ -106,15 +106,14 @@ pub struct ArchConfig {
     /// `Some` lets the [`LoadGovernor`] shed demodulation first and weak
     /// detectors second when the pipeline falls behind real time.
     pub governor: Option<GovernorConfig>,
-    /// Ingest chunk size, samples (default [`crate::CHUNK_SAMPLES`]). A
-    /// pure latency/throughput knob: the peak detector re-blocks
+    /// Ingest chunk size, samples (default [`crate::CHUNK_SAMPLES`]): the
+    /// step a session walks each push in, one ingest stamp per step.
+    /// Nothing resizes it at run time. The peak detector re-blocks
     /// internally at a fixed [`crate::peak::DETECT_BLOCK`], so the record
-    /// stream is byte-identical at any chunk size. With a latency budget
-    /// the governor additionally steps the live size down/up between
-    /// `GovernorConfig::chunk_min` and this configured value. The one
-    /// exception is the naïve baseline, whose continuous receivers are fed
-    /// pieces cut from this size, and whose 802.11 records depend on the
-    /// cut (see `run_naive`).
+    /// stream is byte-identical at any chunk size. The one exception is
+    /// the naïve baseline, whose continuous receivers are fed pieces cut
+    /// from this size, and whose 802.11 records depend on the cut (see
+    /// `run_naive`).
     pub chunk_samples: usize,
     /// Crash-safe durability (RFDump only): journal emitted records and
     /// commit watermarks under a directory, and optionally resume from them.
@@ -726,11 +725,8 @@ impl RfDump {
         registry: &Option<Arc<Registry>>,
     ) -> Self {
         let governor = cfg.governor.map(|g| Arc::new(LoadGovernor::new(g)));
-        if let Some(g) = &governor {
-            g.init_chunk(cfg.chunk_samples);
-            if let Some(reg) = registry {
-                g.set_registry(reg.clone());
-            }
+        if let (Some(g), Some(reg)) = (&governor, registry) {
+            g.set_registry(reg.clone());
         }
         // Bounded-latency mode needs ingest stamps even with telemetry off:
         // the budget loop is fed by sample->record latencies.
@@ -861,16 +857,12 @@ impl RfDump {
         // Walk the push in chunk-size steps — sub-slices, never copies —
         // cut at multiples of the chunk size so a push boundary inside a
         // detection block costs one partial block, not a copy of every
-        // block after it. A step is what gets an ingest stamp and what,
-        // under a latency budget, the governor resizes.
+        // block after it. A step is what gets an ingest stamp.
         let mut peaks = Vec::new();
         let mut rest = samples;
         let mut steps = 0u64;
+        let size = self.chunk_samples;
         while !rest.is_empty() {
-            let size = self
-                .governor
-                .as_ref()
-                .map_or(self.chunk_samples, |g| g.chunk_size().max(1));
             let to_boundary = size - (self.pos % size as u64) as usize;
             let (step, tail) = rest.split_at(to_boundary.min(rest.len()));
             let ingest = self.stamp.then(Instant::now);

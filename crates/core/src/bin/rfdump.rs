@@ -146,14 +146,6 @@ fn parse_budget_ms(v: &str) -> Result<f64, String> {
     Ok(ms)
 }
 
-/// Parses a `--chunk-min`/`--chunk-max` value: a positive sample count.
-fn parse_chunk_bound(flag: &str, v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("{flag} needs a positive integer, got '{v}'")),
-    }
-}
-
 /// Parses a `-d` detector set.
 fn parse_detector_set(name: &str) -> Result<DetectorSet, String> {
     match name {
@@ -197,44 +189,19 @@ fn check_arch_flags(
     Ok(())
 }
 
-/// Folds the bounded-latency flags into the governor config: a budget
-/// turns the governor on (adaptive, unless `--governor` already pinned or
-/// configured it) and carries the chunk ladder bounds.
+/// Folds `--latency-budget` into the governor config: a budget turns the
+/// governor on (adaptive, unless `--governor` already pinned or configured
+/// it).
 ///
 /// A budget *without* an explicit `--governor` engages only the latency
 /// ladder ([`GovernorConfig::latency_only`]); CPU-ratio shedding stays
 /// opt-in via `--governor auto`.
-fn apply_latency_flags(
-    governor: &mut Option<GovernorConfig>,
-    budget_ms: Option<f64>,
-    chunk_min: Option<usize>,
-    chunk_max: Option<usize>,
-) -> Result<(), String> {
-    let Some(budget_ms) = budget_ms else {
-        if chunk_min.is_some() || chunk_max.is_some() {
-            return Err("--chunk-min/--chunk-max need --latency-budget".to_string());
-        }
-        return Ok(());
-    };
-    let budget_us = budget_ms * 1e3;
-    let mut g = governor
-        .take()
-        .unwrap_or_else(|| GovernorConfig::latency_only(budget_us));
-    g.latency_budget_us = Some(budget_us);
-    if let Some(m) = chunk_min {
-        g.chunk_min = m;
+fn apply_latency_budget(governor: &mut Option<GovernorConfig>, budget_ms: Option<f64>) {
+    if let Some(budget_us) = budget_ms.map(|ms| ms * 1e3) {
+        governor
+            .get_or_insert_with(|| GovernorConfig::latency_only(budget_us))
+            .latency_budget_us = Some(budget_us);
     }
-    if let Some(m) = chunk_max {
-        g.chunk_max = m;
-    }
-    if g.chunk_min > g.chunk_max {
-        return Err(format!(
-            "--chunk-min {} exceeds --chunk-max {}",
-            g.chunk_min, g.chunk_max
-        ));
-    }
-    *governor = Some(g);
-    Ok(())
 }
 
 struct Options {
@@ -252,8 +219,6 @@ struct Options {
     chaos: Option<Arc<FaultPlan>>,
     governor: Option<GovernorConfig>,
     latency_budget_ms: Option<f64>,
-    chunk_min: Option<usize>,
-    chunk_max: Option<usize>,
     journal: Option<String>,
     resume: bool,
     metrics_addr: Option<String>,
@@ -265,11 +230,11 @@ fn usage() -> ExitCode {
          \x20             [-n] [-p LAP:UAP]... [-z] [-s] [-q] [--workers N]\n\
          \x20             [--no-telemetry] [--stats-json FILE] [--trace-out FILE]\n\
          \x20             [--chaos SPEC] [--governor auto|0|1|2]\n\
-         \x20             [--latency-budget MS [--chunk-min N] [--chunk-max N]]\n\
+         \x20             [--latency-budget MS]\n\
          \x20             [--journal DIR] [--resume] [--metrics-addr ADDR]\n\
          \x20      rfdump serve --listen ADDR [--once | --expect N]\n\
          \x20             [--source-timeout SECS] [--fleet]\n\
-         \x20             [--latency-budget MS [--chunk-min N] [--chunk-max N]]\n\
+         \x20             [--latency-budget MS]\n\
          \x20             [--queue-cap N] [--overflow block|drop-oldest]\n\
          \x20             [--sub-queue-cap N] [--resume-grace SECS]\n\
          \x20             [arch options] [-q]\n\
@@ -302,8 +267,6 @@ fn parse_args() -> Result<Options, String> {
         chaos: None,
         governor: None,
         latency_budget_ms: None,
-        chunk_min: None,
-        chunk_max: None,
         journal: None,
         resume: false,
         metrics_addr: None,
@@ -351,18 +314,6 @@ fn parse_args() -> Result<Options, String> {
                     &args.next().ok_or("--latency-budget needs milliseconds")?,
                 )?)
             }
-            "--chunk-min" => {
-                opts.chunk_min = Some(parse_chunk_bound(
-                    "--chunk-min",
-                    &args.next().ok_or("--chunk-min needs a sample count")?,
-                )?)
-            }
-            "--chunk-max" => {
-                opts.chunk_max = Some(parse_chunk_bound(
-                    "--chunk-max",
-                    &args.next().ok_or("--chunk-max needs a sample count")?,
-                )?)
-            }
             "--journal" => opts.journal = Some(args.next().ok_or("--journal needs a directory")?),
             "--resume" => opts.resume = true,
             "--metrics-addr" => {
@@ -382,12 +333,7 @@ fn parse_args() -> Result<Options, String> {
         opts.resume,
         opts.latency_budget_ms.is_some(),
     )?;
-    apply_latency_flags(
-        &mut opts.governor,
-        opts.latency_budget_ms,
-        opts.chunk_min,
-        opts.chunk_max,
-    )?;
+    apply_latency_budget(&mut opts.governor, opts.latency_budget_ms);
     Ok(opts)
 }
 
@@ -415,8 +361,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
     let mut trace_out = None;
     let mut metrics_addr = None;
     let mut latency_budget_ms = None;
-    let mut chunk_min = None;
-    let mut chunk_max = None;
     let mut detector_set = DetectorSet::TimingAndPhase;
     let mut arch_name = String::from("rfdump");
     // The band is a placeholder: each producer session's StreamMeta
@@ -522,12 +466,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
             }
             "--governor" => arch.governor = Some(parse_governor(next("a mode")?)?),
             "--latency-budget" => latency_budget_ms = Some(parse_budget_ms(next("milliseconds")?)?),
-            "--chunk-min" => {
-                chunk_min = Some(parse_chunk_bound("--chunk-min", next("a sample count")?)?)
-            }
-            "--chunk-max" => {
-                chunk_max = Some(parse_chunk_bound("--chunk-max", next("a sample count")?)?)
-            }
             "--journal" => journal = Some(next("a directory")?.to_string()),
             "--resume" => resume = true,
             "--metrics-addr" => metrics_addr = Some(next("host:port")?.to_string()),
@@ -549,7 +487,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         // steady-state control loop and has nothing to govern there.
         return Err("--latency-budget is incompatible with --once".to_string());
     }
-    apply_latency_flags(&mut arch.governor, latency_budget_ms, chunk_min, chunk_max)?;
+    apply_latency_budget(&mut arch.governor, latency_budget_ms);
     arch.durability = journal.map(|dir| DurabilityConfig {
         dir: std::path::PathBuf::from(dir),
         resume,

@@ -33,20 +33,18 @@
 //! sinks feed every record's sample→record latency into a private
 //! histogram, and a rate-limited tick computes the windowed p99 (via
 //! [`rfd_telemetry::HistogramWindow`] — the cumulative histograms cannot
-//! drive a control loop). Budget violations walk a ladder that starts one
-//! rung *below* the CPU ladder: the chunk size is halved toward
-//! `chunk_min` first — re-chunking is free in record terms because the
-//! peak detector re-blocks internally (see `crate::peak`) — and only then
-//! do the record-visible shed levels engage. Recovery retraces the ladder
-//! in reverse with hysteresis (several consecutive clean windows per
-//! step). CPU-ratio behaviour is completely unchanged when no budget is
-//! set.
+//! drive a control loop). Budget violations walk the same shed levels as
+//! the CPU ratio, with streak hysteresis ([`rfd_telemetry::ladder`]): two
+//! violating windows shed one level, four clean ones restore one, so
+//! recovery retraces the ladder in reverse. CPU-ratio behaviour is
+//! completely unchanged when no budget is set.
 
 use rfd_telemetry::event::EventKind;
 use rfd_telemetry::json::JsonValue;
+use rfd_telemetry::ladder::{Hysteresis, Rung, Window};
 use rfd_telemetry::{Histogram, HistogramWindow, Registry};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Highest shed level.
@@ -71,11 +69,6 @@ pub struct GovernorConfig {
     /// disables the latency signal entirely: the governor behaves exactly
     /// as before.
     pub latency_budget_us: Option<f64>,
-    /// Smallest chunk size the latency ladder may shrink to, samples.
-    pub chunk_min: usize,
-    /// Largest chunk size the latency ladder may grow back to, samples
-    /// (clamped to the pipeline's configured chunk size at init).
-    pub chunk_max: usize,
 }
 
 impl Default for GovernorConfig {
@@ -86,8 +79,6 @@ impl Default for GovernorConfig {
             alpha: 0.2,
             force_level: None,
             latency_budget_us: None,
-            chunk_min: DEFAULT_CHUNK_MIN,
-            chunk_max: DEFAULT_CHUNK_MAX,
         }
     }
 }
@@ -108,11 +99,6 @@ impl GovernorConfig {
     }
 }
 
-/// Default lower bound for the adaptive chunk ladder, samples.
-pub const DEFAULT_CHUNK_MIN: usize = 64;
-/// Default upper bound for the adaptive chunk ladder, samples.
-pub const DEFAULT_CHUNK_MAX: usize = 1024;
-
 /// Consecutive violating windows before the latency ladder escalates.
 const VIOLATE_STREAK: u32 = 2;
 /// Consecutive clean windows (p99 under [`LATENCY_LOW_WATER`] × budget)
@@ -120,22 +106,9 @@ const VIOLATE_STREAK: u32 = 2;
 /// shedding.
 const RESTORE_STREAK: u32 = 4;
 /// Fraction of the budget a window's p99 must stay under to count as
-/// clean. Deliberately its own constant, not `GovernorConfig::low_water`:
-/// the CPU-ratio watermarks may be parked out of reach (the CLI does so
-/// when a budget is set without an explicit `--governor`) and the latency
-/// ladder's hysteresis must keep working regardless.
+/// clean. Its own constant, because `GovernorConfig::low_water` is parked
+/// at 0 when a budget is set without an explicit `--governor`.
 const LATENCY_LOW_WATER: f64 = 0.7;
-
-/// What one latency tick decided, so the caller can emit typed events.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LatencyAction {
-    /// Windowed p99 exceeded the budget (p99 µs, budget µs).
-    Violated(f64, f64),
-    /// The chunk size stepped (from, to) samples.
-    ChunkResized(usize, usize),
-    /// The shed level changed (from, to) because of latency.
-    Level(u8, u8),
-}
 
 /// Watches the pipeline's real-time ratio and decides what to shed.
 ///
@@ -147,7 +120,7 @@ pub struct LoadGovernor {
     t0: Instant,
     /// Time since `t0` the pipeline spent waiting for input, µs.
     idle_us: AtomicU64,
-    level: AtomicU8,
+    level: Rung,
     /// Smoothed ratio × 1e6 (atomics hold no floats).
     ratio_micro: AtomicU64,
     escalations: AtomicU64,
@@ -163,15 +136,9 @@ pub struct LoadGovernor {
     /// rate-limit clock, and the hysteresis streaks. `latency_tick` uses
     /// `try_lock`, so concurrent sinks never serialize on it.
     ctl: Mutex<LatencyCtl>,
-    /// Telemetry sink for typed events and the chunk-size gauge, if any.
-    registry: Mutex<Option<Arc<Registry>>>,
-    /// Current adaptive chunk size, samples.
-    chunk_size: AtomicUsize,
-    /// The pipeline's configured chunk size (the ladder's ceiling).
-    chunk_base: AtomicUsize,
+    /// Telemetry sink for typed events, if any.
+    registry: OnceLock<Arc<Registry>>,
     budget_violations: AtomicU64,
-    chunk_shrinks: AtomicU64,
-    chunk_grows: AtomicU64,
     /// Most recent windowed p99, f64 bits (0 until the first tick).
     last_p99_bits: AtomicU64,
 }
@@ -180,8 +147,7 @@ pub struct LoadGovernor {
 struct LatencyCtl {
     window: HistogramWindow,
     last_tick: Instant,
-    violate: u32,
-    clean: u32,
+    streaks: Hysteresis,
 }
 
 impl LoadGovernor {
@@ -192,7 +158,7 @@ impl LoadGovernor {
             cfg,
             t0: Instant::now(),
             idle_us: AtomicU64::new(0),
-            level: AtomicU8::new(cfg.force_level.unwrap_or(0).min(MAX_LEVEL)),
+            level: Rung::new(cfg.force_level.unwrap_or(0), MAX_LEVEL),
             ratio_micro: AtomicU64::new(0),
             escalations: AtomicU64::new(0),
             deescalations: AtomicU64::new(0),
@@ -203,15 +169,10 @@ impl LoadGovernor {
             ctl: Mutex::new(LatencyCtl {
                 window: HistogramWindow::new(),
                 last_tick: Instant::now(),
-                violate: 0,
-                clean: 0,
+                streaks: Hysteresis::new(VIOLATE_STREAK, RESTORE_STREAK, LATENCY_LOW_WATER),
             }),
-            registry: Mutex::new(None),
-            chunk_size: AtomicUsize::new(crate::CHUNK_SAMPLES),
-            chunk_base: AtomicUsize::new(crate::CHUNK_SAMPLES),
+            registry: OnceLock::new(),
             budget_violations: AtomicU64::new(0),
-            chunk_shrinks: AtomicU64::new(0),
-            chunk_grows: AtomicU64::new(0),
             last_p99_bits: AtomicU64::new(0),
         }
     }
@@ -221,43 +182,16 @@ impl LoadGovernor {
         self.cfg.latency_budget_us
     }
 
-    /// Seeds the adaptive chunk ladder with the pipeline's configured
-    /// chunk size. In budget mode `chunk_max` caps the ceiling; the
-    /// ladder shrinks from there toward `chunk_min` and grows back, but
-    /// never above the ceiling — an unviolated budget with default bounds
-    /// leaves the chunking (and therefore timing) untouched.
-    pub fn init_chunk(&self, base: usize) {
-        let cap = if self.cfg.latency_budget_us.is_some() {
-            self.cfg.chunk_max.max(1)
-        } else {
-            usize::MAX
-        };
-        let base = base.max(1).min(cap);
-        self.chunk_base.store(base, Ordering::Relaxed);
-        self.chunk_size.store(base, Ordering::Relaxed);
-    }
-
-    /// Current adaptive chunk size, samples.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size.load(Ordering::Relaxed)
-    }
-
     /// Attaches a telemetry registry so latency ticks can emit typed
-    /// events (`budget_violated`, `chunk_resized`, shed transitions) and
-    /// keep the `governor.chunk_size` gauge current.
+    /// events (`budget_violated` and shed transitions).
     pub fn set_registry(&self, reg: Arc<Registry>) {
-        reg.gauge("governor.chunk_size")
-            .set(self.chunk_size() as i64);
-        *self.registry.lock().unwrap_or_else(|e| e.into_inner()) = Some(reg);
+        let _ = self.registry.set(reg);
     }
 
     /// Feeds one record's sample→record latency into the latency window.
     /// Cheap no-op without a budget or an ingest stamp.
     pub fn record_e2e(&self, ingest: Option<Instant>) {
-        if self.cfg.latency_budget_us.is_none() {
-            return;
-        }
-        if let Some(t0) = ingest {
+        if let (Some(_), Some(t0)) = (self.cfg.latency_budget_us, ingest) {
             self.e2e.record(t0.elapsed().as_secs_f64() * 1e6);
         }
     }
@@ -267,152 +201,80 @@ impl LoadGovernor {
     /// Rate-limited to `max(10ms, budget/4)` so every record sink can call
     /// it unconditionally; most calls return immediately. Each due tick
     /// advances the p99 window and walks the ladder with hysteresis:
-    /// [`VIOLATE_STREAK`] violating windows shrink the chunk (cheapest
-    /// rung) or, at `chunk_min`, escalate the shed level;
-    /// [`RESTORE_STREAK`] clean windows retrace one rung in reverse.
-    /// Returns what it decided so callers without a registry can react.
-    pub fn latency_tick(&self) -> Vec<LatencyAction> {
-        self.latency_tick_inner(false)
+    /// [`VIOLATE_STREAK`] violating windows escalate the shed level,
+    /// [`RESTORE_STREAK`] clean windows restore one level. Violations and
+    /// level changes become events in the attached registry, if any.
+    pub fn latency_tick(&self) {
+        self.latency_tick_inner(false);
     }
 
-    /// Test hook: one tick with the rate limit bypassed.
-    #[cfg(test)]
-    fn latency_tick_forced(&self) -> Vec<LatencyAction> {
-        self.latency_tick_inner(true)
-    }
-
-    fn latency_tick_inner(&self, force: bool) -> Vec<LatencyAction> {
+    fn latency_tick_inner(&self, force: bool) {
         let Some(budget) = self.cfg.latency_budget_us else {
-            return Vec::new();
+            return;
         };
         let interval = Duration::from_micros((budget / 4.0) as u64).max(Duration::from_millis(10));
         let Ok(mut ctl) = self.ctl.try_lock() else {
-            return Vec::new();
+            return;
         };
         if !force && ctl.last_tick.elapsed() < interval {
-            return Vec::new();
+            return;
         }
         ctl.last_tick = Instant::now();
         let snap = ctl.window.advance(&self.e2e);
         if snap.count == 0 {
             // No records landed this window: no latency signal either way.
-            return Vec::new();
+            return;
         }
         self.last_p99_bits
             .store(snap.p99.to_bits(), Ordering::Relaxed);
-        let mut actions = Vec::new();
-        if snap.p99 > budget {
+        let window = ctl.streaks.observe(snap.p99, budget);
+        if let Window::Over(due) = window {
             self.budget_violations.fetch_add(1, Ordering::Relaxed);
-            ctl.clean = 0;
-            ctl.violate += 1;
-            actions.push(LatencyAction::Violated(snap.p99, budget));
-            if ctl.violate >= VIOLATE_STREAK {
-                ctl.violate = 0;
-                let cur = self.chunk_size.load(Ordering::Relaxed);
-                let next = (cur / 2).max(self.cfg.chunk_min.max(1)).min(cur);
-                if next < cur {
-                    self.chunk_size.store(next, Ordering::Relaxed);
-                    self.chunk_shrinks.fetch_add(1, Ordering::Relaxed);
-                    actions.push(LatencyAction::ChunkResized(cur, next));
-                } else if self.cfg.force_level.is_none() {
-                    let lvl = self.level.load(Ordering::Relaxed);
-                    if lvl < MAX_LEVEL {
-                        self.level.store(lvl + 1, Ordering::Relaxed);
-                        self.escalations.fetch_add(1, Ordering::Relaxed);
-                        actions.push(LatencyAction::Level(lvl, lvl + 1));
-                    }
-                }
+            if due {
+                ctl.streaks.spend_over();
             }
-        } else if snap.p99 < LATENCY_LOW_WATER * budget {
-            ctl.violate = 0;
-            ctl.clean += 1;
-            if ctl.clean >= RESTORE_STREAK {
-                ctl.clean = 0;
-                let lvl = self.level.load(Ordering::Relaxed);
-                if lvl > 0 && self.cfg.force_level.is_none() {
-                    self.level.store(lvl - 1, Ordering::Relaxed);
-                    self.deescalations.fetch_add(1, Ordering::Relaxed);
-                    actions.push(LatencyAction::Level(lvl, lvl - 1));
-                } else {
-                    let cur = self.chunk_size.load(Ordering::Relaxed);
-                    let base = self.chunk_base.load(Ordering::Relaxed);
-                    let next = (cur * 2).min(base);
-                    if next > cur {
-                        self.chunk_size.store(next, Ordering::Relaxed);
-                        self.chunk_grows.fetch_add(1, Ordering::Relaxed);
-                        actions.push(LatencyAction::ChunkResized(cur, next));
-                    }
-                }
-            }
-        } else {
-            // Between low-water and the budget: neutral territory. Both
-            // streaks reset so the hysteresis demands *consecutive*
-            // windows on one side before moving.
-            ctl.violate = 0;
-            ctl.clean = 0;
         }
+        let step = match window {
+            _ if self.cfg.force_level.is_some() => None,
+            Window::Over(true) => self.level.up(),
+            Window::Under(true) => self.level.down(),
+            _ => None,
+        };
+        let step = self.booked(step);
         drop(ctl);
-        if !actions.is_empty() {
-            self.publish_actions(&actions);
+        let Some(reg) = self.registry.get() else {
+            return;
+        };
+        if matches!(window, Window::Over(_)) {
+            let detail = format!("p99 {:.0}us over budget {budget:.0}us", snap.p99);
+            reg.emit_event(EventKind::BudgetViolated, detail);
         }
-        actions
-    }
-
-    /// Mirrors tick decisions into the attached registry, if any.
-    fn publish_actions(&self, actions: &[LatencyAction]) {
-        let reg = self.registry.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(reg) = reg.as_ref() else { return };
-        for a in actions {
-            match *a {
-                LatencyAction::Violated(p99, budget) => {
-                    reg.emit_event(
-                        EventKind::BudgetViolated,
-                        format!("p99 {p99:.0}us over budget {budget:.0}us"),
-                    );
-                }
-                LatencyAction::ChunkResized(from, to) => {
-                    reg.gauge("governor.chunk_size").set(to as i64);
-                    reg.emit_event(EventKind::ChunkResized, format!("{from} -> {to} samples"));
-                }
-                LatencyAction::Level(from, to) => {
-                    reg.gauge("governor.level").set(i64::from(to));
-                    let kind = if to > from {
-                        EventKind::GovernorShed
-                    } else {
-                        EventKind::GovernorRestore
-                    };
-                    reg.emit_event(
-                        kind,
-                        format!(
-                            "latency: {} -> {}",
-                            LEVEL_NAMES[usize::from(from.min(MAX_LEVEL))],
-                            LEVEL_NAMES[usize::from(to.min(MAX_LEVEL))]
-                        ),
-                    );
-                }
-            }
+        if let Some((from, to)) = step {
+            reg.gauge("governor.level").set(i64::from(to));
+            let kind = if to > from {
+                EventKind::GovernorShed
+            } else {
+                EventKind::GovernorRestore
+            };
+            let names = (LEVEL_NAMES[usize::from(from)], LEVEL_NAMES[usize::from(to)]);
+            reg.emit_event(kind, format!("latency: {} -> {}", names.0, names.1));
         }
     }
 
-    /// Point-in-time summary of bounded-latency mode for stats-json v10,
+    /// Point-in-time summary of bounded-latency mode for stats-json,
     /// or `None` when no budget is configured.
     pub fn latency_report(&self) -> Option<LatencyReport> {
         let budget_us = self.cfg.latency_budget_us?;
         Some(LatencyReport {
             budget_us,
             violations: self.budget_violations.load(Ordering::Relaxed),
-            chunk_size: self.chunk_size.load(Ordering::Relaxed),
-            chunk_base: self.chunk_base.load(Ordering::Relaxed),
-            chunk_min: self.cfg.chunk_min,
-            chunk_shrinks: self.chunk_shrinks.load(Ordering::Relaxed),
-            chunk_grows: self.chunk_grows.load(Ordering::Relaxed),
             last_p99_us: f64::from_bits(self.last_p99_bits.load(Ordering::Relaxed)),
         })
     }
 
     /// Current shed level.
     pub fn level(&self) -> u8 {
-        self.level.load(Ordering::Relaxed)
+        self.level.level()
     }
 
     /// Seeds the shed level from a recovery checkpoint. A `--resume` run
@@ -421,7 +283,7 @@ impl LoadGovernor {
     /// ladder (the pin wins — it is part of the determinism contract).
     pub fn restore_level(&self, level: u8) {
         if self.cfg.force_level.is_none() {
-            self.level.store(level.min(MAX_LEVEL), Ordering::Relaxed);
+            self.level.set(level);
         }
     }
 
@@ -438,10 +300,7 @@ impl LoadGovernor {
     /// up to `signal_us` microseconds of stream time. Returns the level
     /// transition `(from, to)` if this observation changed it.
     pub fn observe(&self, signal_us: f64) -> Option<(u8, u8)> {
-        if self.cfg.force_level.is_some() {
-            return None;
-        }
-        if signal_us <= 0.0 {
+        if self.cfg.force_level.is_some() || signal_us <= 0.0 {
             return None;
         }
         let busy_us =
@@ -459,24 +318,35 @@ impl LoadGovernor {
         let smoothed = smoothed.min(self.cfg.high_water * 8.0);
         self.ratio_micro
             .store((smoothed * 1e6) as u64, Ordering::Relaxed);
-        let cur = self.level.load(Ordering::Relaxed);
-        if smoothed > self.cfg.high_water && cur < MAX_LEVEL {
-            self.level.store(cur + 1, Ordering::Relaxed);
-            self.escalations.fetch_add(1, Ordering::Relaxed);
-            // Re-anchor the smoothed ratio at the boundary so one spike
-            // does not climb the whole ladder in consecutive observations.
-            self.ratio_micro
-                .store((self.cfg.high_water * 1e6) as u64, Ordering::Relaxed);
-            return Some((cur, cur + 1));
+        if smoothed > self.cfg.high_water {
+            if let Some(step) = self.booked(self.level.up()) {
+                // Re-anchor the smoothed ratio at the boundary so one spike
+                // does not climb the whole ladder in consecutive observations.
+                self.ratio_micro
+                    .store((self.cfg.high_water * 1e6) as u64, Ordering::Relaxed);
+                return Some(step);
+            }
         }
-        if smoothed < self.cfg.low_water && cur > 0 {
-            self.level.store(cur - 1, Ordering::Relaxed);
-            self.deescalations.fetch_add(1, Ordering::Relaxed);
-            self.ratio_micro
-                .store((self.cfg.low_water * 1e6) as u64, Ordering::Relaxed);
-            return Some((cur, cur - 1));
+        if smoothed < self.cfg.low_water {
+            if let Some(step) = self.booked(self.level.down()) {
+                self.ratio_micro
+                    .store((self.cfg.low_water * 1e6) as u64, Ordering::Relaxed);
+                return Some(step);
+            }
         }
         None
+    }
+
+    /// Counts a level step taken by either ladder and passes it on.
+    fn booked(&self, step: Option<(u8, u8)>) -> Option<(u8, u8)> {
+        let (from, to) = step?;
+        let counter = if to > from {
+            &self.escalations
+        } else {
+            &self.deescalations
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Some((from, to))
     }
 
     /// Whether demodulation may run (level 0 only). Callers that skip it
@@ -573,39 +443,17 @@ pub struct LatencyReport {
     pub budget_us: f64,
     /// Windows whose p99 exceeded the budget.
     pub violations: u64,
-    /// Current adaptive chunk size, samples.
-    pub chunk_size: usize,
-    /// Configured (ceiling) chunk size, samples.
-    pub chunk_base: usize,
-    /// Smallest chunk size the ladder may reach, samples.
-    pub chunk_min: usize,
-    /// Times the chunk stepped down.
-    pub chunk_shrinks: u64,
-    /// Times the chunk stepped back up.
-    pub chunk_grows: u64,
     /// Most recent windowed p99, µs (0 before the first tick).
     pub last_p99_us: f64,
 }
 
 impl LatencyReport {
-    /// The report as the stats-json `latency_mode` object (the adaptive
-    /// chunk trajectory nests under `chunk`).
+    /// The report as the stats-json `latency_mode` object.
     pub fn to_json(&self) -> JsonValue {
-        let n = |v: u64| JsonValue::num(v as f64);
         JsonValue::obj(vec![
             ("budget_us", JsonValue::num(self.budget_us)),
-            ("violations", n(self.violations)),
+            ("violations", JsonValue::num(self.violations as f64)),
             ("last_p99_us", JsonValue::num(self.last_p99_us)),
-            (
-                "chunk",
-                JsonValue::obj(vec![
-                    ("size", n(self.chunk_size as u64)),
-                    ("base", n(self.chunk_base as u64)),
-                    ("min", n(self.chunk_min as u64)),
-                    ("shrinks", n(self.chunk_shrinks)),
-                    ("grows", n(self.chunk_grows)),
-                ]),
-            ),
         ])
     }
 }
@@ -671,95 +519,74 @@ mod tests {
     #[test]
     fn no_budget_means_no_latency_behaviour() {
         let g = LoadGovernor::new(GovernorConfig::default());
-        g.init_chunk(200);
         g.record_e2e(Some(Instant::now()));
-        assert_eq!(g.latency_tick(), Vec::new());
-        assert_eq!(g.chunk_size(), 200);
+        g.latency_tick();
+        assert_eq!(g.level(), 0);
         assert_eq!(g.latency_report(), None);
         assert_eq!(g.e2e.count(), 0, "record_e2e is a no-op without a budget");
     }
 
-    /// Records one violating sample and runs a forced tick.
-    fn violating_tick(g: &LoadGovernor) -> Vec<LatencyAction> {
+    /// Records one violating sample, runs a tick with the rate limit
+    /// bypassed, and returns the level after it.
+    fn violating_tick(g: &LoadGovernor) -> u8 {
         g.e2e.record(5_000.0);
-        g.latency_tick_forced()
+        g.latency_tick_inner(true);
+        g.level()
     }
 
     /// Records one comfortably-under-budget sample and ticks.
-    fn clean_tick(g: &LoadGovernor) -> Vec<LatencyAction> {
+    fn clean_tick(g: &LoadGovernor) -> u8 {
         g.e2e.record(10.0);
-        g.latency_tick_forced()
+        g.latency_tick_inner(true);
+        g.level()
+    }
+
+    fn budgeted() -> LoadGovernor {
+        LoadGovernor::new(GovernorConfig {
+            latency_budget_us: Some(1_000.0),
+            ..Default::default()
+        })
     }
 
     #[test]
-    fn latency_ladder_shrinks_chunks_before_shedding() {
-        let g = LoadGovernor::new(GovernorConfig {
-            latency_budget_us: Some(1_000.0),
-            chunk_min: 50,
-            ..Default::default()
-        });
-        g.init_chunk(200);
-        // First violating window only books the violation (hysteresis).
-        let a = violating_tick(&g);
-        assert_eq!(a.len(), 1);
-        assert!(matches!(a[0], LatencyAction::Violated(p99, b) if p99 > b));
-        assert_eq!(g.chunk_size(), 200);
-        // Second consecutive violation takes the cheapest rung: halve the
-        // chunk. Records stay byte-identical, so this sheds nothing visible.
-        let a = violating_tick(&g);
-        assert!(a.contains(&LatencyAction::ChunkResized(200, 100)));
-        violating_tick(&g);
-        let a = violating_tick(&g);
-        assert!(a.contains(&LatencyAction::ChunkResized(100, 50)), "{a:?}");
-        assert_eq!(g.chunk_size(), 50, "clamped at chunk_min");
-        // Chunk floor reached: the record-visible shed ladder engages.
-        violating_tick(&g);
-        let a = violating_tick(&g);
-        assert!(a.contains(&LatencyAction::Level(0, 1)), "{a:?}");
-        violating_tick(&g);
-        let a = violating_tick(&g);
-        assert!(a.contains(&LatencyAction::Level(1, 2)), "{a:?}");
+    fn latency_ladder_sheds_one_level_per_two_violating_windows() {
+        let g = budgeted();
+        let levels: Vec<u8> = (0..6).map(|_| violating_tick(&g)).collect();
+        assert_eq!(
+            levels,
+            [0, 1, 1, 2, 2, 2],
+            "two windows a level, 2 is the top"
+        );
         assert!(!g.demod_allowed());
         assert!(!g.detector_allowed("wifi-phase"));
-        // Fully degraded: further violations only count.
-        violating_tick(&g);
-        let a = violating_tick(&g);
-        assert_eq!(a.len(), 1, "{a:?}");
-        assert!(matches!(a[0], LatencyAction::Violated(..)));
         let r = g.latency_report().unwrap();
-        assert_eq!(r.chunk_size, 50);
-        assert_eq!(r.chunk_shrinks, 2);
-        assert!(r.violations >= 10);
+        assert_eq!(r.violations, 6);
         assert!(r.last_p99_us > r.budget_us);
+        assert_eq!(g.report().escalations, 2);
     }
 
     #[test]
     fn latency_recovery_retraces_the_ladder_in_reverse() {
-        let g = LoadGovernor::new(GovernorConfig {
-            latency_budget_us: Some(1_000.0),
-            chunk_min: 50,
-            ..Default::default()
-        });
-        g.init_chunk(200);
-        for _ in 0..12 {
+        let g = budgeted();
+        for _ in 0..4 {
             violating_tick(&g);
         }
-        assert_eq!((g.level(), g.chunk_size()), (2, 50));
-        let mut resized = Vec::new();
-        let mut levels = Vec::new();
-        for _ in 0..24 {
-            for a in clean_tick(&g) {
-                match a {
-                    LatencyAction::ChunkResized(f, t) => resized.push((f, t)),
-                    LatencyAction::Level(f, t) => levels.push((f, t)),
-                    LatencyAction::Violated(..) => panic!("clean windows"),
-                }
-            }
-        }
-        assert_eq!(levels, vec![(2, 1), (1, 0)], "levels restore first");
-        assert_eq!(resized, vec![(50, 100), (100, 200)], "then the chunk");
-        assert_eq!(g.chunk_size(), 200, "never grows past the configured base");
-        assert_eq!(g.latency_report().unwrap().chunk_grows, 2);
+        assert_eq!(g.level(), 2);
+        // One level per four clean windows, top rung first; 0 is the floor.
+        let levels: Vec<u8> = (0..12).map(|_| clean_tick(&g)).collect();
+        assert_eq!(levels, [2, 2, 2, 1, 1, 1, 1, 0, 0, 0, 0, 0]);
+        assert_eq!(g.report().deescalations, 2);
+    }
+
+    #[test]
+    fn a_pinned_level_counts_violations_but_never_moves() {
+        let g = LoadGovernor::new(GovernorConfig {
+            force_level: Some(0),
+            ..GovernorConfig::latency_only(1_000.0)
+        });
+        let levels: Vec<u8> = (0..6).map(|_| violating_tick(&g)).collect();
+        assert_eq!(levels, [0; 6]);
+        assert_eq!(g.latency_report().unwrap().violations, 6);
     }
 
     #[test]
@@ -767,67 +594,57 @@ mod tests {
         // The CLI parks the ratio watermarks when a budget is set without
         // an explicit --governor: CPU observations must then never move
         // the ladder, while the latency ladder sheds and recovers as ever.
-        let g = LoadGovernor::new(GovernorConfig {
-            chunk_min: 50,
-            ..GovernorConfig::latency_only(1_000.0)
-        });
-        g.init_chunk(200);
+        let g = LoadGovernor::new(GovernorConfig::latency_only(1_000.0));
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert_eq!(g.observe(1.0), None, "hopeless ratio cannot escalate");
         assert_eq!(g.level(), 0);
-        for _ in 0..12 {
+        for _ in 0..4 {
             violating_tick(&g);
         }
-        assert_eq!((g.level(), g.chunk_size()), (2, 50));
+        assert_eq!(g.level(), 2);
         assert_eq!(g.observe(1e15), None, "great ratio cannot deescalate");
         assert_eq!(g.level(), 2);
-        for _ in 0..24 {
+        for _ in 0..8 {
             clean_tick(&g);
         }
-        assert_eq!((g.level(), g.chunk_size()), (0, 200));
+        assert_eq!(g.level(), 0);
     }
 
     #[test]
     fn unviolated_budget_changes_nothing_and_mixed_windows_hold_state() {
-        let g = LoadGovernor::new(GovernorConfig {
-            latency_budget_us: Some(1_000.0),
-            ..Default::default()
-        });
-        g.init_chunk(200);
-        for _ in 0..16 {
-            assert_eq!(clean_tick(&g), Vec::new());
-        }
-        assert_eq!((g.level(), g.chunk_size()), (0, 200));
+        let g = budgeted();
+        let levels: Vec<u8> = (0..16).map(|_| clean_tick(&g)).collect();
+        assert_eq!(levels, [0; 16]);
         assert_eq!(g.latency_report().unwrap().violations, 0);
         // A window between low-water and the budget resets both streaks.
+        violating_tick(&g);
         g.e2e.record(900.0);
-        assert_eq!(g.latency_tick_forced(), Vec::new());
+        g.latency_tick_inner(true);
+        assert_eq!(violating_tick(&g), 0, "the streak restarted");
         // An empty window is no signal at all.
-        assert_eq!(g.latency_tick_forced(), Vec::new());
+        g.latency_tick_inner(true);
+        assert_eq!(g.latency_report().unwrap().violations, 2);
     }
 
     #[test]
     fn latency_events_reach_an_attached_registry() {
-        let g = LoadGovernor::new(GovernorConfig {
-            latency_budget_us: Some(1_000.0),
-            chunk_min: 100,
-            ..Default::default()
-        });
-        g.init_chunk(200);
+        let g = budgeted();
         let reg = Arc::new(rfd_telemetry::Registry::default());
         g.set_registry(reg.clone());
-        assert_eq!(reg.gauge("governor.chunk_size").get(), 200);
         violating_tick(&g);
         violating_tick(&g);
-        assert_eq!(reg.gauge("governor.chunk_size").get(), 100);
+        assert_eq!(reg.gauge("governor.level").get(), 1);
         let kinds: Vec<&str> = reg
             .events()
             .events()
             .iter()
             .map(|e| e.kind.as_str())
             .collect();
-        assert!(kinds.contains(&"budget_violated"), "{kinds:?}");
-        assert!(kinds.contains(&"chunk_resized"), "{kinds:?}");
+        assert_eq!(
+            kinds,
+            ["budget_violated", "budget_violated", "governor_shed"],
+            "{kinds:?}"
+        );
     }
 
     #[test]
@@ -835,17 +652,13 @@ mod tests {
         let r = LatencyReport {
             budget_us: 5_000.0,
             violations: 3,
-            chunk_size: 100,
-            chunk_base: 200,
-            chunk_min: 64,
-            chunk_shrinks: 1,
-            chunk_grows: 0,
             last_p99_us: 6_200.0,
         };
         let json = r.to_json().to_json();
-        assert!(json.contains("\"budget_us\":5000"), "{json}");
-        assert!(json.contains("\"size\":100"), "{json}");
-        assert!(json.contains("\"shrinks\":1"), "{json}");
+        assert_eq!(
+            json,
+            r#"{"budget_us":5000,"violations":3,"last_p99_us":6200}"#
+        );
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! the energy gate, the coarse hot scan and every per-sample decision see
 //! identical block boundaries no matter how the stream was chunked, so the
 //! emitted peaks — and therefore the records — are byte-identical across
-//! chunk sizes (`tests/differential_scheduler.rs` proves it). The adaptive
-//! `--latency-budget` chunk ladder relies on this.
+//! chunk sizes (`tests/differential_scheduler.rs` proves it).
 
 use crate::chunk::{Peak, PeakBlock, SampleChunk};
 use rfd_dsp::energy::{db_to_power, RunningPower};

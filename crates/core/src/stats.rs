@@ -8,69 +8,37 @@
 //! consume runs without scraping tables.
 //!
 //! The schema is identified by `"schema": "rfd-stats"` and `"version"`;
-//! consumers must check both. Version history:
+//! consumers must check both. Version 11 carries:
 //!
-//! * **1** — initial layout: `trace`, `blocks`, `total`, `stages`,
-//!   `dispatch` (null for naïve architectures), `counters`, `gauges`,
-//!   `histograms`.
-//! * **2** — adds `records` (packet counts, total / per-protocol / decoded
-//!   per-protocol — the section differential harnesses compare across
-//!   scheduler modes) and `pool` (per-worker analysis-pool statistics; null
-//!   when the run had no worker threads).
-//! * **3** — adds `net` (live capture server statistics: connection /
-//!   frame / sample counters, backpressure drops, throttles, subscriber
-//!   evictions and the ingest real-time ratio; null for offline runs).
-//! * **4** — adds `faults` (the fault-injection plan's per-rule counters;
-//!   null when no plan was armed), `degradation` (the load governor's final
-//!   shed level and shed counters; null when the governor was off), and
-//!   `supervision` (analyzer panics survived and quarantined analyzers —
-//!   always present, zero on a healthy run). The `pool` section gains
-//!   `panics` / `restarts` / `rescued` / `lost`.
-//! * **5** — adds `recovery` (crash-safe durability: whether the run
-//!   resumed from a journal, entries replayed, records recovered without
-//!   re-analysis, commits and checkpoints written, and the resume latency;
-//!   null when journaling was off).
-//! * **6** — adds `events` (the structured event log: total emitted,
-//!   ring-overflow drops, and the bounded ring of typed timestamped events;
-//!   null when telemetry was off) and `latency` (per-stage
-//!   time-since-ingest summaries — count / p50 / p95 / p99 / max in µs for
-//!   each `latency.*` histogram, keyed by stage name; null when telemetry
-//!   was off, empty when no stamps completed). Histogram entries everywhere
-//!   gain `max` and `p50`.
-//! * **7** — adds `kernel` (the DSP kernel backend that ran: `backend` is
-//!   the resolved backend name, `requested` the raw `RFD_KERNEL` request
-//!   ("auto" when unset), `available` the backends this CPU supports —
-//!   always present since the kernel layer always resolves). This comment
-//!   is the single authoritative record of the v6→v7 bump.
-//! * **8** — adds `fleet` (sharded multi-sensor ingest: fleet-level
-//!   rollups `sources_joined` / `sources_done` / `rejects` plus a
-//!   `per_source` object keyed by source id — ingest, records, drops,
-//!   throttles and fan-out latency p50/p99 per source, keys sorted; null
-//!   unless the run was a `serve` server). This comment is the
-//!   single authoritative record of the v7→v8 bump.
-//! * **9** — fleet survivability: the `fleet` section gains session-resume
-//!   and health rollups (`resumes`, `sources_parked`, `sources_expired`,
-//!   `flapping`, `quarantined`, `evicted`) and each `per_source` row gains
-//!   its health state machine view — `health` (one of `healthy` /
-//!   `flapping` / `quarantined` / `evicted`) plus the `disconnects` /
-//!   `resumes` / `flaps` / `decode_errors` / `rejects` counters that drive
-//!   it. This comment is the single authoritative record of the v8→v9 bump.
-//! * **10** — bounded-latency mode: adds `latency_mode` (null unless a
-//!   `--latency-budget` was configured): the budget in µs, windowed-p99
-//!   budget `violations`, the latest windowed p99, and the adaptive-chunk
-//!   trajectory (`chunk.size` / `chunk.base` / `chunk.min` plus
-//!   `chunk.shrinks` / `chunk.grows` step counters). Fleet servers add a
-//!   `fleet` sub-object with overload-control rollups (`shed_throttle`,
-//!   `shed_drop`, `admission_refused`, `admission_paused`), and each
-//!   `fleet.per_source` row gains `deadline_p99_us` and its current `shed`
-//!   rung (`none` / `throttle` / `drop-oldest`). This comment is the
-//!   single authoritative record of the v9→v10 bump.
+//! * `trace` (seconds, sample rate, samples), `blocks` (per-block CPU and
+//!   items), `total` (CPU, wall, CPU over real time), `stages` (per-stage
+//!   CPU over real time) and `dispatch` (forwarding statistics; null for
+//!   the naïve architectures);
+//! * `counters`, `gauges`, `histograms` (the metrics registry; histogram
+//!   entries carry `p50` and `max`), `records` (total, per-protocol and
+//!   decoded per-protocol counts) and `pool` (per-worker analysis-pool
+//!   statistics with panics / restarts / rescued / lost; null without
+//!   worker threads);
+//! * `net` and `fleet` (wire-level and per-source ingest statistics, null
+//!   together offline and present together on any `serve`: fleet rollups,
+//!   health and resume counters, and a `per_source` object of tagged
+//!   sources keyed by id, each with its health state, `deadline_p99_us`
+//!   and `shed` rung — `none` / `throttle` / `drop-oldest`);
+//! * `faults` (fault-plan rule counters; null without a plan),
+//!   `degradation` (the governor's final shed level and shed counters;
+//!   null without a governor) and `latency_mode` (null without a
+//!   `--latency-budget`: `budget_us`, windowed-p99 `violations`,
+//!   `last_p99_us`, and on `serve` a `fleet` object of overload rollups —
+//!   `shed_throttle`, `shed_drop`, `admission_refused`,
+//!   `admission_paused`);
+//! * `supervision` (analyzer panics and quarantined analyzers; always
+//!   present), `recovery` (journal resume and commit statistics; null
+//!   without a journal), `events` (the typed event ring; null without
+//!   telemetry), `latency` (time-since-ingest summaries per stage; null
+//!   without telemetry) and `kernel` (the DSP backend that ran).
 //!
-//! Still 10, no key added: since plain `serve` became a fleet of one
-//! anonymous source, `net` and `fleet` are null together (offline) or
-//! present together (any `serve`). `fleet.per_source` lists tagged sources;
-//! an anonymous session is in the rollups only, its row gone once its
-//! records are published.
+//! Readers accept exactly one version. What changed between versions is
+//! recorded in CHANGES.md.
 
 use crate::arch::ArchOutput;
 use rfd_telemetry::json::JsonValue;
@@ -81,7 +49,7 @@ use std::path::Path;
 /// Schema identifier carried in every stats document.
 pub const STATS_SCHEMA: &str = "rfd-stats";
 /// Current stats document version.
-pub const STATS_VERSION: u64 = 10;
+pub const STATS_VERSION: u64 = 11;
 
 /// The pipeline stage a block belongs to: the block-name prefix before the
 /// first `:` (`detect:peak/energy` → `detect`).
@@ -323,7 +291,7 @@ fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> 
         Some(g) => doc.push("degradation", g.to_json()),
     }
 
-    // Bounded-latency mode (v10; null unless a budget was configured).
+    // Bounded-latency mode (null unless a budget was configured).
     // Fleet servers report the per-pipeline view plus overload-control
     // rollups; the per-source deadline rows live in `fleet.per_source`.
     let fleet_latency = fleet.and_then(|f| f.latency.as_ref());

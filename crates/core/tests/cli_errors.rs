@@ -182,58 +182,24 @@ fn invalid_latency_budget_is_rejected() {
 }
 
 #[test]
-fn chunk_bounds_without_budget_are_rejected() {
+fn removed_chunk_bound_flags_are_rejected_not_ignored() {
+    // `--chunk-min`/`--chunk-max` bounded a latency rung that resized the
+    // ingest step, which since the streaming session released nothing
+    // sooner. The rung is gone; a script still passing them must hear so.
     for flag in ["--chunk-min", "--chunk-max"] {
-        let out = rfdump(&["-r", "/tmp/whatever.rfdt", flag, "128"]);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "usage errors exit 2 ({flag} without budget)"
-        );
-        assert_clean_failure(
-            &out,
-            "chunk bound without budget",
-            "--chunk-min/--chunk-max need --latency-budget",
-        );
-    }
-}
-
-#[test]
-fn inverted_chunk_bounds_are_rejected() {
-    let out = rfdump(&[
-        "-r",
-        "/tmp/whatever.rfdt",
-        "--latency-budget",
-        "50",
-        "--chunk-min",
-        "512",
-        "--chunk-max",
-        "128",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    assert_clean_failure(&out, "inverted chunk bounds", "exceeds --chunk-max");
-}
-
-#[test]
-fn invalid_chunk_bound_values_are_rejected() {
-    for bad in ["0", "-64", "tiny", ""] {
         let out = rfdump(&[
             "-r",
             "/tmp/whatever.rfdt",
             "--latency-budget",
             "50",
-            "--chunk-min",
-            bad,
+            flag,
+            "128",
         ]);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "usage errors exit 2 (--chunk-min {bad:?})"
-        );
+        assert_eq!(out.status.code(), Some(2), "usage errors exit 2 ({flag})");
         assert_clean_failure(
             &out,
-            "bad --chunk-min",
-            "--chunk-min needs a positive integer",
+            "removed chunk bound flag",
+            &format!("unknown argument '{flag}'"),
         );
     }
 }

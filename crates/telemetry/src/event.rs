@@ -58,9 +58,6 @@ pub enum EventKind {
     SourceResumed,
     /// Windowed p99 sample→record latency exceeded the configured budget.
     BudgetViolated,
-    /// The latency governor stepped the pipeline chunk size (the cheapest
-    /// degradation rung) down or up.
-    ChunkResized,
     /// Fleet overload control shed load from a deadline-violating source
     /// (throttle advisory or drop-oldest).
     SourceShed,
@@ -90,7 +87,6 @@ impl EventKind {
             EventKind::SourceEvicted => "source_evicted",
             EventKind::SourceResumed => "source_resumed",
             EventKind::BudgetViolated => "budget_violated",
-            EventKind::ChunkResized => "chunk_resized",
             EventKind::SourceShed => "source_shed",
             EventKind::AdmissionRefused => "admission_refused",
         }

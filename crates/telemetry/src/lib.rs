@@ -15,6 +15,8 @@
 //!   `samples / sample_rate`, the paper's headline metric.
 //! * [`json`] — a dependency-free JSON writer *and* parser, so stats
 //!   documents can be emitted and verified in offline builds.
+//! * [`ladder`] — the shed ladder every degradation loop walks: a clamped
+//!   rung and the streak hysteresis that steps it.
 //!
 //! A [`Registry`] snapshot serializes to a stable, versioned JSON schema
 //! (see [`Snapshot::to_json`]); the `rfdump` CLI exposes it via
@@ -26,6 +28,7 @@
 
 pub mod event;
 pub mod json;
+pub mod ladder;
 pub mod rt;
 pub mod span;
 

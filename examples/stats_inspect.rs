@@ -58,10 +58,12 @@ fn main() {
         Some(STATS_SCHEMA),
         "not an rfd-stats document"
     );
+    // One schema version, read exactly: older and newer documents are
+    // refused rather than half-understood.
     let version = num(&doc, "version");
     assert!(
-        version as u64 <= STATS_VERSION,
-        "document version {version} is newer than this reader ({STATS_VERSION})"
+        version == STATS_VERSION as f64,
+        "document version {version} is not the version this reader reads ({STATS_VERSION})"
     );
 
     let trace = doc.get("trace").expect("trace section");
@@ -131,7 +133,7 @@ fn main() {
         }
     }
 
-    // Version-7 section: which DSP kernel backend the run executed with.
+    // Which DSP kernel backend the run executed with.
     if let Some(k) = doc.get("kernel") {
         let available: Vec<&str> = k
             .get("available")
@@ -146,7 +148,7 @@ fn main() {
         );
     }
 
-    // Version-4 sections: fault injection, degradation, supervision.
+    // Fault injection, degradation, supervision.
     match doc.get("faults") {
         Some(JsonValue::Null) | None => {}
         Some(f) => {
@@ -201,7 +203,7 @@ fn main() {
         }
     }
 
-    // Version-5 section: durability / crash recovery.
+    // Durability / crash recovery.
     match doc.get("recovery") {
         Some(JsonValue::Null) | None => {}
         Some(r) => {
@@ -232,7 +234,7 @@ fn main() {
         }
     }
 
-    // Version-6 sections: per-stage latency waterfall and the event log.
+    // Per-stage latency waterfall and the event log.
     match doc.get("latency") {
         Some(JsonValue::Null) | None => {}
         Some(lat) => {
@@ -283,9 +285,8 @@ fn main() {
         }
     }
 
-    // Version-10 section: bounded-latency mode — the budget, the windowed
-    // p99 it polices, the adaptive-chunk trajectory, and (for fleet runs)
-    // the overload admission-control rollup.
+    // Bounded-latency mode: the budget, the windowed p99 it polices and
+    // (for fleet runs) the overload admission-control rollup.
     match doc.get("latency_mode") {
         Some(JsonValue::Null) | None => {}
         Some(lm) => {
@@ -295,16 +296,6 @@ fn main() {
                     num(lm, "budget_us") / 1e3,
                     num(lm, "violations"),
                     num(lm, "last_p99_us") / 1e3,
-                );
-            }
-            if let Some(c) = lm.get("chunk") {
-                println!(
-                    "  chunk: {} samples (base {}, floor {}), {} shrink(s), {} grow(s)",
-                    num(c, "size"),
-                    num(c, "base"),
-                    num(c, "min"),
-                    num(c, "shrinks"),
-                    num(c, "grows"),
                 );
             }
             match lm.get("fleet") {
@@ -327,9 +318,8 @@ fn main() {
         }
     }
 
-    // Version-8 section: fleet (multi-sensor) ingest rollup; version 9
-    // adds the survivability rollups and per-source health rows; version
-    // 10 adds each source's shed rung under a latency budget.
+    // Fleet (multi-sensor) ingest: rollups, then one row per source with
+    // its health and, under a latency budget, its shed rung.
     match doc.get("fleet") {
         Some(JsonValue::Null) | None => {}
         Some(f) => {

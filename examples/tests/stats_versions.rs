@@ -1,20 +1,21 @@
 //! The `stats_inspect` example is the repo's reference `--stats-json`
-//! consumer, and the schema's compatibility promise is additive: a reader
-//! built against version N must accept every document from version 1 up to
-//! N (older documents simply lack the newer, version-gated sections) and
-//! refuse documents newer than itself. This harness feeds the example one
-//! document per version and checks exactly that.
+//! consumer. It reads exactly one schema version, the current one, and
+//! refuses every other. This harness feeds it documents of the current
+//! version and of its neighbours and checks exactly that.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs the example binary over a document, returning (success, stdout).
 fn inspect(doc: &str) -> (bool, String) {
     let dir = std::env::temp_dir().join("rfd-stats-versions");
     std::fs::create_dir_all(&dir).unwrap();
+    // Tests run in parallel: every document gets a file of its own.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let path = dir.join(format!(
         "doc-{}-{}.json",
         std::process::id(),
-        doc.len() // cheap uniqueness across the documents of one test run
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::write(&path, doc).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_stats_inspect"))
@@ -28,8 +29,7 @@ fn inspect(doc: &str) -> (bool, String) {
     )
 }
 
-/// The sections every version has carried since v1 — the only ones the
-/// reader hard-requires.
+/// The only sections the reader hard-requires.
 fn minimal_doc(version: u64) -> String {
     format!(
         concat!(
@@ -42,20 +42,20 @@ fn minimal_doc(version: u64) -> String {
 }
 
 #[test]
-fn reader_accepts_every_document_version_up_to_current() {
+fn reader_reads_only_the_current_version() {
     assert_eq!(
         rfdump::stats::STATS_VERSION,
-        10,
-        "a version bump must extend this harness with the new version's sections"
+        11,
+        "a version bump must move this harness to the new version"
     );
-    for version in 1..=rfdump::stats::STATS_VERSION {
-        let (ok, stdout) = inspect(&minimal_doc(version));
-        assert!(ok, "reader rejected a version-{version} document");
-        assert!(
-            stdout.contains("trace:"),
-            "version {version}: no trace line in output:\n{stdout}"
-        );
-    }
+    let (ok, stdout) = inspect(&minimal_doc(11));
+    assert!(ok, "reader rejected a version-11 document");
+    assert!(
+        stdout.contains("trace:"),
+        "no trace line in output:\n{stdout}"
+    );
+    let (ok, _) = inspect(&minimal_doc(10));
+    assert!(!ok, "a reader must not half-read an older version");
 }
 
 #[test]
@@ -68,13 +68,12 @@ fn reader_refuses_documents_newer_than_itself() {
 }
 
 #[test]
-fn v10_latency_mode_sections_are_rendered() {
+fn v11_latency_mode_sections_are_rendered() {
     let doc = concat!(
-        r#"{"schema":"rfd-stats","version":10,"#,
+        r#"{"schema":"rfd-stats","version":11,"#,
         r#""trace":{"seconds":0.01,"sample_rate":8000000,"samples":80000},"#,
         r#""total":{"cpu_ms":1.5,"wall_ms":2.0,"cpu_over_realtime":0.15},"#,
         r#""latency_mode":{"budget_us":5000,"violations":3,"last_p99_us":6200,"#,
-        r#""chunk":{"size":100,"base":200,"min":64,"shrinks":1,"grows":0},"#,
         r#""fleet":{"budget_us":5000,"violations":4,"shed_throttle":2,"#,
         r#""shed_drop":1,"admission_refused":1,"admission_paused":true}},"#,
         r#""fleet":{"sources_joined":1,"sources_done":1,"rejects":0,"per_source":{"#,
@@ -82,14 +81,10 @@ fn v10_latency_mode_sections_are_rendered() {
         r#""fanout_p99_us":20,"done":true,"health":"healthy","shed":"throttle"}}}}"#
     );
     let (ok, stdout) = inspect(doc);
-    assert!(ok, "v10 document rejected:\n{stdout}");
+    assert!(ok, "v11 document rejected:\n{stdout}");
     assert!(
-        stdout.contains("latency mode: budget 5.0 ms"),
+        stdout.contains("latency mode: budget 5.0 ms, 3 violation(s), last windowed p99 6.2 ms"),
         "missing latency-mode line:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("chunk: 100 samples (base 200, floor 64)"),
-        "missing chunk trajectory:\n{stdout}"
     );
     assert!(
         stdout.contains("admission PAUSED"),

@@ -225,11 +225,9 @@ fn campus_trace_is_kernel_backend_independent() {
 }
 
 /// Chunk-size differential: the record stream must be byte-identical at
-/// any ingest chunk size, at any worker count, budget or no budget. This
-/// is the adaptive-chunking contract behind `--latency-budget`: the peak
-/// detector re-blocks internally at a fixed block size, so chunk size is a
-/// pure latency/throughput knob the governor may resize mid-run without
-/// ever touching what is reported.
+/// any ingest chunk size, at any worker count, budget or no budget. The
+/// peak detector re-blocks internally at a fixed block size, so chunk
+/// size never touches what is reported.
 fn assert_chunk_differential(
     label: &str,
     cfg: &ArchConfig,
@@ -275,10 +273,6 @@ fn assert_chunk_differential(
         assert_eq!(
             report.violations, 0,
             "{label}: a 60 s budget must never be violated in a test run"
-        );
-        assert_eq!(
-            report.chunk_size, report.chunk_base,
-            "{label}: chunk size must be untouched under an unviolated budget"
         );
     }
 }
