@@ -173,9 +173,11 @@ case " $available " in
             || { echo "auto resolved to $backend on an SSE2-capable host"; exit 1; } ;;
 esac
 # A fused multiply-add rounds once where the scalar reference rounds twice,
-# so one in a vector backend or in the resampler changes bits silently.
+# so one in a vector backend, the resampler, the running power or the peak
+# detector's exact-tie fallback changes bits silently.
 if grep -rnE 'fmadd|fmsub|\.mul_add\(|enable = "[^"]*fma' \
-    crates/dsp/src/kernels/ crates/dsp/src/resample.rs; then
+    crates/dsp/src/kernels/ crates/dsp/src/resample.rs \
+    crates/dsp/src/energy.rs crates/core/src/peak.rs; then
     echo "FMA in the kernel layer breaks the bit-exactness contract"
     exit 1
 fi

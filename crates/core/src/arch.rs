@@ -561,7 +561,7 @@ fn run_naive_energy(
     let mut gate = stage_row("detect:peak/energy".into(), chunks);
     // The detector re-blocks at `DETECT_BLOCK`, so one push of the whole
     // slice finds the peaks any partition of it would.
-    let peaks = timed(&mut gate, || {
+    let (peaks, sequential) = timed(&mut gate, || {
         let mut det = PeakDetector::new(
             PeakDetectorConfig {
                 noise_floor: cfg.noise_floor,
@@ -572,11 +572,12 @@ fn run_naive_energy(
         let mut peaks = Vec::new();
         det.push_samples(0, samples, None, &mut peaks);
         det.finish(&mut peaks);
-        peaks
+        (peaks, det.sequential_blocks())
     });
     gate.items_out = peaks.len() as u64;
     if let Some(reg) = registry {
         reg.counter("peaks.detected").add(peaks.len() as u64);
+        reg.counter("peaks.sequential_blocks").add(sequential);
     }
 
     let channels = covered_bt_channels(cfg, fs);
@@ -1083,6 +1084,11 @@ impl RfDump {
         let mut peaks = Vec::new();
         self.det.finish(&mut peaks);
         self.note_peaks(&peaks);
+        if let Some(t) = &self.tel {
+            t.registry
+                .counter("peaks.sequential_blocks")
+                .add(self.det.sequential_blocks());
+        }
         self.stages[PEAK].cpu += t0.elapsed();
         let dispatches = self.detect(peaks, out);
         self.analyze(dispatches, out);

@@ -61,35 +61,56 @@ impl RunningPower {
     }
 
     /// Pushes a precomputed instantaneous power (`|z|²`) and returns the
-    /// current windowed average. The fused detection path uses this with
-    /// powers materialized once per chunk by [`crate::kernels::power_into`].
+    /// current windowed average.
     #[inline]
     pub fn push_power(&mut self, p: f32) -> f32 {
         self.sum -= self.window[self.pos] as f64;
         self.window[self.pos] = p;
         self.sum += p as f64;
-        self.pos = (self.pos + 1) % self.window.len();
+        self.pos += 1;
+        if self.pos == self.window.len() {
+            self.pos = 0;
+        }
         if self.filled < self.window.len() {
             self.filled += 1;
         }
         (self.sum / self.filled as f64) as f32
     }
 
-    /// Current average without pushing.
-    pub fn average(&self) -> f32 {
-        if self.filled == 0 {
-            0.0
-        } else {
-            (self.sum / self.filled as f64) as f32
-        }
+    /// Whether a whole window has been pushed, so averages divide by the
+    /// window length.
+    pub fn is_full(&self) -> bool {
+        self.filled == self.window.len()
     }
 
-    /// Clears the window.
-    pub fn reset(&mut self) {
-        self.window.fill(0.0);
-        self.sum = 0.0;
-        self.pos = 0;
-        self.filled = 0;
+    /// The running sum, exactly as the [`push_power`](Self::push_power)
+    /// chain has left it.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Appends the window's values to `out` in the order the next pushes
+    /// evict them, oldest first (zeros for slots not yet filled).
+    pub fn extend_history(&self, out: &mut Vec<f32>) {
+        out.extend_from_slice(&self.window[self.pos..]);
+        out.extend_from_slice(&self.window[..self.pos]);
+    }
+
+    /// Leaves the state `push_power` over every value of `pushed` would,
+    /// given the running sum that chain ends at — for a caller that has
+    /// computed that sum exactly another way. `pushed` must be at least one
+    /// window long, so it replaces the whole window.
+    pub fn refill(&mut self, pushed: &[f32], sum: f64) {
+        let w = self.window.len();
+        assert!(pushed.len() >= w, "refill shorter than the window");
+        self.pos = (self.pos + pushed.len()) % w;
+        let last = &pushed[pushed.len() - w..];
+        // last[i], the i-th oldest survivor, sits in slot (pos + i) mod w.
+        let (to_end, wrapped) = last.split_at(w - self.pos);
+        self.window[self.pos..].copy_from_slice(to_end);
+        self.window[..self.pos].copy_from_slice(wrapped);
+        self.filled = w;
+        self.sum = sum;
     }
 }
 
@@ -149,8 +170,8 @@ mod tests {
         let mut rp = RunningPower::new(10);
         let a = rp.push(Complex32::new(1.0, 0.0));
         assert!((a - 1.0).abs() < 1e-6); // average over 1 sample, not 10
-        rp.push(Complex32::ZERO);
-        assert!((rp.average() - 0.5).abs() < 1e-6);
+        let a = rp.push(Complex32::ZERO);
+        assert!((a - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -159,10 +180,35 @@ mod tests {
         for _ in 0..4 {
             rp.push(Complex32::new(1.0, 0.0));
         }
+        let mut avg = 1.0;
         for _ in 0..4 {
-            rp.push(Complex32::ZERO);
+            avg = rp.push(Complex32::ZERO);
         }
-        assert!(rp.average() < 1e-6);
+        assert!(avg < 1e-6);
+    }
+
+    #[test]
+    fn refill_leaves_the_state_the_pushes_would() {
+        for (w, n) in [(4usize, 4usize), (4, 7), (5, 13), (3, 3)] {
+            let values: Vec<f32> = (1..=2 * n).map(|i| i as f32 * 0.25).collect();
+            let mut pushed = RunningPower::new(w);
+            let mut refilled = RunningPower::new(w);
+            for &p in &values[..n] {
+                pushed.push_power(p);
+                refilled.push_power(p);
+            }
+            for &p in &values[n..] {
+                pushed.push_power(p);
+            }
+            refilled.refill(&values[n..], pushed.sum());
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            pushed.extend_history(&mut a);
+            refilled.extend_history(&mut b);
+            assert_eq!(a, b, "w {w} n {n}");
+            for p in [9.0f32, 10.0, 11.0] {
+                assert_eq!(pushed.push_power(p), refilled.push_power(p));
+            }
+        }
     }
 
     #[test]

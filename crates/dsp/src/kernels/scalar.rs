@@ -157,3 +157,26 @@ pub(super) fn fft_stage(buf: &mut [Complex32], half: usize, tw: &[Complex32], in
         }
     }
 }
+
+/// Sums of each whole `w`-element window of `xs` into `sums`, the total of
+/// all of `xs`, the smallest `bits - 1` (wrapping, so zeros read largest)
+/// and the largest bit pattern, both as `u32`. The sums only mean something
+/// once [`super::ExactSums`] certifies them, and then every order of
+/// addition agrees; this one adds each window in index order.
+pub(super) fn window_sums(xs: &[f32], w: usize, sums: &mut [f64]) -> (f64, u32, u32) {
+    let (mut lo, mut hi) = (u32::MAX, 0u32);
+    for &x in xs {
+        let b = x.to_bits();
+        lo = lo.min(b.wrapping_sub(1));
+        hi = hi.max(b);
+    }
+    let mut total = 0.0;
+    for (s, win) in sums.iter_mut().zip(xs.chunks_exact(w)) {
+        *s = win.iter().map(|&x| x as f64).sum();
+        total += *s;
+    }
+    for &x in &xs[sums.len() * w..] {
+        total += x as f64;
+    }
+    (total, lo, hi)
+}

@@ -52,6 +52,7 @@ sse2_wrapper!(sse2_conj_dot, conj_dot_sse2, (signal: &[Complex32], pattern: &[Co
 sse2_wrapper!(sse2_conj_mul_adjacent, conj_mul_adjacent_sse2, (samples: &[Complex32], out: &mut [Complex32]) -> ());
 sse2_wrapper!(sse2_fft_stage, fft_stage_sse2, (buf: &mut [Complex32], half: usize, tw: &[Complex32], inverse: bool) -> ());
 sse2_wrapper!(sse2_polyphase_rows, polyphase_rows_sse2, (src: &[f32], offs: &[usize], taps: &[f32], scale: Option<f32>, out: &mut [f32]) -> ());
+sse2_wrapper!(sse2_window_sums, window_sums_sse2, (xs: &[f32], w: usize, sums: &mut [f64]) -> (f64, u32, u32));
 
 avx2_wrapper!(avx2_sum_sq_f32, sum_sq_avx2, (xs: &[f32]) -> f64);
 avx2_wrapper!(avx2_dot_f32, dot_avx2, (a: &[f32], b: &[f32]) -> f64);
@@ -61,6 +62,7 @@ avx2_wrapper!(avx2_conj_dot, conj_dot_avx2, (signal: &[Complex32], pattern: &[Co
 avx2_wrapper!(avx2_conj_mul_adjacent, conj_mul_adjacent_avx2, (samples: &[Complex32], out: &mut [Complex32]) -> ());
 avx2_wrapper!(avx2_fft_stage, fft_stage_avx2, (buf: &mut [Complex32], half: usize, tw: &[Complex32], inverse: bool) -> ());
 avx2_wrapper!(avx2_polyphase_rows, polyphase_rows_avx2, (src: &[f32], offs: &[usize], taps: &[f32], scale: Option<f32>, out: &mut [f32]) -> ());
+avx2_wrapper!(avx2_window_sums, window_sums_avx2, (xs: &[f32], w: usize, sums: &mut [f64]) -> (f64, u32, u32));
 
 /// Sign mask flipping the odd (imaginary) lanes of a 128-bit vector.
 #[inline]
@@ -415,6 +417,92 @@ unsafe fn polyphase_rows_sse2(
     }
 }
 
+/// Lane-wise signed 32-bit `a < b` select: `(min, max)`; SSE2 has neither.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn min_max_epi32_sse2(a: __m128i, b: __m128i) -> (__m128i, __m128i) {
+    let lt = _mm_cmplt_epi32(a, b);
+    (
+        _mm_or_si128(_mm_and_si128(lt, a), _mm_andnot_si128(lt, b)),
+        _mm_or_si128(_mm_andnot_si128(lt, a), _mm_and_si128(lt, b)),
+    )
+}
+
+/// Folds the bit patterns `b` into the running unsigned `lo` (of `b - 1`)
+/// and `hi` (of `b`), both kept with the sign bit flipped so that signed
+/// comparison orders them as unsigned.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn fold_bits_sse2(b: __m128i, lo: &mut __m128i, hi: &mut __m128i) {
+    let flip = _mm_set1_epi32(i32::MIN);
+    let key = _mm_xor_si128(_mm_sub_epi32(b, _mm_set1_epi32(1)), flip);
+    *lo = min_max_epi32_sse2(*lo, key).0;
+    *hi = min_max_epi32_sse2(*hi, _mm_xor_si128(b, flip)).1;
+}
+
+/// Sum of the `len` floats at `p` in two 2-lane `f64` accumulators, folding
+/// their bit patterns into `lo`/`hi` (see [`fold_bits_sse2`]).
+///
+/// # Safety
+///
+/// `p..p + len` must be readable.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn span_sum_sse2(p: *const f32, len: usize, lo: &mut __m128i, hi: &mut __m128i) -> f64 {
+    unsafe {
+        let mut a0 = _mm_setzero_pd();
+        let mut a1 = _mm_setzero_pd();
+        let mut i = 0usize;
+        while i + 4 <= len {
+            let v = _mm_loadu_ps(p.add(i));
+            fold_bits_sse2(_mm_castps_si128(v), lo, hi);
+            a0 = _mm_add_pd(a0, _mm_cvtps_pd(v));
+            a1 = _mm_add_pd(a1, _mm_cvtps_pd(_mm_movehl_ps(v, v)));
+            i += 4;
+        }
+        let s = _mm_add_pd(a0, a1);
+        let mut acc = _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
+        while i < len {
+            let x = *p.add(i);
+            fold_bits_sse2(_mm_set1_epi32(x.to_bits() as i32), lo, hi);
+            acc += x as f64;
+            i += 1;
+        }
+        acc
+    }
+}
+
+#[target_feature(enable = "sse2")]
+unsafe fn window_sums_sse2(xs: &[f32], w: usize, sums: &mut [f64]) -> (f64, u32, u32) {
+    // Every span read below lies inside `xs` exactly when this holds.
+    assert!(
+        sums.len().checked_mul(w).is_some_and(|n| n <= xs.len()),
+        "window_sums: windows overrun xs"
+    );
+    unsafe {
+        let p = xs.as_ptr();
+        // u32::MAX and 0 with the sign bit flipped.
+        let mut lo = _mm_set1_epi32(i32::MAX);
+        let mut hi = _mm_set1_epi32(i32::MIN);
+        let mut total = 0.0;
+        for (k, s) in sums.iter_mut().enumerate() {
+            *s = span_sum_sse2(p.add(k * w), w, &mut lo, &mut hi);
+            total += *s;
+        }
+        let done = sums.len() * w;
+        total += span_sum_sse2(p.add(done), xs.len() - done, &mut lo, &mut hi);
+        let (mut l, mut h) = ([0u32; 4], [0u32; 4]);
+        _mm_storeu_si128(l.as_mut_ptr() as *mut __m128i, lo);
+        _mm_storeu_si128(h.as_mut_ptr() as *mut __m128i, hi);
+        let unflip = |v: u32| v ^ 0x8000_0000;
+        (
+            total,
+            l.into_iter().map(unflip).min().unwrap_or(u32::MAX),
+            h.into_iter().map(unflip).max().unwrap_or(0),
+        )
+    }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2
 // ---------------------------------------------------------------------------
@@ -728,4 +816,110 @@ unsafe fn polyphase_rows_avx2(
         }
         super::scalar::polyphase_rows_from(src, offs, taps, scale, out, m);
     }
+}
+
+/// The unsigned minimum of `bits - 1` and maximum of `bits` over `xs`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn bit_range_avx2(xs: &[f32]) -> (u32, u32) {
+    unsafe {
+        let one = _mm256_set1_epi32(1);
+        let mut lo = _mm256_set1_epi32(-1);
+        let mut hi = _mm256_setzero_si256();
+        let n8 = xs.len() & !7;
+        let mut i = 0usize;
+        while i < n8 {
+            let b = _mm256_loadu_si256(xs.as_ptr().add(i) as *const __m256i);
+            lo = _mm256_min_epu32(lo, _mm256_sub_epi32(b, one));
+            hi = _mm256_max_epu32(hi, b);
+            i += 8;
+        }
+        let (mut l, mut h) = ([0u32; 8], [0u32; 8]);
+        _mm256_storeu_si256(l.as_mut_ptr() as *mut __m256i, lo);
+        _mm256_storeu_si256(h.as_mut_ptr() as *mut __m256i, hi);
+        let bits = xs[n8..].iter().map(|x| x.to_bits());
+        (
+            l.into_iter()
+                .chain(bits.clone().map(|b| b.wrapping_sub(1)))
+                .min()
+                .unwrap_or(u32::MAX),
+            h.into_iter().chain(bits).max().unwrap_or(0),
+        )
+    }
+}
+
+/// Sum of the `len` floats at `p`: four `f64` lanes (two accumulators, so
+/// two add chains run at once) and a scalar for the `len % 4` remainder.
+///
+/// # Safety
+///
+/// `p..p + len` must be readable.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn span_sum_avx2(p: *const f32, len: usize) -> (__m256d, f64) {
+    unsafe {
+        let mut a0 = _mm256_setzero_pd();
+        let mut a1 = _mm256_setzero_pd();
+        let mut i = 0usize;
+        while i + 8 <= len {
+            a0 = _mm256_add_pd(a0, _mm256_cvtps_pd(_mm_loadu_ps(p.add(i))));
+            a1 = _mm256_add_pd(a1, _mm256_cvtps_pd(_mm_loadu_ps(p.add(i + 4))));
+            i += 8;
+        }
+        if i + 4 <= len {
+            a0 = _mm256_add_pd(a0, _mm256_cvtps_pd(_mm_loadu_ps(p.add(i))));
+            i += 4;
+        }
+        let mut rest = 0.0;
+        while i < len {
+            rest += *p.add(i) as f64;
+            i += 1;
+        }
+        (_mm256_add_pd(a0, a1), rest)
+    }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn window_sums_avx2(xs: &[f32], w: usize, sums: &mut [f64]) -> (f64, u32, u32) {
+    // Every span read below lies inside `xs` exactly when this holds.
+    assert!(
+        sums.len().checked_mul(w).is_some_and(|n| n <= xs.len()),
+        "window_sums: windows overrun xs"
+    );
+    unsafe {
+        let (lo, hi) = bit_range_avx2(xs);
+        let p = xs.as_ptr();
+        let o = sums.as_mut_ptr();
+        let mut total = _mm256_setzero_pd();
+        let mut rest = 0.0;
+        // Two windows at a time, reduced together by one horizontal add.
+        let mut k = 0usize;
+        while k + 2 <= sums.len() {
+            let (a, ra) = span_sum_avx2(p.add(k * w), w);
+            let (b, rb) = span_sum_avx2(p.add((k + 1) * w), w);
+            total = _mm256_add_pd(total, _mm256_add_pd(a, b));
+            rest += ra + rb;
+            let h = _mm256_hadd_pd(a, b); // [a0+a1, b0+b1, a2+a3, b2+b3]
+            let ab = _mm_add_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd::<1>(h));
+            _mm_storeu_pd(o.add(k), _mm_add_pd(ab, _mm_set_pd(rb, ra)));
+            k += 2;
+        }
+        if k < sums.len() {
+            let (a, ra) = span_sum_avx2(p.add(k * w), w);
+            total = _mm256_add_pd(total, a);
+            rest += ra;
+            sums[k] = hsum_pd_256(a) + ra;
+        }
+        let done = sums.len() * w;
+        let (t, rt) = span_sum_avx2(p.add(done), xs.len() - done);
+        (hsum_pd_256(_mm256_add_pd(total, t)) + (rest + rt), lo, hi)
+    }
+}
+
+/// Sum of the four lanes, in any order (callers are certified exact).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn hsum_pd_256(v: __m256d) -> f64 {
+    let t = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+    _mm_cvtsd_f64(t) + _mm_cvtsd_f64(_mm_unpackhi_pd(t, t))
 }

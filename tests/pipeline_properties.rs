@@ -7,10 +7,13 @@ use rfd_dsp::coding::{
     bits_to_bytes_lsb, bytes_to_bits_lsb, crc32, hamming1510_decode, hamming1510_encode,
     repeat3_decode, repeat3_encode, Crc, Scrambler, Whitener,
 };
-use rfd_dsp::rng::GaussianGen;
+use rfd_dsp::kernels::{self, Backend};
+use rfd_dsp::rng::{GaussianGen, Xoshiro256};
 use rfd_dsp::Complex32;
 use rfd_integration::{random_bytes, seeded_cases};
-use rfdump::peak::{detect_peaks, PeakDetectorConfig};
+use rfdump::chunk::{PeakBlock, SampleChunk};
+use rfdump::peak::{detect_peaks, PeakDetector, PeakDetectorConfig};
+use std::sync::Arc;
 
 fn bursty(n: usize, bursts: &[(usize, usize)], noise: f32, seed: u64) -> Vec<Complex32> {
     let mut sig = vec![Complex32::ZERO; n];
@@ -79,6 +82,85 @@ fn peak_detector_invariants() {
     });
 }
 
+/// Chunk sizes straddling the 4- and 8-lane boundaries, plus big chunks so
+/// the strided hot-scan path runs too.
+const CHUNK_SIZES: &[usize] = &[1, 3, 7, 8, 9, 15, 16, 17, 1024, 8192];
+
+/// `sig` cut into contiguous chunks whose sizes are drawn from
+/// [`CHUNK_SIZES`].
+fn adversarial_chunks(sig: &[Complex32], rng: &mut Xoshiro256) -> Vec<SampleChunk> {
+    let mut chunks = Vec::new();
+    let (mut at, mut seq) = (0usize, 0u64);
+    while at < sig.len() {
+        let want = CHUNK_SIZES[rng.next_range(CHUNK_SIZES.len() as u64) as usize];
+        let take = want.min(sig.len() - at);
+        chunks.push(SampleChunk {
+            seq,
+            start: at as u64,
+            samples: Arc::new(sig[at..at + take].to_vec()),
+            sample_rate: 8e6,
+            ingest: None,
+        });
+        seq += 1;
+        at += take;
+    }
+    chunks
+}
+
+/// Runs a detector over `chunks`, fused or through the unfused reference;
+/// returns its peaks and how many blocks it sent through the sequential
+/// pass.
+fn run_detector(
+    chunks: &[SampleChunk],
+    cfg: PeakDetectorConfig,
+    fused: bool,
+) -> (Vec<PeakBlock>, u64) {
+    let mut det = PeakDetector::new(cfg, 8e6);
+    let mut out = Vec::new();
+    for c in chunks {
+        if fused {
+            det.push_chunk(c, &mut out);
+        } else {
+            det.push_chunk_unfused(c, &mut out);
+        }
+    }
+    det.finish(&mut out);
+    (out, det.sequential_blocks())
+}
+
+fn assert_same_peaks(label: &str, got: &[PeakBlock], want: &[PeakBlock]) {
+    assert_eq!(got.len(), want.len(), "{label}: peak count diverged");
+    for (a, b) in got.iter().zip(want.iter()) {
+        assert_eq!(a.peak.id, b.peak.id, "{label}: id");
+        assert_eq!(a.peak.start, b.peak.start, "{label}: start");
+        assert_eq!(a.peak.end, b.peak.end, "{label}: end");
+        assert_eq!(
+            a.peak.mean_power.to_bits(),
+            b.peak.mean_power.to_bits(),
+            "{label}: mean_power {} vs {}",
+            a.peak.mean_power,
+            b.peak.mean_power
+        );
+        assert_eq!(
+            a.peak.noise_floor.to_bits(),
+            b.peak.noise_floor.to_bits(),
+            "{label}: noise_floor"
+        );
+        assert_eq!(a.sample_start, b.sample_start, "{label}: sample_start");
+        assert_eq!(
+            a.samples.len(),
+            b.samples.len(),
+            "{label}: sample window length"
+        );
+        for (i, (x, y)) in a.samples.iter().zip(b.samples.iter()).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{label}: sample {i} diverged: {x} vs {y}"
+            );
+        }
+    }
+}
+
 /// The fused energy→peak-gate pass must be a pure refactoring of the
 /// unfused reference: identical peaks (indices, powers, samples — bit for
 /// bit) for every chunking of the stream, including adversarial chunk sizes
@@ -87,66 +169,6 @@ fn peak_detector_invariants() {
 /// detector loop kept verbatim as the differential oracle.
 #[test]
 fn fused_peak_detector_matches_unfused_reference() {
-    use rfd_dsp::kernels::{self, Backend};
-    use rfdump::chunk::{PeakBlock, SampleChunk};
-    use rfdump::peak::PeakDetector;
-    use std::sync::Arc;
-
-    // Chunk sizes straddling the 4- and 8-lane boundaries, plus big chunks
-    // so the strided hot-scan path runs too.
-    const CHUNK_SIZES: &[usize] = &[1, 3, 7, 8, 9, 15, 16, 17, 1024, 8192];
-
-    fn run_detector(
-        chunks: &[SampleChunk],
-        cfg: PeakDetectorConfig,
-        fused: bool,
-    ) -> Vec<PeakBlock> {
-        let mut det = PeakDetector::new(cfg, 8e6);
-        let mut out = Vec::new();
-        for c in chunks {
-            if fused {
-                det.push_chunk(c, &mut out);
-            } else {
-                det.push_chunk_unfused(c, &mut out);
-            }
-        }
-        det.finish(&mut out);
-        out
-    }
-
-    fn assert_same_peaks(label: &str, got: &[PeakBlock], want: &[PeakBlock]) {
-        assert_eq!(got.len(), want.len(), "{label}: peak count diverged");
-        for (a, b) in got.iter().zip(want.iter()) {
-            assert_eq!(a.peak.id, b.peak.id, "{label}: id");
-            assert_eq!(a.peak.start, b.peak.start, "{label}: start");
-            assert_eq!(a.peak.end, b.peak.end, "{label}: end");
-            assert_eq!(
-                a.peak.mean_power.to_bits(),
-                b.peak.mean_power.to_bits(),
-                "{label}: mean_power {} vs {}",
-                a.peak.mean_power,
-                b.peak.mean_power
-            );
-            assert_eq!(
-                a.peak.noise_floor.to_bits(),
-                b.peak.noise_floor.to_bits(),
-                "{label}: noise_floor"
-            );
-            assert_eq!(a.sample_start, b.sample_start, "{label}: sample_start");
-            assert_eq!(
-                a.samples.len(),
-                b.samples.len(),
-                "{label}: sample window length"
-            );
-            for (i, (x, y)) in a.samples.iter().zip(b.samples.iter()).enumerate() {
-                assert!(
-                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                    "{label}: sample {i} diverged: {x} vs {y}"
-                );
-            }
-        }
-    }
-
     seeded_cases(0x5EED_0008, 12, |rng| {
         let n_bursts = 1 + rng.next_range(3) as usize;
         let mut bursts = Vec::new();
@@ -160,27 +182,13 @@ fn fused_peak_detector_matches_unfused_reference() {
         let sig = bursty(n, &bursts, 1e-4, rng.next_range(500));
 
         // Slice the stream into adversarially-sized contiguous chunks.
-        let mut chunks = Vec::new();
-        let (mut at, mut seq) = (0usize, 0u64);
-        while at < n {
-            let want = CHUNK_SIZES[rng.next_range(CHUNK_SIZES.len() as u64) as usize];
-            let take = want.min(n - at);
-            chunks.push(SampleChunk {
-                seq,
-                start: at as u64,
-                samples: Arc::new(sig[at..at + take].to_vec()),
-                sample_rate: 8e6,
-                ingest: None,
-            });
-            seq += 1;
-            at += take;
-        }
+        let chunks = adversarial_chunks(&sig, rng);
 
         let cfg = PeakDetectorConfig {
             noise_floor: Some(1e-4),
             ..Default::default()
         };
-        let reference = run_detector(&chunks, cfg, false);
+        let (reference, _) = run_detector(&chunks, cfg, false);
         assert_eq!(
             reference.len(),
             bursts.len(),
@@ -188,11 +196,139 @@ fn fused_peak_detector_matches_unfused_reference() {
         );
         for &backend in kernels::available() {
             kernels::set_backend(backend).unwrap();
-            let fused = run_detector(&chunks, cfg, true);
+            let (fused, _) = run_detector(&chunks, cfg, true);
             assert_same_peaks(&format!("fused[{backend}] vs unfused"), &fused, &reference);
         }
         kernels::set_backend(Backend::Scalar).unwrap();
     });
+}
+
+/// Streams built to break the fused pass's exactness certificate, and
+/// streams that stress its certified path, each under the noise-floor and
+/// averaging-window settings below: the fused pass must match the unfused
+/// reference bit for bit under every backend, and must send a block through
+/// the sequential pass exactly when its certificate fails — counted by
+/// `PeakDetector::sequential_blocks`, which is also required to agree
+/// across chunkings and backends.
+#[test]
+fn fused_peak_detector_falls_back_where_the_certificate_breaks() {
+    use rfdump::peak::DETECT_BLOCK;
+
+    const N: usize = 100 * DETECT_BLOCK;
+    // Unit-power bursts in 1e-4 noise. The first peak's hang run crosses
+    // the block boundary at 5 000 (the burst ends ten samples before it);
+    // the second opens five samples into the block at 10 000, inside the
+    // first averaging window of that block.
+    let base = bursty(
+        N,
+        &[(3_000, 1_990), (10_005, 2_500), (16_000, 1_200)],
+        1e-4,
+        7,
+    );
+    let edit = |f: &dyn Fn(&mut [Complex32])| {
+        let mut sig = base.clone();
+        f(&mut sig);
+        sig
+    };
+    let tiny = 2f32.powi(-20); // scales power by 2^-40
+                               // Each breaker fails the certificate of the block it sits in, and of
+                               // the next block too when it sits in the averaging window that block
+                               // inherits: the sample's offset in its block is given for that.
+    let breakers: Vec<(&str, Vec<Complex32>, Option<usize>)> = vec![
+        (
+            "2^-40 sample in a unit-power block",
+            edit(&|s| s[11_111] = s[11_111].scale(tiny)),
+            Some(111),
+        ),
+        (
+            "subnormal power",
+            edit(&|s| s[7_777] = Complex32::new(1e-20, 0.0)),
+            Some(177),
+        ),
+        (
+            "single huge sample",
+            edit(&|s| s[13_333] = Complex32::new(1e12, 0.0)),
+            Some(133),
+        ),
+        // Two whole blocks of zeros: the first still inherits noise in its
+        // window; the second holds nothing but zeros.
+        (
+            "exact-zero blocks",
+            edit(&|s| s[6_000..6_400].fill(Complex32::ZERO)),
+            None,
+        ),
+    ];
+    let configs = [
+        (Some(1e-4), 20),
+        (None, 5),
+        (None, 20),
+        (None, 80),
+        (Some(1e-4), 80),
+    ];
+
+    let mut rng = Xoshiro256::new(0x5EED_0009);
+    // Fused fallback count, identical under every backend, after checking
+    // the fused peaks against the unfused reference.
+    let mut check = |label: &str, sig: &[Complex32], cfg: PeakDetectorConfig| -> u64 {
+        let chunks = adversarial_chunks(sig, &mut rng);
+        let (reference, _) = run_detector(&chunks, cfg, false);
+        let mut counts = Vec::new();
+        for &backend in kernels::available() {
+            kernels::set_backend(backend).unwrap();
+            let (fused, sequential) = run_detector(&chunks, cfg, true);
+            assert_same_peaks(&format!("{label} fused[{backend}]"), &fused, &reference);
+            counts.push(sequential);
+        }
+        kernels::set_backend(Backend::Scalar).unwrap();
+        assert!(
+            counts.windows(2).all(|w| w[0] == w[1]),
+            "{label}: {counts:?}"
+        );
+        // Whole-block pushes decide the same blocks as any chunking.
+        let mut det = PeakDetector::new(cfg, 8e6);
+        let mut out = Vec::new();
+        det.push_samples(0, sig, None, &mut out);
+        det.finish(&mut out);
+        assert_eq!(det.sequential_blocks(), counts[0], "{label}: chunking");
+        counts[0]
+    };
+
+    for (floor, avg_window) in configs {
+        let cfg = PeakDetectorConfig {
+            noise_floor: floor,
+            avg_window,
+            ..Default::default()
+        };
+        let label = format!("floor {floor:?} window {avg_window}");
+        let peaks = detect_peaks(&base, 8e6, cfg);
+        assert_eq!(
+            peaks.len(),
+            3,
+            "{label}: the base stream must show its bursts"
+        );
+        // The clean stream falls back on its first block, whose window is
+        // not yet full, and where a burst edge puts noise and signal more
+        // than 2^29 apart in one block or the window it inherits: at most
+        // two blocks for each of the six edges.
+        let clean = check(&format!("{label} base"), &base, cfg);
+        assert!(
+            (1..=13).contains(&clean),
+            "{label}: {clean} clean fallbacks"
+        );
+        for (what, sig, offset) in &breakers {
+            let inherited = offset.is_some_and(|o| o >= DETECT_BLOCK - avg_window);
+            let sequential = check(&format!("{label} {what}"), sig, cfg);
+            assert_eq!(
+                sequential,
+                clean + 1 + inherited as u64,
+                "{label}: {what} must take the fallback"
+            );
+        }
+        // A final partial block always runs sequentially.
+        let whole = check(&format!("{label} whole"), &base[..N - DETECT_BLOCK], cfg);
+        let partial = check(&format!("{label} partial"), &base[..N - 77], cfg);
+        assert_eq!(partial, whole + 1, "{label}: final partial block");
+    }
 }
 
 /// CRC engines detect every 1- and 2-bit error.
