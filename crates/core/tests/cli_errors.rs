@@ -368,3 +368,58 @@ fn watch_for_absent_source_exits_nonzero_cleanly() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+#[test]
+fn send_retries_zero_fails_on_an_injected_disconnect_and_one_retry_recovers() {
+    // `--retries 0` is the single attempt even under `--chaos`: the
+    // connection dropped at the second chunk is terminal. One retry
+    // reconnects, resumes from the server's ack and completes the send.
+    let dir = std::env::temp_dir().join("rfd-cli-errors");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("retries-{}.rfdt", std::process::id()));
+    let samples = vec![rfd_dsp::Complex32::new(0.25, -0.25); 4096];
+    rfd_ether::trace::write_trace(&path, 8e6, 0.0, &samples).unwrap();
+    for (retries, recovers) in [("0", false), ("1", true)] {
+        let factory: rfd_net::PipelineFactory = Box::new(|_source: &str| {
+            Box::new(|_meta: &rfd_net::StreamMeta, _: Vec<rfd_dsp::Complex32>| {
+                Vec::<rfd_net::RecordMsg>::new()
+            })
+        });
+        let server = rfd_net::FleetServer::bind(
+            "127.0.0.1:0",
+            rfd_net::FleetConfig {
+                expect: Some(1),
+                resume_grace: std::time::Duration::from_secs(10),
+                ..Default::default()
+            },
+            factory,
+            None,
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let handle = server.handle();
+        let run = std::thread::spawn(move || server.run().unwrap());
+        let out = rfdump(&[
+            "send",
+            "--connect",
+            &addr,
+            "--retries",
+            retries,
+            "--chunk",
+            "1024",
+            "--chaos",
+            "seed=1;disconnect=net.send.chunk#2",
+            path.to_str().unwrap(),
+        ]);
+        if recovers {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "--retries 1 must recover: {stderr}");
+            assert!(stderr.contains("1 reconnect(s)"), "stderr: {stderr}");
+        } else {
+            assert_clean_failure(&out, "--retries 0 under chaos", "cannot send");
+            handle.shutdown();
+        }
+        run.join().unwrap();
+    }
+    std::fs::remove_file(&path).ok();
+}
