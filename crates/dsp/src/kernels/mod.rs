@@ -1,7 +1,8 @@
 //! Runtime-dispatched SIMD kernels for the DSP hot paths.
 //!
-//! Every inner loop the detection front end spends real time in — per-sample
-//! power, windowed-power reductions, FIR and correlation dot products,
+//! Every inner loop the detection front end spends real time in — widening
+//! the i16 I/Q trace payload to complex samples, per-sample power,
+//! windowed-power reductions, FIR and correlation dot products,
 //! adjacent conjugate-multiply chains (the paper's "complex conjugation,
 //! multiplication and arctan" pipeline, §4.5), and FFT butterfly stages —
 //! is routed through the [`KernelTable`] selected here. Three backends ship:
@@ -17,9 +18,11 @@
 //! fix the evaluation order in the scalar reference so the natural vector
 //! schedule reproduces it exactly:
 //!
-//! * Element-wise kernels (per-sample power, conjugate products, butterfly
-//!   arithmetic) perform the same IEEE operations per element in the same
-//!   order, so every backend is trivially bit-identical. Sign manipulation
+//! * Element-wise kernels (per-sample power, i16 I/Q widening, conjugate
+//!   products, butterfly arithmetic) perform the same IEEE operations per
+//!   element in the same order, so every backend is trivially bit-identical.
+//!   Widening ([`widen_i16_iq`]) is an exact int→f32 conversion followed by
+//!   `from_i16_iq`'s two multiplies, each rounded on its own. Sign manipulation
 //!   uses the identities `a + (-b) ≡ a - b` and `x * (-y) ≡ -(x * y)`,
 //!   which are exact in IEEE-754.
 //! * Reductions use **striped 8-lane accumulation**: lane `j` accumulates
@@ -68,6 +71,7 @@
 //! a warning on stderr.
 
 use crate::complex::Complex32;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -132,6 +136,9 @@ struct KernelTable {
     sum_sq_f32: fn(&[f32]) -> f64,
     /// Per-sample `|z|²` (`re*re + im*im`, element-wise).
     power_into: fn(&[Complex32], &mut [f32]),
+    /// LE i16 I/Q bytes to `from_i16_iq(i, q).scale(s)` (element-wise);
+    /// writes every element of the spare capacity it is handed.
+    widen_i16_iq: fn(&[u8], f32, &mut [MaybeUninit<Complex32>]),
     /// Striped dot product of two real sequences, accumulated in `f64`.
     dot_f32: fn(&[f32], &[f32]) -> f64,
     /// Complex-window × duplicated-real-taps dot, striped 8-lane `f32`.
@@ -158,6 +165,7 @@ type WindowSumsFn = fn(&[f32], usize, &mut [f64]) -> (f64, u32, u32);
 static SCALAR_TABLE: KernelTable = KernelTable {
     sum_sq_f32: scalar::sum_sq_f32,
     power_into: scalar::power_into,
+    widen_i16_iq: scalar::widen_i16_iq,
     dot_f32: scalar::dot_f32,
     fir_dot: scalar::fir_dot,
     conj_dot: scalar::conj_dot,
@@ -171,6 +179,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
 static SSE2_TABLE: KernelTable = KernelTable {
     sum_sq_f32: sse2_avx2::sse2_sum_sq_f32,
     power_into: sse2_avx2::sse2_power_into,
+    widen_i16_iq: sse2_avx2::sse2_widen_i16_iq,
     dot_f32: sse2_avx2::sse2_dot_f32,
     fir_dot: sse2_avx2::sse2_fir_dot,
     conj_dot: sse2_avx2::sse2_conj_dot,
@@ -184,6 +193,7 @@ static SSE2_TABLE: KernelTable = KernelTable {
 static AVX2_TABLE: KernelTable = KernelTable {
     sum_sq_f32: sse2_avx2::avx2_sum_sq_f32,
     power_into: sse2_avx2::avx2_power_into,
+    widen_i16_iq: sse2_avx2::avx2_widen_i16_iq,
     dot_f32: sse2_avx2::avx2_dot_f32,
     fir_dot: sse2_avx2::avx2_fir_dot,
     conj_dot: sse2_avx2::avx2_conj_dot,
@@ -350,6 +360,32 @@ pub fn power_into(samples: &[Complex32], out: &mut Vec<f32>) {
     out.clear();
     out.resize(samples.len(), 0.0);
     (table().power_into)(samples, out.as_mut_slice());
+}
+
+/// Widens little-endian interleaved i16 I/Q bytes, the `.rfdt` payload,
+/// into `out` (cleared first): one sample per 4-byte `(i, q)` pair, each
+/// bit-identical to `from_i16_iq(i, q).scale(scale)`. Every backend converts
+/// exactly to `f32`, then multiplies by `1 / i16::MAX` and by `scale` as two
+/// separately rounded steps, never one folded constant and never an FMA.
+///
+/// # Panics
+/// Panics if `bytes` ends in a partial pair.
+pub fn widen_i16_iq(bytes: &[u8], scale: f32, out: &mut Vec<Complex32>) {
+    assert!(
+        bytes.len().is_multiple_of(4),
+        "widen_i16_iq: partial I/Q pair"
+    );
+    let n = bytes.len() / 4;
+    out.clear();
+    out.reserve(n);
+    (table().widen_i16_iq)(bytes, scale, &mut out.spare_capacity_mut()[..n]);
+    // SAFETY: `bytes` holds exactly `n` pairs for the `n` spare slots, and
+    // every backend writes one slot per pair (the vector loop, then the
+    // scalar tail), so all `n` are initialized.
+    #[allow(unsafe_code)]
+    unsafe {
+        out.set_len(n)
+    }
 }
 
 /// Striped dot product of two equal-length real sequences in `f64`.

@@ -131,6 +131,41 @@ fn power_into_matches_scalar_bitwise() {
 }
 
 #[test]
+fn widen_i16_iq_matches_scalar_bitwise() {
+    // Lengths around both vector steps, around a page of samples, and one
+    // replay chunk; slices start 0–3 bytes into their buffer, so no load
+    // is aligned; a subnormal scale probes flush-to-zero.
+    let lens = (0..=17usize).chain([4095, 4096, 4097, 12_800]);
+    seeded_cases(0xD1F0_000C, 4, |rng| {
+        for n in lens.clone() {
+            let mut buf = vec![0u8; 4 * n + 3];
+            rng.fill_bytes(&mut buf);
+            for off in 0..=3usize {
+                let bytes = &buf[off..off + 4 * n];
+                for scale in [1.0f32, 0.37, 3.1e4, 1e-40] {
+                    let label = format!("widen_i16_iq n={n} off={off} scale={scale:e}");
+                    let widen = || {
+                        let mut out = vec![Complex32::ONE; 5];
+                        kernels::widen_i16_iq(bytes, scale, &mut out);
+                        out.into_iter().map(c_bits).collect::<Vec<_>>()
+                    };
+                    differential(&label, widen);
+                    let want: Vec<(u32, u32)> = bytes
+                        .chunks_exact(4)
+                        .map(|b| {
+                            let i = i16::from_le_bytes([b[0], b[1]]);
+                            let q = i16::from_le_bytes([b[2], b[3]]);
+                            c_bits(rfd_dsp::complex::from_i16_iq(i, q).scale(scale))
+                        })
+                        .collect();
+                    assert_eq!(widen(), want, "{label}: not from_i16_iq(i, q).scale(s)");
+                }
+            }
+        }
+    });
+}
+
+#[test]
 fn fir_dot_matches_scalar_bitwise() {
     // Tap counts around the 4-complex (8-float) vector step, plus real
     // filter sizes used by the decimators.
