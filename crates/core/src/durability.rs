@@ -58,7 +58,7 @@ use rfd_journal::{
     JournalWriter,
 };
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -609,15 +609,6 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<CheckpointData> {
         governor_level,
         strikes,
     })
-}
-
-/// Removes a journal directory's segments and checkpoint (used by tests and
-/// tooling; leaves unrelated files alone).
-pub fn wipe_journal(dir: &Path) -> io::Result<()> {
-    match JournalWriter::create(dir) {
-        Ok(_) => Ok(()),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,17 @@
 use crate::complex::Complex32;
 use crate::TAU64;
 
-/// A complex oscillator with double-precision phase accumulation (so long
-/// traces do not accumulate phase error).
+/// A complex oscillator with a double-precision phase accumulator.
+///
+/// The accumulator is `f64`, but each output is `cis(phase as f32)`, and
+/// [`next`](Self::next) wraps the phase only once it exceeds +1e9 rad, so a
+/// negative-frequency oscillator (half the Bluetooth channel offsets) never
+/// wraps at all. The angle handed to `cis` therefore loses precision as a
+/// run grows: its `f32` ulp is `2^(⌊log2 |phase|⌋ - 23)` rad, already ~0.004
+/// rad after one DH5-length block (~23 000 samples at 8 Msps) at a 3.5 MHz
+/// offset. Long traces *do* accumulate phase error. Wrapping every step
+/// would fix it, but it changes synthesized traces and Bluetooth records,
+/// so it waits for a reviewed golden regeneration.
 #[derive(Debug, Clone)]
 pub struct Nco {
     phase: f64,
