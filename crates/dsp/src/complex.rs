@@ -227,9 +227,12 @@ impl From<(f32, f32)> for Complex32 {
 /// `i16::MAX` so a full-scale trace maps onto roughly `[-1, 1]`.
 #[inline]
 pub fn from_i16_iq(i: i16, q: i16) -> Complex32 {
-    const SCALE: f32 = 1.0 / i16::MAX as f32;
-    Complex32::new(i as f32 * SCALE, q as f32 * SCALE)
+    Complex32::new(i as f32 * I16_UNIT, q as f32 * I16_UNIT)
 }
+
+/// The factor [`from_i16_iq`] multiplies each component by; the vector
+/// widening kernels broadcast this same `f32`.
+pub(crate) const I16_UNIT: f32 = 1.0 / i16::MAX as f32;
 
 /// Converts a unit-scale sample back to an interleaved `i16` I/Q pair,
 /// saturating on overflow.
