@@ -2346,6 +2346,92 @@ pub(crate) mod tests {
         assert!(s.done);
     }
 
+    /// Dedup is exact by value, not just by count: a resend whose chunks
+    /// straddle the committed mark hands the pipeline precisely the samples
+    /// an uninterrupted session would have, bit for bit, in order.
+    #[test]
+    fn straddling_resend_dedupes_bit_exactly() {
+        use rfd_dsp::complex::from_i16_iq;
+        use rfd_dsp::rng::Xoshiro256;
+        let seen: Arc<Mutex<Vec<(u32, u32)>>> = Arc::default();
+        let factory: PipelineFactory = {
+            let seen = seen.clone();
+            Box::new(move |_source: &str| {
+                let seen = seen.clone();
+                Box::new(
+                    move |_meta: &StreamMeta, samples: Vec<Complex32>| -> Vec<RecordMsg> {
+                        let mut seen = seen.lock().unwrap();
+                        seen.extend(samples.iter().map(|z| (z.re.to_bits(), z.im.to_bits())));
+                        Vec::new()
+                    },
+                )
+            })
+        };
+        let server = FleetServer::bind(
+            "127.0.0.1:0",
+            FleetConfig {
+                expect: Some(1),
+                resume_grace: Duration::from_secs(10),
+                ..Default::default()
+            },
+            factory,
+            None,
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = server.handle();
+        let run = std::thread::spawn(move || server.run().unwrap());
+
+        // Every pair distinct, the i16 extremes included; a scale that is
+        // not a power of two, so a folded constant would show in the bits.
+        let mut rng = Xoshiro256::new(0xDED0_2009);
+        let mut pairs: Vec<(i16, i16)> = (0..3072)
+            .map(|_| {
+                let v = rng.next_u64();
+                (v as i16, (v >> 16) as i16)
+            })
+            .collect();
+        pairs[950] = (i16::MIN, i16::MAX);
+        pairs[1000] = (i16::MAX, i16::MIN);
+        let meta = StreamMeta {
+            scale: 0.731,
+            ..meta()
+        };
+        let chunked = |pairs: &[(i16, i16)], n: usize| -> Vec<Vec<(i16, i16)>> {
+            pairs.chunks(n).map(<[_]>::to_vec).collect()
+        };
+        {
+            // [0, 1000) in 250-sample chunks, then a crash: no Bye.
+            let mut tx1 = TraceSender::connect_source(addr, "dedup").unwrap();
+            tx1.send_quantized(meta, chunked(&pairs[..1000], 250), SendRate::Max)
+                .unwrap();
+        }
+        wait_for("source parked after crash", || {
+            handle.stats().net.sessions_parked == 1
+        });
+        // [0, 3072) in 300-sample chunks: three whole duplicates, then
+        // [900, 1200) straddles the committed mark 1000.
+        let mut tx2 = TraceSender::connect_source(addr, "dedup").unwrap();
+        tx2.send_quantized(meta, chunked(&pairs, 300), SendRate::Max)
+            .unwrap();
+        tx2.finish().unwrap();
+
+        let stats = run.join().unwrap();
+        let s = &stats.per_source[0];
+        assert_eq!(s.samples_in, 3072);
+        assert_eq!(s.chunks_duplicate, 3, "[0, 900) resent whole");
+        let want: Vec<(u32, u32)> = pairs
+            .iter()
+            .map(|&(i, q)| {
+                let z = from_i16_iq(i, q).scale(meta.scale);
+                (z.re.to_bits(), z.im.to_bits())
+            })
+            .collect();
+        let got = seen.lock().unwrap();
+        assert_eq!(got.len(), want.len());
+        assert!(*got == want, "analysed samples differ from the stream");
+    }
+
     #[test]
     fn quarantined_source_is_refused_and_finalized() {
         let server = FleetServer::bind(
