@@ -15,7 +15,8 @@
 #      --workers 0 and --workers 4 print a
 #      byte-identical record stream, and that no fused multiply-add
 #      appears in the kernel layer or the resampler (the kernel-matrix
-#      identity itself is tier-1, crates/core/tests/kernel_matrix.rs).
+#      identity and the plain serve/send loopback are tier-1,
+#      crates/core/tests/{kernel_matrix,loopback}.rs).
 #   4. chaos smokes: the suite again under an ambient output-preserving
 #      RFD_FAULTS plan, a serve/send loopback with injected producer
 #      disconnects diffed against offline output, and a SIGINT shutdown
@@ -207,22 +208,6 @@ cargo run --release -q -p rfd-examples --bin stats_inspect "$work/resume-stats.j
     > "$work/resume-inspect.txt"
 grep -q "recovery:" "$work/resume-inspect.txt" \
     || { echo "stats_inspect did not render recovery"; exit 1; }
-
-echo "== smoke: localhost serve/send loopback =="
-# A once-mode server replays the same trace over TCP; its record stream
-# (stdout) must be byte-identical to the offline run above.
-port=17099
-start_serve "$work/records-net.txt" "$work/serve-log.txt" \
-    "server never came up on port $port" \
-    --listen "127.0.0.1:$port" --once --workers 0
-./target/release/rfdump send --connect "127.0.0.1:$port" --rate max "$trace"
-# --once: the server exits on its own after the producer session.
-wait_gone "$work/serve-log.txt" \
-    "server did not shut down cleanly within 30s of the session ending"
-if ! diff -u "$work/records-w0.txt" "$work/records-net.txt"; then
-    echo "live loopback record stream differs from the offline run"
-    exit 1
-fi
 
 echo "== fleet smoke: 3 concurrent senders, per-source streams byte-identical =="
 # A --fleet server shards three concurrent sources onto private pipeline

@@ -161,67 +161,19 @@ fn reflect(v: u64, width: u32) -> u64 {
 // Fast CRC-32 for byte slices
 // ---------------------------------------------------------------------------
 
-/// Slice-by-8 tables for the reflected CRC-32/IEEE polynomial. `T[0]` is the
-/// classic byte-at-a-time table; `T[k][b]` is the register after byte `b`
-/// followed by `k` zero bytes, so eight table reads advance eight bytes.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut b = 0;
-    while b < 256 {
-        let mut reg = b as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            reg = if reg & 1 == 1 {
-                (reg >> 1) ^ 0xEDB8_8320
-            } else {
-                reg >> 1
-            };
-            bit += 1;
-        }
-        t[0][b] = reg;
-        b += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut b = 0;
-        while b < 256 {
-            let prev = t[k - 1][b];
-            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
-
 /// CRC-32/IEEE 802.3 over `data` — the same value as
 /// `Crc::crc32_ieee().compute(data) as u32` (init and final XOR all ones,
-/// reflected; `crc32(b"123456789") == 0xCBF4_3926`), eight bytes per step.
+/// reflected; `crc32(b"123456789") == 0xCBF4_3926`).
 ///
 /// This is the CRC on the per-sample paths (RFDN frame payloads, the 802.11
 /// FCS); the generic bit-serial [`Crc`] stays as the engine for every other
-/// width and as the oracle this function is tested against.
+/// width and as the oracle this function is tested against. It runs through
+/// the active kernel table: slice-by-8 on the scalar backend (the
+/// reference), carry-less-multiply folding on the SSE2 and AVX2 backends
+/// when the CPU has PCLMULQDQ. A CRC is integer arithmetic, so every
+/// backend returns the same value.
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut reg = u32::MAX;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = reg ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        reg = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
-    }
-    for &byte in words.remainder() {
-        reg = (reg >> 8) ^ t[0][((reg ^ byte as u32) & 0xFF) as usize];
-    }
-    !reg
+    crate::kernels::crc32(data)
 }
 
 // ---------------------------------------------------------------------------

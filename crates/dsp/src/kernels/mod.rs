@@ -153,6 +153,8 @@ struct KernelTable {
     polyphase_rows: PolyphaseRowsFn,
     /// Window sums, total and bit-pattern range (certified by the caller).
     window_sums: WindowSumsFn,
+    /// Advances a reflected CRC-32/IEEE register over bytes (integer).
+    crc32_update: fn(u32, &[u8]) -> u32,
 }
 
 /// `(src, offs, taps, scale, out)` of [`polyphase_rows`].
@@ -173,6 +175,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     fft_stage: scalar::fft_stage,
     polyphase_rows: scalar::polyphase_rows,
     window_sums: scalar::window_sums,
+    crc32_update: scalar::crc32_update,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -187,6 +190,7 @@ static SSE2_TABLE: KernelTable = KernelTable {
     fft_stage: sse2_avx2::sse2_fft_stage,
     polyphase_rows: sse2_avx2::sse2_polyphase_rows,
     window_sums: sse2_avx2::sse2_window_sums,
+    crc32_update: sse2_avx2::clmul_crc32_update,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -201,6 +205,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     fft_stage: sse2_avx2::avx2_fft_stage,
     polyphase_rows: sse2_avx2::avx2_polyphase_rows,
     window_sums: sse2_avx2::avx2_window_sums,
+    crc32_update: sse2_avx2::clmul_crc32_update,
 };
 
 fn table_for(b: Backend) -> &'static KernelTable {
@@ -386,6 +391,13 @@ pub fn widen_i16_iq(bytes: &[u8], scale: f32, out: &mut Vec<Complex32>) {
     unsafe {
         out.set_len(n)
     }
+}
+
+/// CRC-32/IEEE of `data` (see [`crate::coding::crc32`], its public name):
+/// slice-by-8 on the scalar backend, carry-less-multiply folding on the
+/// vector backends when the CPU has PCLMULQDQ.
+pub(crate) fn crc32(data: &[u8]) -> u32 {
+    !(table().crc32_update)(u32::MAX, data)
 }
 
 /// Striped dot product of two equal-length real sequences in `f64`.

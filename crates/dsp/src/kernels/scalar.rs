@@ -68,6 +68,63 @@ pub(super) fn widen_i16_iq(bytes: &[u8], scale: f32, out: &mut [MaybeUninit<Comp
     }
 }
 
+/// Slice-by-8 tables for the reflected CRC-32/IEEE polynomial. `T[0]` is the
+/// classic byte-at-a-time table; `T[k][b]` is the register after byte `b`
+/// followed by `k` zero bytes, so eight table reads advance eight bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut reg = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            reg = if reg & 1 == 1 {
+                (reg >> 1) ^ 0xEDB8_8320
+            } else {
+                reg >> 1
+            };
+            bit += 1;
+        }
+        t[0][b] = reg;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// Advances the reflected CRC-32/IEEE register `reg` over `data`, eight
+/// bytes per step (no initial or final inversion: the caller owns those).
+pub(super) fn crc32_update(mut reg: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = reg ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        reg = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &byte in words.remainder() {
+        reg = (reg >> 8) ^ t[0][((reg ^ byte as u32) & 0xFF) as usize];
+    }
+    reg
+}
+
 pub(super) fn fir_dot(window: &[f32], taps2: &[f32]) -> Complex32 {
     let len = window.len();
     let n8 = len & !7;

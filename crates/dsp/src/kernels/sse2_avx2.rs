@@ -984,3 +984,161 @@ unsafe fn hsum_pd_256(v: __m256d) -> f64 {
     let t = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
     _mm_cvtsd_f64(t) + _mm_cvtsd_f64(_mm_unpackhi_pd(t, t))
 }
+
+// ---------------------------------------------------------------------------
+// CRC-32 by carry-less multiplication (SSE2 + PCLMULQDQ, both tables)
+// ---------------------------------------------------------------------------
+//
+// The reflected CRC-32/IEEE register is folded 128 bits at a time: a block
+// `B` of the message, followed by `k` more bits, contributes
+// `B · x^k mod P` to the remainder, and a carry-less multiply by the
+// precomputed `x^k mod P` moves it forward without touching those bits.
+// In the bit-reflected domain a 32-bit remainder `r` is stored as
+// `reflect32(r) << 1`, a 33-bit value. Integer arithmetic throughout: the
+// result is the slice-by-8 reference's by construction, and the
+// differential tests check it.
+
+/// `x^(4·128+32) mod P`: folds each of four lanes' low halves 512 bits on.
+pub(super) const FOLD_4_LO: u64 = 0x1_5444_2BD4;
+/// `x^(4·128-32) mod P`: folds each of four lanes' high halves 512 bits on.
+pub(super) const FOLD_4_HI: u64 = 0x1_C6E4_1596;
+/// `x^(128+32) mod P`: folds one lane's low half 128 bits on.
+pub(super) const FOLD_1_LO: u64 = 0x1_7519_97D0;
+/// `x^(128-32) mod P`: folds one lane's high half 128 bits on.
+pub(super) const FOLD_1_HI: u64 = 0x0_CCAA_009E;
+/// `x^64 mod P`: folds the last 64 bits down to 32 plus a 32-bit shift.
+pub(super) const FOLD_64: u64 = 0x1_63CD_6124;
+/// `P` itself, reflected over its 33 bits: the Barrett reduction's modulus.
+pub(super) const POLY_REFLECTED: u64 = 0x1_DB71_0641;
+/// `⌊x^64 / P⌋`, reflected over its 33 bits: the Barrett quotient estimate.
+pub(super) const BARRETT_MU: u64 = 0x1_F701_1641;
+
+/// Inputs shorter than this stay on slice-by-8, where the fold set-up and
+/// the final reduction would cost more than they save.
+const CLMUL_MIN_LEN: usize = 128;
+
+/// The vector tables' CRC-32 register update: whole 16-byte blocks fold by
+/// carry-less multiplication when the CPU has PCLMULQDQ and the input is
+/// long enough; the tail, short inputs and CPUs without it take the
+/// slice-by-8 reference.
+pub(super) fn clmul_crc32_update(reg: u32, data: &[u8]) -> u32 {
+    if data.len() < CLMUL_MIN_LEN || !std::arch::is_x86_feature_detected!("pclmulqdq") {
+        return super::scalar::crc32_update(reg, data);
+    }
+    let (blocks, tail) = data.split_at(data.len() & !15);
+    // SAFETY: PCLMULQDQ was detected just above and SSE2 is the x86-64
+    // baseline; `blocks` is at least 64 bytes and a whole number of 16-byte
+    // blocks, as the kernel requires.
+    let reg = unsafe { crc32_fold_clmul(reg, blocks) };
+    super::scalar::crc32_update(reg, tail)
+}
+
+/// One 128-bit fold: `x`'s low half times `k`'s low half, plus `x`'s high
+/// half times `k`'s high half, plus the next block.
+#[inline]
+#[target_feature(enable = "sse2,pclmulqdq")]
+unsafe fn fold_128(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+    let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+    let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+    _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+}
+
+/// The register `reg` advanced over `data`: four fold lanes of 16 bytes
+/// stride 64 through the input, fold into one, take the remaining blocks,
+/// then reduce 128 → 64 → 32 bits and finish with a Barrett reduction.
+///
+/// # Safety
+///
+/// The CPU must support SSE2 and PCLMULQDQ, and `data.len()` must be a
+/// multiple of 16 and at least 64.
+#[target_feature(enable = "sse2,pclmulqdq")]
+unsafe fn crc32_fold_clmul(reg: u32, data: &[u8]) -> u32 {
+    assert!(data.len() >= 64 && data.len().is_multiple_of(16));
+    unsafe {
+        let n = data.len();
+        let p = data.as_ptr();
+        let load = |at: usize| _mm_loadu_si128(p.add(at) as *const __m128i);
+        let mut x0 = _mm_xor_si128(load(0), _mm_cvtsi32_si128(reg as i32));
+        let mut x1 = load(16);
+        let mut x2 = load(32);
+        let mut x3 = load(48);
+        let k4 = _mm_set_epi64x(FOLD_4_HI as i64, FOLD_4_LO as i64);
+        let mut at = 64;
+        while at + 64 <= n {
+            x0 = fold_128(x0, k4, load(at));
+            x1 = fold_128(x1, k4, load(at + 16));
+            x2 = fold_128(x2, k4, load(at + 32));
+            x3 = fold_128(x3, k4, load(at + 48));
+            at += 64;
+        }
+        let k1 = _mm_set_epi64x(FOLD_1_HI as i64, FOLD_1_LO as i64);
+        let mut x = fold_128(x0, k1, x1);
+        x = fold_128(x, k1, x2);
+        x = fold_128(x, k1, x3);
+        while at < n {
+            x = fold_128(x, k1, load(at));
+            at += 16;
+        }
+        // 128 → 64 bits: the low half moves on by `x^(128-32)`, which also
+        // appends the 32 zero bits a CRC's remainder implies.
+        x = _mm_xor_si128(_mm_srli_si128::<8>(x), _mm_clmulepi64_si128::<0x10>(x, k1));
+        // 64 → 32 bits (plus 32 more): the low word moves on by `x^64`.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let k64 = _mm_set_epi64x(0, FOLD_64 as i64);
+        x = _mm_xor_si128(
+            _mm_srli_si128::<4>(x),
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k64),
+        );
+        // Barrett: q = low32 · μ, then r = x - (q mod x^32) · P, in its
+        // upper word.
+        let barrett = _mm_set_epi64x(BARRETT_MU as i64, POLY_REFLECTED as i64);
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), barrett);
+        let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), barrett);
+        let r = _mm_xor_si128(x, qp);
+        _mm_cvtsi128_si32(_mm_srli_si128::<4>(r)) as u32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `x^k mod P` for the normal-order CRC-32 polynomial.
+    fn x_pow_mod_p(k: u32) -> u32 {
+        const P: u64 = 0x1_04C1_1DB7;
+        let mut r: u64 = 1;
+        for _ in 0..k {
+            r <<= 1;
+            if r & (1 << 32) != 0 {
+                r ^= P;
+            }
+        }
+        r as u32
+    }
+
+    /// The low `bits` bits of `v` in reverse order.
+    fn reflect(v: u64, bits: u32) -> u64 {
+        v.reverse_bits() >> (64 - bits)
+    }
+
+    #[test]
+    fn fold_constants_are_the_powers_of_x_they_claim() {
+        let folded = |k: u32| reflect(x_pow_mod_p(k) as u64, 32) << 1;
+        assert_eq!(FOLD_4_LO, folded(4 * 128 + 32));
+        assert_eq!(FOLD_4_HI, folded(4 * 128 - 32));
+        assert_eq!(FOLD_1_LO, folded(128 + 32));
+        assert_eq!(FOLD_1_HI, folded(128 - 32));
+        assert_eq!(FOLD_64, folded(64));
+        const P: u64 = 0x1_04C1_1DB7;
+        assert_eq!(POLY_REFLECTED, reflect(P, 33));
+        // ⌊x^64 / P⌋ by long division over GF(2).
+        let (mut rem, mut quot) = (1u128 << 64, 0u64);
+        for bit in (32..=64).rev() {
+            if rem & (1 << bit) != 0 {
+                rem ^= (P as u128) << (bit - 32);
+                quot |= 1 << (bit - 32);
+            }
+        }
+        assert_eq!(BARRETT_MU, reflect(quot, 33));
+    }
+}

@@ -142,12 +142,11 @@
 //! order *between* sources is arrival order and intentionally unspecified
 //! (two anonymous sessions at once interleave their bare records).
 
-use crate::frame::{Frame, FrameDecoder, RecordMsg, Role, SeqFrame, StreamMeta};
+use crate::frame::{Decoded, Frame, FrameDecoder, RecordMsg, Role, StreamMeta};
 use crate::hub::{HubMsg, RecordHub, Subscription};
 use crate::queue::{ChunkQueue, OverflowPolicy, TryPushError};
 use crate::server::{serve_subscriber, NetStats, NetStatsSnapshot, Pipeline, SubscriberCtx};
-use rfd_dsp::complex::from_i16_iq;
-use rfd_dsp::Complex32;
+use rfd_dsp::{kernels, Complex32};
 use rfd_fault::{Action, FaultPlan};
 use rfd_telemetry::ladder::{Hysteresis, Rung, Window};
 use rfd_telemetry::{Counter, Gauge, Histogram, HistogramWindow, Registry};
@@ -1501,12 +1500,28 @@ fn process_frames(
     analysis_threads: &mut Vec<std::thread::JoinHandle<()>>,
     progressed: &mut bool,
 ) -> Option<Verdict> {
+    // A sample body is borrowed from the decoder's buffer while the rest of
+    // the connection takes the chunk, so the decoder sits outside it.
+    let mut dec = std::mem::take(&mut c.dec);
+    let verdict = apply_frames(inner, c, &mut dec, analysis_threads, progressed);
+    c.dec = dec;
+    verdict
+}
+
+/// The loop of [`process_frames`], with the connection's decoder lent out.
+fn apply_frames(
+    inner: &Arc<FleetInner>,
+    c: &mut Conn,
+    dec: &mut FrameDecoder,
+    analysis_threads: &mut Vec<std::thread::JoinHandle<()>>,
+    progressed: &mut bool,
+) -> Option<Verdict> {
     loop {
         if c.pending.is_some() || c.closing {
             return None;
         }
-        let SeqFrame { seq, frame } = match c.dec.next_frame() {
-            Ok(Some(sf)) => sf,
+        let decoded = match dec.next_decoded() {
+            Ok(Some(d)) => d,
             Ok(None) => return None,
             Err(_) => {
                 inner.stats.decode_errors.add(1);
@@ -1519,6 +1534,10 @@ fn process_frames(
         };
         inner.stats.frames_in.add(1);
         *progressed = true;
+        let seq = match &decoded {
+            Decoded::Samples { seq, .. } => *seq,
+            Decoded::Frame(sf) => sf.seq,
+        };
         if let Some(want) = c.expect_seq {
             if seq != want {
                 inner.stats.seq_gaps.add(u64::from(seq.wrapping_sub(want)));
@@ -1530,6 +1549,19 @@ fn process_frames(
             ConnState::Await => (Stage::Await, None),
             ConnState::Producer => (Stage::Producer, None),
             ConnState::Streaming(s) => (Stage::Streaming, Some(s.clone())),
+        };
+        let frame = match decoded {
+            Decoded::Frame(sf) => sf.frame,
+            Decoded::Samples {
+                start_sample, body, ..
+            } => match &src {
+                Some(src) => {
+                    ingest_chunk(inner, c, src, start_sample, body);
+                    continue;
+                }
+                // A chunk before the handshake.
+                None => return Some(protocol_violation(inner, None)),
+            },
         };
         match (stage, frame) {
             (Stage::Await, Frame::Hello(Role::Producer)) => {
@@ -1545,7 +1577,7 @@ fn process_frames(
                     Ok(s) => s,
                     Err(_) => return Some(Verdict::Drop),
                 };
-                let dec = std::mem::replace(&mut c.dec, FrameDecoder::new());
+                let dec = std::mem::take(dec);
                 let inner = inner.clone();
                 let t = std::thread::Builder::new()
                     .name("rfd-fleet-sub".into())
@@ -1580,10 +1612,6 @@ fn process_frames(
                 };
                 attach(inner, c, admission, analysis_threads);
             }
-            (Stage::Streaming, Frame::SampleChunk { start_sample, iq }) => {
-                let src = src.expect("streaming state carries its source");
-                ingest_chunk(inner, c, &src, start_sample, iq);
-            }
             (Stage::Streaming, Frame::Resume { .. }) => {
                 // A resuming client may declare its last-acked position
                 // after the SourceHello. The claim is advisory — the
@@ -1613,18 +1641,22 @@ fn process_frames(
             (Stage::Await, Frame::Bye) | (Stage::Producer, Frame::Bye) => {
                 c.closing = true;
             }
-            // Anything else — a chunk before the handshake, a duplicate
-            // SourceHello on a streaming connection, a server→subscriber
-            // tag from a producer — is a protocol violation.
-            (_, _) => {
-                inner.stats.decode_errors.add(1);
-                if let Some(src) = src {
-                    health_on_decode_error(inner, &src);
-                }
-                return Some(Verdict::Drop);
-            }
+            // Anything else — a duplicate SourceHello on a streaming
+            // connection, a server→subscriber tag from a producer — is a
+            // protocol violation.
+            (_, _) => return Some(protocol_violation(inner, src.as_ref())),
         }
     }
+}
+
+/// Books a frame the connection's stage does not allow against the source
+/// it streams for, if any, and drops the connection.
+fn protocol_violation(inner: &Arc<FleetInner>, src: Option<&Arc<SourceShared>>) -> Verdict {
+    inner.stats.decode_errors.add(1);
+    if let Some(src) = src {
+        health_on_decode_error(inner, src);
+    }
+    Verdict::Drop
 }
 
 /// What a handshake earned.
@@ -1859,20 +1891,21 @@ fn register_source(inner: &Arc<FleetInner>, tag: Option<&str>, meta: StreamMeta)
     Admission::New(src)
 }
 
-/// Ingests one sample chunk for a streaming source: contiguity accounting,
-/// scale conversion, throttle advisories, committed queue push, periodic
+/// Ingests one sample chunk for a streaming source from its wire body
+/// (validated LE i16 I/Q pairs): contiguity accounting, widening with the
+/// stream's scale, throttle advisories, committed queue push, periodic
 /// acks.
 fn ingest_chunk(
     inner: &Arc<FleetInner>,
     c: &mut Conn,
     src: &Arc<SourceShared>,
     start_sample: u64,
-    iq: Vec<(i16, i16)>,
+    body: &[u8],
 ) {
     c.ingest_t0.get_or_insert_with(Instant::now);
     inner.stats.chunks_in.add(1);
     src.chunks_in.fetch_add(1, Ordering::Relaxed);
-    let n = iq.len() as u64;
+    let n = (body.len() / 4) as u64;
     let end = start_sample.saturating_add(n);
     let expected = src.expected.load(Ordering::Relaxed);
     if end <= expected {
@@ -1881,12 +1914,10 @@ fn ingest_chunk(
         return;
     }
     let gap = start_sample.saturating_sub(expected);
+    // Samples before the committed mark were analysed already.
     let skip = expected.saturating_sub(start_sample) as usize;
-    let scale = src.meta.scale;
-    let samples: Vec<Complex32> = iq[skip..]
-        .iter()
-        .map(|&(i, q)| from_i16_iq(i, q).scale(scale))
-        .collect();
+    let mut samples = Vec::new();
+    kernels::widen_i16_iq(&body[skip * 4..], src.meta.scale, &mut samples);
 
     // Throttle advisory on the saturation rising edge, per source.
     let depth = src.queue.len();

@@ -81,6 +81,7 @@
 
 use rfd_dsp::coding::crc32;
 use std::fmt;
+use std::ops::Range;
 
 /// Magic bytes opening every frame.
 pub const MAGIC: &[u8; 4] = b"RFDN";
@@ -98,7 +99,10 @@ pub const DEFAULT_CHUNK_SAMPLES: usize = 4096;
 /// The most samples one [`Frame::SampleChunk`] can carry under
 /// [`MAX_PAYLOAD`]: its payload is a 12-byte prefix (start sample, count)
 /// plus 4 bytes per sample.
-pub const MAX_CHUNK_SAMPLES: usize = (MAX_PAYLOAD - 12) / 4;
+pub const MAX_CHUNK_SAMPLES: usize = (MAX_PAYLOAD - CHUNK_PREFIX) / 4;
+/// Bytes of a SampleChunk payload before its I/Q body: `start_sample: u64`
+/// and `n: u32`.
+const CHUNK_PREFIX: usize = 12;
 /// Upper bound on a fleet source id, in bytes. Small enough that tagging
 /// every record with the full id stays cheap on the wire.
 pub const MAX_SOURCE_ID: usize = 64;
@@ -542,6 +546,34 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Validates a SampleChunk payload — its body, the bytes after the
+/// [`CHUNK_PREFIX`], must hold exactly the declared sample count — and
+/// returns its start sample.
+fn sample_chunk(payload: &[u8]) -> Result<u64, FrameError> {
+    let mut r = Reader::new(payload);
+    let start_sample = r.u64()?;
+    let n = r.u32()?;
+    let body = payload.len() - CHUNK_PREFIX;
+    // Compared by division: `n * 4` wraps on a 32-bit target, where an
+    // empty body could then claim 2^30 samples.
+    if !body.is_multiple_of(4) || (body / 4) as u64 != u64::from(n) {
+        return Err(FrameError::BadPayload("sample count disagrees with length"));
+    }
+    Ok(start_sample)
+}
+
+/// The interleaved i16 I/Q pairs of a validated sample body.
+fn parse_pairs(body: &[u8]) -> Vec<(i16, i16)> {
+    body.chunks_exact(4)
+        .map(|b| {
+            (
+                i16::from_le_bytes([b[0], b[1]]),
+                i16::from_le_bytes([b[2], b[3]]),
+            )
+        })
+        .collect()
+}
+
 fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
     let mut r = Reader::new(payload);
     let frame = match ty {
@@ -559,24 +591,11 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             Frame::StreamMeta(meta)
         }
         2 => {
-            let start_sample = r.u64()?;
-            let n = r.u32()?;
-            let body = &payload[r.pos..];
-            // Compared by division: `n * 4` wraps on a 32-bit target, where
-            // an empty body could then claim 2^30 samples.
-            if !body.len().is_multiple_of(4) || (body.len() / 4) as u64 != u64::from(n) {
-                return Err(FrameError::BadPayload("sample count disagrees with length"));
-            }
-            let iq = body
-                .chunks_exact(4)
-                .map(|b| {
-                    (
-                        i16::from_le_bytes([b[0], b[1]]),
-                        i16::from_le_bytes([b[2], b[3]]),
-                    )
-                })
-                .collect();
-            return Ok(Frame::SampleChunk { start_sample, iq });
+            let start_sample = sample_chunk(payload)?;
+            return Ok(Frame::SampleChunk {
+                start_sample,
+                iq: parse_pairs(&payload[CHUNK_PREFIX..]),
+            });
         }
         3 => {
             let start_us = r.f64()?;
@@ -668,6 +687,23 @@ pub struct SeqFrame {
     pub frame: Frame,
 }
 
+/// One frame out of [`FrameDecoder::next_decoded`]: a sample chunk's I/Q
+/// body borrowed from the decoder's buffer, any other frame decoded.
+#[derive(Debug, PartialEq)]
+pub enum Decoded<'a> {
+    /// A validated SampleChunk, its body still in wire form.
+    Samples {
+        /// The header's per-direction sequence number.
+        seq: u32,
+        /// Index of the first sample in the stream.
+        start_sample: u64,
+        /// The interleaved little-endian i16 I/Q pairs: 4 bytes a sample.
+        body: &'a [u8],
+    },
+    /// Any other frame.
+    Frame(SeqFrame),
+}
+
 /// Incremental frame decoder: feed raw socket bytes in, pop whole frames
 /// out.
 ///
@@ -691,6 +727,7 @@ impl FrameDecoder {
     /// Appends raw bytes received from the peer.
     pub fn push(&mut self, data: &[u8]) {
         if self.poisoned.is_none() {
+            self.compact();
             self.buf.extend_from_slice(data);
         }
     }
@@ -705,21 +742,74 @@ impl FrameDecoder {
     /// Returns `Ok(None)` when more bytes are needed, `Ok(Some(_))` for a
     /// valid frame, and `Err(_)` once the stream is malformed (sticky).
     pub fn next_frame(&mut self) -> Result<Option<SeqFrame>, FrameError> {
+        Ok(self.next_decoded()?.map(|d| match d {
+            Decoded::Samples {
+                seq,
+                start_sample,
+                body,
+            } => SeqFrame {
+                seq,
+                frame: Frame::SampleChunk {
+                    start_sample,
+                    iq: parse_pairs(body),
+                },
+            },
+            Decoded::Frame(sf) => sf,
+        }))
+    }
+
+    /// [`next_frame`](Self::next_frame) without the pair parse: a sample
+    /// chunk comes back as its validated wire body, borrowed from this
+    /// decoder until the next call on it. Same checks, same order, same
+    /// errors, same poisoning.
+    pub fn next_decoded(&mut self) -> Result<Option<Decoded<'_>>, FrameError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        match self.try_decode() {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                self.buf = Vec::new();
-                self.consumed = 0;
-                Err(e)
-            }
+        let (seq, ty, payload) = match self.next_payload() {
+            Ok(Some(next)) => next,
+            Ok(None) => return Ok(None),
+            Err(e) => return Err(self.poison(e)),
+        };
+        if ty == 2 {
+            return match sample_chunk(&self.buf[payload.clone()]) {
+                Ok(start_sample) => Ok(Some(Decoded::Samples {
+                    seq,
+                    start_sample,
+                    body: &self.buf[payload.start + CHUNK_PREFIX..payload.end],
+                })),
+                Err(e) => Err(self.poison(e)),
+            };
+        }
+        match decode_payload(ty, &self.buf[payload]) {
+            Ok(frame) => Ok(Some(Decoded::Frame(SeqFrame { seq, frame }))),
+            Err(e) => Err(self.poison(e)),
         }
     }
 
-    fn try_decode(&mut self) -> Result<Option<SeqFrame>, FrameError> {
+    /// Drops the consumed prefix once it dominates, keeping the buffer
+    /// small on long-lived connections. [`push`](Self::push) runs it before
+    /// it appends, the one place the buffer grows: decoding never moves the
+    /// bytes, so a body [`next_decoded`](Self::next_decoded) lent out stays
+    /// put until the borrow ends.
+    fn compact(&mut self) {
+        if self.consumed > 4096 && self.consumed * 2 >= self.buf.len() {
+            self.buf.drain(..self.consumed);
+            self.consumed = 0;
+        }
+    }
+
+    /// Poisons the stream with `e` and frees the buffer.
+    fn poison(&mut self, e: FrameError) -> FrameError {
+        self.poisoned = Some(e.clone());
+        self.buf = Vec::new();
+        self.consumed = 0;
+        e
+    }
+
+    /// Validates the next frame's header and CRC and consumes it: its
+    /// sequence number, type byte and where its payload sits in `buf`.
+    fn next_payload(&mut self) -> Result<Option<(u32, u8, Range<usize>)>, FrameError> {
         let avail = &self.buf[self.consumed..];
         if avail.len() < HEADER_LEN {
             return Ok(None);
@@ -751,23 +841,16 @@ impl FrameDecoder {
         if avail.len() < total {
             return Ok(None);
         }
-        let payload = &avail[HEADER_LEN..total];
-        let got_crc = payload_crc(payload);
+        let got_crc = payload_crc(&avail[HEADER_LEN..total]);
         if got_crc != want_crc {
             return Err(FrameError::BadCrc {
                 want: want_crc,
                 got: got_crc,
             });
         }
-        let frame = decode_payload(ty, payload)?;
+        let start = self.consumed + HEADER_LEN;
         self.consumed += total;
-        // Compact once the dead prefix dominates, keeping the buffer small
-        // on long-lived connections.
-        if self.consumed > 4096 && self.consumed * 2 >= self.buf.len() {
-            self.buf.drain(..self.consumed);
-            self.consumed = 0;
-        }
-        Ok(Some(SeqFrame { seq, frame }))
+        Ok(Some((seq, ty, start..self.consumed)))
     }
 }
 
@@ -1235,6 +1318,141 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.push(&bytes);
         assert!(matches!(dec.next_frame(), Err(FrameError::BadPayload(_))));
+    }
+
+    /// Everything a decoder yields for `wire` fed `piece` bytes at a time:
+    /// the frames, then the error that poisoned it (checked sticky against
+    /// a valid frame pushed behind it), and what it still buffers.
+    fn drive(
+        wire: &[u8],
+        piece: usize,
+        mut next: impl FnMut(&mut FrameDecoder) -> Result<Option<SeqFrame>, FrameError>,
+    ) -> (Vec<SeqFrame>, Option<FrameError>, usize) {
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        for part in wire.chunks(piece) {
+            dec.push(part);
+            loop {
+                match next(&mut dec) {
+                    Ok(Some(sf)) => got.push(sf),
+                    Ok(None) => break,
+                    Err(e) => {
+                        dec.push(&encode_frame(&Frame::Bye, 0));
+                        assert_eq!(next(&mut dec), Err(e.clone()), "not sticky");
+                        assert_eq!(next(&mut dec), Err(e.clone()), "not sticky");
+                        return (got, Some(e), dec.buffered());
+                    }
+                }
+            }
+        }
+        (got, None, dec.buffered())
+    }
+
+    /// The borrowed decode with its pairs parsed here, independently of
+    /// `next_frame`'s own parse.
+    fn borrowed(dec: &mut FrameDecoder) -> Result<Option<SeqFrame>, FrameError> {
+        Ok(dec.next_decoded()?.map(|d| match d {
+            Decoded::Samples {
+                seq,
+                start_sample,
+                body,
+            } => {
+                let mut iq = Vec::new();
+                for b in body.chunks(4) {
+                    assert_eq!(b.len(), 4, "body not whole pairs");
+                    let i = i16::from_le_bytes([b[0], b[1]]);
+                    iq.push((i, i16::from_le_bytes([b[2], b[3]])));
+                }
+                SeqFrame {
+                    seq,
+                    frame: Frame::SampleChunk { start_sample, iq },
+                }
+            }
+            Decoded::Frame(sf) => {
+                assert_ne!(sf.frame.type_byte(), 2, "a chunk decoded owned");
+                sf
+            }
+        }))
+    }
+
+    /// A SampleChunk frame carrying `payload` verbatim, its length and CRC
+    /// fields consistent with it.
+    fn raw_chunk(payload: &[u8], seq: u32) -> Vec<u8> {
+        let mut bytes = encode_frame(&Frame::Heartbeat, seq);
+        bytes[5] = 2;
+        bytes[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes[16..20].copy_from_slice(&payload_crc(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn borrowed_decode_equals_next_frame_on_valid_and_malformed_chunks() {
+        let mut rng = Xoshiro256::new(0xB0DD_2009);
+        // Valid traffic first: chunks of several sizes between other frames.
+        let mut valid = Vec::new();
+        let mut seq = 0u32;
+        for (k, n) in [300usize, 0, 1, 257].into_iter().enumerate() {
+            encode_frame_into(&seeded_chunk(&mut rng, 1000 * k as u64, n), seq, &mut valid);
+            encode_frame_into(&all_frames()[k + 4], seq + 1, &mut valid);
+            seq += 2;
+        }
+        let chunk = encode_frame(&seeded_chunk(&mut rng, 1 << 40, 100), seq);
+        let payload = chunk[HEADER_LEN..].to_vec();
+        let mut bad_crc = chunk.clone();
+        bad_crc[HEADER_LEN + 12 + 37] ^= 0x10;
+        let mut count_off = payload.clone();
+        count_off[8..12].copy_from_slice(&101u32.to_le_bytes());
+        let mut ragged = payload.clone();
+        ragged.extend_from_slice(&[0xAB, 0xCD]);
+        let mut oversized = chunk.clone();
+        oversized[12..16].copy_from_slice(&(MAX_PAYLOAD as u32 + 1).to_le_bytes());
+        let crc_error = Some(FrameError::BadCrc {
+            want: payload_crc(&payload),
+            got: payload_crc(&bad_crc[HEADER_LEN..]),
+        });
+        let count_error = Some(FrameError::BadPayload("sample count disagrees with length"));
+        let truncated = Some(FrameError::BadPayload("payload truncated"));
+        let too_long = Some(FrameError::Oversized(MAX_PAYLOAD as u32 + 1));
+        // (case, bytes after the valid traffic, error, frames decoded)
+        let cases = [
+            ("valid", chunk.clone(), None, 9),
+            ("cut short", chunk[..chunk.len() - 3].to_vec(), None, 8),
+            ("bad crc", bad_crc, crc_error, 8),
+            (
+                "count disagrees",
+                raw_chunk(&count_off, seq),
+                count_error.clone(),
+                8,
+            ),
+            (
+                "body not whole pairs",
+                raw_chunk(&ragged, seq),
+                count_error,
+                8,
+            ),
+            ("prefix cut", raw_chunk(&payload[..7], seq), truncated, 8),
+            ("oversized length", oversized, too_long, 8),
+        ];
+        for (what, tail, want, frames) in cases {
+            let mut wire = valid.clone();
+            wire.extend_from_slice(&tail);
+            let whole = drive(&wire, wire.len(), |d| d.next_frame());
+            assert_eq!(whole.1, want, "{what}");
+            assert_eq!(whole.0.len(), frames, "{what}");
+            for piece in [wire.len(), 1] {
+                let owned = drive(&wire, piece, |d| d.next_frame());
+                let lent = drive(&wire, piece, borrowed);
+                assert!(
+                    owned == whole,
+                    "{what}: next_frame depends on piece {piece}"
+                );
+                assert!(
+                    lent == whole,
+                    "{what}: borrowed decode differs, piece {piece}"
+                );
+            }
+        }
     }
 
     #[test]

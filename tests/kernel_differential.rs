@@ -166,6 +166,29 @@ fn widen_i16_iq_matches_scalar_bitwise() {
 }
 
 #[test]
+fn crc32_matches_scalar_and_the_bit_serial_engine() {
+    // Every length up to past the carry-less-multiply cut-over (128 bytes)
+    // and its 64-byte fold stride, around a page, and the payloads of a
+    // 4096- and a 16 384-sample RFDN chunk; slices start 0–15 bytes into
+    // their buffer, so 16-byte loads see every misalignment.
+    let oracle = rfd_dsp::coding::Crc::crc32_ieee();
+    let lens = (0..=300usize).chain([4095, 4096, 4097, 16_396, 65_548]);
+    seeded_cases(0xD1F0_00CC, 2, |rng| {
+        for n in lens.clone() {
+            let mut buf = vec![0u8; n + 15];
+            rng.fill_bytes(&mut buf);
+            for off in 0..=15usize {
+                let bytes = &buf[off..off + n];
+                let label = format!("crc32 n={n} off={off}");
+                differential(&label, || rfd_dsp::coding::crc32(bytes));
+                let want = oracle.compute(bytes) as u32;
+                assert_eq!(rfd_dsp::coding::crc32(bytes), want, "{label}: not CRC-32");
+            }
+        }
+    });
+}
+
+#[test]
 fn fir_dot_matches_scalar_bitwise() {
     // Tap counts around the 4-complex (8-float) vector step, plus real
     // filter sizes used by the decimators.
