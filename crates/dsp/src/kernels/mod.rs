@@ -5,6 +5,7 @@
 //! windowed-power reductions, FIR and correlation dot products,
 //! adjacent conjugate-multiply chains (the paper's "complex conjugation,
 //! multiplication and arctan" pipeline, §4.5), and FFT butterfly stages —
+//! and the CRC-32 every RFDN frame payload and 802.11 FCS is checked with
 //! is routed through the [`KernelTable`] selected here. Three backends ship:
 //!
 //! * **scalar** — the reference implementation. It *defines* the numeric
@@ -48,6 +49,11 @@
 //!   slice of one output's taps, so each output adds its products in tap
 //!   order exactly as the scalar loop does — a `mul` then an `add`, never
 //!   a fused multiply-add, whose single rounding would change the bits.
+//! * The CRC-32 ([`crate::coding::crc32`]) is an integer kernel: slice-by-8
+//!   tables on the scalar backend, carry-less-multiply folding (PCLMULQDQ,
+//!   when the CPU has it) on the SSE2 and AVX2 ones. Polynomial arithmetic
+//!   over GF(2) has one answer, so every backend returns the same `u32` by
+//!   construction; `tests/kernel_differential.rs` checks it anyway.
 //! * Transcendentals (`atan2`, `sin_cos`) run in scalar `libm` code,
 //!   identical across backends; the vector backends only accelerate the
 //!   complex multiplies feeding them. The one exception is the |Δφ| of the

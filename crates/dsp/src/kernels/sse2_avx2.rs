@@ -1035,6 +1035,10 @@ pub(super) fn clmul_crc32_update(reg: u32, data: &[u8]) -> u32 {
 
 /// One 128-bit fold: `x`'s low half times `k`'s low half, plus `x`'s high
 /// half times `k`'s high half, plus the next block.
+///
+/// # Safety
+///
+/// The CPU must support SSE2 and PCLMULQDQ.
 #[inline]
 #[target_feature(enable = "sse2,pclmulqdq")]
 unsafe fn fold_128(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
@@ -1054,6 +1058,10 @@ unsafe fn fold_128(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
 #[target_feature(enable = "sse2,pclmulqdq")]
 unsafe fn crc32_fold_clmul(reg: u32, data: &[u8]) -> u32 {
     assert!(data.len() >= 64 && data.len().is_multiple_of(16));
+    // SAFETY: every load reads the 16 bytes at an offset `at` with
+    // `at + 16 <= n`: the four lane loads start at 0..=48 and `n >= 64`,
+    // the fold-by-four loop runs while `at + 64 <= n`, and the single-block
+    // loop while `at < n`, with `n - at` a multiple of 16.
     unsafe {
         let n = data.len();
         let p = data.as_ptr();

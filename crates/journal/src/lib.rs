@@ -55,10 +55,12 @@ pub const CHECKPOINT_VERSION: u16 = 1;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3 polynomial, bit-reflected), byte at a time. The same
-// value as `rfd_dsp::coding::crc32` (the slice-by-8 one RFDN frames use), kept
-// separate on purpose: this crate has no dependencies, and a new crate ->
-// crate edge would make cargo rewrite `bench/Cargo.lock`, which no PR may
-// edit. Entries are ~63 bytes per record, so this CRC is on no measured path.
+// value as `rfd_dsp::coding::crc32` (the kernel-dispatched one RFDN frames
+// use: slice-by-8, or carry-less-multiply folding where the CPU has
+// PCLMULQDQ), kept separate on purpose: this crate has no dependencies, and
+// a new crate -> crate edge would make cargo rewrite `bench/Cargo.lock`,
+// which no PR may edit. Entries are ~63 bytes per record, below the folding
+// kernel's 128-byte cut-over anyway, so this CRC is on no measured path.
 // ---------------------------------------------------------------------------
 
 const fn crc32_table() -> [u32; 256] {

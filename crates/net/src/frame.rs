@@ -64,20 +64,21 @@
 //!
 //! Every sample a live monitor analyses crosses this module twice, so
 //! framing has to cost less than the analysis it feeds (≈ 15 ns/sample on a
-//! quiet ether). Three things keep it there: the payload CRC is the
-//! slice-by-8 [`rfd_dsp::coding::crc32`] (≈ 3 ns/sample; the bit-serial
-//! engine it replaced cost ≈ 50); [`encode_frame_into`] writes the payload
+//! quiet ether), and on a closed-loop fleet it is what sets the ingest
+//! rate. Four things keep it cheap. The payload CRC is
+//! [`rfd_dsp::coding::crc32`], which folds 64 bytes a step with carry-less
+//! multiplies where the CPU has PCLMULQDQ (slice-by-8 elsewhere, and for
+//! payloads under 128 bytes). [`encode_frame_into`] writes the payload
 //! straight behind the header into a buffer the sender reuses (one per
-//! `TraceSender`, the outbox itself on a fleet connection) instead of
-//! building it in one `Vec` and copying it into another; and sample bodies
-//! are parsed in one bulk pass once their length has been validated, on
-//! both ends of the wire. Measured on the 2-core reference box
-//! (`bench/run.sh --workload fleet_max_quiet_x2 --trace 1`): encode 55 → 4.4
-//! and decode 55 → 4.3 ns/sample, a small frame 3.7 µs → 0.29 µs. What is
-//! left is ~70 % CRC. A carry-less-multiply (PCLMULQDQ) CRC would take
-//! roughly 2 ns more off each way — under 8 % of a fleet ingest iteration,
-//! below what the benchmark resolves — for a folding kernel of magic
-//! constants behind `unsafe`, so there is none.
+//! `TraceSender`, the outbox itself on a fleet connection). A receiver that
+//! wants samples, not pairs, takes a chunk's body by reference
+//! ([`FrameDecoder::next_decoded`]) and widens it with
+//! `rfd_dsp::kernels::widen_i16_iq`, so the fleet server builds no
+//! intermediate pair vector. Everything else is parsed in one bulk pass
+//! once its length has been validated. Measured on the 2-core AVX2
+//! reference box (`bench/run.sh --workload fleet_max_quiet_x2 --trace 1`):
+//! encode 55 → 4.4 (slice-by-8) → 1.6 ns/sample, decode 55 → 4.2 → 1.4,
+//! with the slice-by-8 CRC about 70 % of the middle figures.
 
 use rfd_dsp::coding::crc32;
 use std::fmt;
