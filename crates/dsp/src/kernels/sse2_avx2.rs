@@ -999,19 +999,19 @@ unsafe fn hsum_pd_256(v: __m256d) -> f64 {
 // differential tests check it.
 
 /// `x^(4·128+32) mod P`: folds each of four lanes' low halves 512 bits on.
-pub(super) const FOLD_4_LO: u64 = 0x1_5444_2BD4;
+const FOLD_4_LO: u64 = 0x1_5444_2BD4;
 /// `x^(4·128-32) mod P`: folds each of four lanes' high halves 512 bits on.
-pub(super) const FOLD_4_HI: u64 = 0x1_C6E4_1596;
+const FOLD_4_HI: u64 = 0x1_C6E4_1596;
 /// `x^(128+32) mod P`: folds one lane's low half 128 bits on.
-pub(super) const FOLD_1_LO: u64 = 0x1_7519_97D0;
+const FOLD_1_LO: u64 = 0x1_7519_97D0;
 /// `x^(128-32) mod P`: folds one lane's high half 128 bits on.
-pub(super) const FOLD_1_HI: u64 = 0x0_CCAA_009E;
+const FOLD_1_HI: u64 = 0x0_CCAA_009E;
 /// `x^64 mod P`: folds the last 64 bits down to 32 plus a 32-bit shift.
-pub(super) const FOLD_64: u64 = 0x1_63CD_6124;
+const FOLD_64: u64 = 0x1_63CD_6124;
 /// `P` itself, reflected over its 33 bits: the Barrett reduction's modulus.
-pub(super) const POLY_REFLECTED: u64 = 0x1_DB71_0641;
+const POLY_REFLECTED: u64 = 0x1_DB71_0641;
 /// `⌊x^64 / P⌋`, reflected over its 33 bits: the Barrett quotient estimate.
-pub(super) const BARRETT_MU: u64 = 0x1_F701_1641;
+const BARRETT_MU: u64 = 0x1_F701_1641;
 
 /// Inputs shorter than this stay on slice-by-8, where the fold set-up and
 /// the final reduction would cost more than they save.
