@@ -91,8 +91,8 @@ pub struct ArchConfig {
     /// two settings is the observability overhead.
     pub telemetry: bool,
     /// Worker threads for the RFDump analysis stage. `0` = the pool's
-    /// tasks run on the pushing thread; `N >= 1` runs them on a
-    /// work-stealing pool of `N` threads. Either way results pass through
+    /// tasks run on the pushing thread; `N >= 1` runs them on a pool of
+    /// `N` threads sharing one queue. Either way results pass through
     /// the same deterministic merge, so the record output is byte-identical
     /// at any count. Ignored by the naïve architectures.
     pub workers: usize,
@@ -198,8 +198,8 @@ pub struct ArchOutput {
     /// The telemetry registry, when [`ArchConfig::telemetry`] was set:
     /// counters, gauges, histograms and the span trace from the run.
     pub registry: Option<Arc<Registry>>,
-    /// Work-stealing pool statistics (RFDump with [`ArchConfig::workers`]
-    /// ≥ 1 only): per-worker executed/stolen counts, busy and stall time.
+    /// Analysis-pool statistics (RFDump with [`ArchConfig::workers`] ≥ 1
+    /// only): per-worker executed counts, busy and stall time.
     pub pool_stats: Option<rfd_flowgraph::pool::PoolStats>,
     /// Fault-injection counters, when [`ArchConfig::faults`] was set.
     pub faults: Option<FaultStats>,
@@ -1022,7 +1022,7 @@ impl RfDump {
         self.stages[ANALYZE].items_in += dispatches.len() as u64;
         let pool = self.pool.as_mut().expect("pool lives until finish");
         for d in dispatches {
-            // With worker threads, blocks when the injector is full:
+            // With worker threads, blocks while the pool queue is full:
             // backpressure toward whoever is pushing. With none, runs the
             // task right here.
             pool.submit(d);

@@ -1292,10 +1292,9 @@ fn main() -> ExitCode {
         }
         if let Some(ps) = &out.pool_stats {
             eprintln!(
-                "pool: {} tasks over {} workers ({} stolen), busy {:.1} ms, stall {:.1} ms",
+                "pool: {} tasks over {} workers, busy {:.1} ms, stall {:.1} ms",
                 ps.executed(),
                 ps.workers.len(),
-                ps.stolen(),
                 ps.busy().as_secs_f64() * 1e3,
                 ps.stall().as_secs_f64() * 1e3,
             );

@@ -8,7 +8,7 @@
 //! consume runs without scraping tables.
 //!
 //! The schema is identified by `"schema": "rfd-stats"` and `"version"`;
-//! consumers must check both. Version 11 carries:
+//! consumers must check both. Version 12 carries:
 //!
 //! * `trace` (seconds, sample rate, samples), `blocks` (per-block CPU and
 //!   items), `total` (CPU, wall, CPU over real time), `stages` (per-stage
@@ -17,8 +17,9 @@
 //! * `counters`, `gauges`, `histograms` (the metrics registry; histogram
 //!   entries carry `p50` and `max`), `records` (total, per-protocol and
 //!   decoded per-protocol counts) and `pool` (per-worker analysis-pool
-//!   statistics with panics / restarts / rescued / lost; null without
-//!   worker threads);
+//!   statistics — executed / busy / stall per worker and in total, with
+//!   panics / restarts / rescued / lost; null without worker threads.
+//!   Version 12 dropped its `stolen` counts along with work stealing);
 //! * `net` and `fleet` (wire-level and per-source ingest statistics, null
 //!   together offline and present together on any `serve`: fleet rollups,
 //!   health and resume counters, and a `per_source` object of tagged
@@ -49,7 +50,7 @@ use std::path::Path;
 /// Schema identifier carried in every stats document.
 pub const STATS_SCHEMA: &str = "rfd-stats";
 /// Current stats document version.
-pub const STATS_VERSION: u64 = 11;
+pub const STATS_VERSION: u64 = 12;
 
 /// The pipeline stage a block belongs to: the block-name prefix before the
 /// first `:` (`detect:peak/energy` → `detect`).
@@ -204,7 +205,6 @@ fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> 
                 .map(|w| {
                     JsonValue::obj(vec![
                         ("executed", JsonValue::num(w.executed as f64)),
-                        ("stolen", JsonValue::num(w.stolen as f64)),
                         ("busy_ms", JsonValue::num(w.busy.as_secs_f64() * 1e3)),
                         ("stall_ms", JsonValue::num(w.stall.as_secs_f64() * 1e3)),
                     ])
@@ -215,7 +215,6 @@ fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> 
                 JsonValue::obj(vec![
                     ("workers", JsonValue::Arr(workers)),
                     ("executed", JsonValue::num(ps.executed() as f64)),
-                    ("stolen", JsonValue::num(ps.stolen() as f64)),
                     ("busy_ms", JsonValue::num(ps.busy().as_secs_f64() * 1e3)),
                     ("stall_ms", JsonValue::num(ps.stall().as_secs_f64() * 1e3)),
                     ("panics", JsonValue::num(ps.panics as f64)),
@@ -570,7 +569,6 @@ mod tests {
         out.pool_stats = Some(rfd_flowgraph::pool::PoolStats {
             workers: vec![rfd_flowgraph::pool::WorkerStats {
                 executed: 5,
-                stolen: 2,
                 busy: Duration::from_millis(4),
                 stall: Duration::from_millis(1),
             }],
@@ -580,7 +578,7 @@ mod tests {
         let doc = rfd_telemetry::json::parse(&stats_json(&out).to_json()).unwrap();
         let pool = doc.get("pool").unwrap();
         assert_eq!(pool.get("executed").unwrap().as_f64(), Some(5.0));
-        assert_eq!(pool.get("stolen").unwrap().as_f64(), Some(2.0));
+        assert!(pool.get("stolen").is_none(), "v12 dropped the steal count");
         assert_eq!(pool.get("panics").unwrap().as_f64(), Some(1.0));
         assert_eq!(pool.get("workers").unwrap().as_arr().unwrap().len(), 1);
     }

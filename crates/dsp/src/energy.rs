@@ -48,11 +48,6 @@ impl RunningPower {
         }
     }
 
-    /// Window length in samples.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// Pushes one sample and returns the current windowed average power.
     /// Until the window fills, the average is over the samples seen so far.
     #[inline]

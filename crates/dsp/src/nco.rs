@@ -35,21 +35,9 @@ impl Nco {
         }
     }
 
-    /// Creates an oscillator with an explicit starting phase (radians).
-    pub fn with_phase(freq_hz: f64, fs: f64, phase: f64) -> Self {
-        let mut n = Self::new(freq_hz, fs);
-        n.phase = phase;
-        n
-    }
-
     /// Current phase in radians (wrapped to `[0, 2pi)`).
     pub fn phase(&self) -> f64 {
         self.phase.rem_euclid(TAU64)
-    }
-
-    /// Changes the oscillator frequency without a phase discontinuity.
-    pub fn set_frequency(&mut self, freq_hz: f64, fs: f64) {
-        self.step = TAU64 * freq_hz / fs;
     }
 
     /// Produces the next oscillator sample.
@@ -63,13 +51,6 @@ impl Nco {
             self.phase = self.phase.rem_euclid(TAU64);
         }
         z
-    }
-
-    /// Multiplies `input` by the oscillator in place (frequency translation).
-    pub fn mix_in_place(&mut self, buf: &mut [Complex32]) {
-        for z in buf.iter_mut() {
-            *z *= self.next();
-        }
     }
 
     /// Writes `input * osc` into `out` (appending).

@@ -9,7 +9,7 @@
 //!   "CPU time / real time" number in the evaluation.
 //!   [`RunStats::publish`] is the one place the rows become
 //!   `flowgraph.block.<name>.*` telemetry counters.
-//! * [`pool`] — a work-stealing task pool with a deterministic merge: where
+//! * [`pool`] — a one-queue task pool with a deterministic merge: where
 //!   the "inherent parallelism" the paper points out but could not use is
 //!   exploited. The architecture layer fans per-protocol demodulation out
 //!   across its worker threads (or runs it inline, with zero workers) and

@@ -45,16 +45,16 @@ fn minimal_doc(version: u64) -> String {
 fn reader_reads_only_the_current_version() {
     assert_eq!(
         rfdump::stats::STATS_VERSION,
-        11,
+        12,
         "a version bump must move this harness to the new version"
     );
-    let (ok, stdout) = inspect(&minimal_doc(11));
-    assert!(ok, "reader rejected a version-11 document");
+    let (ok, stdout) = inspect(&minimal_doc(12));
+    assert!(ok, "reader rejected a version-12 document");
     assert!(
         stdout.contains("trace:"),
         "no trace line in output:\n{stdout}"
     );
-    let (ok, _) = inspect(&minimal_doc(10));
+    let (ok, _) = inspect(&minimal_doc(11));
     assert!(!ok, "a reader must not half-read an older version");
 }
 
@@ -67,10 +67,12 @@ fn reader_refuses_documents_newer_than_itself() {
     );
 }
 
+/// The latency-mode and fleet-shed sections version 11 introduced, in a
+/// current-version document.
 #[test]
 fn v11_latency_mode_sections_are_rendered() {
     let doc = concat!(
-        r#"{"schema":"rfd-stats","version":11,"#,
+        r#"{"schema":"rfd-stats","version":12,"#,
         r#""trace":{"seconds":0.01,"sample_rate":8000000,"samples":80000},"#,
         r#""total":{"cpu_ms":1.5,"wall_ms":2.0,"cpu_over_realtime":0.15},"#,
         r#""latency_mode":{"budget_us":5000,"violations":3,"last_p99_us":6200,"#,
@@ -81,7 +83,7 @@ fn v11_latency_mode_sections_are_rendered() {
         r#""fanout_p99_us":20,"done":true,"health":"healthy","shed":"throttle"}}}}"#
     );
     let (ok, stdout) = inspect(doc);
-    assert!(ok, "v11 document rejected:\n{stdout}");
+    assert!(ok, "v12 document rejected:\n{stdout}");
     assert!(
         stdout.contains("latency mode: budget 5.0 ms, 3 violation(s), last windowed p99 6.2 ms"),
         "missing latency-mode line:\n{stdout}"

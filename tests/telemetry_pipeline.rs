@@ -41,9 +41,8 @@ fn single_threaded_cpu_fits_in_wall() {
 /// The telemetry counters describe the *signal*, not the scheduler: a
 /// run with pool worker threads must produce exactly the same counter
 /// totals as a run of the same trace with none. (CPU-time counters and the
-/// work-stealing pool's per-worker counters are the exceptions — they
-/// measure the run itself, and which worker executed or stole a task is
-/// timing-dependent by design.)
+/// pool's per-worker counters are the exceptions — they measure the run
+/// itself, and which worker executed a task is timing-dependent by design.)
 #[test]
 fn counters_are_scheduler_independent() {
     let single = run_with_workers(0);
