@@ -1067,4 +1067,143 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");
         assert_eq!(sub.reconnects(), 0);
     }
+
+    /// A seeded 9 000-sample trace on disk: two default chunks and a short
+    /// third, nine 1 000-sample chunks.
+    fn wire_trace() -> PathBuf {
+        let mut rng = rfd_dsp::rng::Xoshiro256::new(0x5E4D_2009);
+        let samples: Vec<Complex32> = (0..9000)
+            .map(|_| {
+                let v = rng.next_u64();
+                Complex32::new((v as i16) as f32 / 9e3, ((v >> 16) as i16) as f32 / 9e3)
+            })
+            .collect();
+        let dir = std::env::temp_dir().join(format!("rfdump-wire-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wire.rfdt");
+        rfd_ether::trace::write_trace(&path, 8e6, 1e6, &samples).unwrap();
+        path
+    }
+
+    /// Runs `send_trace_file(path, Max, chunk)` against a bare listener that
+    /// acks the handshake and records every byte the sender writes until it
+    /// hangs up. Returns the send's outcome and those bytes.
+    fn record_send(
+        path: &Path,
+        chunk: usize,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> (io::Result<SendReport>, Vec<u8>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let (mut wire, mut dec, mut frames) = (Vec::new(), FrameDecoder::new(), 0);
+            let mut buf = [0u8; 4096];
+            // Hello, then the open frame; nothing else is sent before the ack.
+            while frames < 2 {
+                let n = conn.read(&mut buf).unwrap();
+                assert!(n > 0, "sender hung up during the handshake");
+                wire.extend_from_slice(&buf[..n]);
+                dec.push(&buf[..n]);
+                while dec.next_frame().unwrap().is_some() {
+                    frames += 1;
+                }
+            }
+            let ack = Frame::Ack {
+                session: 1,
+                position: 0,
+            };
+            conn.write_all(&encode_frame(&ack, 0)).unwrap();
+            loop {
+                match conn.read(&mut buf) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => wire.extend_from_slice(&buf[..n]),
+                }
+            }
+            wire
+        });
+        let mut tx = TraceSender::connect(addr).unwrap().with_faults(faults);
+        let sent = tx.send_trace_file(path, SendRate::Max, chunk);
+        drop(tx);
+        (sent, server.join().unwrap())
+    }
+
+    /// The handshake a plain sender of `path` opens with, then every chunk
+    /// `next_chunk(chunk)` yields, framed by `encode_frame` in sequence.
+    fn expected_frames(path: &Path, chunk: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let mut r = rfd_ether::trace::ChunkedTraceReader::open(path).unwrap();
+        let h = *r.header();
+        let meta = StreamMeta {
+            sample_rate: h.sample_rate,
+            center_hz: h.center_hz,
+            scale: h.scale,
+        };
+        let mut head = encode_frame(&Frame::Hello(Role::Producer), 0);
+        head.extend(encode_frame(&Frame::StreamMeta(meta), 1));
+        let (mut chunks, mut start) = (Vec::new(), 0u64);
+        while let Some(iq) = r.next_chunk(chunk).unwrap() {
+            let n = iq.len() as u64;
+            let seq = 2 + chunks.len() as u32;
+            let frame = Frame::SampleChunk {
+                start_sample: start,
+                iq,
+            };
+            chunks.push(encode_frame(&frame, seq));
+            start += n;
+        }
+        (head, chunks)
+    }
+
+    #[test]
+    fn a_trace_sender_puts_exactly_the_encoded_frames_on_the_wire() {
+        let path = wire_trace();
+        for chunk in [1, 1000, DEFAULT_CHUNK_SAMPLES] {
+            let (head, chunks) = expected_frames(&path, chunk);
+            let mut want = head;
+            for c in &chunks {
+                want.extend_from_slice(c);
+            }
+            let bye = encode_frame(&Frame::Bye, 2 + chunks.len() as u32);
+            want.extend_from_slice(&bye);
+            let (sent, wire) = record_send(&path, chunk, None);
+            let report = sent.unwrap();
+            assert_eq!(
+                (report.samples, report.chunks),
+                (9000, chunks.len() as u64),
+                "chunk {chunk}"
+            );
+            // The report counts the stream's frames: not the Hello, not the Bye.
+            let hello = encode_frame(&Frame::Hello(Role::Producer), 0).len();
+            let counted = (want.len() - hello - bye.len()) as u64;
+            assert_eq!(report.bytes, counted, "chunk {chunk}");
+            assert!(wire == want, "chunk {chunk}: wire bytes differ");
+        }
+
+        // An injected fault on the third chunk cuts the connection after
+        // two intact chunks: half the third frame, the whole frame with its
+        // last byte flipped, or nothing at all.
+        let (head, chunks) = expected_frames(&path, 1000);
+        let third = &chunks[2];
+        let mut corrupt = third.clone();
+        *corrupt.last_mut().unwrap() ^= 0x55;
+        for (spec, tail) in [
+            (
+                "truncate=net.send.chunk#3",
+                third[..third.len() / 2].to_vec(),
+            ),
+            ("corrupt=net.send.chunk#3", corrupt),
+            ("disconnect=net.send.chunk#3", Vec::new()),
+        ] {
+            let plan = Arc::new(FaultPlan::parse(spec).unwrap());
+            let (sent, wire) = record_send(&path, 1000, Some(plan));
+            let err = sent.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionReset, "{spec}: {err}");
+            let mut want = head.clone();
+            want.extend_from_slice(&chunks[0]);
+            want.extend_from_slice(&chunks[1]);
+            want.extend_from_slice(&tail);
+            assert!(wire == want, "{spec}: wire bytes differ");
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
 }
