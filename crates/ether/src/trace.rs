@@ -255,6 +255,24 @@ impl ChunkedTraceReader {
         Ok(Some(out))
     }
 
+    /// Appends the next up-to-`max_samples` samples' raw payload bytes —
+    /// little-endian i16 I/Q pairs, 4 bytes a sample, exactly as stored —
+    /// to `out` and returns how many samples they are; `0` once the trace
+    /// is exhausted. A network sender reads straight into the frame it is
+    /// building this way, behind the header it has already laid out. On an
+    /// error `out` is left as it was.
+    pub fn read_raw(&mut self, out: &mut Vec<u8>, max_samples: usize) -> io::Result<usize> {
+        let n = (self.remaining.min(max_samples.max(1) as u64)) as usize;
+        let at = out.len();
+        out.resize(at + n * 4, 0);
+        if let Err(e) = self.file.read_exact(&mut out[at..]) {
+            out.truncate(at);
+            return Err(e);
+        }
+        self.remaining -= n as u64;
+        Ok(n)
+    }
+
     /// Repositions the reader so the next chunk starts at absolute sample
     /// index `n`. This is what a resuming network sender uses to continue
     /// from the server's last acknowledged sample after a reconnect, and
@@ -470,6 +488,21 @@ mod tests {
                 raw.extend(chunk);
             }
             assert_eq!(raw, pairs, "next_chunk, scale {scale}");
+
+            // The raw bytes are the stored payload verbatim, appended behind
+            // whatever the buffer already holds.
+            r.seek_to_sample(0).unwrap();
+            let mut out = b"head".to_vec();
+            let mut lens = Vec::new();
+            loop {
+                match r.read_raw(&mut out, 1000).unwrap() {
+                    0 => break,
+                    n => lens.push(n),
+                }
+            }
+            assert_eq!(lens, [1000, 1000, 1000, 1000, 99], "scale {scale}");
+            assert_eq!(&out[..4], b"head");
+            assert!(out[4..] == bytes[HEADER_LEN..], "read_raw, scale {scale}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -11,8 +11,8 @@
 //! directory keeps that position across process restarts as well.
 
 use crate::frame::{
-    encode_frame, encode_frame_into, Frame, FrameDecoder, RecordMsg, Role, SeqFrame, StreamMeta,
-    DEFAULT_CHUNK_SAMPLES, MAX_CHUNK_SAMPLES,
+    encode_frame, encode_frame_into, seal_sample_chunk, Frame, FrameDecoder, RecordMsg, Role,
+    SeqFrame, StreamMeta, CHUNK_BODY_OFFSET, DEFAULT_CHUNK_SAMPLES, MAX_CHUNK_SAMPLES,
 };
 use rfd_dsp::Complex32;
 use rfd_fault::{Action, FaultPlan, SplitMix64};
@@ -177,27 +177,42 @@ pub struct SendReport {
     pub wall: Duration,
 }
 
-/// Where a send's chunks of i16 IQ pairs come from.
+/// Where a send's chunks of i16 IQ samples come from.
 trait ChunkSource {
     /// Whether the source can go back to an acknowledged sample, so a
     /// failed send may reconnect and resume instead of failing.
     const REWINDS: bool = true;
-    /// The next chunk; `None` at the end.
-    fn next_chunk(&mut self) -> io::Result<Option<Vec<(i16, i16)>>>;
+    /// Appends the next chunk's wire body — interleaved little-endian i16
+    /// I/Q pairs, 4 bytes a sample — to `out` and returns its sample count;
+    /// `0` at the end.
+    fn append_chunk(&mut self, out: &mut Vec<u8>) -> io::Result<usize>;
     /// Moves to `sample`, the position a handshake's Ack carried, if this
     /// source resumes there (`reconnect` is false on the send's first
     /// connection); returns whether it did.
     fn seek(&mut self, sample: u64, reconnect: bool) -> io::Result<bool>;
 }
 
-/// A `.rfdt` file read `.1` samples at a time. It follows the server's
-/// position from the first handshake on, so a restarted fleet sender skips
-/// what already landed.
+/// Appends `pairs` to `out` in wire form; returns how many there were.
+fn append_pairs(out: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (i16, i16)>) -> usize {
+    let (n, at) = (pairs.len(), out.len());
+    // Sized once, then filled through fixed 4-byte windows.
+    out.resize(at + n * 4, 0);
+    for (b, (i, q)) in out[at..].chunks_exact_mut(4).zip(pairs) {
+        b[..2].copy_from_slice(&i.to_le_bytes());
+        b[2..].copy_from_slice(&q.to_le_bytes());
+    }
+    n
+}
+
+/// A `.rfdt` file read `.1` samples at a time, its payload bytes copied
+/// as they are stored: the trace's i16 I/Q layout is the wire's. It follows
+/// the server's position from the first handshake on, so a restarted fleet
+/// sender skips what already landed.
 struct FileChunks(rfd_ether::trace::ChunkedTraceReader, usize);
 
 impl ChunkSource for FileChunks {
-    fn next_chunk(&mut self) -> io::Result<Option<Vec<(i16, i16)>>> {
-        self.0.next_chunk(self.1)
+    fn append_chunk(&mut self, out: &mut Vec<u8>) -> io::Result<usize> {
+        self.0.read_raw(out, self.1)
     }
 
     fn seek(&mut self, sample: u64, _reconnect: bool) -> io::Result<bool> {
@@ -215,19 +230,17 @@ struct SliceChunks<'a> {
 }
 
 impl ChunkSource for SliceChunks<'_> {
-    fn next_chunk(&mut self) -> io::Result<Option<Vec<(i16, i16)>>> {
+    fn append_chunk(&mut self, out: &mut Vec<u8>) -> io::Result<usize> {
         let rest = &self.samples[self.next..];
-        if rest.is_empty() {
-            return Ok(None);
-        }
         let chunk = &rest[..rest.len().min(self.chunk)];
         self.next += chunk.len();
         let quant = |v: f32| -> i16 {
             let x = (v * self.inv_scale).round();
             x.clamp(f32::from(i16::MIN), f32::from(i16::MAX)) as i16
         };
-        Ok(Some(
-            chunk.iter().map(|s| (quant(s.re), quant(s.im))).collect(),
+        Ok(append_pairs(
+            out,
+            chunk.iter().map(|s| (quant(s.re), quant(s.im))),
         ))
     }
 
@@ -246,8 +259,11 @@ struct IterChunks<I>(I);
 impl<I: Iterator<Item = Vec<(i16, i16)>>> ChunkSource for IterChunks<I> {
     const REWINDS: bool = false;
 
-    fn next_chunk(&mut self) -> io::Result<Option<Vec<(i16, i16)>>> {
-        Ok(self.0.find(|iq| !iq.is_empty()))
+    fn append_chunk(&mut self, out: &mut Vec<u8>) -> io::Result<usize> {
+        Ok(self
+            .0
+            .find(|iq| !iq.is_empty())
+            .map_or(0, |iq| append_pairs(out, iq.into_iter())))
     }
 
     fn seek(&mut self, _sample: u64, _reconnect: bool) -> io::Result<bool> {
@@ -474,51 +490,62 @@ impl TraceSender {
     }
 
     /// Drops the connection the way an injected fault says: at once, after
-    /// half of `chunk`'s frame, or after the whole frame with a flipped
-    /// payload byte the server's CRC check rejects. The server must not
-    /// mis-ingest either, and resume re-sends the chunk intact.
-    fn cut(&mut self, action: Action, chunk: &Frame) -> io::Error {
-        let mut bytes = encode_frame(chunk, self.out_seq);
-        let why = match action {
-            Action::Truncate => {
-                bytes.truncate(bytes.len() / 2);
-                "injected truncated frame"
-            }
+    /// half of the chunk frame in the send buffer, or after the whole frame
+    /// with a flipped payload byte the server's CRC check rejects. The
+    /// server must not mis-ingest either, and resume re-sends the chunk
+    /// intact.
+    fn cut(&mut self, action: Action) -> io::Error {
+        let frame = &mut self.wire;
+        let (bytes, why) = match action {
+            Action::Truncate => (&frame[..frame.len() / 2], "injected truncated frame"),
             Action::Corrupt => {
-                let last = bytes.len() - 1;
-                bytes[last] ^= 0x55;
-                "injected corrupt frame"
+                if let Some(last) = frame.last_mut() {
+                    *last ^= 0x55;
+                }
+                (&frame[..], "injected corrupt frame")
             }
-            _ => {
-                bytes.clear();
-                "injected disconnect"
-            }
+            _ => (&frame[..0], "injected disconnect"),
         };
-        let _ = self.stream.write_all(&bytes);
+        let _ = self.stream.write_all(bytes);
         let _ = self.stream.flush();
         let _ = self.stream.shutdown(Shutdown::Both);
         io::Error::new(io::ErrorKind::ConnectionReset, why)
     }
 
-    /// Puts one chunk on the wire — the body of every send loop: the
-    /// `net.send.chunk` fault hook, pace, drain the reverse path (throttles,
-    /// acks), write, count. A chunk no frame can carry is the caller's
-    /// error, not a panic in the encoder.
+    /// Frames `src`'s next chunk, starting at `start_sample`, in the send
+    /// buffer: the source appends its body behind the room for the header
+    /// and chunk prefix, which are then written around it, so the samples'
+    /// bytes are copied once, from the source into the frame. Returns the
+    /// sample count; `0` at the end of `src`. A chunk no frame can carry is
+    /// left unsealed for [`send_chunk`](Self::send_chunk) to refuse.
+    fn frame_chunk<S: ChunkSource>(&mut self, src: &mut S, start_sample: u64) -> io::Result<usize> {
+        self.wire.clear();
+        self.wire.resize(CHUNK_BODY_OFFSET, 0);
+        let n = src.append_chunk(&mut self.wire)?;
+        if n > 0 && n <= MAX_CHUNK_SAMPLES {
+            seal_sample_chunk(&mut self.wire, start_sample, self.out_seq);
+        }
+        Ok(n)
+    }
+
+    /// Puts the `n`-sample chunk [`frame_chunk`](Self::frame_chunk) framed
+    /// on the wire — the body of every send loop: the `net.send.chunk`
+    /// fault hook, pace, drain the reverse path (throttles, acks), write,
+    /// count. A chunk no frame can carry is the caller's error, not a panic
+    /// in the encoder.
     fn send_chunk(
         &mut self,
         pacer: &Pacer,
         start_sample: u64,
-        iq: Vec<(i16, i16)>,
+        n: usize,
         report: &mut SendReport,
     ) -> io::Result<()> {
-        let n = iq.len();
         if n > MAX_CHUNK_SAMPLES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("chunk of {n} samples exceeds the frame limit of {MAX_CHUNK_SAMPLES}"),
             ));
         }
-        let chunk = Frame::SampleChunk { start_sample, iq };
         match self
             .faults
             .as_ref()
@@ -531,11 +558,13 @@ impl TraceSender {
             Some(Action::Io | Action::Panic) => {
                 return Err(io::Error::other("injected send error"))
             }
-            Some(action) => return Err(self.cut(action, &chunk)),
+            Some(action) => return Err(self.cut(action)),
         }
         pacer.wait_until_due(start_sample);
         report.throttles += self.poll_throttles()?;
-        report.bytes += self.write_frame(&chunk)?;
+        self.out_seq = self.out_seq.wrapping_add(1);
+        self.stream.write_all(&self.wire)?;
+        report.bytes += self.wire.len() as u64;
         report.samples += n as u64;
         report.chunks += 1;
         Ok(())
@@ -601,16 +630,17 @@ impl TraceSender {
                 }
             }
             let sent = loop {
-                let Some(iq) = src.next_chunk()? else {
+                let n = self.frame_chunk(src, next)?;
+                if n == 0 {
                     break if close {
                         self.close()
                     } else {
                         self.stream.flush()
                     };
-                };
+                }
                 let start = next;
-                next += iq.len() as u64;
-                match self.send_chunk(&pacer, start, iq, &mut report) {
+                next += n as u64;
+                match self.send_chunk(&pacer, start, n, &mut report) {
                     Ok(()) => attempt = 0, // progress resets the retry budget
                     Err(e) => break Err(e),
                 }

@@ -70,18 +70,23 @@
 //! multiplies where the CPU has PCLMULQDQ (slice-by-8 elsewhere, and for
 //! payloads under 128 bytes). [`encode_frame_into`] writes the payload
 //! straight behind the header into a buffer the sender reuses (one per
-//! `TraceSender`, the outbox itself on a fleet connection). A receiver that
-//! wants samples, not pairs, takes a chunk's body by reference
-//! ([`FrameDecoder::next_decoded`]) and widens it with
-//! `rfd_dsp::kernels::widen_i16_iq`, so the fleet server builds no
-//! intermediate pair vector. Everything else is parsed in one bulk pass
-//! once its length has been validated. Measured on the 2-core AVX2
+//! `TraceSender`, the outbox itself on a fleet connection), and a sender
+//! whose samples are already wire bytes (a `.rfdt` payload) appends them
+//! behind [`CHUNK_BODY_OFFSET`] bytes of room and frames them in place with
+//! [`seal_sample_chunk`]. A receiver reads the socket straight into the
+//! decoder ([`FrameDecoder::read_from`]) and takes a chunk's body by
+//! reference ([`FrameDecoder::next_decoded`]): the fleet server queues
+//! those bytes as they are, and each source's analysis thread widens them
+//! with `rfd_dsp::kernels::widen_i16_iq`, so no intermediate pair vector
+//! exists on either end. Everything else is parsed in one bulk pass once
+//! its length has been validated. Measured on the 2-core AVX2
 //! reference box (`bench/run.sh --workload fleet_max_quiet_x2 --trace 1`):
 //! encode 55 → 4.4 (slice-by-8) → 1.6 ns/sample, decode 55 → 4.2 → 1.4,
 //! with the slice-by-8 CRC about 70 % of the middle figures.
 
 use rfd_dsp::coding::crc32;
 use std::fmt;
+use std::io::{self, Read};
 use std::ops::Range;
 
 /// Magic bytes opening every frame.
@@ -352,9 +357,9 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl From<FrameError> for std::io::Error {
+impl From<FrameError> for io::Error {
     fn from(e: FrameError) -> Self {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+        io::Error::new(io::ErrorKind::InvalidData, e.to_string())
     }
 }
 
@@ -434,27 +439,58 @@ fn write_payload(frame: &Frame, out: &mut Vec<u8>) {
 /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a Record line or sample
 /// chunk that large is a caller bug, not wire input).
 pub fn encode_frame_into(frame: &Frame, seq: u32, out: &mut Vec<u8>) {
-    // Flags stay zero; payload_len and crc32 are patched in below.
-    let mut header = [0u8; HEADER_LEN];
+    let start = out.len();
+    out.resize(start + HEADER_LEN, 0);
+    write_payload(frame, out);
+    let payload = out.len() - start - HEADER_LEN;
+    assert!(
+        payload <= MAX_PAYLOAD,
+        "{} payload of {payload} bytes exceeds MAX_PAYLOAD",
+        frame.type_name(),
+    );
+    seal(&mut out[start..], frame.type_byte(), seq);
+}
+
+/// Writes the header of the frame `frame` holds — its first [`HEADER_LEN`]
+/// bytes, whatever they are, followed by the whole payload: magic, version,
+/// type `ty`, zero flags, `seq`, and the payload's length and CRC.
+fn seal(frame: &mut [u8], ty: u8, seq: u32) {
+    let (header, payload) = frame.split_at_mut(HEADER_LEN);
     header[..4].copy_from_slice(MAGIC);
     header[4] = VERSION;
-    header[5] = frame.type_byte();
+    header[5] = ty;
+    header[6..8].fill(0);
     header[8..12].copy_from_slice(&seq.to_le_bytes());
-    let start = out.len();
-    out.extend_from_slice(&header);
-    let body = start + HEADER_LEN;
-    write_payload(frame, out);
-    let payload = &out[body..];
+    header[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[16..20].copy_from_slice(&payload_crc(payload).to_le_bytes());
+}
+
+/// Where a SampleChunk frame's I/Q body starts: behind the header and the
+/// chunk prefix. A sender that frames a chunk in place lays this many bytes
+/// out (any value), appends the body behind them, then calls
+/// [`seal_sample_chunk`].
+pub const CHUNK_BODY_OFFSET: usize = HEADER_LEN + CHUNK_PREFIX;
+
+/// Completes a SampleChunk frame built in place: `frame` is
+/// [`CHUNK_BODY_OFFSET`] bytes of room followed by the interleaved
+/// little-endian i16 I/Q body. Writes the chunk prefix (`start_sample`, the
+/// sample count) and the header, so the bytes equal
+/// `encode_frame(&Frame::SampleChunk { start_sample, iq }, seq)` for the
+/// pairs the body holds — without the pairs ever existing.
+///
+/// # Panics
+/// Panics if the body ends in a partial pair or holds more than
+/// [`MAX_CHUNK_SAMPLES`] samples.
+pub fn seal_sample_chunk(frame: &mut [u8], start_sample: u64, seq: u32) {
+    let body = frame.len() - CHUNK_BODY_OFFSET;
     assert!(
-        payload.len() <= MAX_PAYLOAD,
-        "{} payload of {} bytes exceeds MAX_PAYLOAD",
-        frame.type_name(),
-        payload.len()
+        body.is_multiple_of(4) && body / 4 <= MAX_CHUNK_SAMPLES,
+        "sample chunk body of {body} bytes is not 0..={MAX_CHUNK_SAMPLES} whole samples"
     );
-    let len = (payload.len() as u32).to_le_bytes();
-    let crc = payload_crc(payload).to_le_bytes();
-    out[start + 12..start + 16].copy_from_slice(&len);
-    out[start + 16..body].copy_from_slice(&crc);
+    let prefix = &mut frame[HEADER_LEN..CHUNK_BODY_OFFSET];
+    prefix[..8].copy_from_slice(&start_sample.to_le_bytes());
+    prefix[8..].copy_from_slice(&((body / 4) as u32).to_le_bytes());
+    seal(frame, 2, seq);
 }
 
 /// Serializes `frame` into a fresh buffer; see [`encode_frame_into`].
@@ -705,15 +741,27 @@ pub enum Decoded<'a> {
     Frame(SeqFrame),
 }
 
+/// The most bytes one [`FrameDecoder::read_from`] call reads: four default
+/// sample-chunk frames.
+pub const READ_BOUND: usize = 64 * 1024;
+
 /// Incremental frame decoder: feed raw socket bytes in, pop whole frames
 /// out.
+///
+/// Bytes arrive either copied in ([`push`](Self::push)) or read straight
+/// into the decoder's own buffer ([`read_from`](Self::read_from), at most
+/// [`READ_BOUND`] a call), so a server that owns the socket copies nothing
+/// on the way to the frame check.
 ///
 /// The decoder is strict — the first malformed byte poisons the stream and
 /// every later call returns the same error, mirroring how a connection
 /// handler should treat hostile input (drop the peer, don't resync).
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// `buf[..filled]` is received bytes; the rest is room `read_from`
+    /// reads into, zeroed once when the buffer grows, not on every read.
     buf: Vec<u8>,
+    filled: usize,
     /// Bytes of `buf` already consumed (compacted opportunistically).
     consumed: usize,
     poisoned: Option<FrameError>,
@@ -729,13 +777,38 @@ impl FrameDecoder {
     pub fn push(&mut self, data: &[u8]) {
         if self.poisoned.is_none() {
             self.compact();
+            self.buf.truncate(self.filled);
             self.buf.extend_from_slice(data);
+            self.filled = self.buf.len();
         }
+    }
+
+    /// Reads once from `src` straight into the decoder's buffer, at most
+    /// [`READ_BOUND`] bytes, and returns how many arrived (`0` is end of
+    /// stream) — [`push`](Self::push) without the caller's buffer and its
+    /// copy. Errors are `src`'s, passed through as they are; a poisoned
+    /// decoder reads nothing and returns its poison as `InvalidData`.
+    ///
+    /// A caller that decodes every complete frame before it reads again
+    /// keeps the buffer within [`READ_BOUND`] plus one maximum frame.
+    pub fn read_from<R: Read + ?Sized>(&mut self, src: &mut R) -> io::Result<usize> {
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone().into());
+        }
+        self.compact();
+        let end = self.filled + READ_BOUND;
+        if self.buf.len() < end {
+            self.buf.reserve_exact(end - self.buf.len());
+            self.buf.resize(end, 0);
+        }
+        let n = src.read(&mut self.buf[self.filled..end])?;
+        self.filled += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet decoded into frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.consumed
+        self.filled - self.consumed
     }
 
     /// Tries to decode the next complete frame.
@@ -788,14 +861,21 @@ impl FrameDecoder {
         }
     }
 
-    /// Drops the consumed prefix once it dominates, keeping the buffer
-    /// small on long-lived connections. [`push`](Self::push) runs it before
-    /// it appends, the one place the buffer grows: decoding never moves the
-    /// bytes, so a body [`next_decoded`](Self::next_decoded) lent out stays
-    /// put until the borrow ends.
+    /// Moves the undecoded bytes to the front once the consumed prefix
+    /// dominates, or once more than a maximum frame has been received (the
+    /// undecoded rest is then less than a frame, for a caller that drains
+    /// before it reads), keeping the buffer small on long-lived
+    /// connections. [`push`](Self::push) and [`read_from`](Self::read_from)
+    /// run it before they take bytes in, the only places the buffer
+    /// changes: decoding never moves the bytes, so a body
+    /// [`next_decoded`](Self::next_decoded) lent out stays put until the
+    /// borrow ends.
     fn compact(&mut self) {
-        if self.consumed > 4096 && self.consumed * 2 >= self.buf.len() {
-            self.buf.drain(..self.consumed);
+        let dominates = self.consumed > 4096 && self.consumed * 2 >= self.filled;
+        let overfull = self.consumed > 0 && self.filled > HEADER_LEN + MAX_PAYLOAD;
+        if dominates || overfull {
+            self.buf.copy_within(self.consumed..self.filled, 0);
+            self.filled -= self.consumed;
             self.consumed = 0;
         }
     }
@@ -804,6 +884,7 @@ impl FrameDecoder {
     fn poison(&mut self, e: FrameError) -> FrameError {
         self.poisoned = Some(e.clone());
         self.buf = Vec::new();
+        self.filled = 0;
         self.consumed = 0;
         e
     }
@@ -811,7 +892,7 @@ impl FrameDecoder {
     /// Validates the next frame's header and CRC and consumes it: its
     /// sequence number, type byte and where its payload sits in `buf`.
     fn next_payload(&mut self) -> Result<Option<(u32, u8, Range<usize>)>, FrameError> {
-        let avail = &self.buf[self.consumed..];
+        let avail = &self.buf[self.consumed..self.filled];
         if avail.len() < HEADER_LEN {
             return Ok(None);
         }
@@ -1453,6 +1534,141 @@ mod tests {
                     "{what}: borrowed decode differs, piece {piece}"
                 );
             }
+        }
+    }
+
+    /// A reader that hands `wire` out in pieces of seeded random length,
+    /// from one byte up to three default chunk frames.
+    struct Pieces<'a> {
+        wire: &'a [u8],
+        rng: Xoshiro256,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let most = 3 * (CHUNK_BODY_OFFSET + 4 * DEFAULT_CHUNK_SAMPLES) as u64;
+            let want = 1 + (self.rng.next_u64() % most) as usize;
+            let n = want.min(buf.len()).min(self.wire.len());
+            buf[..n].copy_from_slice(&self.wire[..n]);
+            self.wire = &self.wire[n..];
+            Ok(n)
+        }
+    }
+
+    /// A decoded item with a sample body copied out of the decoder.
+    #[derive(Debug, PartialEq)]
+    enum Owned {
+        Samples(u32, u64, Vec<u8>),
+        Frame(SeqFrame),
+    }
+
+    fn drain_owned(dec: &mut FrameDecoder, got: &mut Vec<Owned>) {
+        while let Some(d) = dec.next_decoded().unwrap() {
+            got.push(match d {
+                Decoded::Samples {
+                    seq,
+                    start_sample,
+                    body,
+                } => Owned::Samples(seq, start_sample, body.to_vec()),
+                Decoded::Frame(sf) => Owned::Frame(sf),
+            });
+        }
+    }
+
+    /// The most a decoder fed by `read_from` may hold: one read on top of
+    /// one maximum frame.
+    const DECODER_BOUND: usize = READ_BOUND + HEADER_LEN + MAX_PAYLOAD;
+
+    #[test]
+    fn read_from_decodes_what_push_decodes_within_its_bound() {
+        let mut rng = Xoshiro256::new(0x4EAD_2009);
+        let mut wire = Vec::new();
+        let mut seq = 0u32;
+        for n in [4096, 0, 1, 4096, 4097, 20_000, MAX_CHUNK_SAMPLES, 3, 4096] {
+            let start_sample = rng.next_u64() >> 8;
+            encode_frame_into(&seeded_chunk(&mut rng, start_sample, n), seq, &mut wire);
+            let other = &all_frames()[seq as usize % 14];
+            encode_frame_into(other, seq + 1, &mut wire);
+            seq += 2;
+        }
+        let mut pushed = FrameDecoder::new();
+        pushed.push(&wire);
+        let mut want = Vec::new();
+        drain_owned(&mut pushed, &mut want);
+        assert_eq!(want.len(), 18);
+
+        for seed in 0..4u64 {
+            let mut src = Pieces {
+                wire: &wire,
+                rng: Xoshiro256::new(seed),
+            };
+            let mut dec = FrameDecoder::new();
+            let mut got = Vec::new();
+            let mut reads = 0;
+            while dec.read_from(&mut src).unwrap() > 0 {
+                reads += 1;
+                assert!(dec.buffered() <= DECODER_BOUND, "seed {seed}");
+                assert!(dec.buf.capacity() <= DECODER_BOUND, "seed {seed}");
+                drain_owned(&mut dec, &mut got);
+            }
+            assert!(
+                reads > wire.len() / READ_BOUND,
+                "seed {seed}: reads not bounded"
+            );
+            assert!(got == want, "seed {seed}: read_from decodes differently");
+            assert_eq!(dec.buffered(), 0);
+        }
+    }
+
+    #[test]
+    fn read_from_refuses_a_hostile_length_and_stays_poisoned() {
+        let mut hostile = encode_frame(&Frame::Heartbeat, 0);
+        hostile[5] = 2;
+        hostile[12..16].copy_from_slice(&(MAX_PAYLOAD as u32 + 1).to_le_bytes());
+        hostile.resize(HEADER_LEN + 3 * READ_BOUND, 0xA5);
+        let mut src = &hostile[..];
+        let mut dec = FrameDecoder::new();
+        assert_eq!(dec.read_from(&mut src).unwrap(), READ_BOUND);
+        let refused = Err(FrameError::Oversized(MAX_PAYLOAD as u32 + 1));
+        assert_eq!(dec.next_frame(), refused);
+        // Nothing of the claimed payload is kept, and nothing more is read.
+        assert_eq!((dec.buffered(), dec.buf.capacity()), (0, 0));
+        let left = src.len();
+        let err = dec.read_from(&mut src).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(src.len(), left);
+        dec.push(&encode_frame(&Frame::Bye, 1));
+        assert_eq!(dec.next_frame(), refused);
+        assert!(matches!(dec.next_decoded(), Err(FrameError::Oversized(_))));
+
+        // A bad CRC poisons a reading decoder the same way.
+        let mut bad = encode_frame(&Frame::Stats("{}".into()), 0);
+        *bad.last_mut().unwrap() ^= 1;
+        bad.extend(encode_frame(&Frame::Bye, 1));
+        let mut dec = FrameDecoder::new();
+        dec.read_from(&mut &bad[..]).unwrap();
+        assert!(matches!(dec.next_frame(), Err(FrameError::BadCrc { .. })));
+        let again = dec.read_from(&mut &encode_frame(&Frame::Bye, 2)[..]);
+        assert_eq!(again.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert!(matches!(dec.next_frame(), Err(FrameError::BadCrc { .. })));
+    }
+
+    #[test]
+    fn an_in_place_sample_chunk_equals_the_encoded_one() {
+        let mut rng = Xoshiro256::new(0x5EA1_2009);
+        for n in [0, 1, 4096, MAX_CHUNK_SAMPLES] {
+            let start_sample = rng.next_u64();
+            let frame = seeded_chunk(&mut rng, start_sample, n);
+            let Frame::SampleChunk { iq, .. } = &frame else {
+                unreachable!()
+            };
+            let mut out = vec![0xEE; CHUNK_BODY_OFFSET];
+            for &(i, q) in iq {
+                out.extend_from_slice(&i.to_le_bytes());
+                out.extend_from_slice(&q.to_le_bytes());
+            }
+            seal_sample_chunk(&mut out, start_sample, 77);
+            assert!(out == encode_frame(&frame, 77), "{n} samples");
         }
     }
 
