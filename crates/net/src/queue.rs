@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// What `push` does when the queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,6 +71,12 @@ pub enum TryPushError<T> {
 struct QueueState<T> {
     q: VecDeque<T>,
     closed: bool,
+    /// Threads blocked in `push` waiting for room, and in `pop` waiting
+    /// for an item. Counted under the mutex, so a notify is owed only when
+    /// one is nonzero: a thread that is about to wait has not yet looked at
+    /// the queue, and will see the change itself.
+    pushers: usize,
+    poppers: usize,
 }
 
 struct Shared<T> {
@@ -80,6 +86,29 @@ struct Shared<T> {
     cap: usize,
     policy: OverflowPolicy,
     dropped: AtomicU64,
+}
+
+impl<T> Shared<T> {
+    /// Appends `item` and releases the lock, waking a popper only if one
+    /// is waiting: an uncontended push costs no futex call.
+    fn enqueue(&self, mut st: MutexGuard<'_, QueueState<T>>, item: T) {
+        st.q.push_back(item);
+        let wake = st.poppers > 0;
+        drop(st);
+        if wake {
+            self.items.notify_one();
+        }
+    }
+
+    /// Releases the lock after an item left the queue, waking a pusher
+    /// only if one is waiting for room.
+    fn made_room(&self, st: MutexGuard<'_, QueueState<T>>) {
+        let wake = st.pushers > 0;
+        drop(st);
+        if wake {
+            self.room.notify_one();
+        }
+    }
 }
 
 /// A bounded SPSC/MPSC queue with a chosen [`OverflowPolicy`].
@@ -103,6 +132,8 @@ impl<T> ChunkQueue<T> {
                 state: Mutex::new(QueueState {
                     q: VecDeque::with_capacity(cap.max(1)),
                     closed: false,
+                    pushers: 0,
+                    poppers: 0,
                 }),
                 room: Condvar::new(),
                 items: Condvar::new(),
@@ -132,16 +163,16 @@ impl<T> ChunkQueue<T> {
                 }
                 OverflowPolicy::Block => {
                     outcome = PushOutcome::QueuedAfterBlock;
+                    st.pushers += 1;
                     st = sh.room.wait(st).unwrap_or_else(|e| e.into_inner());
+                    st.pushers -= 1;
                     if st.closed {
                         return Err(item);
                     }
                 }
             }
         }
-        st.q.push_back(item);
-        drop(st);
-        sh.items.notify_one();
+        sh.enqueue(st, item);
         Ok(outcome)
     }
 
@@ -169,9 +200,7 @@ impl<T> ChunkQueue<T> {
                 OverflowPolicy::Block => return Err(TryPushError::Full(item)),
             }
         }
-        st.q.push_back(item);
-        drop(st);
-        sh.items.notify_one();
+        sh.enqueue(st, item);
         Ok(outcome)
     }
 
@@ -186,8 +215,7 @@ impl<T> ChunkQueue<T> {
         let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
         if st.q.pop_front().is_some() {
             sh.dropped.fetch_add(1, Ordering::Relaxed);
-            drop(st);
-            sh.room.notify_one();
+            sh.made_room(st);
             true
         } else {
             false
@@ -201,14 +229,15 @@ impl<T> ChunkQueue<T> {
         let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(it) = st.q.pop_front() {
-                drop(st);
-                sh.room.notify_one();
+                sh.made_room(st);
                 return Some(it);
             }
             if st.closed {
                 return None;
             }
+            st.poppers += 1;
             st = sh.items.wait(st).unwrap_or_else(|e| e.into_inner());
+            st.poppers -= 1;
         }
     }
 
@@ -331,6 +360,47 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(t.join().unwrap(), Err(2));
+    }
+
+    /// A capacity-1 queue makes every item a full/empty handoff, so a
+    /// skipped notify would leave one side waiting for good: 100 000 items
+    /// must cross in order, once from a blocking pusher and once from a
+    /// `try_push` retry loop, each against a blocking popper.
+    #[test]
+    fn no_wakeup_is_lost_at_capacity_one() {
+        const N: u64 = 100_000;
+        for blocking in [true, false] {
+            let q = ChunkQueue::new(1, OverflowPolicy::Block);
+            let tx = q.clone();
+            let producer = std::thread::spawn(move || {
+                for i in 0..N {
+                    if blocking {
+                        tx.push(i).unwrap();
+                        continue;
+                    }
+                    let mut item = i;
+                    loop {
+                        match tx.try_push(item) {
+                            Ok(_) => break,
+                            Err(TryPushError::Full(back)) => {
+                                item = back;
+                                std::thread::yield_now();
+                            }
+                            Err(TryPushError::Closed(_)) => panic!("closed early"),
+                        }
+                    }
+                }
+                tx.close();
+            });
+            let mut next = 0;
+            while let Some(i) = q.pop() {
+                assert_eq!(i, next, "out of order (blocking push: {blocking})");
+                next += 1;
+            }
+            producer.join().unwrap();
+            assert_eq!(next, N, "blocking push: {blocking}");
+            assert_eq!(q.dropped(), 0);
+        }
     }
 
     #[test]
