@@ -15,7 +15,11 @@
 //! * **One readiness loop** owns every producer socket. Sockets are
 //!   nonblocking; the loop polls them round-robin (the same std-only
 //!   poll-style the obs scrape endpoint uses — no epoll dependency), so a
-//!   hundred senders cost one thread, not a hundred.
+//!   hundred senders cost one thread, not a hundred. It only reads (into
+//!   each connection's frame decoder), checks and queues: a sample chunk
+//!   is queued as its CRC-checked wire bytes. A sweep with no progress
+//!   parks the loop for at most `POLL`; an analysis thread popping a chunk
+//!   or finishing wakes it sooner.
 //! * **Two handshakes, one state machine.** After `Hello(Producer)` a
 //!   sender either names itself ([`Frame::SourceHello`]: a *tagged* source,
 //!   bound to a stable id) or opens with a bare [`Frame::StreamMeta`] (an
@@ -33,8 +37,9 @@
 //! * **Per-source sharding**: every source gets its own bounded
 //!   [`ChunkQueue`] and its own [`Pipeline`] instance from the injected
 //!   factory (called with the id, or `""` for an anonymous source), drained
-//!   by its own analysis thread. Sources never contend on a pipeline lock,
-//!   and one source's backlog cannot delay another's analysis.
+//!   by its own analysis thread, which widens each chunk to samples. Sources
+//!   never contend on a pipeline lock, and one source's backlog cannot delay
+//!   another's analysis.
 //! * **Per-source backpressure**: a full queue stops the loop from reading
 //!   that source's socket (TCP pushes back to the sender) and sends a
 //!   Throttle advisory on the saturation rising edge — other sockets keep
@@ -146,15 +151,15 @@ use crate::frame::{Decoded, Frame, FrameDecoder, RecordMsg, Role, StreamMeta};
 use crate::hub::{HubMsg, RecordHub, Subscription};
 use crate::queue::{ChunkQueue, OverflowPolicy, TryPushError};
 use crate::server::{serve_subscriber, NetStats, NetStatsSnapshot, Pipeline, SubscriberCtx};
-use rfd_dsp::{kernels, Complex32};
+use rfd_dsp::kernels;
 use rfd_fault::{Action, FaultPlan};
 use rfd_telemetry::ladder::{Hysteresis, Rung, Window};
 use rfd_telemetry::{Counter, Gauge, Histogram, HistogramWindow, Registry};
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Builds one fresh [`Pipeline`] per source. The source id is passed so
@@ -165,7 +170,9 @@ pub type PipelineFactory = Box<dyn Fn(&str) -> Box<dyn Pipeline> + Send + Sync>;
 /// Send a producer an Ack every this many ingested chunks.
 const ACK_EVERY: u64 = 16;
 
-/// Idle sleep between readiness sweeps when no socket made progress.
+/// Longest park between readiness sweeps when no socket made progress: an
+/// analysis thread's event ends it sooner, a socket's data cannot (std has
+/// no portable wait on a set of sockets).
 const POLL: Duration = Duration::from_millis(1);
 
 /// Cadence of the bounded-latency deadline sweep (budget runs only).
@@ -309,9 +316,11 @@ struct SourceShared {
     /// outlives it; nothing between admission and publication reads this.
     tagged: bool,
     meta: StreamMeta,
-    /// Ingest queue. Items carry their commit instant so the analysis
-    /// thread can record queue wait into the deadline histogram.
-    queue: ChunkQueue<(Instant, Vec<Complex32>)>,
+    /// Ingest queue of CRC-checked wire bodies (little-endian i16 I/Q
+    /// pairs), widened by the analysis thread. Items carry their commit
+    /// instant so the analysis thread can record queue wait into the
+    /// deadline histogram.
+    queue: ChunkQueue<(Instant, Vec<u8>)>,
     /// Join ordinal, echoed as the Ack session id so a resuming sender can
     /// tell its session survived.
     session: u64,
@@ -594,8 +603,52 @@ impl FleetSnapshot {
 // The server
 // ---------------------------------------------------------------------------
 
+/// How analysis threads wake the readiness loop when it parks with nothing
+/// to do. Each popped chunk (room in a queue a pending chunk may wait on)
+/// and each finished source is an event: it bumps `events`, and a thread
+/// that then finds the loop `parked` notifies it under `lock`. The loop
+/// raises `parked` under the lock and re-reads `events` before it waits, so
+/// no event falls between its check and its wait.
+#[derive(Default)]
+struct Wake {
+    events: AtomicU64,
+    parked: AtomicBool,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Wake {
+    /// Events so far; what [`park`](Self::park) compares against.
+    fn seen(&self) -> u64 {
+        self.events.load(Ordering::SeqCst)
+    }
+
+    /// Books an event, waking the loop if it is parked.
+    fn notify(&self) {
+        self.events.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) {
+            let _held = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.cv.notify_one();
+        }
+    }
+
+    /// Waits up to `timeout` for an event, unless one came after `seen`.
+    fn park(&self, seen: u64, timeout: Duration) {
+        let held = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.parked.store(true, Ordering::SeqCst);
+        if self.events.load(Ordering::SeqCst) == seen {
+            drop(self.cv.wait_timeout(held, timeout));
+        } else {
+            drop(held);
+        }
+        self.parked.store(false, Ordering::SeqCst);
+    }
+}
+
 struct FleetInner {
     cfg: FleetConfig,
+    /// Parks the readiness loop between empty sweeps.
+    wake: Wake,
     hub: RecordHub,
     stats: NetStats,
     factory: PipelineFactory,
@@ -716,6 +769,7 @@ impl FleetHandle {
     /// last record is published.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.wake.notify();
     }
 
     /// Current fleet statistics.
@@ -760,7 +814,8 @@ struct PendingChunk {
     end: u64,
     /// Samples missing before this chunk (booked on commit).
     gap: u64,
-    samples: Vec<Complex32>,
+    /// The samples not yet ingested, in wire form: 4 bytes a sample.
+    body: Vec<u8>,
 }
 
 struct Conn {
@@ -855,6 +910,7 @@ impl FleetServer {
             hub: RecordHub::new(cfg.sub_queue_cap),
             stats: NetStats::new(registry.as_deref()),
             cfg,
+            wake: Wake::default(),
             factory,
             shutdown: AtomicBool::new(false),
             sources_joined: AtomicU64::new(0),
@@ -924,6 +980,7 @@ impl FleetServer {
                 break;
             }
             let mut progressed = false;
+            let seen = inner.wake.seen();
 
             // Accept every connection ready right now.
             loop {
@@ -998,7 +1055,7 @@ impl FleetServer {
             }
 
             if !progressed {
-                std::thread::sleep(POLL);
+                inner.wake.park(seen, POLL);
             }
         }
 
@@ -1446,12 +1503,10 @@ fn service_conn(
             _ => {}
         }
     }
-    let mut buf = [0u8; 16 * 1024];
-    match c.stream.read(&mut buf) {
+    match c.dec.read_from(&mut c.stream) {
         Ok(0) => return eof_verdict(inner, c),
         Ok(n) => {
             inner.stats.bytes_in.add(n as u64);
-            c.dec.push(&buf[..n]);
             c.last_rx = Instant::now();
             *progressed = true;
             if let Some(v) = process_frames(inner, c, analysis_threads, progressed) {
@@ -1892,9 +1947,9 @@ fn register_source(inner: &Arc<FleetInner>, tag: Option<&str>, meta: StreamMeta)
 }
 
 /// Ingests one sample chunk for a streaming source from its wire body
-/// (validated LE i16 I/Q pairs): contiguity accounting, widening with the
-/// stream's scale, throttle advisories, committed queue push, periodic
-/// acks.
+/// (validated LE i16 I/Q pairs): contiguity accounting, a copy of the
+/// samples not yet ingested (widening is the analysis thread's), throttle
+/// advisories, committed queue push, periodic acks.
 fn ingest_chunk(
     inner: &Arc<FleetInner>,
     c: &mut Conn,
@@ -1916,8 +1971,7 @@ fn ingest_chunk(
     let gap = start_sample.saturating_sub(expected);
     // Samples before the committed mark were analysed already.
     let skip = expected.saturating_sub(start_sample) as usize;
-    let mut samples = Vec::new();
-    kernels::widen_i16_iq(&body[skip * 4..], src.meta.scale, &mut samples);
+    let body = body[skip * 4..].to_vec();
 
     // Throttle advisory on the saturation rising edge, per source.
     let depth = src.queue.len();
@@ -1962,7 +2016,7 @@ fn ingest_chunk(
         c.queue_frame(&inner.stats, &frame);
     }
 
-    commit_chunk(inner, c, src, PendingChunk { end, gap, samples });
+    commit_chunk(inner, c, src, PendingChunk { end, gap, body });
 }
 
 /// Pushes a dedup-adjusted chunk into the source queue and, only on
@@ -1977,8 +2031,8 @@ fn commit_chunk(
     src: &Arc<SourceShared>,
     chunk: PendingChunk,
 ) -> bool {
-    let PendingChunk { end, gap, samples } = chunk;
-    let kept = samples.len() as u64;
+    let PendingChunk { end, gap, body } = chunk;
+    let kept = (body.len() / 4) as u64;
     // Shed rung 2: a drop-oldest source forces room instead of parking
     // the chunk — latency is the contract now, the oldest backlog pays.
     if src.shed.level() >= SHED_DROP
@@ -1990,14 +2044,14 @@ fn commit_chunk(
             ctr.add(1);
         }
     }
-    match src.queue.try_push((Instant::now(), samples)) {
+    match src.queue.try_push((Instant::now(), body)) {
         Ok(_) => {
             if let Some(g) = &src.queue_gauge {
                 g.set(src.queue.len() as i64);
             }
         }
-        Err(TryPushError::Full((_, samples))) => {
-            c.pending = Some(PendingChunk { end, gap, samples });
+        Err(TryPushError::Full((_, body))) => {
+            c.pending = Some(PendingChunk { end, gap, body });
             return false;
         }
         Err(TryPushError::Closed(_)) => {
@@ -2029,16 +2083,18 @@ fn commit_chunk(
     true
 }
 
-/// One source's analysis thread: push each chunk of the contiguous sample
-/// stream into the source's private pipeline session as it is popped,
-/// publish what every push returns at once, and close with the source's end
-/// marker. The `tagged` matches here and the handshake arms of
+/// One source's analysis thread: widen each chunk of the contiguous sample
+/// stream into one reused buffer and push it into the source's private
+/// pipeline session as it is popped, publish what every push returns at
+/// once, and close with the source's end marker. Every pop and the end
+/// wake a parked readiness loop. The `tagged` matches here and the handshake arms of
 /// [`process_frames`] are the whole difference between the two kinds of
 /// source.
 fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
     let analysis_site = format!("net.fleet.analysis.{}", src.name);
     let next_chunk = || {
         let (committed, chunk) = src.queue.pop()?;
+        inner.wake.notify();
         // Chaos: a slow/cpu fault here starves this source's consumer so
         // its queue wait — and only its — blows the deadline budget.
         if let Some(plan) = &inner.cfg.faults {
@@ -2090,8 +2146,10 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
     if chunks.peek().is_some() {
         let mut pipeline = (inner.factory)(if src.tagged { &src.name } else { "" });
         let mut session = pipeline.open(&src.meta);
-        for samples in chunks {
+        let mut samples = Vec::new();
+        for body in chunks {
             let pushed_at = Instant::now();
+            kernels::widen_i16_iq(&body, src.meta.scale, &mut samples);
             publish(session.push(&samples), pushed_at);
         }
         let finished_at = Instant::now();
@@ -2138,6 +2196,7 @@ fn analysis_thread(inner: Arc<FleetInner>, src: Arc<SourceShared>) {
         map.remove(&src.name);
     }
     inner.sources_done.fetch_add(1, Ordering::SeqCst);
+    inner.wake.notify();
 }
 
 #[cfg(test)]
@@ -2145,6 +2204,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::client::{RecordSubscriber, SendRate, SubEvent, TraceSender};
     use crate::frame::RecordMsg;
+    use rfd_dsp::Complex32;
 
     pub(crate) fn stub_factory() -> PipelineFactory {
         Box::new(|_source: &str| {
