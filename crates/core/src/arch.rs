@@ -1507,6 +1507,38 @@ mod tests {
         assert!(!without.records.is_empty());
     }
 
+    /// The exact form of the comparison above: without demodulation no
+    /// demodulator runs — not one record is demodulated and no
+    /// `analyze:*-demod` row books any CPU — while with it some records
+    /// are. (Those rows' `items_in` counts the dispatches routed to them,
+    /// demodulated or not, so it reads the same either way.)
+    #[test]
+    fn detection_only_runs_no_demodulator() {
+        let demodulated =
+            |out: &ArchOutput| -> u64 { out.record_counts.values().map(|c| c.1).sum() };
+        let demod_cpu = |out: &ArchOutput| -> Duration {
+            out.stats
+                .blocks
+                .iter()
+                .filter(|b| b.name.starts_with("analyze:") && b.name.ends_with("-demod"))
+                .map(|b| b.cpu)
+                .sum()
+        };
+        let trace = mixed_trace();
+        let mut cfg = ArchConfig::rfdump(piconets());
+        let with = run_architecture(&cfg, &trace.samples, 8e6);
+        cfg.demodulate = false;
+        let without = run_architecture(&cfg, &trace.samples, 8e6);
+        assert!(demodulated(&with) > 0, "{:?}", with.record_counts);
+        assert_eq!(demodulated(&without), 0, "{:?}", without.record_counts);
+        assert_eq!(
+            demod_cpu(&without),
+            Duration::ZERO,
+            "{:?}",
+            without.stats.blocks
+        );
+    }
+
     #[test]
     fn naive_energy_sits_between() {
         let trace = mixed_trace();
