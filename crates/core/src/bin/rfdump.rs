@@ -90,7 +90,10 @@
 //! id (a plain one with the session number the server acked) and the
 //! server resumes its parked session (see `serve --resume-grace`); the
 //! record stream stays byte-identical to an uninterrupted run.
-//! `watch` resumes its subscription from the last received record.
+//! `watch` resumes its subscription from the last received record. Once
+//! the server has acked its subscription it prints `rfdump: watching ADDR`
+//! on stderr (as `serve` prints `rfdump: serving on ADDR`), so a script can
+//! start its senders knowing no record will be missed.
 //! ```
 
 use rfd_fault::FaultPlan;
@@ -982,6 +985,9 @@ fn watch_stream(
         Ok(s) => s,
         Err(e) => return Err(WatchErr::Connect(e)),
     };
+    // The server has acked the subscription: every record published from
+    // here on reaches this watcher, so a script may start its senders.
+    announce(format!("rfdump: watching {connect}"));
     let mut records = 0u64;
     // Under `--source`, matching records print bare (byte-identical to an
     // offline `rfdump -r` on the same trace); unfiltered tagged records

@@ -336,15 +336,30 @@ fn watch_for_absent_source_exits_nonzero_cleanly() {
     .unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let run = std::thread::spawn(move || server.run().unwrap());
-    // Start the filtered watcher before the only source runs, so its
-    // subscription is live when the records and the Bye go out.
-    let watch = Command::new(env!("CARGO_BIN_EXE_rfdump"))
+    // Start the filtered watcher before the only source runs, and wait for
+    // it to announce that its subscription is live, so the records and the
+    // Bye reach it.
+    let mut watch = Command::new(env!("CARGO_BIN_EXE_rfdump"))
         .args(["watch", "--connect", &addr, "--source", "missing"])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawn rfdump watch");
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    let stderr = {
+        use std::io::{BufRead, Read};
+        let mut log = std::io::BufReader::new(watch.stderr.take().unwrap());
+        let mut seen = String::new();
+        while !seen.contains("rfdump: watching ") {
+            assert!(
+                log.read_line(&mut seen).unwrap() > 0,
+                "watch exited before subscribing: {seen}"
+            );
+        }
+        std::thread::spawn(move || {
+            let _ = log.read_to_string(&mut seen);
+            seen.into_bytes()
+        })
+    };
     let meta = rfd_net::StreamMeta {
         sample_rate: 8e6,
         center_hz: 0.0,
@@ -360,7 +375,8 @@ fn watch_for_absent_source_exits_nonzero_cleanly() {
     .unwrap();
     tx.finish().unwrap();
     run.join().unwrap();
-    let out = watch.wait_with_output().unwrap();
+    let mut out = watch.wait_with_output().unwrap();
+    out.stderr = stderr.join().unwrap();
     assert_clean_failure(&out, "absent source", "never appeared");
     assert!(
         out.stdout.is_empty(),
