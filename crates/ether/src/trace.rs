@@ -236,13 +236,10 @@ impl ChunkedTraceReader {
     /// exhausted. Convert with `from_i16_iq(i, q).scale(header.scale)` for
     /// exactly the samples [`decode_trace`] would produce.
     pub fn next_chunk(&mut self, max_samples: usize) -> io::Result<Option<Vec<(i16, i16)>>> {
-        if self.remaining == 0 {
+        let mut raw = Vec::new();
+        if self.read_raw(&mut raw, max_samples)? == 0 {
             return Ok(None);
         }
-        let n = (self.remaining.min(max_samples.max(1) as u64)) as usize;
-        let mut raw = vec![0u8; n * 4];
-        self.file.read_exact(&mut raw)?;
-        self.remaining -= n as u64;
         let out = raw
             .chunks_exact(4)
             .map(|b| {

@@ -11,8 +11,9 @@
 //! directory keeps that position across process restarts as well.
 
 use crate::frame::{
-    encode_frame, encode_frame_into, seal_sample_chunk, Frame, FrameDecoder, RecordMsg, Role,
-    SeqFrame, StreamMeta, CHUNK_BODY_OFFSET, DEFAULT_CHUNK_SAMPLES, MAX_CHUNK_SAMPLES,
+    append_pairs, encode_frame, encode_frame_into, seal_sample_chunk, Frame, FrameDecoder,
+    RecordMsg, Role, SeqFrame, StreamMeta, CHUNK_BODY_OFFSET, DEFAULT_CHUNK_SAMPLES,
+    MAX_CHUNK_SAMPLES,
 };
 use rfd_dsp::Complex32;
 use rfd_fault::{Action, FaultPlan, SplitMix64};
@@ -190,18 +191,6 @@ trait ChunkSource {
     /// source resumes there (`reconnect` is false on the send's first
     /// connection); returns whether it did.
     fn seek(&mut self, sample: u64, reconnect: bool) -> io::Result<bool>;
-}
-
-/// Appends `pairs` to `out` in wire form; returns how many there were.
-fn append_pairs(out: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (i16, i16)>) -> usize {
-    let (n, at) = (pairs.len(), out.len());
-    // Sized once, then filled through fixed 4-byte windows.
-    out.resize(at + n * 4, 0);
-    for (b, (i, q)) in out[at..].chunks_exact_mut(4).zip(pairs) {
-        b[..2].copy_from_slice(&i.to_le_bytes());
-        b[2..].copy_from_slice(&q.to_le_bytes());
-    }
-    n
 }
 
 /// A `.rfdt` file read `.1` samples at a time, its payload bytes copied

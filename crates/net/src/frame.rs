@@ -388,23 +388,33 @@ fn write_source_id(source: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(id);
 }
 
+/// Appends `pairs` to `out` as a sample chunk body: little-endian i16 I/Q,
+/// 4 bytes a sample. Returns how many pairs there were.
+pub(crate) fn append_pairs(
+    out: &mut Vec<u8>,
+    pairs: impl ExactSizeIterator<Item = (i16, i16)>,
+) -> usize {
+    let (n, at) = (pairs.len(), out.len());
+    // Sized once, then filled through fixed 4-byte windows: no per-sample
+    // capacity check, so the loop vectorizes.
+    out.resize(at + n * 4, 0);
+    for (b, (i, q)) in out[at..].chunks_exact_mut(4).zip(pairs) {
+        b[..2].copy_from_slice(&i.to_le_bytes());
+        b[2..].copy_from_slice(&q.to_le_bytes());
+    }
+    n
+}
+
 /// Appends `frame`'s payload to `out`.
 fn write_payload(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
         Frame::Hello(role) => out.push(role.as_u8()),
         Frame::StreamMeta(m) => write_meta(m, out),
         Frame::SampleChunk { start_sample, iq } => {
-            out.reserve(12 + iq.len() * 4);
+            out.reserve(CHUNK_PREFIX + iq.len() * 4);
             out.extend_from_slice(&start_sample.to_le_bytes());
             out.extend_from_slice(&(iq.len() as u32).to_le_bytes());
-            // Sized once, then filled through fixed 4-byte windows: no
-            // per-sample capacity check, so the loop vectorizes.
-            let at = out.len();
-            out.resize(at + iq.len() * 4, 0);
-            for (b, &(i, q)) in out[at..].chunks_exact_mut(4).zip(iq) {
-                b[..2].copy_from_slice(&i.to_le_bytes());
-                b[2..].copy_from_slice(&q.to_le_bytes());
-            }
+            append_pairs(out, iq.iter().copied());
         }
         Frame::Record(r) => write_record(r, out),
         Frame::Stats(json) => out.extend_from_slice(json.as_bytes()),
