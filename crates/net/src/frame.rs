@@ -72,8 +72,8 @@
 //! straight behind the header into a buffer the sender reuses (one per
 //! `TraceSender`, the outbox itself on a fleet connection), and a sender
 //! whose samples are already wire bytes (a `.rfdt` payload) appends them
-//! behind [`CHUNK_BODY_OFFSET`] bytes of room and frames them in place with
-//! [`seal_sample_chunk`]. A receiver reads the socket straight into the
+//! behind `CHUNK_BODY_OFFSET` bytes of room and frames them in place with
+//! `seal_sample_chunk`. A receiver reads the socket straight into the
 //! decoder ([`FrameDecoder::read_from`]) and takes a chunk's body by
 //! reference ([`FrameDecoder::next_decoded`]): the fleet server queues
 //! those bytes as they are, and each source's analysis thread widens them
@@ -479,7 +479,7 @@ fn seal(frame: &mut [u8], ty: u8, seq: u32) {
 /// chunk prefix. A sender that frames a chunk in place lays this many bytes
 /// out (any value), appends the body behind them, then calls
 /// [`seal_sample_chunk`].
-pub const CHUNK_BODY_OFFSET: usize = HEADER_LEN + CHUNK_PREFIX;
+pub(crate) const CHUNK_BODY_OFFSET: usize = HEADER_LEN + CHUNK_PREFIX;
 
 /// Completes a SampleChunk frame built in place: `frame` is
 /// [`CHUNK_BODY_OFFSET`] bytes of room followed by the interleaved
@@ -491,7 +491,7 @@ pub const CHUNK_BODY_OFFSET: usize = HEADER_LEN + CHUNK_PREFIX;
 /// # Panics
 /// Panics if the body ends in a partial pair or holds more than
 /// [`MAX_CHUNK_SAMPLES`] samples.
-pub fn seal_sample_chunk(frame: &mut [u8], start_sample: u64, seq: u32) {
+pub(crate) fn seal_sample_chunk(frame: &mut [u8], start_sample: u64, seq: u32) {
     let body = frame.len() - CHUNK_BODY_OFFSET;
     assert!(
         body.is_multiple_of(4) && body / 4 <= MAX_CHUNK_SAMPLES,
