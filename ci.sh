@@ -208,10 +208,21 @@ start_serve /dev/null "$work/serve-fleet-absent-log.txt" \
     > /dev/null 2> "$work/fleet-ghost-log.txt" &
 watch_pid=$!
 # The watcher announces its subscription once the server has acked it.
+subscribed=0
 for _ in $(seq 1 100); do
-    if grep -q "rfdump: watching" "$work/fleet-ghost-log.txt" 2>/dev/null; then break; fi
+    if grep -q "rfdump: watching" "$work/fleet-ghost-log.txt" 2>/dev/null; then
+        subscribed=1
+        break
+    fi
+    kill -0 "$watch_pid" 2>/dev/null || break
     sleep 0.1
 done
+if [ "$subscribed" = 0 ]; then
+    cat "$work/fleet-ghost-log.txt" >&2 || true
+    echo "watch never announced its subscription"
+    kill "$watch_pid" "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
 ./target/release/rfdump send --connect "127.0.0.1:$fleet_port" --rate max \
     --source real "$trace" 2>/dev/null
 wait_gone "$work/serve-fleet-absent-log.txt" "absent-source server exited nonzero"

@@ -355,9 +355,12 @@ fn watch_for_absent_source_exits_nonzero_cleanly() {
                 "watch exited before subscribing: {seen}"
             );
         }
+        // Keep only what follows the announcement, so the error line itself
+        // must carry the program prefix.
         std::thread::spawn(move || {
-            let _ = log.read_to_string(&mut seen);
-            seen.into_bytes()
+            let mut rest = String::new();
+            let _ = log.read_to_string(&mut rest);
+            rest.into_bytes()
         })
     };
     let meta = rfd_net::StreamMeta {

@@ -74,7 +74,7 @@
 //! whose samples are already wire bytes (a `.rfdt` payload) appends them
 //! behind `CHUNK_BODY_OFFSET` bytes of room and frames them in place with
 //! `seal_sample_chunk`. A receiver reads the socket straight into the
-//! decoder ([`FrameDecoder::read_from`]) and takes a chunk's body by
+//! decoder (the crate-internal `FrameDecoder::read_from`) and takes a chunk's body by
 //! reference ([`FrameDecoder::next_decoded`]): the fleet server queues
 //! those bytes as they are, and each source's analysis thread widens them
 //! with `rfd_dsp::kernels::widen_i16_iq`, so no intermediate pair vector
@@ -753,15 +753,15 @@ pub enum Decoded<'a> {
 
 /// The most bytes one [`FrameDecoder::read_from`] call reads: four default
 /// sample-chunk frames.
-pub const READ_BOUND: usize = 64 * 1024;
+pub(crate) const READ_BOUND: usize = 64 * 1024;
 
 /// Incremental frame decoder: feed raw socket bytes in, pop whole frames
 /// out.
 ///
-/// Bytes arrive either copied in ([`push`](Self::push)) or read straight
-/// into the decoder's own buffer ([`read_from`](Self::read_from), at most
-/// [`READ_BOUND`] a call), so a server that owns the socket copies nothing
-/// on the way to the frame check.
+/// Bytes arrive either copied in ([`push`](Self::push)) or, inside this
+/// crate, read straight into the decoder's own buffer (`read_from`, at most
+/// `READ_BOUND` a call), so the fleet server, which owns the socket, copies
+/// nothing on the way to the frame check.
 ///
 /// The decoder is strict — the first malformed byte poisons the stream and
 /// every later call returns the same error, mirroring how a connection
@@ -801,7 +801,7 @@ impl FrameDecoder {
     ///
     /// A caller that decodes every complete frame before it reads again
     /// keeps the buffer within [`READ_BOUND`] plus one maximum frame.
-    pub fn read_from<R: Read + ?Sized>(&mut self, src: &mut R) -> io::Result<usize> {
+    pub(crate) fn read_from<R: Read + ?Sized>(&mut self, src: &mut R) -> io::Result<usize> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone().into());
         }
