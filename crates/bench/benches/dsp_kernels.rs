@@ -61,7 +61,6 @@ fn main() {
 
     let sig = noise(N, 1);
     let flat: Vec<f32> = sig.iter().flat_map(|z| [z.re, z.im]).collect();
-    let pattern = noise(64, 2);
     let taps2: Vec<f32> = noise(41, 3).iter().flat_map(|z| [z.re, z.im]).collect();
     let window = &flat[..taps2.len()];
     let fft64 = Fft::new(64);
@@ -69,10 +68,8 @@ fn main() {
     // kernel name -> per-backend (mean_ns, msps)
     let kernel_names = [
         "sum_sq_f32",
-        "dot_f32",
         "power_into",
         "fir_dot41",
-        "conj_dot64",
         "conj_mul_adjacent",
         "fft64",
     ];
@@ -89,9 +86,6 @@ fn main() {
         results.push(timed(N, || {
             black_box(kernels::sum_sq_f32(&flat[..N]));
         }));
-        results.push(timed(N, || {
-            black_box(kernels::dot_f32(&flat[..N], &flat[N..2 * N]));
-        }));
         let mut power = Vec::new();
         results.push(timed(N, || {
             kernels::power_into(&sig, &mut power);
@@ -103,13 +97,6 @@ fn main() {
             let mut acc = Complex32::ZERO;
             for _ in 0..N {
                 acc += kernels::fir_dot(window, &taps2);
-            }
-            black_box(acc);
-        }));
-        results.push(timed(N, || {
-            let mut acc = Complex32::ZERO;
-            for chunk in sig.chunks_exact(pattern.len()) {
-                acc += kernels::conj_dot(chunk, &pattern);
             }
             black_box(acc);
         }));

@@ -40,7 +40,6 @@ use rfd_fault::{Action, FaultPlan, FaultStats};
 use rfd_flowgraph::{BlockStats, RunStats};
 use rfd_phy::bluetooth::demod::PiconetId;
 use rfd_phy::Protocol;
-use rfd_telemetry::event::EventKind;
 use rfd_telemetry::{Counter, Histogram, Registry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,7 +103,8 @@ pub struct ArchConfig {
     /// Graceful-degradation governor (RFDump only). `None` — the default —
     /// never sheds, preserving the byte-identical determinism contract;
     /// `Some` lets the [`LoadGovernor`] shed demodulation first and weak
-    /// detectors second when the pipeline falls behind real time.
+    /// detectors second, at a pinned level or when the latency budget is
+    /// violated.
     pub governor: Option<GovernorConfig>,
     /// Ingest chunk size, samples (default [`crate::CHUNK_SAMPLES`]): the
     /// step a session walks each push in, one ingest stamp per step.
@@ -711,8 +711,6 @@ struct RfDump {
     stages: [Stage; 4],
     /// Time spent inside `push`/`finish`.
     wall: Duration,
-    /// When the last `push` returned (what the governor books as idle).
-    last_return: Instant,
     /// Start time of the last released record: the ordering contract.
     last_start_us: f64,
 }
@@ -841,7 +839,6 @@ impl RfDump {
             pos: 0,
             stages: Default::default(),
             wall: Duration::ZERO,
-            last_return: Instant::now(),
             last_start_us: f64::NEG_INFINITY,
         }
     }
@@ -850,9 +847,6 @@ impl RfDump {
     /// for each peak, then submit each dispatch and take one ordered drain.
     fn push(&mut self, samples: &[Complex32], out: &mut Released) {
         let t0 = Instant::now();
-        if let Some(g) = &self.governor {
-            g.note_idle(t0 - self.last_return);
-        }
         self.release_recovered(out);
 
         // Walk the push in chunk-size steps — sub-slices, never copies —
@@ -879,8 +873,7 @@ impl RfDump {
 
         let dispatches = self.detect(peaks, out);
         self.analyze(dispatches, out);
-        self.last_return = Instant::now();
-        self.wall += self.last_return - t0;
+        self.wall += t0.elapsed();
     }
 
     fn release_recovered(&mut self, out: &mut Released) {
@@ -910,35 +903,6 @@ impl RfDump {
                     Some(Action::Spin(d)) => rfd_fault::spin_for(d),
                     Some(Action::Kill) => std::process::abort(),
                     _ => {}
-                }
-            }
-            if let Some(g) = &self.governor {
-                if let Some((from, to)) = g.observe(pk.end_us()) {
-                    if let Some(t) = &self.tel {
-                        let reg = &t.registry;
-                        reg.counter("governor.transitions").inc();
-                        reg.gauge("governor.level").set(i64::from(to));
-                        reg.tracer().record(
-                            "governor",
-                            if to > from { "degraded" } else { "recovered" },
-                            Instant::now(),
-                            Duration::ZERO,
-                        );
-                        let names = crate::governor::LEVEL_NAMES;
-                        let detail = format!(
-                            "{} -> {}",
-                            names.get(from as usize).copied().unwrap_or("?"),
-                            names.get(to as usize).copied().unwrap_or("?"),
-                        );
-                        reg.emit_event(
-                            if to > from {
-                                EventKind::GovernorShed
-                            } else {
-                                EventKind::GovernorRestore
-                            },
-                            detail,
-                        );
-                    }
                 }
             }
             let mut votes: Vec<Classification> = Vec::new();

@@ -50,8 +50,9 @@
 //!   --trace-out F    write the span trace as chrome://tracing JSON to F
 //!   --chaos SPEC     fault-injection plan (see rfd-fault; overrides the
 //!                    RFD_FAULTS environment variable)
-//!   --governor MODE  graceful degradation: auto (adaptive ladder) or a
-//!                    pinned shed level 0|1|2 (deterministic runs)
+//!   --governor LEVEL graceful degradation pinned at shed level 0|1|2
+//!                    (deterministic runs); --latency-budget is what
+//!                    sheds adaptively
 //!   --metrics-addr A serve live metrics over HTTP at A (host:port; port 0
 //!                    picks an ephemeral port, printed to stderr):
 //!                    /metrics is Prometheus text format 0.0.4, /events the
@@ -119,23 +120,24 @@ fn parse_chaos(spec: &str) -> Result<Option<Arc<FaultPlan>>, String> {
         .map_err(|e| format!("bad --chaos spec: {e}"))
 }
 
-/// Parses a `--governor` mode: `auto` or a pinned shed level.
-fn parse_governor(mode: &str) -> Result<GovernorConfig, String> {
-    match mode {
-        "auto" => Ok(GovernorConfig::default()),
-        lvl => {
-            let level: u8 = lvl
-                .parse()
-                .map_err(|_| format!("--governor needs auto or 0..=2, got '{mode}'"))?;
-            if level > rfdump::governor::MAX_LEVEL {
-                return Err(format!("--governor level {level} out of range (max 2)"));
-            }
-            Ok(GovernorConfig {
-                force_level: Some(level),
-                ..Default::default()
-            })
-        }
+/// Parses a `--governor` level: a pinned shed level 0..=2.
+fn parse_governor(level: &str) -> Result<GovernorConfig, String> {
+    if level == "auto" {
+        return Err(
+            "--governor auto was removed: shed on measured latency with --latency-budget MS"
+                .to_string(),
+        );
     }
+    let level: u8 = level
+        .parse()
+        .map_err(|_| format!("--governor needs a level 0..=2, got '{level}'"))?;
+    if level > rfdump::governor::MAX_LEVEL {
+        return Err(format!("--governor level {level} out of range (max 2)"));
+    }
+    Ok(GovernorConfig {
+        force_level: Some(level),
+        ..Default::default()
+    })
 }
 
 /// Parses a `--latency-budget` value: positive milliseconds.
@@ -194,17 +196,13 @@ fn check_arch_flags(
     Ok(())
 }
 
-/// Folds `--latency-budget` into the governor config: a budget turns the
-/// governor on (adaptive, unless `--governor` already pinned or configured
-/// it).
-///
-/// A budget *without* an explicit `--governor` engages only the latency
-/// ladder ([`GovernorConfig::latency_only`]); CPU-ratio shedding stays
-/// opt-in via `--governor auto`.
+/// Folds `--latency-budget` into the governor config: a budget arms the
+/// latency ladder, which walks the shed levels unless `--governor` pinned
+/// one. A violation of the budget is then the only thing that sheds.
 fn apply_latency_budget(governor: &mut Option<GovernorConfig>, budget_ms: Option<f64>) {
     if let Some(budget_us) = budget_ms.map(|ms| ms * 1e3) {
         governor
-            .get_or_insert_with(|| GovernorConfig::latency_only(budget_us))
+            .get_or_insert_with(GovernorConfig::default)
             .latency_budget_us = Some(budget_us);
     }
 }
@@ -234,7 +232,7 @@ fn usage() -> ExitCode {
         "usage: rfdump -r FILE [-a rfdump|naive|naive-energy] [-d timing|phase|both|all]\n\
          \x20             [-n] [-p LAP:UAP]... [-z] [-s] [-q] [--workers N]\n\
          \x20             [--no-telemetry] [--stats-json FILE] [--trace-out FILE]\n\
-         \x20             [--chaos SPEC] [--governor auto|0|1|2]\n\
+         \x20             [--chaos SPEC] [--governor 0|1|2]\n\
          \x20             [--latency-budget MS]\n\
          \x20             [--journal DIR] [--resume] [--metrics-addr ADDR]\n\
          \x20      rfdump serve --listen ADDR [--once | --expect N]\n\
@@ -311,7 +309,7 @@ fn parse_args() -> Result<Options, String> {
             "--chaos" => opts.chaos = parse_chaos(&args.next().ok_or("--chaos needs a spec")?)?,
             "--governor" => {
                 opts.governor = Some(parse_governor(
-                    &args.next().ok_or("--governor needs a mode")?,
+                    &args.next().ok_or("--governor needs a level")?,
                 )?)
             }
             "--latency-budget" => {
@@ -469,7 +467,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                 arch.faults = plan.clone();
                 net.faults = plan;
             }
-            "--governor" => arch.governor = Some(parse_governor(next("a mode")?)?),
+            "--governor" => arch.governor = Some(parse_governor(next("a level")?)?),
             "--latency-budget" => latency_budget_ms = Some(parse_budget_ms(next("milliseconds")?)?),
             "--journal" => journal = Some(next("a directory")?.to_string()),
             "--resume" => resume = true,

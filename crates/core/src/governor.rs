@@ -3,8 +3,7 @@
 //! RFDump's monitoring contract is *keep up with the ether*: when the
 //! analysis stack falls behind real time, it must shed load in a principled
 //! order instead of letting the ingest queue grow without bound. The
-//! governor watches the pipeline's real-time ratio (wall time over signal
-//! time) and walks a fixed degradation ladder:
+//! governor walks a fixed degradation ladder:
 //!
 //! 1. **Level 0 — nominal.** Everything runs.
 //! 2. **Level 1 — shed demodulation.** Per-protocol analyzers stop
@@ -23,21 +22,22 @@
 //!
 //! Because shedding changes the emitted records, the governor is opt-in
 //! (`ArchConfig::governor`); ungoverned runs keep the byte-identical
-//! determinism contract. `force_level` pins the ladder for deterministic
-//! tests and the `--governor LEVEL` CLI flag.
+//! determinism contract. Exactly two things move the ladder:
+//! `force_level` pins it (the `--governor 0|1|2` CLI flag, for
+//! deterministic runs), and a latency budget walks it.
 //!
 //! # Bounded-latency mode
 //!
 //! With a `latency_budget_us` configured (`--latency-budget MS`), the
-//! governor also closes the loop from measured tail latency to the ladder:
+//! governor closes the loop from measured tail latency to the ladder:
 //! sinks feed every record's sample→record latency into a private
 //! histogram, and a rate-limited tick computes the windowed p99 (via
 //! [`rfd_telemetry::HistogramWindow`] — the cumulative histograms cannot
-//! drive a control loop). Budget violations walk the same shed levels as
-//! the CPU ratio, with streak hysteresis ([`rfd_telemetry::ladder`]): two
-//! violating windows shed one level, four clean ones restore one, so
-//! recovery retraces the ladder in reverse. CPU-ratio behaviour is
-//! completely unchanged when no budget is set.
+//! drive a control loop). Budget violations walk the shed levels with
+//! streak hysteresis ([`rfd_telemetry::ladder`]): two violating windows
+//! shed one level, four clean ones restore one, so recovery retraces the
+//! ladder in reverse. A budget the pipeline never violates sheds nothing,
+//! so the record stream is byte-identical with and without it.
 
 use rfd_telemetry::event::EventKind;
 use rfd_telemetry::json::JsonValue;
@@ -54,49 +54,13 @@ pub const MAX_LEVEL: u8 = 2;
 pub const LEVEL_NAMES: [&str; 3] = ["nominal", "shed-demod", "shed-detectors"];
 
 /// Governor knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GovernorConfig {
-    /// Smoothed real-time ratio above which the governor escalates one
-    /// level (1.0 = falling behind real time).
-    pub high_water: f64,
-    /// Ratio below which it de-escalates one level.
-    pub low_water: f64,
-    /// EWMA smoothing factor for the observed ratio (0 < alpha ≤ 1).
-    pub alpha: f64,
     /// Pin the shed level instead of adapting (deterministic runs).
     pub force_level: Option<u8>,
     /// Sample→record latency budget, µs (`--latency-budget`). `None`
-    /// disables the latency signal entirely: the governor behaves exactly
-    /// as before.
+    /// disables the latency signal entirely.
     pub latency_budget_us: Option<f64>,
-}
-
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        Self {
-            high_water: 1.0,
-            low_water: 0.7,
-            alpha: 0.2,
-            force_level: None,
-            latency_budget_us: None,
-        }
-    }
-}
-
-impl GovernorConfig {
-    /// Budget only: the latency ladder is armed and the CPU-ratio
-    /// watermarks are parked out of reach, so the only thing that can shed
-    /// is a measured violation of `budget_us`. This is what makes
-    /// "byte-identical with and without an unviolated budget" a contract
-    /// rather than a bet on the host keeping up with real time.
-    pub fn latency_only(budget_us: f64) -> Self {
-        Self {
-            high_water: f64::INFINITY,
-            low_water: 0.0,
-            latency_budget_us: Some(budget_us),
-            ..Self::default()
-        }
-    }
 }
 
 /// Consecutive violating windows before the latency ladder escalates.
@@ -106,23 +70,17 @@ const VIOLATE_STREAK: u32 = 2;
 /// shedding.
 const RESTORE_STREAK: u32 = 4;
 /// Fraction of the budget a window's p99 must stay under to count as
-/// clean. Its own constant, because `GovernorConfig::low_water` is parked
-/// at 0 when a budget is set without an explicit `--governor`.
+/// clean.
 const LATENCY_LOW_WATER: f64 = 0.7;
 
-/// Watches the pipeline's real-time ratio and decides what to shed.
+/// Holds the shed level and decides what to shed.
 ///
-/// All state is atomic: the detection stage observes and the pool workers
-/// consult concurrently.
+/// All state is atomic: the record sinks tick the latency loop and the
+/// pool workers consult the level concurrently.
 #[derive(Debug)]
 pub struct LoadGovernor {
     cfg: GovernorConfig,
-    t0: Instant,
-    /// Time since `t0` the pipeline spent waiting for input, µs.
-    idle_us: AtomicU64,
     level: Rung,
-    /// Smoothed ratio × 1e6 (atomics hold no floats).
-    ratio_micro: AtomicU64,
     escalations: AtomicU64,
     deescalations: AtomicU64,
     shed_demod: AtomicU64,
@@ -151,15 +109,11 @@ struct LatencyCtl {
 }
 
 impl LoadGovernor {
-    /// A governor starting at level 0 (or the forced level) with its wall
-    /// clock anchored at creation.
+    /// A governor starting at level 0 (or the forced level).
     pub fn new(cfg: GovernorConfig) -> Self {
         Self {
             cfg,
-            t0: Instant::now(),
-            idle_us: AtomicU64::new(0),
             level: Rung::new(cfg.force_level.unwrap_or(0), MAX_LEVEL),
-            ratio_micro: AtomicU64::new(0),
             escalations: AtomicU64::new(0),
             deescalations: AtomicU64::new(0),
             shed_demod: AtomicU64::new(0),
@@ -287,57 +241,7 @@ impl LoadGovernor {
         }
     }
 
-    /// Books time the pipeline spent waiting for its next samples (a live
-    /// stream between two chunks). The real-time ratio is processing time
-    /// over signal time, so a session paced by its sender must not read as
-    /// a pipeline that only just keeps up.
-    pub fn note_idle(&self, idle: Duration) {
-        self.idle_us
-            .fetch_add(idle.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Feeds one progress observation: the pipeline has processed signal
-    /// up to `signal_us` microseconds of stream time. Returns the level
-    /// transition `(from, to)` if this observation changed it.
-    pub fn observe(&self, signal_us: f64) -> Option<(u8, u8)> {
-        if self.cfg.force_level.is_some() || signal_us <= 0.0 {
-            return None;
-        }
-        let busy_us =
-            self.t0.elapsed().as_secs_f64() * 1e6 - self.idle_us.load(Ordering::Relaxed) as f64;
-        let inst = busy_us / signal_us;
-        // EWMA over observations; seeded by the first sample.
-        let prev = self.ratio_micro.load(Ordering::Relaxed) as f64 / 1e6;
-        let smoothed = if prev == 0.0 {
-            inst
-        } else {
-            prev + self.cfg.alpha * (inst - prev)
-        };
-        // Bound the memory of overload: one pathological observation must
-        // not take unboundedly long to decay back below the low-water mark.
-        let smoothed = smoothed.min(self.cfg.high_water * 8.0);
-        self.ratio_micro
-            .store((smoothed * 1e6) as u64, Ordering::Relaxed);
-        if smoothed > self.cfg.high_water {
-            if let Some(step) = self.booked(self.level.up()) {
-                // Re-anchor the smoothed ratio at the boundary so one spike
-                // does not climb the whole ladder in consecutive observations.
-                self.ratio_micro
-                    .store((self.cfg.high_water * 1e6) as u64, Ordering::Relaxed);
-                return Some(step);
-            }
-        }
-        if smoothed < self.cfg.low_water {
-            if let Some(step) = self.booked(self.level.down()) {
-                self.ratio_micro
-                    .store((self.cfg.low_water * 1e6) as u64, Ordering::Relaxed);
-                return Some(step);
-            }
-        }
-        None
-    }
-
-    /// Counts a level step taken by either ladder and passes it on.
+    /// Counts a level step and passes it on.
     fn booked(&self, step: Option<(u8, u8)>) -> Option<(u8, u8)> {
         let (from, to) = step?;
         let counter = if to > from {
@@ -386,7 +290,6 @@ impl LoadGovernor {
     pub fn report(&self) -> GovernorReport {
         GovernorReport {
             level: self.level(),
-            ratio: self.ratio_micro.load(Ordering::Relaxed) as f64 / 1e6,
             escalations: self.escalations.load(Ordering::Relaxed),
             deescalations: self.deescalations.load(Ordering::Relaxed),
             shed_demod: self.shed_demod.load(Ordering::Relaxed),
@@ -401,8 +304,6 @@ impl LoadGovernor {
 pub struct GovernorReport {
     /// Final shed level.
     pub level: u8,
-    /// Final smoothed real-time ratio.
-    pub ratio: f64,
     /// Level increases over the run.
     pub escalations: u64,
     /// Level decreases over the run.
@@ -425,7 +326,6 @@ impl GovernorReport {
                 "level_name",
                 JsonValue::str(LEVEL_NAMES[usize::from(self.level.min(MAX_LEVEL))]),
             ),
-            ("rt_ratio", JsonValue::num(self.ratio)),
             ("escalations", n(self.escalations)),
             ("deescalations", n(self.deescalations)),
             ("shed_demod", n(self.shed_demod)),
@@ -472,48 +372,9 @@ mod tests {
         assert!(!g.demod_allowed());
         assert!(g.detector_allowed("wifi-phase"));
         assert_eq!(g.confidence_floor(), None);
-        // Even a hopeless ratio observation changes nothing.
-        assert_eq!(g.observe(0.0001), None);
+        // Even a checkpoint's level cannot move a pinned ladder.
+        g.restore_level(2);
         assert_eq!(g.level(), 1);
-    }
-
-    #[test]
-    fn ladder_sheds_demod_before_detectors_and_recovers() {
-        let g = LoadGovernor::new(GovernorConfig::default());
-        assert!(g.demod_allowed());
-        assert!(g.detector_allowed("wifi-phase"));
-        // Tiny signal progress against real elapsed wall time → ratio ≫ 1.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let t = g.observe(1.0);
-        assert_eq!(t, Some((0, 1)), "first escalation sheds demodulation");
-        assert!(!g.demod_allowed());
-        assert!(
-            g.detector_allowed("wifi-phase"),
-            "detectors survive level 1"
-        );
-        let t = g.observe(1.0);
-        assert_eq!(t, Some((1, 2)));
-        assert!(!g.detector_allowed("wifi-phase"));
-        assert!(!g.detector_allowed("bt-freq-hop"));
-        assert!(
-            g.detector_allowed("energy-window"),
-            "non-phase/freq detectors are never shed"
-        );
-        assert_eq!(g.confidence_floor(), Some(0.8));
-        // There is no level 3: the protocol-agnostic stage cannot be shed.
-        assert_eq!(g.observe(1.0), None);
-        assert_eq!(g.level(), MAX_LEVEL);
-        // Massive signal progress → the smoothed ratio decays below the
-        // low-water mark and the ladder walks back down, one level per
-        // crossing (the EWMA needs a few samples after each re-anchor).
-        let mut transitions = Vec::new();
-        for _ in 0..32 {
-            if let Some(t) = g.observe(1e15) {
-                transitions.push(t);
-            }
-        }
-        assert_eq!(transitions, vec![(2, 1), (1, 0)]);
-        assert_eq!(g.level(), 0, "level 0 is the floor");
     }
 
     #[test]
@@ -546,6 +407,43 @@ mod tests {
             latency_budget_us: Some(1_000.0),
             ..Default::default()
         })
+    }
+
+    #[test]
+    fn ladder_sheds_demod_before_detectors_and_recovers() {
+        let g = budgeted();
+        assert!(g.demod_allowed());
+        assert!(g.detector_allowed("wifi-phase"));
+        violating_tick(&g);
+        assert_eq!(violating_tick(&g), 1, "the first step sheds demodulation");
+        assert!(!g.demod_allowed());
+        assert!(
+            g.detector_allowed("wifi-phase"),
+            "detectors survive level 1"
+        );
+        violating_tick(&g);
+        assert_eq!(violating_tick(&g), 2);
+        assert!(!g.detector_allowed("wifi-phase"));
+        assert!(!g.detector_allowed("bt-freq-hop"));
+        assert!(
+            g.detector_allowed("energy-window"),
+            "non-phase/freq detectors are never shed"
+        );
+        assert_eq!(g.confidence_floor(), Some(0.8));
+        // There is no level 3: the protocol-agnostic stage cannot be shed.
+        for _ in 0..4 {
+            violating_tick(&g);
+        }
+        assert_eq!(g.level(), MAX_LEVEL);
+        // Clean windows walk the ladder back down, one level at a time.
+        for _ in 0..16 {
+            clean_tick(&g);
+        }
+        assert_eq!(g.level(), 0, "level 0 is the floor");
+        assert!(g.demod_allowed());
+        assert_eq!(g.confidence_floor(), None);
+        let r = g.report();
+        assert_eq!((r.escalations, r.deescalations), (2, 2));
     }
 
     #[test]
@@ -582,32 +480,11 @@ mod tests {
     fn a_pinned_level_counts_violations_but_never_moves() {
         let g = LoadGovernor::new(GovernorConfig {
             force_level: Some(0),
-            ..GovernorConfig::latency_only(1_000.0)
+            latency_budget_us: Some(1_000.0),
         });
         let levels: Vec<u8> = (0..6).map(|_| violating_tick(&g)).collect();
         assert_eq!(levels, [0; 6]);
         assert_eq!(g.latency_report().unwrap().violations, 6);
-    }
-
-    #[test]
-    fn parked_cpu_watermarks_leave_the_latency_ladder_fully_functional() {
-        // The CLI parks the ratio watermarks when a budget is set without
-        // an explicit --governor: CPU observations must then never move
-        // the ladder, while the latency ladder sheds and recovers as ever.
-        let g = LoadGovernor::new(GovernorConfig::latency_only(1_000.0));
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert_eq!(g.observe(1.0), None, "hopeless ratio cannot escalate");
-        assert_eq!(g.level(), 0);
-        for _ in 0..4 {
-            violating_tick(&g);
-        }
-        assert_eq!(g.level(), 2);
-        assert_eq!(g.observe(1e15), None, "great ratio cannot deescalate");
-        assert_eq!(g.level(), 2);
-        for _ in 0..8 {
-            clean_tick(&g);
-        }
-        assert_eq!(g.level(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! consume runs without scraping tables.
 //!
 //! The schema is identified by `"schema": "rfd-stats"` and `"version"`;
-//! consumers must check both. Version 12 carries:
+//! consumers must check both. Version 13 carries:
 //!
 //! * `trace` (seconds, sample rate, samples), `blocks` (per-block CPU and
 //!   items), `total` (CPU, wall, CPU over real time), `stages` (per-stage
@@ -26,8 +26,9 @@
 //!   sources keyed by id, each with its health state, `deadline_p99_us`
 //!   and `shed` rung — `none` / `throttle` / `drop-oldest`);
 //! * `faults` (fault-plan rule counters; null without a plan),
-//!   `degradation` (the governor's final shed level and shed counters;
-//!   null without a governor) and `latency_mode` (null without a
+//!   `degradation` (the governor's final shed level, step counts and shed
+//!   counters; null without a governor. Version 13 dropped its `rt_ratio`
+//!   along with the CPU-ratio ladder) and `latency_mode` (null without a
 //!   `--latency-budget`: `budget_us`, windowed-p99 `violations`,
 //!   `last_p99_us`, and on `serve` a `fleet` object of overload rollups —
 //!   `shed_throttle`, `shed_drop`, `admission_refused`,
@@ -50,7 +51,7 @@ use std::path::Path;
 /// Schema identifier carried in every stats document.
 pub const STATS_SCHEMA: &str = "rfd-stats";
 /// Current stats document version.
-pub const STATS_VERSION: u64 = 12;
+pub const STATS_VERSION: u64 = 13;
 
 /// The pipeline stage a block belongs to: the block-name prefix before the
 /// first `:` (`detect:peak/energy` → `detect`).
@@ -621,6 +622,7 @@ mod tests {
         assert_eq!(deg.get("level").unwrap().as_f64(), Some(1.0));
         assert_eq!(deg.get("level_name").unwrap().as_str(), Some("shed-demod"));
         assert_eq!(deg.get("shed_demod").unwrap().as_f64(), Some(1.0));
+        assert!(deg.get("rt_ratio").is_none(), "v13 dropped the CPU ratio");
         let sup = doc.get("supervision").unwrap();
         assert_eq!(sup.get("analyzer_panics").unwrap().as_f64(), Some(3.0));
         let q = sup.get("quarantined").unwrap().as_arr().unwrap();

@@ -182,6 +182,29 @@ fn invalid_latency_budget_is_rejected() {
 }
 
 #[test]
+fn removed_governor_auto_names_the_latency_budget() {
+    // `--governor auto` shed on a CPU-ratio estimate that nothing measured
+    // against a target; the latency budget is the one adaptive signal now.
+    let offline: &[&str] = &["-r", "/tmp/whatever.rfdt", "--governor", "auto"];
+    let serve: &[&str] = &["serve", "--listen", "127.0.0.1:0", "--governor", "auto"];
+    for args in [offline, serve] {
+        let out = rfdump(args);
+        assert_eq!(out.status.code(), Some(2), "usage errors exit 2 ({args:?})");
+        assert_clean_failure(&out, "--governor auto", "--latency-budget");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let errors: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("rfdump:"))
+            .collect();
+        assert_eq!(errors.len(), 1, "one error line ({args:?}): {stderr}");
+        assert!(
+            errors[0].contains("--governor auto") && errors[0].contains("--latency-budget"),
+            "the error line names both flags ({args:?}): {stderr}"
+        );
+    }
+}
+
+#[test]
 fn removed_chunk_bound_flags_are_rejected_not_ignored() {
     // `--chunk-min`/`--chunk-max` bounded a latency rung that resized the
     // ingest step, which since the streaming session released nothing

@@ -2,7 +2,7 @@
 //!
 //! Every inner loop the detection front end spends real time in — widening
 //! the i16 I/Q trace payload to complex samples, per-sample power,
-//! windowed-power reductions, FIR and correlation dot products,
+//! windowed-power reductions, FIR dot products,
 //! adjacent conjugate-multiply chains (the paper's "complex conjugation,
 //! multiplication and arctan" pipeline, §4.5), and FFT butterfly stages —
 //! and the CRC-32 every RFDN frame payload and 802.11 FCS is checked with
@@ -32,8 +32,6 @@
 //!   and tail elements (`len % 8`) are added sequentially afterwards. That
 //!   tree is exactly what one 8-lane AVX2 accumulator (add the 128-bit
 //!   halves, then reduce pairwise) and two/four SSE2 accumulators produce.
-//! * Complex reductions stripe 4 complex lanes with the tree
-//!   `(c0+c2) + (c1+c3)`.
 //! * **Certified sums** ([`exact_window_sums`]) are the one reduction with
 //!   no fixed order, because they are only used when order cannot matter.
 //!   Every `f32` in a slice of zeros and positive normal values is a whole
@@ -145,12 +143,8 @@ struct KernelTable {
     /// LE i16 I/Q bytes to `from_i16_iq(i, q).scale(s)` (element-wise);
     /// writes every element of the spare capacity it is handed.
     widen_i16_iq: fn(&[u8], f32, &mut [MaybeUninit<Complex32>]),
-    /// Striped dot product of two real sequences, accumulated in `f64`.
-    dot_f32: fn(&[f32], &[f32]) -> f64,
     /// Complex-window × duplicated-real-taps dot, striped 8-lane `f32`.
     fir_dot: fn(&[f32], &[f32]) -> Complex32,
-    /// `Σ signal[k] * conj(pattern[k])`, striped 4 complex lanes.
-    conj_dot: fn(&[Complex32], &[Complex32]) -> Complex32,
     /// `out[i] = samples[i+1] * conj(samples[i])` (element-wise).
     conj_mul_adjacent: fn(&[Complex32], &mut [Complex32]),
     /// One radix-2 butterfly stage across all blocks (element-wise per k).
@@ -174,9 +168,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     sum_sq_f32: scalar::sum_sq_f32,
     power_into: scalar::power_into,
     widen_i16_iq: scalar::widen_i16_iq,
-    dot_f32: scalar::dot_f32,
     fir_dot: scalar::fir_dot,
-    conj_dot: scalar::conj_dot,
     conj_mul_adjacent: scalar::conj_mul_adjacent,
     fft_stage: scalar::fft_stage,
     polyphase_rows: scalar::polyphase_rows,
@@ -189,9 +181,7 @@ static SSE2_TABLE: KernelTable = KernelTable {
     sum_sq_f32: sse2_avx2::sse2_sum_sq_f32,
     power_into: sse2_avx2::sse2_power_into,
     widen_i16_iq: sse2_avx2::sse2_widen_i16_iq,
-    dot_f32: sse2_avx2::sse2_dot_f32,
     fir_dot: sse2_avx2::sse2_fir_dot,
-    conj_dot: sse2_avx2::sse2_conj_dot,
     conj_mul_adjacent: sse2_avx2::sse2_conj_mul_adjacent,
     fft_stage: sse2_avx2::sse2_fft_stage,
     polyphase_rows: sse2_avx2::sse2_polyphase_rows,
@@ -204,9 +194,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     sum_sq_f32: sse2_avx2::avx2_sum_sq_f32,
     power_into: sse2_avx2::avx2_power_into,
     widen_i16_iq: sse2_avx2::avx2_widen_i16_iq,
-    dot_f32: sse2_avx2::avx2_dot_f32,
     fir_dot: sse2_avx2::avx2_fir_dot,
-    conj_dot: sse2_avx2::avx2_conj_dot,
     conj_mul_adjacent: sse2_avx2::avx2_conj_mul_adjacent,
     fft_stage: sse2_avx2::avx2_fft_stage,
     polyphase_rows: sse2_avx2::avx2_polyphase_rows,
@@ -406,12 +394,6 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
     !(table().crc32_update)(u32::MAX, data)
 }
 
-/// Striped dot product of two equal-length real sequences in `f64`.
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot_f32 length mismatch");
-    (table().dot_f32)(a, b)
-}
-
 /// Dot of a flat complex window against per-component duplicated real taps.
 ///
 /// `window` is `[re0, im0, re1, im1, ...]` and `taps2[2j] == taps2[2j+1]`
@@ -421,12 +403,6 @@ pub fn fir_dot(window: &[f32], taps2: &[f32]) -> Complex32 {
     assert_eq!(window.len(), taps2.len(), "fir_dot length mismatch");
     debug_assert!(window.len().is_multiple_of(2));
     (table().fir_dot)(window, taps2)
-}
-
-/// `Σ_k signal[k] * conj(pattern[k])` over equal-length slices.
-pub fn conj_dot(signal: &[Complex32], pattern: &[Complex32]) -> Complex32 {
-    assert_eq!(signal.len(), pattern.len(), "conj_dot length mismatch");
-    (table().conj_dot)(signal, pattern)
 }
 
 /// Adjacent conjugate products: `out[i] = samples[i+1] * conj(samples[i])`.
@@ -628,9 +604,7 @@ mod tests {
         let mut rng = Xoshiro256::new(0xD1FF);
         for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 63, 100, 1031] {
             let xs: Vec<f32> = (0..n).map(|_| (rng.next_f32() - 0.5) * 8.0).collect();
-            let ys: Vec<f32> = (0..n).map(|_| (rng.next_f32() - 0.5) * 8.0).collect();
             differential(&format!("sum_sq n={n}"), || sum_sq_f32(&xs).to_bits());
-            differential(&format!("dot n={n}"), || dot_f32(&xs, &ys).to_bits());
         }
     }
 
@@ -639,15 +613,10 @@ mod tests {
         let mut rng = Xoshiro256::new(0xC0);
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 31, 257] {
             let s = iq(&mut rng, n + 16);
-            let p = iq(&mut rng, n);
             differential(&format!("power n={n}"), || {
                 let mut out = Vec::new();
                 power_into(&s[..n], &mut out);
                 out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            });
-            differential(&format!("conj_dot n={n}"), || {
-                let z = conj_dot(&s[..n], &p);
-                (z.re.to_bits(), z.im.to_bits())
             });
             differential(&format!("conj_mul n={n}"), || {
                 let m = n.saturating_sub(1);

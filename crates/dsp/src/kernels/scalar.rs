@@ -2,7 +2,6 @@
 //!
 //! These define the numeric contract (see the module docs in
 //! [`super`]): striped 8-lane accumulation with a fixed reduction tree for
-//! real reductions, striped 4-complex-lane accumulation for complex
 //! reductions, and plain per-element IEEE arithmetic everywhere else. The
 //! SIMD backends are required to reproduce every bit of these results.
 
@@ -31,23 +30,6 @@ pub(super) fn sum_sq_f32(xs: &[f32]) -> f64 {
     let mut acc = tree8(l);
     for &x in &xs[n8..] {
         acc += (x as f64) * (x as f64);
-    }
-    acc
-}
-
-pub(super) fn dot_f32(a: &[f32], b: &[f32]) -> f64 {
-    let n8 = a.len() & !7;
-    let mut l = [0.0f64; 8];
-    let mut i = 0;
-    while i < n8 {
-        for j in 0..8 {
-            l[j] += (a[i + j] as f64) * (b[i + j] as f64);
-        }
-        i += 8;
-    }
-    let mut acc = tree8(l);
-    for k in n8..a.len() {
-        acc += (a[k] as f64) * (b[k] as f64);
     }
     acc
 }
@@ -152,24 +134,6 @@ pub(super) fn fir_dot(window: &[f32], taps2: &[f32]) -> Complex32 {
 #[inline]
 fn conj_mul(s: Complex32, p: Complex32) -> Complex32 {
     Complex32::new(s.re * p.re + s.im * p.im, s.im * p.re - s.re * p.im)
-}
-
-pub(super) fn conj_dot(signal: &[Complex32], pattern: &[Complex32]) -> Complex32 {
-    let n = signal.len();
-    let n4 = n & !3;
-    let mut acc = [Complex32::ZERO; 4];
-    let mut i = 0;
-    while i < n4 {
-        for j in 0..4 {
-            acc[j] += conj_mul(signal[i + j], pattern[i + j]);
-        }
-        i += 4;
-    }
-    let mut r = (acc[0] + acc[2]) + (acc[1] + acc[3]);
-    for k in n4..n {
-        r += conj_mul(signal[k], pattern[k]);
-    }
-    r
 }
 
 pub(super) fn conj_mul_adjacent(samples: &[Complex32], out: &mut [Complex32]) {

@@ -46,22 +46,18 @@ macro_rules! avx2_wrapper {
 }
 
 sse2_wrapper!(sse2_sum_sq_f32, sum_sq_sse2, (xs: &[f32]) -> f64);
-sse2_wrapper!(sse2_dot_f32, dot_sse2, (a: &[f32], b: &[f32]) -> f64);
 sse2_wrapper!(sse2_power_into, power_sse2, (samples: &[Complex32], out: &mut [f32]) -> ());
 sse2_wrapper!(sse2_widen_i16_iq, widen_i16_iq_sse2, (bytes: &[u8], scale: f32, out: &mut [MaybeUninit<Complex32>]) -> ());
 sse2_wrapper!(sse2_fir_dot, fir_dot_sse2, (window: &[f32], taps2: &[f32]) -> Complex32);
-sse2_wrapper!(sse2_conj_dot, conj_dot_sse2, (signal: &[Complex32], pattern: &[Complex32]) -> Complex32);
 sse2_wrapper!(sse2_conj_mul_adjacent, conj_mul_adjacent_sse2, (samples: &[Complex32], out: &mut [Complex32]) -> ());
 sse2_wrapper!(sse2_fft_stage, fft_stage_sse2, (buf: &mut [Complex32], half: usize, tw: &[Complex32], inverse: bool) -> ());
 sse2_wrapper!(sse2_polyphase_rows, polyphase_rows_sse2, (src: &[f32], offs: &[usize], taps: &[f32], scale: Option<f32>, out: &mut [f32]) -> ());
 sse2_wrapper!(sse2_window_sums, window_sums_sse2, (xs: &[f32], w: usize, sums: &mut [f64]) -> (f64, u32, u32));
 
 avx2_wrapper!(avx2_sum_sq_f32, sum_sq_avx2, (xs: &[f32]) -> f64);
-avx2_wrapper!(avx2_dot_f32, dot_avx2, (a: &[f32], b: &[f32]) -> f64);
 avx2_wrapper!(avx2_power_into, power_avx2, (samples: &[Complex32], out: &mut [f32]) -> ());
 avx2_wrapper!(avx2_widen_i16_iq, widen_i16_iq_avx2, (bytes: &[u8], scale: f32, out: &mut [MaybeUninit<Complex32>]) -> ());
 avx2_wrapper!(avx2_fir_dot, fir_dot_avx2, (window: &[f32], taps2: &[f32]) -> Complex32);
-avx2_wrapper!(avx2_conj_dot, conj_dot_avx2, (signal: &[Complex32], pattern: &[Complex32]) -> Complex32);
 avx2_wrapper!(avx2_conj_mul_adjacent, conj_mul_adjacent_avx2, (samples: &[Complex32], out: &mut [Complex32]) -> ());
 avx2_wrapper!(avx2_fft_stage, fft_stage_avx2, (buf: &mut [Complex32], half: usize, tw: &[Complex32], inverse: bool) -> ());
 avx2_wrapper!(avx2_polyphase_rows, polyphase_rows_avx2, (src: &[f32], offs: &[usize], taps: &[f32], scale: Option<f32>, out: &mut [f32]) -> ());
@@ -108,48 +104,6 @@ unsafe fn sum_sq_sse2(xs: &[f32]) -> f64 {
         let mut acc = reduce8_pd(acc0, acc1, acc2, acc3);
         for &x in &xs[n8..] {
             acc += (x as f64) * (x as f64);
-        }
-        acc
-    }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn dot_sse2(a: &[f32], b: &[f32]) -> f64 {
-    unsafe {
-        let n8 = a.len() & !7;
-        let pa = a.as_ptr();
-        let pb = b.as_ptr();
-        let mut acc0 = _mm_setzero_pd();
-        let mut acc1 = _mm_setzero_pd();
-        let mut acc2 = _mm_setzero_pd();
-        let mut acc3 = _mm_setzero_pd();
-        let mut i = 0usize;
-        while i < n8 {
-            let xa = _mm_loadu_ps(pa.add(i));
-            let xb = _mm_loadu_ps(pb.add(i));
-            let ya = _mm_loadu_ps(pa.add(i + 4));
-            let yb = _mm_loadu_ps(pb.add(i + 4));
-            acc0 = _mm_add_pd(acc0, _mm_mul_pd(_mm_cvtps_pd(xa), _mm_cvtps_pd(xb)));
-            acc1 = _mm_add_pd(
-                acc1,
-                _mm_mul_pd(
-                    _mm_cvtps_pd(_mm_movehl_ps(xa, xa)),
-                    _mm_cvtps_pd(_mm_movehl_ps(xb, xb)),
-                ),
-            );
-            acc2 = _mm_add_pd(acc2, _mm_mul_pd(_mm_cvtps_pd(ya), _mm_cvtps_pd(yb)));
-            acc3 = _mm_add_pd(
-                acc3,
-                _mm_mul_pd(
-                    _mm_cvtps_pd(_mm_movehl_ps(ya, ya)),
-                    _mm_cvtps_pd(_mm_movehl_ps(yb, yb)),
-                ),
-            );
-            i += 8;
-        }
-        let mut acc = reduce8_pd(acc0, acc1, acc2, acc3);
-        for k in n8..a.len() {
-            acc += (a[k] as f64) * (b[k] as f64);
         }
         acc
     }
@@ -280,41 +234,6 @@ unsafe fn conj_mul_128(s: __m128, p: __m128) -> __m128 {
         let t2 = _mm_mul_ps(s_swap, p_im); // [s.im*p.im, s.re*p.im, ...]
                                            // even: t1 + t2 ; odd: t1 - t2 (as t1 + (-t2), exact).
         _mm_add_ps(t1, _mm_xor_ps(t2, sign_odd128()))
-    }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn conj_dot_sse2(signal: &[Complex32], pattern: &[Complex32]) -> Complex32 {
-    unsafe {
-        let n = signal.len();
-        let n4 = n & !3;
-        let ps = signal.as_ptr() as *const f32;
-        let pp = pattern.as_ptr() as *const f32;
-        let mut acc_a = _mm_setzero_ps(); // complex lanes c0, c1
-        let mut acc_b = _mm_setzero_ps(); // complex lanes c2, c3
-        let mut i = 0usize;
-        while i < n4 {
-            let sa = _mm_loadu_ps(ps.add(2 * i));
-            let pa = _mm_loadu_ps(pp.add(2 * i));
-            let sb = _mm_loadu_ps(ps.add(2 * i + 4));
-            let pb = _mm_loadu_ps(pp.add(2 * i + 4));
-            acc_a = _mm_add_ps(acc_a, conj_mul_128(sa, pa));
-            acc_b = _mm_add_ps(acc_b, conj_mul_128(sb, pb));
-            i += 4;
-        }
-        // (c0+c2) + (c1+c3), matching the scalar contract tree.
-        let s = _mm_add_ps(acc_a, acc_b);
-        let r = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let mut z = Complex32::new(
-            _mm_cvtss_f32(r),
-            _mm_cvtss_f32(_mm_shuffle_ps::<0x01>(r, r)),
-        );
-        for k in n4..n {
-            let (s, p) = (signal[k], pattern[k]);
-            z.re += s.re * p.re + s.im * p.im;
-            z.im += s.im * p.re - s.re * p.im;
-        }
-        z
     }
 }
 
@@ -566,34 +485,6 @@ unsafe fn sum_sq_avx2(xs: &[f32]) -> f64 {
     }
 }
 
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f64 {
-    unsafe {
-        let n8 = a.len() & !7;
-        let pa = a.as_ptr();
-        let pb = b.as_ptr();
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i < n8 {
-            let va = _mm256_loadu_ps(pa.add(i));
-            let vb = _mm256_loadu_ps(pb.add(i));
-            let a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(va));
-            let b_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(vb));
-            let a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(va));
-            let b_hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(vb));
-            acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(a_lo, b_lo));
-            acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(a_hi, b_hi));
-            i += 8;
-        }
-        let mut acc = reduce8_pd_256(acc0, acc1);
-        for k in n8..a.len() {
-            acc += (a[k] as f64) * (b[k] as f64);
-        }
-        acc
-    }
-}
-
 /// Reduces striped f64 lanes [l0..l3] [l4..l7] with the contract tree.
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -711,39 +602,6 @@ unsafe fn conj_mul_256(s: __m256, p: __m256) -> __m256 {
     let t2 = _mm256_mul_ps(s_swap, p_im);
     let sign_odd = _mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0);
     _mm256_add_ps(t1, _mm256_xor_ps(t2, sign_odd))
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn conj_dot_avx2(signal: &[Complex32], pattern: &[Complex32]) -> Complex32 {
-    unsafe {
-        let n = signal.len();
-        let n4 = n & !3;
-        let ps = signal.as_ptr() as *const f32;
-        let pp = pattern.as_ptr() as *const f32;
-        let mut acc = _mm256_setzero_ps(); // complex lanes c0..c3
-        let mut i = 0usize;
-        while i < n4 {
-            let s = _mm256_loadu_ps(ps.add(2 * i));
-            let p = _mm256_loadu_ps(pp.add(2 * i));
-            acc = _mm256_add_ps(acc, conj_mul_256(s, p));
-            i += 4;
-        }
-        // (c0+c2) + (c1+c3): add 128-bit halves, then the two complex lanes.
-        let lo = _mm256_castps256_ps128(acc);
-        let hi = _mm256_extractf128_ps::<1>(acc);
-        let s = _mm_add_ps(lo, hi); // [c0+c2, c1+c3]
-        let r = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let mut z = Complex32::new(
-            _mm_cvtss_f32(r),
-            _mm_cvtss_f32(_mm_shuffle_ps::<0x01>(r, r)),
-        );
-        for k in n4..n {
-            let (s, p) = (signal[k], pattern[k]);
-            z.re += s.re * p.re + s.im * p.im;
-            z.im += s.im * p.re - s.re * p.im;
-        }
-        z
-    }
 }
 
 #[target_feature(enable = "avx2")]

@@ -19,11 +19,9 @@
 //!   detectors (§3.3 of the paper) are built directly on these.
 //! * [`energy`] — dB conversions, running power averages and noise-floor
 //!   estimation used by the peak detector (§4.3).
-//! * [`corr`] — cross-correlation and pattern-matching helpers used by the
-//!   Barker-phase Wi-Fi detector and the Bluetooth access-code search.
 //! * [`kernels`] — the vectorized kernel layer underneath all of the above:
 //!   runtime-dispatched scalar/SSE2/AVX2 implementations of the hot inner
-//!   loops (power, reductions, FIR/correlation dots, conjugate-multiply
+//!   loops (power, reductions, FIR dots, conjugate-multiply
 //!   chains, FFT butterfly stages), selectable via `RFD_KERNEL`.
 //! * [`coding`] — generic bit/byte utilities, a table-driven CRC engine,
 //!   self-synchronizing LFSR scramblers and additive whitening registers.
@@ -42,7 +40,6 @@
 
 pub mod coding;
 pub mod complex;
-pub mod corr;
 pub mod energy;
 pub mod fft;
 pub mod fir;

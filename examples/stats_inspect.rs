@@ -173,11 +173,10 @@ fn main() {
     match doc.get("degradation") {
         Some(JsonValue::Null) | None => {}
         Some(d) => println!(
-            "\ndegradation: level {} ({}), rt ratio {:.3}, {} escalation(s); \
+            "\ndegradation: level {} ({}), {} escalation(s); \
              shed {} demod / {} detector(s) / {} vote(s)",
             num(d, "level"),
             d.get("level_name").and_then(|n| n.as_str()).unwrap_or("?"),
-            num(d, "rt_ratio"),
             num(d, "escalations"),
             num(d, "shed_demod"),
             num(d, "shed_detectors"),

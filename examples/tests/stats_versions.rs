@@ -45,16 +45,16 @@ fn minimal_doc(version: u64) -> String {
 fn reader_reads_only_the_current_version() {
     assert_eq!(
         rfdump::stats::STATS_VERSION,
-        12,
+        13,
         "a version bump must move this harness to the new version"
     );
-    let (ok, stdout) = inspect(&minimal_doc(12));
-    assert!(ok, "reader rejected a version-12 document");
+    let (ok, stdout) = inspect(&minimal_doc(13));
+    assert!(ok, "reader rejected a version-13 document");
     assert!(
         stdout.contains("trace:"),
         "no trace line in output:\n{stdout}"
     );
-    let (ok, _) = inspect(&minimal_doc(11));
+    let (ok, _) = inspect(&minimal_doc(12));
     assert!(!ok, "a reader must not half-read an older version");
 }
 
@@ -72,7 +72,7 @@ fn reader_refuses_documents_newer_than_itself() {
 #[test]
 fn v11_latency_mode_sections_are_rendered() {
     let doc = concat!(
-        r#"{"schema":"rfd-stats","version":12,"#,
+        r#"{"schema":"rfd-stats","version":13,"#,
         r#""trace":{"seconds":0.01,"sample_rate":8000000,"samples":80000},"#,
         r#""total":{"cpu_ms":1.5,"wall_ms":2.0,"cpu_over_realtime":0.15},"#,
         r#""latency_mode":{"budget_us":5000,"violations":3,"last_p99_us":6200,"#,
@@ -83,7 +83,7 @@ fn v11_latency_mode_sections_are_rendered() {
         r#""fanout_p99_us":20,"done":true,"health":"healthy","shed":"throttle"}}}}"#
     );
     let (ok, stdout) = inspect(doc);
-    assert!(ok, "v12 document rejected:\n{stdout}");
+    assert!(ok, "v13 document rejected:\n{stdout}");
     assert!(
         stdout.contains("latency mode: budget 5.0 ms, 3 violation(s), last windowed p99 6.2 ms"),
         "missing latency-mode line:\n{stdout}"
@@ -111,5 +111,28 @@ fn current_pipeline_document_renders_end_to_end() {
     assert!(
         stdout.contains("per-stage CPU"),
         "no stage table:\n{stdout}"
+    );
+}
+
+#[test]
+fn a_budgeted_run_document_renders_its_latency_mode() {
+    // A real run under the config `--latency-budget 60000` builds, over
+    // the committed Wi-Fi golden, written out as `--stats-json` writes it.
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../tests/golden/wifi.rfdt");
+    let (header, samples) = rfd_ether::trace::read_trace(&golden).expect("read the Wi-Fi golden");
+    let cfg = rfdump::arch::ArchConfig {
+        governor: Some(rfdump::governor::GovernorConfig {
+            latency_budget_us: Some(60_000_000.0),
+            ..Default::default()
+        }),
+        ..rfdump::arch::ArchConfig::rfdump(Vec::new())
+    };
+    let out = rfdump::arch::run_architecture(&cfg, &samples, header.sample_rate);
+    let doc = rfdump::stats::stats_json(&out).to_json();
+    let (ok, stdout) = inspect(&doc);
+    assert!(ok, "budgeted run document rejected:\n{stdout}");
+    assert!(
+        stdout.contains("latency mode: budget 60000.0 ms, 0 violation(s)"),
+        "missing latency-mode line:\n{stdout}"
     );
 }

@@ -277,11 +277,13 @@ fn assert_chunk_differential(
         }
         // An unviolated (generous) budget must also change nothing: the
         // governor arms its latency machinery but never walks the ladder.
-        // Same config `--latency-budget` builds: CPU watermarks parked, so
-        // a busy host cannot shed on the CPU ratio instead.
+        // Same config `--latency-budget` builds.
         let budgeted = ArchConfig {
             workers: w,
-            governor: Some(rfdump::governor::GovernorConfig::latency_only(60_000_000.0)),
+            governor: Some(rfdump::governor::GovernorConfig {
+                latency_budget_us: Some(60_000_000.0),
+                ..Default::default()
+            }),
             ..cfg.clone()
         };
         let out = run_architecture(&budgeted, samples, fs);

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// Sizes that straddle the 4-lane (SSE2) and 8-lane (AVX2) boundaries plus
-/// the striping width (8 for real reductions, 4 complex for conj_dot).
+/// the striping width (8 lanes for reductions).
 const SIZES: &[usize] = &[
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 255, 256, 257, 1031,
 ];
@@ -98,19 +98,6 @@ fn sum_sq_and_mean_power_match_scalar_bitwise() {
             });
             differential(&format!("mean_power n={n}"), || {
                 kernels::mean_power(&zs).to_bits()
-            });
-        }
-    });
-}
-
-#[test]
-fn dot_f32_matches_scalar_bitwise() {
-    seeded_cases(0xD1F0_0002, 40, |rng| {
-        for &n in SIZES {
-            let a = rand_vec_f32(rng, n);
-            let b = rand_vec_f32(rng, n);
-            differential(&format!("dot_f32 n={n}"), || {
-                kernels::dot_f32(&a, &b).to_bits()
             });
         }
     });
@@ -201,19 +188,6 @@ fn fir_dot_matches_scalar_bitwise() {
             });
         });
     }
-}
-
-#[test]
-fn conj_dot_matches_scalar_bitwise() {
-    seeded_cases(0xD1F0_0005, 40, |rng| {
-        for &n in SIZES {
-            let sig = rand_vec_c32(rng, n);
-            let pat = rand_vec_c32(rng, n);
-            differential(&format!("conj_dot n={n}"), || {
-                c_bits(kernels::conj_dot(&sig, &pat))
-            });
-        }
-    });
 }
 
 #[test]
@@ -325,31 +299,6 @@ fn phase_pipeline_matches_scalar_bitwise() {
 }
 
 #[test]
-fn xcorr_matches_scalar_bitwise() {
-    use rfd_dsp::corr::{normalized_xcorr_real, xcorr_complex};
-    seeded_cases(0xD1F0_000A, 10, |rng| {
-        for (sig_n, pat_n) in [(40usize, 7usize), (64, 8), (65, 9), (200, 33)] {
-            let sig_c = rand_vec_c32(rng, sig_n);
-            let pat_c = rand_vec_c32(rng, pat_n);
-            differential(&format!("xcorr_complex {sig_n}/{pat_n}"), || {
-                xcorr_complex(&sig_c, &pat_c)
-                    .iter()
-                    .map(|&z| c_bits(z))
-                    .collect::<Vec<_>>()
-            });
-            let sig_r = rand_vec_f32(rng, sig_n);
-            let pat_r = rand_vec_f32(rng, pat_n);
-            differential(&format!("normalized_xcorr_real {sig_n}/{pat_n}"), || {
-                normalized_xcorr_real(&sig_r, &pat_r)
-                    .iter()
-                    .map(|p| p.to_bits())
-                    .collect::<Vec<u32>>()
-            });
-        }
-    });
-}
-
-#[test]
 fn polyphase_rows_match_scalar_bitwise() {
     // Output counts around both tile widths (16 SSE2 lanes, 32 AVX2 lanes)
     // and their single-vector steps; tap counts of half_taps 4, 8 and 12.
@@ -410,9 +359,6 @@ fn pure_denormal_slices_are_bit_exact() {
                 .collect();
             differential(&format!("denormal sum_sq n={n}"), || {
                 kernels::sum_sq_f32(&xs).to_bits()
-            });
-            differential(&format!("denormal conj_dot n={n}"), || {
-                c_bits(kernels::conj_dot(&zs, &zs))
             });
             differential(&format!("denormal power n={n}"), || {
                 let mut out = Vec::new();
