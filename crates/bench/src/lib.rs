@@ -26,9 +26,9 @@ use rfdump::peak::{PeakDetector, PeakDetectorConfig};
 
 /// The piconet used across all benchmarks (the GIAC-derived LAP the paper's
 /// BlueSniff setup also uses).
-pub const LAP: u32 = 0x9E8B33;
+pub(crate) const LAP: u32 = 0x9E8B33;
 /// Its UAP.
-pub const UAP: u8 = 0x47;
+pub(crate) const UAP: u8 = 0x47;
 
 /// The benchmark piconet id.
 pub fn piconet() -> PiconetId {
@@ -50,10 +50,10 @@ pub fn scaled(base: usize) -> usize {
 }
 
 /// Noise power used for all benchmark scenes (-40 dBfs across the band).
-pub const NOISE_POWER: f32 = 1e-4;
+pub(crate) const NOISE_POWER: f32 = 1e-4;
 
 /// Builds a scene at the paper's band with every node at `snr_db`.
-pub fn scene_at_snr(snr_db: f32, seed: u64) -> Scene {
+pub(crate) fn scene_at_snr(snr_db: f32, seed: u64) -> Scene {
     let mut scene = Scene::new(NOISE_POWER, seed);
     let gain = snr_db + power_to_db(NOISE_POWER);
     for node in 0..40u16 {
@@ -296,11 +296,11 @@ pub mod report {
     use std::time::{Duration, Instant};
 
     /// Schema identifier carried in every bench document.
-    pub const BENCH_SCHEMA: &str = "rfd-bench";
+    pub(crate) const BENCH_SCHEMA: &str = "rfd-bench";
     /// Current bench document version.
-    pub const BENCH_VERSION: u64 = 1;
+    pub(crate) const BENCH_VERSION: u64 = 1;
     /// Version of the shared (merged, multi-section) bench document.
-    pub const BENCH_MERGED_VERSION: u64 = 2;
+    pub(crate) const BENCH_MERGED_VERSION: u64 = 2;
 
     /// Wall-clock timing summary of a benchmarked closure.
     #[derive(Debug, Clone, Copy)]
@@ -431,7 +431,7 @@ pub mod report {
         /// An existing version-2 document keeps all of its other sections;
         /// a version-1 solo document is adopted as that bench's section; an
         /// unreadable or foreign file is started over.
-        pub fn merge_into(&self, path: &Path) -> std::io::Result<()> {
+        pub(crate) fn merge_into(&self, path: &Path) -> std::io::Result<()> {
             let mut sections: Vec<(String, JsonValue)> = Vec::new();
             if let Ok(text) = std::fs::read_to_string(path) {
                 if let Ok(doc) = rfd_telemetry::json::parse(&text) {

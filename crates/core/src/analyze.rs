@@ -38,7 +38,7 @@ pub trait Analyzer: Send {
 /// classification with the best vote's confidence and channel hint. Used by
 /// the analyzers as the demodulation-failure fallback and by detection-only
 /// runs as the record itself.
-pub fn detected_only_record(d: &Dispatch, protocol: Protocol) -> PacketRecord {
+pub(crate) fn detected_only_record(d: &Dispatch, protocol: Protocol) -> PacketRecord {
     base_record(d, protocol)
 }
 
@@ -176,7 +176,7 @@ impl Analyzer for BtAnalyzer {
 }
 
 /// 802.15.4 analyzer.
-pub struct ZigbeeAnalyzer {
+pub(crate) struct ZigbeeAnalyzer {
     band_center_hz: f64,
     zigbee_center_hz: f64,
 }
@@ -233,7 +233,7 @@ impl MicrowaveAnalyzer {
     /// Coefficient of variation of |z| above which the burst is not a
     /// constant-envelope emission (band-limited 802.11 chips ripple hard;
     /// magnetron CW does not).
-    pub const MAX_ENVELOPE_CV: f32 = 0.15;
+    pub(crate) const MAX_ENVELOPE_CV: f32 = 0.15;
 
     fn envelope_cv(samples: &[rfd_dsp::Complex32]) -> f32 {
         if samples.len() < 16 {

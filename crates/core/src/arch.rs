@@ -24,10 +24,11 @@
 
 use crate::analyze::{Analyzer, BtAnalyzer, MicrowaveAnalyzer, WifiAnalyzer, ZigbeeAnalyzer};
 use crate::chunk::PeakBlock;
+use crate::detect::bt_freq::BtFreqDetector;
+use crate::detect::zigbee::{ZigbeePhaseDetector, ZigbeeTimingDetector};
 use crate::detect::{
-    BtFreqDetector, BtPhaseDetector, BtTimingDetector, Classification, FastDetector,
-    MicrowaveTimingDetector, WifiDifsDetector, WifiPhaseDetector, WifiSifsDetector,
-    ZigbeePhaseDetector, ZigbeeTimingDetector,
+    BtPhaseDetector, BtTimingDetector, Classification, FastDetector, MicrowaveTimingDetector,
+    WifiDifsDetector, WifiPhaseDetector, WifiSifsDetector,
 };
 use crate::dispatch::{AnalysisPool, Dispatch, DispatchConfig, DispatchStats, Dispatcher};
 use crate::eval::ClassifiedPeak;
@@ -102,7 +103,7 @@ pub struct ArchConfig {
     pub faults: Option<Arc<FaultPlan>>,
     /// Graceful-degradation governor (RFDump only). `None` — the default —
     /// never sheds, preserving the byte-identical determinism contract;
-    /// `Some` lets the [`LoadGovernor`] shed demodulation first and weak
+    /// `Some` lets the `LoadGovernor` shed demodulation first and weak
     /// detectors second, at a pinned level or when the latency budget is
     /// violated.
     pub governor: Option<GovernorConfig>,
@@ -173,7 +174,7 @@ impl ArchConfig {
 }
 
 /// Per-protocol record totals: `(records, of which demodulated)`.
-pub type RecordCounts = std::collections::BTreeMap<Protocol, (u64, u64)>;
+pub(crate) type RecordCounts = std::collections::BTreeMap<Protocol, (u64, u64)>;
 
 /// Everything an architecture run produces.
 #[derive(Debug)]
@@ -866,6 +867,9 @@ impl RfDump {
             rest = tail;
             steps += 1;
         }
+        if let Some(j) = &self.journal {
+            j.note_samples(samples.len() as u64);
+        }
         self.stages[SOURCE].items_out += steps;
         self.stages[PEAK].items_in += steps;
         self.note_peaks(&peaks);
@@ -1294,29 +1298,40 @@ mod tests {
     fn session_releases_records_while_the_stream_is_still_coming() {
         let trace = mixed_trace();
         let fs = trace.band.sample_rate;
-        let cfg = ArchConfig::rfdump(piconets());
-        let whole = run_architecture(&cfg, &trace.samples, fs);
+        let ambient = ArchConfig::rfdump(piconets());
+        let inline = ArchConfig {
+            workers: 0,
+            ..ambient.clone()
+        };
+        for cfg in [inline, ambient] {
+            let whole = run_architecture(&cfg, &trace.samples, fs);
 
-        let mut session = Session::open(&cfg, fs, None, None);
-        let mut early = Released::default();
-        for piece in trace.samples.chunks(4096) {
-            early.append(session.push(piece));
+            let mut session = Session::open(&cfg, fs, None, None);
+            let mut early = Released::default();
+            for piece in trace.samples.chunks(4096) {
+                early.append(session.push(piece));
+            }
+            let (last, out) = session.finish();
+            // Only inline analysis promises a release before `finish`: with
+            // pool workers a push takes a non-blocking drain, so whether a
+            // dispatch has finished by then is up to the scheduler.
+            if cfg.workers == 0 {
+                assert!(
+                    !early.records.is_empty() && !last.records.is_empty(),
+                    "{} before finish, {} at it",
+                    early.records.len(),
+                    last.records.len()
+                );
+            }
+            early.append(last);
+            assert_eq!(early.records, whole.records);
+            assert_eq!(early.classified, whole.classified);
+            // The output keeps the counts, not the records.
+            assert!(out.records.is_empty() && out.classified.is_empty());
+            assert_eq!(out.record_counts, whole.record_counts);
+            let total: u64 = out.record_counts.values().map(|(total, _)| total).sum();
+            assert_eq!(total, whole.records.len() as u64);
         }
-        let (last, out) = session.finish();
-        assert!(
-            !early.records.is_empty() && !last.records.is_empty(),
-            "{} before finish, {} at it",
-            early.records.len(),
-            last.records.len()
-        );
-        early.append(last);
-        assert_eq!(early.records, whole.records);
-        assert_eq!(early.classified, whole.classified);
-        // The output keeps the counts, not the records.
-        assert!(out.records.is_empty() && out.classified.is_empty());
-        assert_eq!(out.record_counts, whole.record_counts);
-        let total: u64 = out.record_counts.values().map(|(total, _)| total).sum();
-        assert_eq!(total, whole.records.len() as u64);
     }
 
     #[test]

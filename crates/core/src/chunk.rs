@@ -72,13 +72,8 @@ impl Peak {
         self.end <= self.start
     }
 
-    /// Duration in microseconds at `fs`.
-    pub fn duration_us(&self, fs: f64) -> f64 {
-        self.len() as f64 / fs * 1e6
-    }
-
     /// SNR estimate in dB.
-    pub fn snr_db(&self) -> f32 {
+    pub(crate) fn snr_db(&self) -> f32 {
         rfd_dsp::energy::power_to_db(self.mean_power)
             - rfd_dsp::energy::power_to_db(self.noise_floor)
     }
@@ -105,14 +100,14 @@ pub struct PeakBlock {
 
 impl PeakBlock {
     /// The slice of samples belonging to the peak proper.
-    pub fn peak_samples(&self) -> &[Complex32] {
+    pub(crate) fn peak_samples(&self) -> &[Complex32] {
         let a = (self.peak.start - self.sample_start) as usize;
         let b = ((self.peak.end - self.sample_start) as usize).min(self.samples.len());
         &self.samples[a.min(b)..b]
     }
 
     /// Peak start time in microseconds.
-    pub fn start_us(&self) -> f64 {
+    pub(crate) fn start_us(&self) -> f64 {
         self.peak.start as f64 / self.sample_rate * 1e6
     }
 
@@ -148,7 +143,6 @@ mod tests {
             noise_floor: 0.01,
         };
         assert_eq!(p.len(), 800);
-        assert!((p.duration_us(8e6) - 100.0).abs() < 1e-9);
         assert!((p.snr_db() - 20.0).abs() < 1e-4);
     }
 

@@ -14,10 +14,10 @@ use rfd_dsp::Complex32;
 use rfd_phy::Protocol;
 
 /// FFT size used per analysis window.
-pub const FFT_SIZE: usize = 64;
+pub(crate) const FFT_SIZE: usize = 64;
 
 /// The frequency detector.
-pub struct BtFreqDetector {
+pub(crate) struct BtFreqDetector {
     band_center_hz: f64,
     fft: Fft,
     /// Number of 1 MHz-wide bins across the band.

@@ -16,16 +16,16 @@ use rfd_phy::bluetooth::SLOT_US;
 use rfd_phy::Protocol;
 
 /// Tolerance on slot alignment, µs.
-pub const SLOT_TOLERANCE_US: f64 = 4.0;
+pub(crate) const SLOT_TOLERANCE_US: f64 = 4.0;
 /// Maximum slot multiple considered a continuation of a session. With only
 /// ~1 in 10 hops landing in the monitored 8 MHz, consecutive *visible*
 /// packets of a busy piconet are routinely dozens of slots apart; 256 slots
 /// (160 ms) keeps such sessions alive without opening the tolerance window
 /// far enough to matter for false positives.
-pub const MAX_SLOTS: u32 = 256;
+pub(crate) const MAX_SLOTS: u32 = 256;
 /// Maximum Bluetooth packet duration (5 slots), µs — peaks longer than this
 /// cannot be Bluetooth.
-pub const MAX_BT_DURATION_US: f64 = 5.0 * SLOT_US;
+pub(crate) const MAX_BT_DURATION_US: f64 = 5.0 * SLOT_US;
 
 /// A cached session: the most recent transmission believed to belong to one
 /// Bluetooth exchange.

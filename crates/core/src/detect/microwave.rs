@@ -11,16 +11,16 @@ use crate::chunk::PeakBlock;
 use rfd_phy::Protocol;
 
 /// Accepted AC periods, µs (60 Hz and 50 Hz mains).
-pub const AC_PERIODS_US: [f64; 2] = [16_666.7, 20_000.0];
+pub(crate) const AC_PERIODS_US: [f64; 2] = [16_666.7, 20_000.0];
 /// Tolerance on the period, µs.
-pub const PERIOD_TOLERANCE_US: f64 = 300.0;
+pub(crate) const PERIOD_TOLERANCE_US: f64 = 300.0;
 /// Microwave bursts last a large fraction of a half cycle; accept this
 /// duration range (µs).
-pub const MIN_BURST_US: f64 = 3_000.0;
+pub(crate) const MIN_BURST_US: f64 = 3_000.0;
 /// Upper burst bound, µs.
-pub const MAX_BURST_US: f64 = 14_000.0;
+pub(crate) const MAX_BURST_US: f64 = 14_000.0;
 /// Maximum mean-power ratio between consecutive bursts (linear; ~1.8 dB).
-pub const MAX_POWER_RATIO: f32 = 1.5;
+pub(crate) const MAX_POWER_RATIO: f32 = 1.5;
 
 /// The microwave detector.
 pub struct MicrowaveTimingDetector {

@@ -21,14 +21,12 @@ pub mod wifi_phase;
 pub mod wifi_timing;
 pub mod zigbee;
 
-pub use bt_freq::BtFreqDetector;
 pub use bt_phase::BtPhaseDetector;
 pub use bt_timing::BtTimingDetector;
 pub use collision::{detect_collision, CollisionConfig, CollisionEvidence};
 pub use microwave::MicrowaveTimingDetector;
 pub use wifi_phase::WifiPhaseDetector;
 pub use wifi_timing::{WifiDifsDetector, WifiSifsDetector};
-pub use zigbee::{ZigbeePhaseDetector, ZigbeeTimingDetector};
 
 use crate::chunk::PeakBlock;
 use rfd_phy::Protocol;
@@ -73,7 +71,7 @@ pub trait FastDetector: Send {
 
 /// Peak-history entry kept by timing detectors.
 #[derive(Debug, Clone, Copy)]
-pub struct HistEntry {
+pub(crate) struct HistEntry {
     /// Peak id.
     pub id: u64,
     /// Start time, µs.
@@ -87,7 +85,7 @@ pub struct HistEntry {
 /// A bounded history of recent peaks, as the paper's metadata "pointer to
 /// the history of peaks detected".
 #[derive(Debug, Clone)]
-pub struct PeakHistory {
+pub(crate) struct PeakHistory {
     entries: std::collections::VecDeque<HistEntry>,
     cap: usize,
 }
@@ -110,23 +108,13 @@ impl PeakHistory {
     }
 
     /// Most recent first.
-    pub fn iter_recent(&self) -> impl Iterator<Item = &HistEntry> {
+    pub(crate) fn iter_recent(&self) -> impl Iterator<Item = &HistEntry> {
         self.entries.iter().rev()
-    }
-
-    /// Number of stored peaks.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no peaks are stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
 /// Helper: build a [`HistEntry`] from a peak block.
-pub fn hist_entry(pb: &PeakBlock) -> HistEntry {
+pub(crate) fn hist_entry(pb: &PeakBlock) -> HistEntry {
     HistEntry {
         id: pb.peak.id,
         start_us: pb.start_us(),
@@ -150,7 +138,7 @@ mod tests {
                 mean_power: 1.0,
             });
         }
-        assert_eq!(h.len(), 3);
+        assert_eq!(h.entries.len(), 3);
         let ids: Vec<u64> = h.iter_recent().map(|e| e.id).collect();
         assert_eq!(ids, vec![4, 3, 2]);
     }

@@ -14,9 +14,9 @@ use rfd_phy::Protocol;
 
 /// Tolerance (µs) on the SIFS gap. The peak detector's averaging window is
 /// 2.5 µs, so edges carry a couple of µs of slop.
-pub const SIFS_TOLERANCE_US: f64 = 3.0;
+pub(crate) const SIFS_TOLERANCE_US: f64 = 3.0;
 /// Base tolerance (µs) on DIFS + k·slot gaps.
-pub const DIFS_TOLERANCE_US: f64 = 4.0;
+pub(crate) const DIFS_TOLERANCE_US: f64 = 4.0;
 
 /// SIFS-based 802.11 detector.
 pub struct WifiSifsDetector {

@@ -14,13 +14,13 @@ use rfd_phy::zigbee::{BACKOFF_US, TACK_US};
 use rfd_phy::Protocol;
 
 /// Timing tolerance, µs.
-pub const TIMING_TOLERANCE_US: f64 = 6.0;
+pub(crate) const TIMING_TOLERANCE_US: f64 = 6.0;
 /// Longest 802.15.4 frame: (12 + 127·2) symbols × 16 µs ≈ 4.3 ms.
-pub const MAX_FRAME_US: f64 = 4_300.0;
+pub(crate) const MAX_FRAME_US: f64 = 4_300.0;
 
 /// ZigBee timing detector: recognizes the tACK turnaround (192 µs) and
 /// backoff-period-aligned spacings.
-pub struct ZigbeeTimingDetector {
+pub(crate) struct ZigbeeTimingDetector {
     history: PeakHistory,
 }
 
@@ -95,7 +95,7 @@ impl FastDetector for ZigbeeTimingDetector {
 }
 
 /// ZigBee phase detector: MSK slope signature at 2 Mchips/s.
-pub struct ZigbeePhaseDetector {
+pub(crate) struct ZigbeePhaseDetector {
     /// Samples inspected per peak.
     pub max_samples: usize,
     /// Minimum samples required.

@@ -83,7 +83,7 @@ impl Dispatch {
     }
 
     /// Samples forwarded for a protocol (honoring the vote's range).
-    pub fn forwarded_samples(&self, p: Protocol) -> u64 {
+    pub(crate) fn forwarded_samples(&self, p: Protocol) -> u64 {
         match self.vote_for(p) {
             None => 0,
             Some(v) => match v.range {
@@ -285,7 +285,7 @@ impl Dispatcher {
 /// pseudo-block in the stats table, one row per analyzer at any worker
 /// count.
 #[derive(Debug, Clone)]
-pub struct AnalyzerTotals {
+pub(crate) struct AnalyzerTotals {
     /// Analyzer display name (e.g. `analyze:wifi-demod`).
     pub name: String,
     /// CPU time spent in `analyze` across all workers.
@@ -298,7 +298,7 @@ pub struct AnalyzerTotals {
 
 /// Everything [`AnalysisPool::finish`] returns.
 #[derive(Debug)]
-pub struct PooledAnalysis {
+pub(crate) struct PooledAnalysis {
     /// Per-worker pool statistics (executed/busy/stall).
     pub pool: PoolStats,
     /// Per-analyzer totals, in analyzer (output-port) order.
@@ -325,7 +325,7 @@ type PoolOutput = (Option<Instant>, Vec<(usize, PacketRecord)>);
 /// records on any worker), and each task emits `(port, record)` pairs in
 /// analyzer (output-port) order. Re-sequencing by submission index
 /// therefore reproduces the per-port record sequences exactly.
-pub struct AnalysisPool {
+pub(crate) struct AnalysisPool {
     pool: TaskPool<Dispatch, PoolOutput>,
     reorder: Reorderer<PoolOutput>,
     totals: Arc<Mutex<Vec<AnalyzerTotals>>>,
@@ -344,7 +344,7 @@ impl AnalysisPool {
     /// Telemetry prefix for pool metrics
     /// (`pool.analyze.worker<i>.{executed,stall_us}` and
     /// `pool.analyze.queue.depth`).
-    pub const TELEMETRY_PREFIX: &'static str = "pool.analyze";
+    pub(crate) const TELEMETRY_PREFIX: &'static str = "pool.analyze";
 
     /// Spawns `workers` threads; with `0`, tasks run on the submitting
     /// thread. `factory` builds one analyzer lineup per worker; it is also
@@ -529,7 +529,7 @@ impl AnalysisPool {
     }
 
     /// The analyzer protocol on each output port, in port order.
-    pub fn protocols(&self) -> &[Protocol] {
+    pub(crate) fn protocols(&self) -> &[Protocol] {
         &self.protocols
     }
 
@@ -537,12 +537,12 @@ impl AnalysisPool {
     /// the pool's durable watermark. Everything below it has been emitted by
     /// [`drain_ordered`](Self::drain_ordered), so once those records are
     /// journaled the watermark is exactly what a checkpoint should record.
-    pub fn merged_seq(&self) -> u64 {
+    pub(crate) fn merged_seq(&self) -> u64 {
         self.reorder.next_seq()
     }
 
     /// Current per-port panic strike counts, in port order (for checkpoints).
-    pub fn strike_counts(&self) -> Vec<u64> {
+    pub(crate) fn strike_counts(&self) -> Vec<u64> {
         self.strikes
             .iter()
             .map(|s| s.load(Ordering::Relaxed))
@@ -553,7 +553,7 @@ impl AnalysisPool {
     /// strike counts carry over and any analyzer at or past
     /// [`QUARANTINE_STRIKES`] resumes quarantined. Extra entries (a checkpoint
     /// from a run with more ports) are ignored.
-    pub fn restore_supervision(&self, strikes: &[u64]) {
+    pub(crate) fn restore_supervision(&self, strikes: &[u64]) {
         for (port, &s) in strikes.iter().enumerate().take(self.strikes.len()) {
             self.strikes[port].store(s, Ordering::Relaxed);
             if s >= QUARANTINE_STRIKES {
@@ -592,7 +592,7 @@ impl AnalysisPool {
     /// Tasks that panicked past the per-analyzer supervisor (the pool's own
     /// `catch_unwind` net) are released as gaps so later records are never
     /// stuck behind a sequence number that will not arrive.
-    pub fn drain_ordered(&mut self) -> Vec<(usize, PacketRecord, Option<Instant>)> {
+    pub(crate) fn drain_ordered(&mut self) -> Vec<(usize, PacketRecord, Option<Instant>)> {
         for (seq, recs) in self.pool.try_drain() {
             self.reorder.push(seq, recs);
         }

@@ -64,16 +64,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Journal entry kind: configuration/trace fingerprint.
-pub const ENTRY_META: u16 = 1;
+pub(crate) const ENTRY_META: u16 = 1;
 /// Journal entry kind: one emitted record (`u16` port + encoded record).
 pub const ENTRY_RECORD: u16 = 2;
 /// Journal entry kind: commit watermark (`u64` dispatches durable).
-pub const ENTRY_COMMIT: u16 = 3;
+pub(crate) const ENTRY_COMMIT: u16 = 3;
 /// Journal entry kind: resume boundary (per-port surviving record counts).
-pub const ENTRY_RESUME: u16 = 4;
+pub(crate) const ENTRY_RESUME: u16 = 4;
 
 /// Checkpoint file name inside the journal directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.rfdc";
+pub(crate) const CHECKPOINT_FILE: &str = "checkpoint.rfdc";
 
 /// Commits between journal fsyncs. A cadence knob, not a correctness one:
 /// recovery trusts only what reads back, and a process crash (as opposed to
@@ -161,12 +161,10 @@ pub fn config_fingerprint(cfg: &ArchConfig, n_samples: u64, fs: f64) -> Vec<u8> 
 
 /// State a `--resume` run recovered from the journal directory.
 #[derive(Debug, Default)]
-pub struct RecoveredRun {
+pub(crate) struct RecoveredRun {
     /// Per-port record streams, exactly as the crashed run had durably
     /// emitted them (in port order, each in emission order).
     pub per_port: Vec<Vec<PacketRecord>>,
-    /// The commit watermark: dispatches with `seq <` this are skipped.
-    pub base: u64,
     /// Per-analyzer panic strike counts from the last checkpoint.
     pub strikes: Vec<u64>,
     /// Governor shed level from the last checkpoint.
@@ -179,7 +177,7 @@ impl RecoveredRun {
     /// protocols in port order — but [`replay`] has to keep them per port
     /// (the `RESUME` truncation rule is per port), so the order is rebuilt
     /// here the way it is defined.
-    pub fn into_release_order(self) -> Vec<PacketRecord> {
+    pub(crate) fn into_release_order(self) -> Vec<PacketRecord> {
         let mut all: Vec<PacketRecord> = self.per_port.into_iter().flatten().collect();
         all.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
         all
@@ -279,7 +277,7 @@ pub fn preflight(dcfg: &DurabilityConfig, fingerprint: &[u8]) -> io::Result<()> 
 /// journaling (with one stderr warning) rather than failing the run — the
 /// same graceful-degradation posture the rest of the pipeline takes.
 #[derive(Debug)]
-pub struct JournalState {
+pub(crate) struct JournalState {
     writer: Mutex<JournalWriter>,
     checkpoint_path: PathBuf,
     /// Commit watermark recovered from the journal; dispatches below it are
@@ -309,7 +307,7 @@ pub struct JournalState {
 impl JournalState {
     /// Opens (or recovers) the journal for a run. Returns the shared state
     /// plus, on resume, the recovered record streams and supervision state.
-    pub fn prepare(
+    pub(crate) fn prepare(
         dcfg: &DurabilityConfig,
         fingerprint: &[u8],
         n_ports: usize,
@@ -365,7 +363,6 @@ impl JournalState {
                 }
                 recovered_run = Some(RecoveredRun {
                     per_port,
-                    base,
                     strikes,
                     governor_level,
                 });
@@ -407,42 +404,37 @@ impl JournalState {
     }
 
     /// The recovered commit watermark (0 on a fresh run).
-    pub fn base(&self) -> u64 {
+    pub(crate) fn base(&self) -> u64 {
         self.base
-    }
-
-    /// Whether this run recovered prior state.
-    pub fn resumed(&self) -> bool {
-        self.resumed
     }
 
     /// True when the dispatch's records are already durable — the redo pass
     /// skips its analysis entirely.
-    pub fn should_skip(&self, seq: u64) -> bool {
+    pub(crate) fn should_skip(&self, seq: u64) -> bool {
         seq < self.base
     }
 
     /// Notes that the detect stage has routed (or skipped) the dispatch with
     /// this `seq` — `seq + 1` is what [`finalize_run`](Self::finalize_run)
     /// commits once everything emitted is merged.
-    pub fn note_emitted(&self, seq: u64) {
+    pub(crate) fn note_emitted(&self, seq: u64) {
         self.emitted.fetch_max(seq + 1, Ordering::Relaxed);
     }
 
     /// Notes consumed input (checkpointed as the sample offset).
-    pub fn note_samples(&self, n: u64) {
+    pub(crate) fn note_samples(&self, n: u64) {
         self.consumed_samples.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Mirrors the analyzers' strike counts into the checkpointed state.
-    pub fn set_strikes(&self, strikes: &[u64]) {
+    pub(crate) fn set_strikes(&self, strikes: &[u64]) {
         for (cell, &s) in self.strikes.iter().zip(strikes) {
             cell.store(s, Ordering::Relaxed);
         }
     }
 
     /// Appends one emitted record to the journal.
-    pub fn journal_record(&self, port: usize, rec: &PacketRecord) {
+    pub(crate) fn journal_record(&self, port: usize, rec: &PacketRecord) {
         if self.degraded.load(Ordering::Relaxed) {
             return;
         }
@@ -458,7 +450,7 @@ impl JournalState {
 
     /// Commits the watermark: everything below `value` has been merged out
     /// of the reorderer and journaled.
-    pub fn commit(&self, value: u64) {
+    pub(crate) fn commit(&self, value: u64) {
         if self.degraded.load(Ordering::Relaxed) || value <= self.committed.load(Ordering::Relaxed)
         {
             return;
@@ -495,7 +487,7 @@ impl JournalState {
     }
 
     /// End of run: commit everything emitted, checkpoint, and fsync.
-    pub fn finalize_run(&self) {
+    pub(crate) fn finalize_run(&self) {
         self.commit(self.emitted.load(Ordering::Relaxed));
         if self.degraded.load(Ordering::Relaxed) {
             return;
@@ -553,7 +545,7 @@ impl JournalState {
     }
 
     /// The run's recovery/durability report for stats.
-    pub fn report(&self) -> RecoveryReport {
+    pub(crate) fn report(&self) -> RecoveryReport {
         RecoveryReport {
             resumed: self.resumed,
             entries_replayed: self.entries_replayed,
@@ -743,5 +735,33 @@ mod tests {
         assert_eq!(back.governor_level, d.governor_level);
         assert_eq!(back.strikes, d.strikes);
         assert!(decode_checkpoint(&enc[..10]).is_none());
+    }
+
+    #[test]
+    fn last_checkpoint_holds_the_pushed_sample_count() {
+        use crate::arch::{ArchConfig, Session};
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/wifi.rfdt");
+        let (header, samples) = rfd_ether::trace::read_trace(std::path::Path::new(golden)).unwrap();
+        let dir = std::env::temp_dir().join(format!("rfdump-ckpt-samples-{}", std::process::id()));
+        let mut cfg = ArchConfig::rfdump(Vec::new());
+        cfg.band = rfd_ether::Band {
+            sample_rate: header.sample_rate,
+            center_hz: header.center_hz,
+        };
+        cfg.durability = Some(DurabilityConfig {
+            dir: dir.clone(),
+            resume: false,
+        });
+        let mut session = Session::open(&cfg, header.sample_rate, None, None);
+        for piece in samples.chunks(5000) {
+            session.push(piece);
+        }
+        session.finish();
+        let payload = rfd_journal::read_checkpoint(&dir.join(CHECKPOINT_FILE))
+            .unwrap()
+            .expect("a journaled run ends with a checkpoint");
+        let ckpt = decode_checkpoint(&payload).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(ckpt.consumed_samples, samples.len() as u64);
     }
 }

@@ -5,7 +5,7 @@
 //! or a plain, anonymous session — onto its own pipeline instance, which
 //! it obtains from an injected [`rfd_net::PipelineFactory`]. This module
 //! builds that factory out of an
-//! [`ArchConfig`]: every call constructs a fresh [`LivePipeline`] (so
+//! [`ArchConfig`]: every call constructs a fresh `LivePipeline` (so
 //! per-source analysis shares no mutable state and each source's record
 //! stream stays byte-identical to an offline run over the same trace).
 //! A pipeline opens one streaming [`crate::arch::Session`] per capture
@@ -36,7 +36,7 @@ use std::sync::Arc;
 /// Builds the per-source pipeline factory a [`rfd_net::FleetServer`] runs.
 ///
 /// Each invocation of the returned factory yields an independent
-/// [`LivePipeline`] over a clone of `cfg` (the band placeholder in `cfg`
+/// `LivePipeline` over a clone of `cfg` (the band placeholder in `cfg`
 /// is overridden by each source's own stream meta), with any journal
 /// directory re-rooted to `DIR/<source-id>` so sources never share a
 /// journal. All pipelines share `slot` for their architecture output and,

@@ -1,4 +1,4 @@
-//! Graceful degradation under overload: the [`LoadGovernor`].
+//! Graceful degradation under overload: the `LoadGovernor`.
 //!
 //! RFDump's monitoring contract is *keep up with the ether*: when the
 //! analysis stack falls behind real time, it must shed load in a principled
@@ -78,7 +78,7 @@ const LATENCY_LOW_WATER: f64 = 0.7;
 /// All state is atomic: the record sinks tick the latency loop and the
 /// pool workers consult the level concurrently.
 #[derive(Debug)]
-pub struct LoadGovernor {
+pub(crate) struct LoadGovernor {
     cfg: GovernorConfig,
     level: Rung,
     escalations: AtomicU64,
@@ -132,19 +132,19 @@ impl LoadGovernor {
     }
 
     /// The configured latency budget, µs, if bounded-latency mode is on.
-    pub fn latency_budget_us(&self) -> Option<f64> {
+    pub(crate) fn latency_budget_us(&self) -> Option<f64> {
         self.cfg.latency_budget_us
     }
 
     /// Attaches a telemetry registry so latency ticks can emit typed
     /// events (`budget_violated` and shed transitions).
-    pub fn set_registry(&self, reg: Arc<Registry>) {
+    pub(crate) fn set_registry(&self, reg: Arc<Registry>) {
         let _ = self.registry.set(reg);
     }
 
     /// Feeds one record's sample→record latency into the latency window.
     /// Cheap no-op without a budget or an ingest stamp.
-    pub fn record_e2e(&self, ingest: Option<Instant>) {
+    pub(crate) fn record_e2e(&self, ingest: Option<Instant>) {
         if let (Some(_), Some(t0)) = (self.cfg.latency_budget_us, ingest) {
             self.e2e.record(t0.elapsed().as_secs_f64() * 1e6);
         }
@@ -158,7 +158,7 @@ impl LoadGovernor {
     /// [`VIOLATE_STREAK`] violating windows escalate the shed level,
     /// [`RESTORE_STREAK`] clean windows restore one level. Violations and
     /// level changes become events in the attached registry, if any.
-    pub fn latency_tick(&self) {
+    pub(crate) fn latency_tick(&self) {
         self.latency_tick_inner(false);
     }
 
@@ -217,7 +217,7 @@ impl LoadGovernor {
 
     /// Point-in-time summary of bounded-latency mode for stats-json,
     /// or `None` when no budget is configured.
-    pub fn latency_report(&self) -> Option<LatencyReport> {
+    pub(crate) fn latency_report(&self) -> Option<LatencyReport> {
         let budget_us = self.cfg.latency_budget_us?;
         Some(LatencyReport {
             budget_us,
@@ -235,7 +235,7 @@ impl LoadGovernor {
     /// restarts the governor where the crashed run left it rather than
     /// re-climbing the ladder from 0. Ignored when `force_level` pins the
     /// ladder (the pin wins — it is part of the determinism contract).
-    pub fn restore_level(&self, level: u8) {
+    pub(crate) fn restore_level(&self, level: u8) {
         if self.cfg.force_level.is_none() {
             self.level.set(level);
         }
@@ -255,39 +255,39 @@ impl LoadGovernor {
 
     /// Whether demodulation may run (level 0 only). Callers that skip it
     /// because of this must call [`LoadGovernor::note_shed_demod`].
-    pub fn demod_allowed(&self) -> bool {
+    pub(crate) fn demod_allowed(&self) -> bool {
         self.level() < 1
     }
 
     /// Whether the named per-protocol detector may run. At level 2 the
     /// expensive phase/frequency detectors are shed; matched detectors must
     /// be reported via [`LoadGovernor::note_shed_detector`].
-    pub fn detector_allowed(&self, name: &str) -> bool {
+    pub(crate) fn detector_allowed(&self, name: &str) -> bool {
         self.level() < 2 || !(name.contains("phase") || name.contains("freq"))
     }
 
     /// The raised dispatcher confidence floor, if any (level 2).
-    pub fn confidence_floor(&self) -> Option<f32> {
+    pub(crate) fn confidence_floor(&self) -> Option<f32> {
         (self.level() >= 2).then_some(0.8)
     }
 
     /// Books one dispatch whose demodulation was shed.
-    pub fn note_shed_demod(&self) {
+    pub(crate) fn note_shed_demod(&self) {
         self.shed_demod.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Books one skipped detector invocation.
-    pub fn note_shed_detector(&self) {
+    pub(crate) fn note_shed_detector(&self) {
         self.shed_detectors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Books one vote filtered by the raised confidence floor.
-    pub fn note_shed_vote(&self) {
+    pub(crate) fn note_shed_vote(&self) {
         self.shed_votes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Point-in-time summary for the stats-json `degradation` section.
-    pub fn report(&self) -> GovernorReport {
+    pub(crate) fn report(&self) -> GovernorReport {
         GovernorReport {
             level: self.level(),
             escalations: self.escalations.load(Ordering::Relaxed),

@@ -18,7 +18,7 @@
 //! (`--latency-budget`) needs the p99 of the last window, not of the whole
 //! run. [`HistogramWindow`] (re-exported here) turns any cumulative
 //! histogram into a cheap streaming quantile window by diffing bucket
-//! counts between snapshots; the [`crate::governor::LoadGovernor`] drives
+//! counts between snapshots; the `crate::governor::LoadGovernor` drives
 //! its shed ladder from exactly that windowed p99.
 
 pub use rfd_telemetry::{HistogramWindow, WindowSnapshot};
@@ -28,37 +28,35 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Smallest stage-latency bucket, µs.
-pub const STAGE_MIN_US: f64 = 1.0;
+pub(crate) const STAGE_MIN_US: f64 = 1.0;
 /// Largest stage-latency bucket, µs (10 s — far past any healthy stage).
-pub const STAGE_MAX_US: f64 = 1e7;
+pub(crate) const STAGE_MAX_US: f64 = 1e7;
 /// Bucket count for stage-latency histograms.
-pub const STAGE_BUCKETS: usize = 28;
+pub(crate) const STAGE_BUCKETS: usize = 28;
 
 /// Ingest-to-detect stage histogram name.
-pub const DETECT: &str = "latency.detect_us";
+pub(crate) const DETECT: &str = "latency.detect_us";
 /// Ingest-to-dispatch stage histogram name.
-pub const DISPATCH: &str = "latency.dispatch_us";
+pub(crate) const DISPATCH: &str = "latency.dispatch_us";
 /// Ingest-to-analyze stage histogram name.
-pub const ANALYZE: &str = "latency.analyze_us";
+pub(crate) const ANALYZE: &str = "latency.analyze_us";
 /// Ingest-to-reorder/merge stage histogram name (pooled path only).
-pub const MERGE: &str = "latency.merge_us";
+pub(crate) const MERGE: &str = "latency.merge_us";
 /// Ingest-to-journal-append stage histogram name (durability runs only).
-pub const JOURNAL: &str = "latency.journal_us";
-/// Net fan-out publish duration histogram name (a duration, not a stage).
-pub const NET_FANOUT: &str = "latency.net_fanout_us";
+pub(crate) const JOURNAL: &str = "latency.journal_us";
 /// End-to-end sample-to-record histogram name.
-pub const E2E: &str = "latency.e2e_us";
+pub(crate) const E2E: &str = "latency.e2e_us";
 
 /// Fetches (creating on first use) a stage-latency histogram with the
 /// standard exponential bucket layout.
-pub fn stage_histogram(reg: &Registry, name: &str) -> Arc<Histogram> {
+pub(crate) fn stage_histogram(reg: &Registry, name: &str) -> Arc<Histogram> {
     reg.histogram(name, || {
         Histogram::exponential(STAGE_MIN_US, STAGE_MAX_US, STAGE_BUCKETS)
     })
 }
 
 /// Records time since `ingest` (µs) into `h`; no-op without a stamp.
-pub fn record_since(h: &Histogram, ingest: Option<Instant>) {
+pub(crate) fn record_since(h: &Histogram, ingest: Option<Instant>) {
     if let Some(t0) = ingest {
         h.record(t0.elapsed().as_secs_f64() * 1e6);
     }

@@ -53,6 +53,6 @@ pub use peak::{PeakDetector, PeakDetectorConfig};
 /// Default chunk size in samples (25 µs at 8 Msps, §4.2 of the paper).
 pub const CHUNK_SAMPLES: usize = 200;
 /// Default energy-averaging window (2.5 µs at 8 Msps, §4.3).
-pub const AVG_WINDOW: usize = 20;
+pub(crate) const AVG_WINDOW: usize = 20;
 /// Energy threshold above the noise floor for peak detection, dB (§4.3).
-pub const PEAK_THRESHOLD_DB: f32 = 4.0;
+pub(crate) const PEAK_THRESHOLD_DB: f32 = 4.0;

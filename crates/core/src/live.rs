@@ -27,7 +27,7 @@ pub type SharedOutput = Arc<Mutex<Option<ArchOutput>>>;
 
 /// [`rfd_net::Pipeline`] implementation backed by the full rfdump
 /// architecture.
-pub struct LivePipeline {
+pub(crate) struct LivePipeline {
     cfg: ArchConfig,
     output: SharedOutput,
     registry: Option<Arc<Registry>>,
@@ -48,7 +48,7 @@ impl LivePipeline {
     /// Accumulates every session's telemetry into `registry` (the registry
     /// a `--metrics-addr` scrape endpoint serves) instead of a fresh
     /// per-session one. No effect when the config has telemetry off.
-    pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
+    pub(crate) fn with_registry(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self
     }
@@ -56,7 +56,7 @@ impl LivePipeline {
     /// Replaces the output slot with an externally owned one, so several
     /// pipeline instances (one per source) can deposit into a single slot
     /// the serving CLI drains after shutdown. Last writer wins.
-    pub fn with_output(mut self, slot: SharedOutput) -> Self {
+    pub(crate) fn with_output(mut self, slot: SharedOutput) -> Self {
         self.output = slot;
         self
     }

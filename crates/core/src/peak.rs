@@ -285,11 +285,6 @@ impl PeakDetector {
         }
     }
 
-    /// Current noise-floor estimate (linear power).
-    pub fn noise_floor(&self) -> f32 {
-        self.floor
-    }
-
     /// Detection blocks run through the sequential per-block pass: every
     /// block of a stream driven by [`push_chunk_unfused`](Self::push_chunk_unfused),
     /// otherwise the blocks whose sums the fused pass could not certify
@@ -1033,7 +1028,7 @@ mod tests {
             det.push_chunk(c, &mut out);
         }
         det.finish(&mut out);
-        let floor = det.noise_floor();
+        let floor = det.floor;
         assert!(
             (rfd_dsp::energy::power_to_db(floor) - (-30.0)).abs() < 3.0,
             "floor {floor}"

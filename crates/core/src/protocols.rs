@@ -11,7 +11,7 @@ use rfd_phy::Protocol;
 
 /// One row of the feature table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProtocolFeatures {
+pub(crate) struct ProtocolFeatures {
     /// Protocol tag.
     pub protocol: Protocol,
     /// Human-readable variant ("802.11b (1 Mbps)", "Bluetooth BR", ...).
@@ -29,7 +29,7 @@ pub struct ProtocolFeatures {
 }
 
 /// The registry (paper Table 2).
-pub fn table2() -> Vec<ProtocolFeatures> {
+pub(crate) fn table2() -> Vec<ProtocolFeatures> {
     use rfd_phy::{bluetooth, wifi, zigbee};
     vec![
         ProtocolFeatures {

@@ -125,19 +125,19 @@ impl PacketRecord {
 // ---------------------------------------------------------------------------
 
 mod codec {
-    pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    pub fn put_f32(out: &mut Vec<u8>, v: f32) {
+    pub(crate) fn put_f32(out: &mut Vec<u8>, v: f32) {
         out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
         out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    pub struct Reader<'a> {
+    pub(crate) struct Reader<'a> {
         bytes: &'a [u8],
         pos: usize,
     }
@@ -145,27 +145,27 @@ mod codec {
         pub fn new(bytes: &'a [u8]) -> Self {
             Reader { bytes, pos: 0 }
         }
-        pub fn done(&self) -> bool {
+        pub(crate) fn done(&self) -> bool {
             self.pos == self.bytes.len()
         }
-        pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
             let b = self.bytes.get(self.pos..self.pos + n)?;
             self.pos += n;
             Some(b)
         }
-        pub fn u8(&mut self) -> Option<u8> {
+        pub(crate) fn u8(&mut self) -> Option<u8> {
             Some(self.take(1)?[0])
         }
-        pub fn u16(&mut self) -> Option<u16> {
+        pub(crate) fn u16(&mut self) -> Option<u16> {
             Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
         }
-        pub fn u32(&mut self) -> Option<u32> {
+        pub(crate) fn u32(&mut self) -> Option<u32> {
             Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
         }
-        pub fn f32(&mut self) -> Option<f32> {
+        pub(crate) fn f32(&mut self) -> Option<f32> {
             Some(f32::from_bits(self.u32()?))
         }
-        pub fn f64(&mut self) -> Option<f64> {
+        pub(crate) fn f64(&mut self) -> Option<f64> {
             Some(f64::from_bits(u64::from_le_bytes(
                 self.take(8)?.try_into().ok()?,
             )))

@@ -132,11 +132,6 @@ impl Crc {
         }
         (reg ^ self.xor_out) & mask(self.width)
     }
-
-    /// The CRC width in bits.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
 }
 
 fn mask(width: u32) -> u64 {
@@ -218,7 +213,7 @@ impl Scrambler {
 
     /// Scrambles one bit.
     #[inline]
-    pub fn scramble_bit(&mut self, bit: bool) -> bool {
+    pub(crate) fn scramble_bit(&mut self, bit: bool) -> bool {
         // Feedback from taps at positions 4 and 7 (x^4, x^7).
         let fb = ((self.state >> 3) ^ (self.state >> 6)) & 1;
         let out = (bit as u8) ^ fb;

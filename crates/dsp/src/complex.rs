@@ -23,8 +23,6 @@ impl Complex32 {
     pub const ZERO: Complex32 = Complex32 { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
     pub const ONE: Complex32 = Complex32 { re: 1.0, im: 0.0 };
-    /// The imaginary unit.
-    pub const I: Complex32 = Complex32 { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from rectangular coordinates.
     #[inline]
@@ -73,18 +71,6 @@ impl Complex32 {
     #[inline]
     pub fn scale(self, k: f32) -> Self {
         Self::new(self.re * k, self.im * k)
-    }
-
-    /// Returns `true` if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
-    }
-
-    /// Fused multiply-accumulate convenience: `self + a * b`.
-    #[inline]
-    pub fn mul_add(self, a: Complex32, b: Complex32) -> Self {
-        self + a * b
     }
 }
 
@@ -290,7 +276,8 @@ mod tests {
 
     #[test]
     fn i_squared_is_minus_one() {
-        assert_eq!(Complex32::I * Complex32::I, Complex32::new(-1.0, 0.0));
+        let i = Complex32::new(0.0, 1.0);
+        assert_eq!(i * i, Complex32::new(-1.0, 0.0));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Power/energy utilities: dB conversion, running averages and noise-floor
-//! estimation.
+//! Power/energy utilities: dB conversion and running averages.
 //!
 //! The RFDump peak detector (§4.3) computes "the average energy of the last
 //! window of samples within the chunk" and compares it against "a certain
@@ -58,7 +57,7 @@ impl RunningPower {
     /// Pushes a precomputed instantaneous power (`|z|²`) and returns the
     /// current windowed average.
     #[inline]
-    pub fn push_power(&mut self, p: f32) -> f32 {
+    pub(crate) fn push_power(&mut self, p: f32) -> f32 {
         self.sum -= self.window[self.pos] as f64;
         self.window[self.pos] = p;
         self.sum += p as f64;
@@ -78,7 +77,7 @@ impl RunningPower {
         self.filled == self.window.len()
     }
 
-    /// The running sum, exactly as the [`push_power`](Self::push_power)
+    /// The running sum, exactly as the `push_power`
     /// chain has left it.
     pub fn sum(&self) -> f64 {
         self.sum
@@ -107,35 +106,6 @@ impl RunningPower {
         self.filled = w;
         self.sum = sum;
     }
-}
-
-/// Estimates the noise floor of a trace as a low percentile of windowed
-/// power, which is robust to packets occupying a large fraction of airtime.
-///
-/// * `samples` — the trace (or a representative prefix).
-/// * `window` — averaging window in samples.
-/// * `percentile` — e.g. `0.1` for the 10th percentile.
-///
-/// Returns linear power. Returns 0.0 for an empty trace.
-pub fn estimate_noise_floor(samples: &[Complex32], window: usize, percentile: f64) -> f32 {
-    assert!(window > 0);
-    assert!((0.0..=1.0).contains(&percentile));
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut powers: Vec<f32> = samples
-        .chunks(window)
-        .map(crate::complex::mean_power)
-        .collect();
-    powers.sort_by(f32::total_cmp);
-    let idx = ((powers.len() - 1) as f64 * percentile).round() as usize;
-    powers[idx]
-}
-
-/// Signal-to-noise ratio in dB given linear signal and noise powers.
-#[inline]
-pub fn snr_db(signal_power: f32, noise_power: f32) -> f32 {
-    power_to_db(signal_power) - power_to_db(noise_power)
 }
 
 #[cfg(test)]
@@ -204,26 +174,5 @@ mod tests {
                 assert_eq!(pushed.push_power(p), refilled.push_power(p));
             }
         }
-    }
-
-    #[test]
-    fn noise_floor_ignores_bursts() {
-        // 90% noise at power ~0.01, 10% burst at power ~1.
-        let mut sig = Vec::new();
-        for i in 0..1000 {
-            let p = if (450..550).contains(&i) {
-                1.0f32
-            } else {
-                0.01
-            };
-            sig.push(Complex32::new(p.sqrt(), 0.0));
-        }
-        let nf = estimate_noise_floor(&sig, 20, 0.1);
-        assert!((nf - 0.01).abs() < 0.005, "floor {nf}");
-    }
-
-    #[test]
-    fn snr_db_is_difference_of_dbs() {
-        assert!((snr_db(1.0, 0.1) - 10.0).abs() < 1e-4);
     }
 }

@@ -1,8 +1,7 @@
 //! FIR filtering and classic filter designs.
 //!
-//! The PHY layers use these for pulse shaping (Gaussian for Bluetooth GFSK,
-//! half-sine for 802.15.4 O-QPSK, root-raised-cosine where band-limiting is
-//! wanted) and the receivers use windowed-sinc low-pass designs for
+//! The PHY layers use these for pulse shaping (Gaussian for Bluetooth GFSK)
+//! and the receivers use windowed-sinc low-pass designs for
 //! channelization (e.g. carving 1 MHz Bluetooth channels out of the 8 MHz
 //! monitored band).
 
@@ -60,17 +59,6 @@ impl Fir {
     /// True if the filter has no taps (never; kept for API symmetry).
     pub fn is_empty(&self) -> bool {
         self.taps.is_empty()
-    }
-
-    /// The taps.
-    pub fn taps(&self) -> &[f32] {
-        &self.taps
-    }
-
-    /// Resets the delay line to zeros.
-    pub fn reset(&mut self) {
-        self.buf.fill(0.0);
-        self.pos = 0;
     }
 
     /// Writes one sample into the duplicated delay line without computing an
@@ -221,59 +209,6 @@ pub fn gaussian(bt: f64, sps: usize, span: usize) -> Vec<f32> {
     taps.into_iter().map(|t| t as f32).collect()
 }
 
-/// Designs a root-raised-cosine filter.
-///
-/// * `beta` — roll-off factor in `(0, 1]`.
-/// * `sps` — samples per symbol.
-/// * `span` — span in symbols.
-///
-/// Normalized for unity peak of the *raised-cosine* cascade (i.e. the
-/// convolution of two RRCs sampled at symbol instants is ISI-free with unit
-/// center tap).
-pub fn root_raised_cosine(beta: f64, sps: usize, span: usize) -> Vec<f32> {
-    assert!(beta > 0.0 && beta <= 1.0 && sps > 0 && span > 0);
-    let n = span * sps + 1;
-    let m = (n - 1) as f64 / 2.0;
-    let mut taps: Vec<f64> = (0..n)
-        .map(|i| {
-            let t = (i as f64 - m) / sps as f64; // in symbol periods
-            rrc_impulse(t, beta)
-        })
-        .collect();
-    // Normalize to unit energy, the conventional matched-filter scaling.
-    let energy: f64 = taps.iter().map(|t| t * t).sum();
-    let k = energy.sqrt();
-    for t in &mut taps {
-        *t /= k;
-    }
-    taps.into_iter().map(|t| t as f32).collect()
-}
-
-fn rrc_impulse(t: f64, beta: f64) -> f64 {
-    let eps = 1e-9;
-    if t.abs() < eps {
-        return 1.0 - beta + 4.0 * beta / PI;
-    }
-    let singular = 1.0 / (4.0 * beta);
-    if (t.abs() - singular).abs() < eps {
-        return (beta / 2f64.sqrt())
-            * ((1.0 + 2.0 / PI) * (PI / (4.0 * beta)).sin()
-                + (1.0 - 2.0 / PI) * (PI / (4.0 * beta)).cos());
-    }
-    let num = (PI * t * (1.0 - beta)).sin() + 4.0 * beta * t * (PI * t * (1.0 + beta)).cos();
-    let den = PI * t * (1.0 - (4.0 * beta * t).powi(2));
-    num / den
-}
-
-/// Half-sine pulse used by the 802.15.4 O-QPSK PHY: one half cycle of a sine
-/// spanning `sps` samples (one chip period).
-pub fn half_sine(sps: usize) -> Vec<f32> {
-    assert!(sps > 0);
-    (0..sps)
-        .map(|i| ((i as f64 + 0.5) * PI / sps as f64).sin() as f32)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,7 +216,7 @@ mod tests {
     #[test]
     fn lowpass_passes_dc_and_blocks_high_band() {
         let taps = lowpass(1e6, 8e6, 63, Window::Hamming);
-        let mut fir = Fir::new(taps);
+        let mut fir = Fir::new(taps.clone());
         // DC input.
         let dc: Vec<Complex32> = vec![Complex32::ONE; 512];
         let mut out = Vec::new();
@@ -291,7 +226,7 @@ mod tests {
         assert!((dc_gain - 1.0).abs() < 0.01, "dc gain {dc_gain}");
 
         // A 3 MHz tone should be strongly attenuated.
-        fir.reset();
+        let mut fir = Fir::new(taps);
         let tone: Vec<Complex32> = (0..512)
             .map(|i| Complex32::cis((crate::TAU64 * 3e6 * i as f64 / 8e6) as f32))
             .collect();
@@ -357,42 +292,6 @@ mod tests {
         // Symmetric.
         for i in 0..taps.len() {
             assert!((taps[i] - taps[taps.len() - 1 - i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn rrc_cascade_is_isi_free_at_symbol_instants() {
-        let sps = 8;
-        let span = 8;
-        let rrc = root_raised_cosine(0.35, sps, span);
-        // Raised cosine = rrc (*) rrc.
-        let rcf: Vec<f32> = {
-            let n = rrc.len() * 2 - 1;
-            let mut v = vec![0.0f32; n];
-            for (i, a) in rrc.iter().enumerate() {
-                for (j, b) in rrc.iter().enumerate() {
-                    v[i + j] += a * b;
-                }
-            }
-            v
-        };
-        let center = rcf.len() / 2;
-        let peak = rcf[center];
-        assert!(peak > 0.5);
-        // Zero crossings at nonzero multiples of the symbol period.
-        for k in 1..span {
-            let v = rcf[center + k * sps].abs() / peak;
-            assert!(v < 0.02, "ISI at symbol {k}: {v}");
-        }
-    }
-
-    #[test]
-    fn half_sine_is_positive_and_symmetric() {
-        let p = half_sine(16);
-        assert_eq!(p.len(), 16);
-        assert!(p.iter().all(|&x| x > 0.0));
-        for i in 0..p.len() {
-            assert!((p[i] - p[p.len() - 1 - i]).abs() < 1e-6);
         }
     }
 

@@ -6,7 +6,7 @@
 //! adjacent conjugate-multiply chains (the paper's "complex conjugation,
 //! multiplication and arctan" pipeline, §4.5), and FFT butterfly stages —
 //! and the CRC-32 every RFDN frame payload and 802.11 FCS is checked with
-//! is routed through the [`KernelTable`] selected here. Three backends ship:
+//! is routed through the `KernelTable` selected here. Three backends ship:
 //!
 //! * **scalar** — the reference implementation. It *defines* the numeric
 //!   contract; the vectorized backends must reproduce it bit-for-bit.
@@ -106,7 +106,7 @@ impl Backend {
     }
 
     /// Parses an `RFD_KERNEL` value. `"auto"` maps to `None`.
-    pub fn parse(s: &str) -> Option<Option<Backend>> {
+    pub(crate) fn parse(s: &str) -> Option<Option<Backend>> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Some(Backend::Scalar)),
             "sse2" => Some(Some(Backend::Sse2)),
@@ -317,7 +317,7 @@ fn table() -> &'static KernelTable {
 ///
 /// Sound because [`Complex32`] is `#[repr(C)]` with exactly two `f32`
 /// fields, so layout, size and alignment match `[f32; 2]`.
-pub fn as_flat(samples: &[Complex32]) -> &[f32] {
+pub(crate) fn as_flat(samples: &[Complex32]) -> &[f32] {
     // SAFETY: Complex32 is #[repr(C)] { re: f32, im: f32 } — same layout
     // and alignment as two consecutive f32s; total length cannot overflow
     // because the source slice already fits in memory.
@@ -648,7 +648,7 @@ mod tests {
         for n in [2usize, 4, 8, 16, 64, 256] {
             let buf0 = iq(&mut rng, n);
             let tw: Vec<Complex32> = (0..n / 2)
-                .map(|k| Complex32::cis(-(crate::TAU32) * k as f32 / n as f32))
+                .map(|k| Complex32::cis(-std::f32::consts::TAU * k as f32 / n as f32))
                 .collect();
             for inverse in [false, true] {
                 differential(&format!("fft_stage n={n} inv={inverse}"), || {

@@ -7,18 +7,19 @@
 //! * [`Complex32`] — a small, `Copy`, cache-friendly complex sample type.
 //! * [`fft`] — iterative radix-2 FFT/IFFT and power-spectrum helpers.
 //! * [`fir`] — FIR filtering plus classic designs (windowed-sinc low-pass,
-//!   Gaussian pulse shapers for GFSK, root-raised-cosine, half-sine).
+//!   Gaussian pulse shapers for GFSK).
 //! * [`window`] — analysis window functions.
 //! * [`resample`] — fractional-ratio resampling. The RFDump paper's USRP
 //!   front-end samples at 8 Msps while 802.11b chips at 11 Mcps; the awkward
 //!   11:8 ratio is central to the paper's Wi-Fi phase detector, so the
 //!   resampler is a first-class citizen here.
 //! * [`nco`] — numerically controlled oscillator / frequency translation.
-//! * [`phase`] — instantaneous-phase extraction, unwrapping, first and second
-//!   phase derivatives, and a quadrature FM discriminator. RFDump's phase
-//!   detectors (§3.3 of the paper) are built directly on these.
-//! * [`energy`] — dB conversions, running power averages and noise-floor
-//!   estimation used by the peak detector (§4.3).
+//! * [`phase`] — first and second phase derivatives (by conjugate
+//!   multiplication, so no unwrapping) and a quadrature FM discriminator.
+//!   RFDump's phase detectors (§3.3 of the paper) are built directly on
+//!   these.
+//! * [`energy`] — dB conversions and the running power average used by the
+//!   peak detector (§4.3).
 //! * [`kernels`] — the vectorized kernel layer underneath all of the above:
 //!   runtime-dispatched scalar/SSE2/AVX2 implementations of the hot inner
 //!   loops (power, reductions, FIR dots, conjugate-multiply
@@ -52,9 +53,6 @@ pub mod rng;
 pub mod window;
 
 pub use complex::Complex32;
-
-/// Two pi as `f32`, used pervasively when working with phases.
-pub const TAU32: f32 = std::f32::consts::TAU;
 
 /// Two pi as `f64`.
 pub const TAU64: f64 = std::f64::consts::TAU;

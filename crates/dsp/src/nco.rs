@@ -35,11 +35,6 @@ impl Nco {
         }
     }
 
-    /// Current phase in radians (wrapped to `[0, 2pi)`).
-    pub fn phase(&self) -> f64 {
-        self.phase.rem_euclid(TAU64)
-    }
-
     /// Produces the next oscillator sample.
     #[inline]
     #[allow(clippy::should_implement_trait)]

@@ -1,4 +1,4 @@
-//! Instantaneous-phase extraction and derivatives.
+//! Phase derivatives.
 //!
 //! §3.3 of the paper: "with one arctan operation per sample we get the phase
 //! of the IF signal. The frequency offset ... will contribute a constant to
@@ -10,11 +10,6 @@
 use crate::complex::Complex32;
 use std::f32::consts::{FRAC_PI_2, PI};
 
-/// Instantaneous phase of each sample, in `(-pi, pi]`.
-pub fn instantaneous_phase(samples: &[Complex32]) -> Vec<f32> {
-    samples.iter().map(|z| z.arg()).collect()
-}
-
 /// Wraps an angle difference into `(-pi, pi]`.
 #[inline]
 pub fn wrap_phase(mut d: f32) -> f32 {
@@ -25,15 +20,6 @@ pub fn wrap_phase(mut d: f32) -> f32 {
         d += 2.0 * PI;
     }
     d
-}
-
-/// Unwraps a phase sequence in place (removes 2*pi jumps between
-/// consecutive samples).
-pub fn unwrap_in_place(phases: &mut [f32]) {
-    for i in 1..phases.len() {
-        let d = wrap_phase(phases[i] - phases[i - 1]);
-        phases[i] = phases[i - 1] + d;
-    }
 }
 
 /// Scratch block length (complex products) for the blockwise conjugate
@@ -175,13 +161,6 @@ pub fn phase_deriv_stats(samples: &[Complex32]) -> PhaseDerivStats {
     stats
 }
 
-/// Second phase derivative: differences of [`phase_diff`], wrapped; length
-/// `samples.len() - 2`.
-pub fn phase_diff2(samples: &[Complex32]) -> Vec<f32> {
-    let d1 = phase_diff(samples);
-    d1.windows(2).map(|w| wrap_phase(w[1] - w[0])).collect()
-}
-
 /// A streaming quadrature FM discriminator.
 ///
 /// Output is instantaneous frequency in Hz given the configured sample rate.
@@ -196,11 +175,6 @@ impl FmDiscriminator {
     pub fn new(fs: f64) -> Self {
         assert!(fs > 0.0);
         Self { fs, prev: None }
-    }
-
-    /// Resets stream state.
-    pub fn reset(&mut self) {
-        self.prev = None;
     }
 
     /// Demodulates a slice, appending instantaneous frequency estimates (Hz)
@@ -222,55 +196,6 @@ impl FmDiscriminator {
     }
 }
 
-/// Summary statistics of a phase-derivative sequence, used by detectors to
-/// score "is this GFSK?" / "what channel is it on?" questions cheaply.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseStats {
-    /// Mean of the sequence (for the first derivative this is the carrier
-    /// offset in radians/sample).
-    pub mean: f32,
-    /// Standard deviation around the mean.
-    pub std_dev: f32,
-    /// Mean absolute value.
-    pub mean_abs: f32,
-}
-
-/// Computes [`PhaseStats`] over a slice. Returns zeros for an empty slice.
-pub fn phase_stats(seq: &[f32]) -> PhaseStats {
-    if seq.is_empty() {
-        return PhaseStats {
-            mean: 0.0,
-            std_dev: 0.0,
-            mean_abs: 0.0,
-        };
-    }
-    let n = seq.len() as f64;
-    let mean = seq.iter().map(|&x| x as f64).sum::<f64>() / n;
-    let var = seq.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / n;
-    let mean_abs = seq.iter().map(|&x| (x as f64).abs()).sum::<f64>() / n;
-    PhaseStats {
-        mean: mean as f32,
-        std_dev: var.sqrt() as f32,
-        mean_abs: mean_abs as f32,
-    }
-}
-
-/// Builds a histogram of phase values over `bins` equal sectors of
-/// `(-pi, pi]`, as in the paper's Figure 4 ("computing a phase histogram with
-/// some number of bins, and making sure the appropriate bins are filled while
-/// others are empty"). Returns normalized occupancy per bin.
-pub fn phase_histogram(phases: &[f32], bins: usize) -> Vec<f32> {
-    assert!(bins > 0);
-    let mut hist = vec![0u32; bins];
-    for &p in phases {
-        let x = (wrap_phase(p) + PI) / (2.0 * PI); // [0, 1)
-        let idx = ((x * bins as f32) as usize).min(bins - 1);
-        hist[idx] += 1;
-    }
-    let total = phases.len().max(1) as f32;
-    hist.into_iter().map(|c| c as f32 / total).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,18 +208,6 @@ mod tests {
             assert!(w > -PI - 1e-6 && w <= PI + 1e-6);
         }
         assert!((wrap_phase(3.0 * PI) - PI).abs() < 1e-5);
-    }
-
-    #[test]
-    fn unwrap_makes_linear_ramp() {
-        let mut nco = Nco::new(1e6, 8e6);
-        let sig: Vec<Complex32> = (0..100).map(|_| nco.next()).collect();
-        let mut ph = instantaneous_phase(&sig);
-        unwrap_in_place(&mut ph);
-        let step = crate::TAU64 as f32 * 1e6 / 8e6;
-        for w in ph.windows(2) {
-            assert!((w[1] - w[0] - step).abs() < 1e-4);
-        }
     }
 
     #[test]
@@ -418,15 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_diff2_of_tone_is_zero() {
-        let mut nco = Nco::new(2.1e6, 8e6);
-        let sig: Vec<Complex32> = (0..64).map(|_| nco.next()).collect();
-        for v in phase_diff2(&sig) {
-            assert!(v.abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn discriminator_reads_tone_frequency() {
         let f = 1.25e6;
         let mut nco = Nco::new(f, 8e6);
@@ -455,34 +359,5 @@ mod tests {
         for (a, b) in one.iter().zip(parts.iter()) {
             assert!((a - b).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn bpsk_fills_two_opposite_histogram_bins() {
-        // Alternate 0 / pi phases, as a BPSK signal would (paper Fig. 4).
-        let sig: Vec<Complex32> = (0..200)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Complex32::ONE
-                } else {
-                    -Complex32::ONE
-                }
-            })
-            .collect();
-        let ph = instantaneous_phase(&sig);
-        let hist = phase_histogram(&ph, 4);
-        let filled = hist.iter().filter(|&&h| h > 0.1).count();
-        assert_eq!(filled, 2);
-        assert!((hist.iter().sum::<f32>() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn stats_of_constant_sequence() {
-        let s = phase_stats(&[0.5; 32]);
-        assert!((s.mean - 0.5).abs() < 1e-6);
-        assert!(s.std_dev < 1e-6);
-        assert!((s.mean_abs - 0.5).abs() < 1e-6);
-        let empty = phase_stats(&[]);
-        assert_eq!(empty.mean, 0.0);
     }
 }

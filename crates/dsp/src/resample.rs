@@ -5,77 +5,14 @@
 //! resorts to a precomputed Barker phase-change pattern (§4.5). We reproduce
 //! the mismatch faithfully: the 802.11b modulator renders at the native chip
 //! rate and the ether simulator resamples to the monitor rate with this
-//! module.
-//!
-//! Two resamplers are provided:
-//!
-//! * [`LinearResampler`] — streaming linear interpolation, cheap and accurate
-//!   enough for oversampled signals.
-//! * [`resample_windowed_sinc`] — a higher-quality one-shot polyphase
-//!   windowed-sinc resampler used when rendering transmitter waveforms, where
-//!   quality matters more than speed.
+//! module's [`resample_windowed_sinc`], a one-shot polyphase windowed-sinc
+//! resampler used when rendering transmitter waveforms, where quality
+//! matters more than speed.
 
 use crate::complex::Complex32;
 use crate::window::{generate, Window};
 use std::cell::RefCell;
 use std::f64::consts::PI;
-
-/// A streaming fractional resampler using linear interpolation.
-///
-/// Produces output samples at rate `fs_out` from an input stream at rate
-/// `fs_in`. Output sample `k` is taken at input position `k * fs_in/fs_out`.
-#[derive(Debug, Clone)]
-pub struct LinearResampler {
-    /// Input samples consumed per output sample.
-    step: f64,
-    /// Fractional read position relative to `prev`.
-    pos: f64,
-    /// The last input sample from the previous call (for interpolation
-    /// across slice boundaries).
-    prev: Option<Complex32>,
-}
-
-impl LinearResampler {
-    /// Creates a resampler converting `fs_in` to `fs_out`.
-    pub fn new(fs_in: f64, fs_out: f64) -> Self {
-        assert!(fs_in > 0.0 && fs_out > 0.0);
-        Self {
-            step: fs_in / fs_out,
-            pos: 0.0,
-            prev: None,
-        }
-    }
-
-    /// Resamples `input`, appending to `out`. May be called repeatedly with
-    /// consecutive stream slices.
-    pub fn process(&mut self, input: &[Complex32], out: &mut Vec<Complex32>) {
-        if input.is_empty() {
-            return;
-        }
-        // Build a virtual sequence [prev, input...] with read index `pos`
-        // measured from `prev` (index 0).
-        let offset = if self.prev.is_some() { 1.0 } else { 0.0 };
-        let get = |idx: usize| -> Complex32 {
-            match self.prev {
-                Some(p) if idx == 0 => p,
-                Some(_) => input[idx - 1],
-                None => input[idx],
-            }
-        };
-        let virtual_len = input.len() as f64 + offset;
-        while self.pos + 1.0 < virtual_len {
-            let i = self.pos.floor() as usize;
-            let frac = (self.pos - i as f64) as f32;
-            let a = get(i);
-            let b = get(i + 1);
-            out.push(a + (b - a) * frac);
-            self.pos += self.step;
-        }
-        // Keep the final input sample and rebase `pos` onto it.
-        self.prev = Some(input[input.len() - 1]);
-        self.pos -= virtual_len - 1.0;
-    }
-}
 
 /// One-shot high-quality resampling with a polyphase windowed-sinc kernel.
 ///
@@ -395,60 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_identity_ratio_passes_through() {
-        let sig = tone(1e5, 1e6, 100);
-        let mut rs = LinearResampler::new(1e6, 1e6);
-        let mut out = Vec::new();
-        rs.process(&sig, &mut out);
-        // First output equals first input; subsequent track within epsilon.
-        assert!((out[0] - sig[0]).abs() < 1e-6);
-        for (a, b) in out.iter().zip(sig.iter()) {
-            assert!((*a - *b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn linear_11_to_8_preserves_tone_frequency() {
-        // An 11 Msps stream carrying a 500 kHz tone resampled to 8 Msps must
-        // still carry a 500 kHz tone.
-        let fs_in = 11e6;
-        let fs_out = 8e6;
-        let f = 0.5e6;
-        let sig = tone(f, fs_in, 11_000);
-        let mut rs = LinearResampler::new(fs_in, fs_out);
-        let mut out = Vec::new();
-        rs.process(&sig, &mut out);
-        assert!(out.len() >= 7900 && out.len() <= 8001, "len {}", out.len());
-        // Measure phase increment per output sample.
-        let mut sum = 0.0f64;
-        let mut count = 0;
-        for w in out[100..7000].windows(2) {
-            sum += (w[1] * w[0].conj()).arg() as f64;
-            count += 1;
-        }
-        let measured = sum / count as f64 * fs_out / crate::TAU64;
-        assert!((measured - f).abs() < 2e3, "measured {measured}");
-    }
-
-    #[test]
-    fn linear_streaming_matches_one_shot() {
-        let sig = tone(3e5, 11e6, 1000);
-        let mut a = LinearResampler::new(11e6, 8e6);
-        let mut one = Vec::new();
-        a.process(&sig, &mut one);
-
-        let mut b = LinearResampler::new(11e6, 8e6);
-        let mut parts = Vec::new();
-        for chunk in sig.chunks(13) {
-            b.process(chunk, &mut parts);
-        }
-        assert_eq!(one.len(), parts.len());
-        for (x, y) in one.iter().zip(parts.iter()) {
-            assert!((*x - *y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn sinc_resampler_preserves_amplitude_and_frequency() {
         let fs_in = 11e6;
         let fs_out = 8e6;
@@ -602,10 +485,6 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let mut rs = LinearResampler::new(11e6, 8e6);
-        let mut out = Vec::new();
-        rs.process(&[], &mut out);
-        assert!(out.is_empty());
         assert!(resample_windowed_sinc(&[], 11e6, 8e6, 8).is_empty());
     }
 }

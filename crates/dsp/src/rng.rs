@@ -117,7 +117,7 @@ impl GaussianGen {
 
     /// Next standard-normal sample.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> f64 {
+    pub(crate) fn next(&mut self) -> f64 {
         if let Some(s) = self.spare.take() {
             return s;
         }
@@ -135,7 +135,7 @@ impl GaussianGen {
 
     /// Next circularly-symmetric complex Gaussian sample with total
     /// (two-sided) power `power` — i.e. `E[|z|^2] = power`.
-    pub fn next_complex(&mut self, power: f32) -> Complex32 {
+    pub(crate) fn next_complex(&mut self, power: f32) -> Complex32 {
         let sigma = (power as f64 / 2.0).sqrt();
         Complex32::new((self.next() * sigma) as f32, (self.next() * sigma) as f32)
     }

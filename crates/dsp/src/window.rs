@@ -2,7 +2,7 @@
 
 use std::f64::consts::PI;
 
-/// Window shapes supported by [`generate`].
+/// Window shapes supported by `generate`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Window {
     /// Rectangular (no taper).
@@ -16,7 +16,7 @@ pub enum Window {
 }
 
 /// Generates a symmetric window of length `n`.
-pub fn generate(window: Window, n: usize) -> Vec<f64> {
+pub(crate) fn generate(window: Window, n: usize) -> Vec<f64> {
     if n == 0 {
         return Vec::new();
     }

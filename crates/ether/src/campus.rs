@@ -78,7 +78,7 @@ pub struct CampusExpectations {
 
 /// Builds the campus schedule. Returns the events and the ideal-filter
 /// expectations.
-pub fn campus_schedule(cfg: &CampusConfig) -> (Vec<TxEvent>, CampusExpectations) {
+pub(crate) fn campus_schedule(cfg: &CampusConfig) -> (Vec<TxEvent>, CampusExpectations) {
     let mut rng = Xoshiro256::new(cfg.seed);
     let bssid = MacAddr::station(0);
     let mut events: Vec<TxEvent> = Vec::new();

@@ -51,12 +51,12 @@ impl Band {
 
     /// Whether a carrier at `freq_hz` (± `half_width` of signal) lies fully
     /// inside the band.
-    pub fn contains(&self, freq_hz: f64, half_width: f64) -> bool {
+    pub(crate) fn contains(&self, freq_hz: f64, half_width: f64) -> bool {
         (freq_hz - self.center_hz).abs() + half_width <= self.sample_rate / 2.0
     }
 
     /// Offset of a carrier from the band center.
-    pub fn offset(&self, freq_hz: f64) -> f64 {
+    pub(crate) fn offset(&self, freq_hz: f64) -> f64 {
         freq_hz - self.center_hz
     }
 }

@@ -95,7 +95,7 @@ pub struct TruthRecord {
 impl TruthRecord {
     /// Whether two records overlap in time (a physical collision at the
     /// monitor when both are in band).
-    pub fn overlaps(&self, other: &TruthRecord) -> bool {
+    pub(crate) fn overlaps(&self, other: &TruthRecord) -> bool {
         self.start_sample < other.end_sample && other.start_sample < self.end_sample
     }
 }
@@ -178,12 +178,6 @@ impl Scene {
     /// Sets a node's gain (dB) and CFO (Hz).
     pub fn set_node(&mut self, node: NodeId, gain_db: f32, cfo_hz: f64) {
         self.nodes.insert(node, NodeCfg { gain_db, cfo_hz });
-    }
-
-    /// Convenience: the SNR (dB) a node's packets will report given the
-    /// scene's noise power.
-    pub fn snr_for_gain(&self, gain_db: f32) -> f32 {
-        gain_db - power_to_db(self.noise_power)
     }
 
     /// Renders a schedule into an [`EtherTrace`]. The stream covers

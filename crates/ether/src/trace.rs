@@ -84,11 +84,11 @@ pub fn encode_trace(header: &TraceHeader, samples: &[Complex32]) -> Vec<u8> {
 }
 
 /// Size of the serialized header in bytes.
-pub const HEADER_LEN: usize = 36;
+pub(crate) const HEADER_LEN: usize = 36;
 
 /// Parses and validates the fixed 36-byte header. Shared by the whole-file
 /// decoder and the chunked reader so both enforce identical rules.
-pub fn decode_header(data: &[u8; HEADER_LEN]) -> io::Result<TraceHeader> {
+pub(crate) fn decode_header(data: &[u8; HEADER_LEN]) -> io::Result<TraceHeader> {
     let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
     let mut cur = Cursor::new(data);
     let magic: [u8; 4] = cur.take();
@@ -182,7 +182,7 @@ pub fn read_trace(path: &Path) -> io::Result<(TraceHeader, Vec<Complex32>)> {
 /// Streams a trace file's raw i16 I/Q pairs in bounded chunks instead of
 /// loading the whole payload, so arbitrarily long captures can be replayed
 /// (e.g. over the network) with constant memory. Header validation is the
-/// same [`decode_header`] the whole-file decoder uses.
+/// same `decode_header` the whole-file decoder uses.
 pub struct ChunkedTraceReader {
     file: std::io::BufReader<std::fs::File>,
     header: TraceHeader,
@@ -225,11 +225,6 @@ impl ChunkedTraceReader {
     /// The validated header.
     pub fn header(&self) -> &TraceHeader {
         &self.header
-    }
-
-    /// Samples not yet read.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
     }
 
     /// Reads up to `max_samples` raw (i, q) pairs; `None` once the trace is
@@ -391,7 +386,7 @@ mod tests {
             assert!(chunk.len() <= 256);
             streamed.extend_from_slice(&chunk);
         }
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.remaining, 0);
         assert_eq!(streamed.len(), whole.len());
         // Bit-identical, not merely close: both paths apply the same
         // i16 → f32 conversion.
@@ -517,7 +512,7 @@ mod tests {
         let mut r = ChunkedTraceReader::open(&path).unwrap();
         let first = r.next_chunk(100).unwrap().unwrap();
         r.seek_to_sample(40).unwrap();
-        assert_eq!(r.remaining(), 460);
+        assert_eq!(r.remaining, 460);
         let resumed = r.next_chunk(60).unwrap().unwrap();
         assert_eq!(resumed[..], first[40..100]);
 
@@ -528,7 +523,7 @@ mod tests {
         // Exactly the end is a valid (empty) position; past it is an error,
         // not a silent clamp.
         r.seek_to_sample(500).unwrap();
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.remaining, 0);
         assert_eq!(r.next_chunk(100).unwrap(), None);
         let err = r.seek_to_sample(10_000).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);

@@ -267,13 +267,6 @@ pub struct FaultStats {
     pub rules: Vec<RuleStats>,
 }
 
-impl FaultStats {
-    /// Total firings across all rules.
-    pub fn fired(&self) -> u64 {
-        self.rules.iter().map(|r| r.fired).sum()
-    }
-}
-
 impl FaultPlan {
     /// Parses a spec string (see the crate docs for the grammar).
     pub fn parse(spec: &str) -> Result<Self, String> {
@@ -310,11 +303,6 @@ impl FaultPlan {
     /// schedule stays seed-deterministic); only the action is withheld.
     pub fn disarm_kills(&self) {
         self.kills_disarmed.store(true, Ordering::Relaxed);
-    }
-
-    /// The seed in effect (0 unless the spec set one).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Asks the plan whether a fault fires at this site, advancing the
@@ -513,8 +501,8 @@ mod tests {
             "seed=42;panic=analyze:wifi#1;slow=analyze@0.5/2ms;disconnect=net.send.chunk%3x2;cpu=*@0.25/100us",
         )
         .unwrap();
-        assert_eq!(p.seed(), 42);
         let snap = p.snapshot();
+        assert_eq!(snap.seed, 42);
         assert_eq!(snap.rules.len(), 4);
         assert_eq!(snap.rules[0].kind, "panic");
         assert_eq!(snap.rules[0].target, "analyze:wifi");
@@ -545,7 +533,6 @@ mod tests {
         let snap = p.snapshot();
         assert_eq!(snap.rules[0].calls, 12);
         assert_eq!(snap.rules[0].fired, 2);
-        assert_eq!(snap.fired(), 2);
     }
 
     #[test]

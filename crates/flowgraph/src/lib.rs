@@ -44,11 +44,6 @@ pub mod sync {
         pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
             self.0.lock().unwrap_or_else(|e| e.into_inner())
         }
-
-        /// Consumes the mutex, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-        }
     }
 }
 

@@ -11,7 +11,7 @@
 //!   submission sequence number come out strictly in submission order, no
 //!   matter which worker finished first.
 //! * [`TaskPool`] — N workers popping one bounded FIFO queue: a submitter
-//!   blocks while [`QUEUE_CAP`] tasks wait unstarted, so it never outruns
+//!   blocks while `QUEUE_CAP` tasks wait unstarted, so it never outruns
 //!   the workers. Each task runs under `catch_unwind`, and its result (or
 //!   its panicked sequence number) is published with its sequence number;
 //!   the consumer re-sequences through a [`Reorderer`], so a pool with any
@@ -140,10 +140,10 @@ impl<T> Reorderer<T> {
 /// Submitted but unstarted tasks the queue holds before
 /// [`TaskPool::submit`] blocks: the backpressure that keeps a fast producer
 /// (the trace reader) from buffering unbounded work ahead of the workers.
-pub const QUEUE_CAP: usize = 64;
+pub(crate) const QUEUE_CAP: usize = 64;
 
 /// Worker respawns a pool allows across its lifetime.
-pub const MAX_RESTARTS: u32 = 2;
+pub(crate) const MAX_RESTARTS: u32 = 2;
 
 /// What one worker did, for the telemetry satellite and the stats table.
 #[derive(Debug, Clone, Copy, Default)]
@@ -316,7 +316,7 @@ type MakeTaskFn<I, O> = dyn Fn(usize) -> Box<dyn FnMut(I) -> O + Send> + Send + 
 /// A panicking task loses only its own result: its sequence number is
 /// reported through [`TaskPool::take_panicked`] and the worker keeps
 /// serving. A worker that dies anyway (its task-function factory
-/// panicked) is respawned, up to [`MAX_RESTARTS`] times, once no worker is
+/// panicked) is respawned, up to `MAX_RESTARTS` times, once no worker is
 /// left; past that budget the items run inline on the submitting thread,
 /// so every submitted sequence number comes back as a result or a panic.
 ///
@@ -426,7 +426,7 @@ impl<I: Send + 'static, O: Send + 'static> TaskPool<I, O> {
         self.handles.push(handle);
     }
 
-    /// Submits the next item, blocking while [`QUEUE_CAP`] items wait
+    /// Submits the next item, blocking while `QUEUE_CAP` items wait
     /// unstarted. Returns the sequence number assigned to the item.
     ///
     /// Once no worker is left alive, they are respawned while the restart

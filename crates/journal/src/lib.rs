@@ -35,23 +35,23 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Journal segment file magic.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"RFDJ";
+pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"RFDJ";
 /// Journal format version.
-pub const JOURNAL_VERSION: u16 = 1;
+pub(crate) const JOURNAL_VERSION: u16 = 1;
 /// Bytes of per-segment header: magic + version + reserved.
 pub const SEGMENT_HEADER_LEN: usize = 8;
 /// Bytes of per-entry framing: u32 payload len, u16 type, u64 seq, u32 crc.
 pub const ENTRY_HEADER_LEN: usize = 18;
 /// Upper bound on a single entry payload; guards recovery against hostile or
 /// garbage length fields claiming multi-gigabyte entries.
-pub const MAX_ENTRY_LEN: usize = 1 << 20;
+pub(crate) const MAX_ENTRY_LEN: usize = 1 << 20;
 /// Default segment rotation threshold in bytes.
-pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
+pub(crate) const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 
 /// Checkpoint file magic.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RFDC";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"RFDC";
 /// Checkpoint format version.
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub(crate) const CHECKPOINT_VERSION: u16 = 1;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3 polynomial, bit-reflected), byte at a time. The same
@@ -87,7 +87,7 @@ static CRC_TABLE: [u32; 256] = crc32_table();
 
 /// Streaming CRC32 over several byte slices.
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -98,7 +98,7 @@ impl Crc32 {
     }
 
     /// Feed bytes into the running checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let mut c = self.state;
         for &b in bytes {
             c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -251,7 +251,7 @@ impl JournalWriter {
     }
 
     /// [`JournalWriter::create`] with an explicit rotation threshold.
-    pub fn create_with(dir: &Path, rotate_at: u64) -> io::Result<Self> {
+    pub(crate) fn create_with(dir: &Path, rotate_at: u64) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         for entry in fs::read_dir(dir)? {
             let entry = entry?;
@@ -301,11 +301,6 @@ impl JournalWriter {
     /// Sequence number the next appended entry will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Index of the segment currently being appended to.
-    pub fn segment_index(&self) -> u64 {
-        self.segment_index
     }
 
     /// Append one entry, returning its sequence number. The entry reaches the
@@ -595,7 +590,7 @@ mod tests {
         for i in 0..50u64 {
             w.append(1, &[i as u8; 20]).unwrap();
         }
-        assert!(w.segment_index() > 0, "small threshold must rotate");
+        assert!(w.segment_index > 0, "small threshold must rotate");
         drop(w);
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.entries.len(), 50);
@@ -611,7 +606,7 @@ mod tests {
             w.append(2, &i.to_le_bytes()).unwrap();
         }
         w.append_torn(2, b"half-written entry").unwrap();
-        let next_segment = w.segment_index() + 1;
+        let next_segment = w.segment_index + 1;
         drop(w);
 
         let rec = recover(&dir).unwrap();

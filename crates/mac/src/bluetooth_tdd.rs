@@ -74,14 +74,8 @@ impl L2PingSim {
     }
 
     /// Payload size encoding the sequence number (paper §5.1.1).
-    pub fn size_for_seq(&self, seq: usize) -> usize {
+    pub(crate) fn size_for_seq(&self, seq: usize) -> usize {
         self.cfg.size_base + seq % self.cfg.size_span.max(1)
-    }
-
-    /// Recovers the sequence-number residue from a payload size.
-    pub fn seq_residue_for_size(&self, size: usize) -> Option<usize> {
-        size.checked_sub(self.cfg.size_base)
-            .filter(|r| *r < self.cfg.size_span.max(1))
     }
 
     /// Runs the exchange, producing a schedule of master requests and slave
@@ -214,10 +208,8 @@ mod tests {
         for seq in 0..300 {
             let size = sim.size_for_seq(seq);
             assert!((225..=338).contains(&size));
-            assert_eq!(sim.seq_residue_for_size(size), Some(seq % 114));
+            assert_eq!(size - 225, seq % 114);
         }
-        assert_eq!(sim.seq_residue_for_size(10), None);
-        assert_eq!(sim.seq_residue_for_size(400), None);
     }
 
     #[test]

@@ -118,37 +118,6 @@ pub fn merge_schedules(mut lists: Vec<Vec<TxEvent>>) -> Vec<TxEvent> {
     all
 }
 
-/// Medium utilization of a schedule over `[0, horizon_us]`: the fraction of
-/// time at least one transmission is on the air.
-pub fn medium_utilization(events: &[TxEvent], horizon_us: f64) -> f64 {
-    // Sweep over sorted intervals (events are few; O(n log n)).
-    let mut iv: Vec<(f64, f64)> = events
-        .iter()
-        .map(|e| (e.start_us.max(0.0), e.end_us().min(horizon_us)))
-        .filter(|(s, e)| e > s)
-        .collect();
-    iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut busy = 0.0;
-    let mut cur: Option<(f64, f64)> = None;
-    for (s, e) in iv {
-        match cur {
-            None => cur = Some((s, e)),
-            Some((cs, ce)) => {
-                if s <= ce {
-                    cur = Some((cs, ce.max(e)));
-                } else {
-                    busy += ce - cs;
-                    cur = Some((s, e));
-                }
-            }
-        }
-    }
-    if let Some((cs, ce)) = cur {
-        busy += ce - cs;
-    }
-    (busy / horizon_us).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,26 +155,6 @@ mod tests {
             merged.iter().map(|e| e.id).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-    }
-
-    #[test]
-    fn utilization_of_disjoint_events() {
-        // Each event: 192 us PLCP + 8*(24+10+4) bits... just use airtime.
-        let e = wifi_event(0.0, 100);
-        let airtime = e.content.airtime_us();
-        let events = vec![wifi_event(0.0, 100), wifi_event(2.0 * airtime, 100)];
-        let horizon = 4.0 * airtime;
-        let u = medium_utilization(&events, horizon);
-        assert!((u - 0.5).abs() < 0.01, "utilization {u}");
-    }
-
-    #[test]
-    fn utilization_counts_overlap_once() {
-        let e = wifi_event(0.0, 100);
-        let airtime = e.content.airtime_us();
-        let events = vec![wifi_event(0.0, 100), wifi_event(0.0, 100)];
-        let u = medium_utilization(&events, 2.0 * airtime);
-        assert!((u - 0.5).abs() < 0.01, "utilization {u}");
     }
 
     #[test]

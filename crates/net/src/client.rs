@@ -80,7 +80,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The delay before retry number `attempt` (0-based): jitter in
     /// [0.5, 1.0]× of min(cap, base·2^attempt).
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let doubled = self
             .base
             .saturating_mul(1u32.checked_shl(attempt.min(20)).unwrap_or(u32::MAX));
@@ -646,7 +646,7 @@ impl TraceSender {
 
     /// Streams pre-quantized i16 IQ chunks. The caller supplies an iterator
     /// of chunks; pacing is applied per chunk. A chunk of more than
-    /// [`MAX_CHUNK_SAMPLES`] samples fails the send with `InvalidInput`. An
+    /// `MAX_CHUNK_SAMPLES` samples fails the send with `InvalidInput`. An
     /// iterator cannot rewind, so the send fails on its first error.
     pub fn send_quantized<I>(
         &mut self,
@@ -809,7 +809,7 @@ impl RecordSubscriber {
     /// subscription (an immediate Heartbeat plus a position Ack), so every
     /// record published after `connect` returns is guaranteed to reach
     /// this subscriber.
-    pub fn connect_from<A: ToSocketAddrs>(addr: A, pos: u64) -> io::Result<Self> {
+    pub(crate) fn connect_from<A: ToSocketAddrs>(addr: A, pos: u64) -> io::Result<Self> {
         let mut sub = Self {
             addrs: addr.to_socket_addrs()?.collect(),
             stream: None,
@@ -854,12 +854,6 @@ impl RecordSubscriber {
     /// Reconnects performed so far.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
-    }
-
-    /// Absolute stream position of the next expected message — where a
-    /// reconnect resumes.
-    pub fn position(&self) -> u64 {
-        self.pos
     }
 
     /// Opens a connection subscribed from `pos` and blocks until the server

@@ -78,18 +78,20 @@
 //! misbehavior, so one bad sensor degrades *itself* and not the fleet:
 //!
 //! ```text
-//!   healthy ──flap_score ≥ flap_threshold──▶ flapping
+//!   healthy ──flap_score ≥ FLAP_THRESHOLD (3)──▶ flapping
 //!      ▲                                        │
 //!      └──score damps ≤ threshold/2 (progress)──┘
-//!   flapping ──flap_score ≥ quarantine_flaps──▶ quarantined
+//!   flapping ──flap_score ≥ QUARANTINE_FLAPS (8)──▶ quarantined
 //!   any      ──decode errors ≥ quarantine_errors──▶ quarantined
-//!   quarantined ──rejects ≥ evict_rejects──▶ evicted
+//!   quarantined ──rejects ≥ EVICT_REJECTS (5)──▶ evicted
 //!   parked   ──resume grace expires──▶ evicted
 //! ```
 //!
-//! Disconnects raise a per-source flap score; sustained progress (each ack
-//! boundary) damps it, and the flapping → healthy transition waits for the
-//! score to fall to half the threshold (hysteresis, no state thrash).
+//! The upper-case thresholds are constants; only `quarantine_errors` is a
+//! [`FleetConfig`] field. Disconnects raise a per-source flap score;
+//! sustained progress (each ack boundary) damps it, and the flapping →
+//! healthy transition waits for the score to fall to half the threshold
+//! (hysteresis, no state thrash).
 //! Quarantine finalizes the stream immediately — the samples that arrived
 //! are analyzed and published, the id refuses further claims — and enough
 //! refused reconnect attempts evict the id outright. Transitions emit
@@ -196,6 +198,15 @@ const SHED_DROP: u8 = 2;
 /// The rungs as their stats-json / event strings, indexed by rung.
 const SHED_NAMES: [&str; 3] = ["none", "throttle", "drop-oldest"];
 
+/// Source health thresholds (see the state diagram in the module docs).
+/// A source's flap score gains one per disconnect and loses one per ack
+/// boundary of progress; at `FLAP_THRESHOLD` it is flapping, at
+/// `QUARANTINE_FLAPS` quarantined. A quarantined source is evicted after
+/// `EVICT_REJECTS` refused reconnect attempts.
+const FLAP_THRESHOLD: u64 = 3;
+const QUARANTINE_FLAPS: u64 = 8;
+const EVICT_REJECTS: u64 = 5;
+
 /// Fleet server knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -208,8 +219,6 @@ pub struct FleetConfig {
     /// Shut down cleanly after this many sources complete (bounded runs:
     /// tests, CI, benchmarks). `None` runs until [`FleetHandle::shutdown`].
     pub expect: Option<u64>,
-    /// Idle interval after which a subscriber connection gets a Heartbeat.
-    pub heartbeat: Duration,
     /// A producer socket silent for this long is evicted (its source is
     /// parked for `resume_grace` like any other disconnect).
     pub idle_timeout: Duration,
@@ -217,15 +226,8 @@ pub struct FleetConfig {
     /// it is evicted and finalized. Zero disables per-source resume (a
     /// dropped sender finalizes immediately).
     pub resume_grace: Duration,
-    /// Flap score at which a source is marked flapping. Each disconnect
-    /// adds one; each ack boundary of progress removes one.
-    pub flap_threshold: u64,
-    /// Flap score at which a flapping source is quarantined.
-    pub quarantine_flaps: u64,
     /// Attributed decode errors at which a source is quarantined.
     pub quarantine_errors: u64,
-    /// Refused reconnect attempts at which a quarantined source is evicted.
-    pub evict_rejects: u64,
     /// Fault-injection plan for chaos testing (`net.server.read`,
     /// `net.fleet.accept`, `net.fleet.source.<id>` sites).
     pub faults: Option<Arc<FaultPlan>>,
@@ -244,13 +246,9 @@ impl Default for FleetConfig {
             overflow: OverflowPolicy::Block,
             sub_queue_cap: 4096,
             expect: None,
-            heartbeat: Duration::from_secs(1),
             idle_timeout: Duration::from_secs(30),
             resume_grace: Duration::from_secs(5),
-            flap_threshold: 3,
-            quarantine_flaps: 8,
             quarantine_errors: 3,
-            evict_rejects: 5,
             faults: None,
             latency_budget: None,
         }
@@ -1346,19 +1344,19 @@ fn raise_health(
 fn health_on_disconnect(inner: &Arc<FleetInner>, src: &Arc<SourceShared>) {
     src.disconnects.fetch_add(1, Ordering::Relaxed);
     let score = src.flap_score.fetch_add(1, Ordering::SeqCst) + 1;
-    if score >= inner.cfg.quarantine_flaps {
+    if score >= QUARANTINE_FLAPS {
         raise_health(
             inner,
             src,
             SourceHealth::Quarantined,
-            &format!("flap score {score} ≥ {}", inner.cfg.quarantine_flaps),
+            &format!("flap score {score} ≥ {QUARANTINE_FLAPS}"),
         );
-    } else if score >= inner.cfg.flap_threshold {
+    } else if score >= FLAP_THRESHOLD {
         raise_health(
             inner,
             src,
             SourceHealth::Flapping,
-            &format!("flap score {score} ≥ {}", inner.cfg.flap_threshold),
+            &format!("flap score {score} ≥ {FLAP_THRESHOLD}"),
         );
     }
 }
@@ -1396,7 +1394,7 @@ fn health_on_progress(inner: &Arc<FleetInner>, src: &Arc<SourceShared>) {
             }
         }
     };
-    if score <= inner.cfg.flap_threshold / 2
+    if score <= FLAP_THRESHOLD / 2
         && src
             .health
             .compare_exchange(
@@ -1641,7 +1639,6 @@ fn apply_frames(
                             hub: &inner.hub,
                             stats: &inner.stats,
                             shutdown: &inner.shutdown,
-                            heartbeat: inner.cfg.heartbeat,
                         };
                         serve_subscriber(&ctx, stream, dec);
                     })
@@ -1819,7 +1816,7 @@ fn reattach(inner: &Arc<FleetInner>, src: &Arc<SourceShared>) -> Admission {
     // quarantined id evicts it outright.
     if src.health() >= SourceHealth::Quarantined {
         let rejects = src.rejects.fetch_add(1, Ordering::SeqCst) + 1;
-        if src.health() == SourceHealth::Quarantined && rejects >= inner.cfg.evict_rejects {
+        if src.health() == SourceHealth::Quarantined && rejects >= EVICT_REJECTS {
             raise_health(
                 inner,
                 src,

@@ -68,14 +68,14 @@
 //! rate. Four things keep it cheap. The payload CRC is
 //! [`rfd_dsp::coding::crc32`], which folds 64 bytes a step with carry-less
 //! multiplies where the CPU has PCLMULQDQ (slice-by-8 elsewhere, and for
-//! payloads under 128 bytes). [`encode_frame_into`] writes the payload
+//! payloads under 128 bytes). `encode_frame_into` writes the payload
 //! straight behind the header into a buffer the sender reuses (one per
 //! `TraceSender`, the outbox itself on a fleet connection), and a sender
 //! whose samples are already wire bytes (a `.rfdt` payload) appends them
 //! behind `CHUNK_BODY_OFFSET` bytes of room and frames them in place with
 //! `seal_sample_chunk`. A receiver reads the socket straight into the
 //! decoder (the crate-internal `FrameDecoder::read_from`) and takes a chunk's body by
-//! reference ([`FrameDecoder::next_decoded`]): the fleet server queues
+//! reference (`FrameDecoder::next_decoded`): the fleet server queues
 //! those bytes as they are, and each source's analysis thread widens them
 //! with `rfd_dsp::kernels::widen_i16_iq`, so no intermediate pair vector
 //! exists on either end. Everything else is parsed in one bulk pass once
@@ -105,7 +105,7 @@ pub const DEFAULT_CHUNK_SAMPLES: usize = 4096;
 /// The most samples one [`Frame::SampleChunk`] can carry under
 /// [`MAX_PAYLOAD`]: its payload is a 12-byte prefix (start sample, count)
 /// plus 4 bytes per sample.
-pub const MAX_CHUNK_SAMPLES: usize = (MAX_PAYLOAD - CHUNK_PREFIX) / 4;
+pub(crate) const MAX_CHUNK_SAMPLES: usize = (MAX_PAYLOAD - CHUNK_PREFIX) / 4;
 /// Bytes of a SampleChunk payload before its I/Q body: `start_sample: u64`
 /// and `n: u32`.
 const CHUNK_PREFIX: usize = 12;
@@ -272,7 +272,7 @@ pub enum Frame {
 
 impl Frame {
     /// The wire type byte.
-    pub fn type_byte(&self) -> u8 {
+    pub(crate) fn type_byte(&self) -> u8 {
         match self {
             Frame::Hello(_) => 0,
             Frame::StreamMeta(_) => 1,
@@ -448,7 +448,7 @@ fn write_payload(frame: &Frame, out: &mut Vec<u8>) {
 /// # Panics
 /// Panics if the payload exceeds [`MAX_PAYLOAD`] (a Record line or sample
 /// chunk that large is a caller bug, not wire input).
-pub fn encode_frame_into(frame: &Frame, seq: u32, out: &mut Vec<u8>) {
+pub(crate) fn encode_frame_into(frame: &Frame, seq: u32, out: &mut Vec<u8>) {
     let start = out.len();
     out.resize(start + HEADER_LEN, 0);
     write_payload(frame, out);
@@ -503,7 +503,7 @@ pub(crate) fn seal_sample_chunk(frame: &mut [u8], start_sample: u64, seq: u32) {
     seal(frame, 2, seq);
 }
 
-/// Serializes `frame` into a fresh buffer; see [`encode_frame_into`].
+/// Serializes `frame` into a fresh buffer; see `encode_frame_into`.
 ///
 /// # Panics
 /// Panics if the payload exceeds [`MAX_PAYLOAD`].
@@ -737,7 +737,7 @@ pub struct SeqFrame {
 /// One frame out of [`FrameDecoder::next_decoded`]: a sample chunk's I/Q
 /// body borrowed from the decoder's buffer, any other frame decoded.
 #[derive(Debug, PartialEq)]
-pub enum Decoded<'a> {
+pub(crate) enum Decoded<'a> {
     /// A validated SampleChunk, its body still in wire form.
     Samples {
         /// The header's per-direction sequence number.
@@ -816,11 +816,6 @@ impl FrameDecoder {
         Ok(n)
     }
 
-    /// Bytes buffered but not yet decoded into frames.
-    pub fn buffered(&self) -> usize {
-        self.filled - self.consumed
-    }
-
     /// Tries to decode the next complete frame.
     ///
     /// Returns `Ok(None)` when more bytes are needed, `Ok(Some(_))` for a
@@ -846,7 +841,7 @@ impl FrameDecoder {
     /// chunk comes back as its validated wire body, borrowed from this
     /// decoder until the next call on it. Same checks, same order, same
     /// errors, same poisoning.
-    pub fn next_decoded(&mut self) -> Result<Option<Decoded<'_>>, FrameError> {
+    pub(crate) fn next_decoded(&mut self) -> Result<Option<Decoded<'_>>, FrameError> {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
@@ -950,6 +945,13 @@ impl FrameDecoder {
 mod tests {
     use super::*;
     use rfd_dsp::rng::Xoshiro256;
+
+    impl FrameDecoder {
+        /// Bytes buffered but not yet decoded into frames.
+        fn buffered(&self) -> usize {
+            self.filled - self.consumed
+        }
+    }
 
     fn all_frames() -> Vec<Frame> {
         vec![

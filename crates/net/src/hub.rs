@@ -54,7 +54,7 @@ pub enum HubMsg {
 
 impl HubMsg {
     /// The source this message is tagged with, if any.
-    pub fn source(&self) -> Option<&str> {
+    pub(crate) fn source(&self) -> Option<&str> {
         match self {
             HubMsg::SourceMeta { source, .. }
             | HubMsg::SourceRecord { source, .. }
@@ -96,7 +96,6 @@ pub struct RecordHub {
     cap: usize,
     history_cap: usize,
     evicted: AtomicU64,
-    published: AtomicU64,
 }
 
 /// One subscription: an id (for unsubscribe) plus the receiving end of the
@@ -110,14 +109,14 @@ pub struct Subscription {
 
 impl RecordHub {
     /// A hub whose subscriber queues hold at most `cap` messages, keeping a
-    /// default-sized replay history (see [`RecordHub::with_history_cap`]).
+    /// default-sized replay history (see `RecordHub::with_history_cap`).
     pub fn new(cap: usize) -> Self {
         Self::with_history_cap(cap, 65_536)
     }
 
     /// A hub with an explicit bound on the replay history (stream messages
     /// kept for reconnecting subscribers; oldest dropped past the cap).
-    pub fn with_history_cap(cap: usize, history_cap: usize) -> Self {
+    pub(crate) fn with_history_cap(cap: usize, history_cap: usize) -> Self {
         Self {
             inner: Mutex::new(HubInner {
                 subs: HashMap::new(),
@@ -128,7 +127,6 @@ impl RecordHub {
             cap: cap.max(1),
             history_cap,
             evicted: AtomicU64::new(0),
-            published: AtomicU64::new(0),
         }
     }
 
@@ -139,7 +137,7 @@ impl RecordHub {
 
     /// Registers a subscriber that receives only messages tagged with
     /// `source` (plus the global `Bye`), live messages only.
-    pub fn subscribe_filtered(&self, source: &str) -> Subscription {
+    pub(crate) fn subscribe_filtered(&self, source: &str) -> Subscription {
         self.subscribe_from_filtered(None, Some(source)).0
     }
 
@@ -154,7 +152,7 @@ impl RecordHub {
     /// snapshot happen under one lock, so the backlog plus the live queue
     /// is exactly the stream from that position with no gap and no
     /// duplicate.
-    pub fn subscribe_from(&self, pos: Option<u64>) -> (Subscription, Vec<HubMsg>, u64, u64) {
+    pub(crate) fn subscribe_from(&self, pos: Option<u64>) -> (Subscription, Vec<HubMsg>, u64, u64) {
         self.subscribe_from_filtered(pos, None)
     }
 
@@ -165,7 +163,7 @@ impl RecordHub {
     /// unfiltered subscription remains valid here.
     ///
     /// [`subscribe_from`]: RecordHub::subscribe_from
-    pub fn subscribe_from_filtered(
+    pub(crate) fn subscribe_from_filtered(
         &self,
         pos: Option<u64>,
         filter: Option<&str>,
@@ -190,14 +188,8 @@ impl RecordHub {
         (Subscription { id, rx }, replay, start, lost)
     }
 
-    /// The absolute position the next stream message will occupy.
-    pub fn stream_pos(&self) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.base + inner.history.len() as u64
-    }
-
     /// Removes a subscriber (normal disconnect; not counted as eviction).
-    pub fn unsubscribe(&self, id: u64) {
+    pub(crate) fn unsubscribe(&self, id: u64) {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -209,7 +201,6 @@ impl RecordHub {
     /// is full is evicted on the spot. Returns how many subscribers
     /// received the message.
     pub fn publish(&self, msg: HubMsg) -> usize {
-        self.published.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         // Stream messages enter the replay history; `Bye` is a connection
         // lifecycle event, not stream content, and is never replayed.
@@ -240,34 +231,32 @@ impl RecordHub {
         delivered
     }
 
-    /// Live subscriber count.
-    pub fn subscriber_count(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .subs
-            .len()
-    }
-
     /// Subscribers evicted (or found disconnected) during publishes.
-    pub fn evicted(&self) -> u64 {
+    pub(crate) fn evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Messages published so far.
-    pub fn published(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
-    }
-
-    /// Per-subscriber queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RecordHub {
+        /// The absolute position the next stream message will occupy.
+        fn stream_pos(&self) -> u64 {
+            let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            inner.base + inner.history.len() as u64
+        }
+
+        /// Live subscriber count.
+        fn subscriber_count(&self) -> usize {
+            self.inner
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .subs
+                .len()
+        }
+    }
 
     fn rec(line: &str) -> HubMsg {
         HubMsg::Record(RecordMsg {

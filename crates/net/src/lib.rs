@@ -54,5 +54,5 @@ pub use frame::{
     validate_source_id, Frame, FrameDecoder, FrameError, RecordMsg, Role, StreamMeta, MAX_SOURCE_ID,
 };
 pub use hub::{HubMsg, RecordHub, Subscription};
-pub use queue::{ChunkQueue, OverflowPolicy, PushOutcome, TryPushError};
+pub use queue::{ChunkQueue, OverflowPolicy, PushOutcome};
 pub use server::{NetStatsSnapshot, Pipeline, Server, ServerConfig, Session};

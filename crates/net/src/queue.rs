@@ -60,7 +60,7 @@ pub enum PushOutcome {
 
 /// Why a [`ChunkQueue::try_push`] returned the item instead of queueing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryPushError<T> {
+pub(crate) enum TryPushError<T> {
     /// The queue is at capacity under [`OverflowPolicy::Block`]; retry when
     /// the consumer makes room.
     Full(T),
@@ -183,7 +183,7 @@ impl<T> ChunkQueue<T> {
     /// [`OverflowPolicy::DropOldest`] it behaves exactly like `push`.
     ///
     /// [`push`]: ChunkQueue::push
-    pub fn try_push(&self, item: T) -> Result<PushOutcome, TryPushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<PushOutcome, TryPushError<T>> {
         let sh = &self.shared;
         let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
         if st.closed {
@@ -210,7 +210,7 @@ impl<T> ChunkQueue<T> {
     /// to trade its oldest chunk for latency when a source is being shed.
     /// Returns whether anything was dropped; the drop counts toward
     /// [`dropped`](Self::dropped).
-    pub fn drop_oldest(&self) -> bool {
+    pub(crate) fn drop_oldest(&self) -> bool {
         let sh = &self.shared;
         let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
         if st.q.pop_front().is_some() {
@@ -243,7 +243,7 @@ impl<T> ChunkQueue<T> {
 
     /// Closes the queue: pending items remain poppable, further pushes
     /// fail, blocked pushers and poppers wake.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let sh = &self.shared;
         sh.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
         sh.items.notify_all();
@@ -266,7 +266,7 @@ impl<T> ChunkQueue<T> {
     }
 
     /// The capacity bound.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.shared.cap
     }
 

@@ -1,8 +1,8 @@
 //! What the ingest server ([`crate::fleet`]) shares with its callers and
 //! its subscriber threads: the [`Pipeline`] trait the analysis stage is
-//! injected through, the wire-level statistics ([`NetStats`] and its
+//! injected through, the wire-level statistics (`NetStats` and its
 //! snapshot), and the subscriber side of a connection
-//! ([`serve_subscriber`]: resume handshake, replay, live queue, heartbeats).
+//! (`serve_subscriber`: resume handshake, replay, live queue, heartbeats).
 //!
 //! ```text
 //!  producer ──TCP──▶ readiness loop ──▶ ChunkQueue ──▶ analysis thread
@@ -124,7 +124,7 @@ impl Cell {
 
 /// Live server statistics (all monotone; mirrored into the telemetry
 /// registry under `net.*` when one is attached).
-pub struct NetStats {
+pub(crate) struct NetStats {
     pub(crate) connections: Cell,
     pub(crate) producers: Cell,
     pub(crate) subscribers: Cell,
@@ -329,8 +329,10 @@ pub(crate) struct SubscriberCtx<'a> {
     pub(crate) hub: &'a RecordHub,
     pub(crate) stats: &'a NetStats,
     pub(crate) shutdown: &'a AtomicBool,
-    pub(crate) heartbeat: Duration,
 }
+
+/// Idle interval after which a subscriber connection gets a Heartbeat.
+const HEARTBEAT: Duration = Duration::from_secs(1);
 
 /// The wire frame for one hub message, plus whether it is the global
 /// end-of-stream marker (after which the connection closes).
@@ -477,7 +479,7 @@ pub(crate) fn serve_subscriber(
         let timeout = if ctx.shutdown.load(Ordering::SeqCst) {
             Duration::from_millis(20)
         } else {
-            ctx.heartbeat
+            HEARTBEAT
         };
         match sub.rx.recv_timeout(timeout) {
             Ok(msg) => {

@@ -19,11 +19,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Prefix applied to every exposed metric name.
-pub const METRIC_PREFIX: &str = "rfd_";
+pub(crate) const METRIC_PREFIX: &str = "rfd_";
 
 /// Sanitizes a registry instrument name into a legal Prometheus metric
 /// name: `[a-zA-Z0-9_]` only, `rfd_` prefixed.
-pub fn metric_name(raw: &str) -> String {
+pub(crate) fn metric_name(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len() + METRIC_PREFIX.len());
     out.push_str(METRIC_PREFIX);
     for ch in raw.chars() {
@@ -76,7 +76,7 @@ fn write_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
 }
 
 /// Encodes a telemetry snapshot as exposition text.
-pub fn encode_snapshot(snap: &Snapshot) -> String {
+pub(crate) fn encode_snapshot(snap: &Snapshot) -> String {
     let mut out = String::with_capacity(4096);
     for (raw, v) in &snap.counters {
         let name = metric_name(raw);
@@ -98,7 +98,7 @@ pub fn encode_snapshot(snap: &Snapshot) -> String {
 
 /// Encodes a registry — its instruments plus the event-log bookkeeping
 /// (`rfd_events_emitted`, `rfd_events_dropped`) — as exposition text.
-pub fn encode_registry(reg: &Registry) -> String {
+pub(crate) fn encode_registry(reg: &Registry) -> String {
     let mut out = encode_snapshot(&reg.snapshot());
     let ev = reg.events();
     for (name, raw, v) in [

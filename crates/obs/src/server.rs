@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Maximum scraper connections being served at once.
-pub const MAX_SCRAPERS: usize = 4;
+pub(crate) const MAX_SCRAPERS: usize = 4;
 /// Maximum bytes of request head we will read.
 const MAX_REQUEST_BYTES: usize = 8192;
 /// Per-connection read/write timeout.

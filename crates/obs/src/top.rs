@@ -80,7 +80,7 @@ pub fn quantile(samples: &BTreeMap<String, f64>, family: &str, q: f64) -> Option
 
 /// Histogram family names present in the sample map (those with a
 /// `_count` sample and at least one `_bucket`), sorted.
-pub fn histogram_families(samples: &BTreeMap<String, f64>) -> Vec<String> {
+pub(crate) fn histogram_families(samples: &BTreeMap<String, f64>) -> Vec<String> {
     samples
         .keys()
         .filter_map(|k| k.strip_suffix("_count"))

@@ -11,11 +11,11 @@ use rfd_dsp::coding::{gf2_mod, u64_to_bits_lsb};
 
 /// The 64-bit PN sequence used to pseudo-randomize the sync word
 /// (full-length member of the length-63 m-sequence family, per the spec).
-pub const PN_SEQUENCE: u64 = 0x83848D96BBCC54FC;
+pub(crate) const PN_SEQUENCE: u64 = 0x83848D96BBCC54FC;
 
 /// Generator polynomial of the (64,30) BCH code, degree 34
 /// (octal 260534236651 per the spec).
-pub const BCH_GENERATOR: u128 = 0o260534236651;
+pub(crate) const BCH_GENERATOR: u128 = 0o260534236651;
 
 /// Builds the 64-bit sync word for a 24-bit LAP.
 ///
@@ -42,7 +42,7 @@ pub fn sync_word(lap: u32) -> u64 {
 
 /// A complete 72-bit access code, in transmission order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccessCode {
+pub(crate) struct AccessCode {
     /// The LAP it was derived from.
     pub lap: u32,
     /// The 64-bit sync word.
@@ -72,20 +72,12 @@ impl AccessCode {
         }
         Self { lap, sync, bits }
     }
-
-    /// The sync word as a bit vector (transmission order).
-    pub fn sync_bits(&self) -> Vec<bool> {
-        u64_to_bits_lsb(self.sync, 64)
-    }
 }
-
-/// Number of access-code bits (preamble 4 + sync 64 + trailer 4).
-pub const ACCESS_CODE_BITS: usize = 72;
 
 /// Correlation threshold for declaring a sync-word hit: the spec recommends
 /// tolerating a handful of bit errors; BlueSniff-style sniffers use ≥ 57 of
 /// 64 matching bits.
-pub const SYNC_CORR_THRESHOLD: u32 = 57;
+pub(crate) const SYNC_CORR_THRESHOLD: u32 = 57;
 
 #[cfg(test)]
 mod tests {
@@ -143,7 +135,8 @@ mod tests {
     #[test]
     fn access_code_is_72_bits_with_alternating_ends() {
         let ac = AccessCode::new(0x9E8B33);
-        assert_eq!(ac.bits.len(), ACCESS_CODE_BITS);
+        // Preamble 4 + sync 64 + trailer 4.
+        assert_eq!(ac.bits.len(), 72);
         // Preamble alternates and joins sync bit 0 alternately.
         for i in 0..3 {
             assert_ne!(ac.bits[i], ac.bits[i + 1], "preamble must alternate");
@@ -153,15 +146,6 @@ mod tests {
         assert_ne!(ac.bits[67], ac.bits[68], "sync->trailer must alternate");
         for i in 68..71 {
             assert_ne!(ac.bits[i], ac.bits[i + 1], "trailer must alternate");
-        }
-    }
-
-    #[test]
-    fn sync_bits_match_word() {
-        let ac = AccessCode::new(0x5A5A5A);
-        let bits = ac.sync_bits();
-        for (i, &b) in bits.iter().enumerate() {
-            assert_eq!(b, (ac.sync >> i) & 1 == 1);
         }
     }
 }

@@ -93,7 +93,6 @@ const MIX_PIECE: usize = 1024;
 /// A single-channel Bluetooth receiver.
 pub struct BtChannelRx {
     channel_tag: u8,
-    input_rate: f64,
     decim: usize,
     nco: Nco,
     fir: Fir,
@@ -131,7 +130,6 @@ impl BtChannelRx {
         let syncs = piconets.iter().map(|p| sync_word(p.lap)).collect();
         Self {
             channel_tag,
-            input_rate,
             decim,
             nco: Nco::new(-offset_hz, input_rate),
             fir: Fir::new(taps),
@@ -324,16 +322,6 @@ impl BtChannelRx {
     pub fn finish(&mut self) -> Vec<BtRxResult> {
         self.drain_pending(true);
         std::mem::take(&mut self.results)
-    }
-
-    /// Drains results decoded so far.
-    pub fn take_results(&mut self) -> Vec<BtRxResult> {
-        std::mem::take(&mut self.results)
-    }
-
-    /// The configured input rate.
-    pub fn input_rate(&self) -> f64 {
-        self.input_rate
     }
 }
 

@@ -88,7 +88,15 @@ pub fn modulate(packet: &BtPacket, cfg: BtTxConfig) -> Waveform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfd_dsp::phase::{phase_diff, phase_diff2};
+    use rfd_dsp::nco::Nco;
+    use rfd_dsp::phase::{phase_diff, wrap_phase};
+
+    /// Second phase derivative: differences of [`phase_diff`], wrapped;
+    /// length `samples.len() - 2`.
+    fn phase_diff2(samples: &[Complex32]) -> Vec<f32> {
+        let d1 = phase_diff(samples);
+        d1.windows(2).map(|w| wrap_phase(w[1] - w[0])).collect()
+    }
 
     fn alternating(n: usize) -> Vec<bool> {
         (0..n).map(|i| i % 2 == 0).collect()
@@ -99,7 +107,7 @@ mod tests {
         let bits = alternating(100);
         let w = modulate_bits(&bits, BtTxConfig { sample_rate: 8e6 });
         assert_eq!(w.samples.len(), 800);
-        assert!((w.duration_us() - 100.0).abs() < 1e-9);
+        assert!((w.duration() * 1e6 - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -126,6 +134,15 @@ mod tests {
         // Mid-run of zeros: samples ~420..580.
         for &v in &d[420..580] {
             assert!((v + k).abs() < 0.01 * k.abs(), "dev {v} vs {}", -k);
+        }
+    }
+
+    #[test]
+    fn phase_diff2_of_tone_is_zero() {
+        let mut nco = Nco::new(2.1e6, 8e6);
+        let sig: Vec<Complex32> = (0..64).map(|_| nco.next()).collect();
+        for v in phase_diff2(&sig) {
+            assert!(v.abs() < 1e-4);
         }
     }
 

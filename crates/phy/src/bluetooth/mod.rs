@@ -23,22 +23,22 @@ pub mod gfsk;
 pub mod hop;
 pub mod packet;
 
-pub use access_code::{sync_word, AccessCode};
+pub use access_code::sync_word;
 pub use demod::{BtChannelRx, BtRxBank, BtRxResult};
 pub use gfsk::{modulate, BtTxConfig};
 pub use hop::{channel_freq_hz, HopSequence, SLOT_US};
 pub use packet::{BtPacket, BtPacketType};
 
 /// Bluetooth BR symbol rate: 1 Msym/s.
-pub const SYMBOL_RATE: f64 = 1e6;
+pub(crate) const SYMBOL_RATE: f64 = 1e6;
 /// Channel spacing / occupied width, 1 MHz.
 pub const CHANNEL_WIDTH_HZ: f64 = 1e6;
 /// Number of RF channels in the 2.4 GHz band.
 pub const NUM_CHANNELS: u8 = 79;
 /// GFSK bandwidth-time product.
-pub const GFSK_BT: f64 = 0.5;
+pub(crate) const GFSK_BT: f64 = 0.5;
 /// GFSK modulation index (deviation = h/2 × symbol rate = 160 kHz).
-pub const GFSK_H: f64 = 0.32;
+pub(crate) const GFSK_H: f64 = 0.32;
 
 #[cfg(test)]
 mod tests {

@@ -37,7 +37,7 @@ pub enum BtPacketType {
 
 impl BtPacketType {
     /// The 4-bit TYPE field value.
-    pub fn type_code(self) -> u8 {
+    pub(crate) fn type_code(self) -> u8 {
         match self {
             BtPacketType::Poll => 1,
             BtPacketType::Dm1 => 3,
@@ -50,7 +50,7 @@ impl BtPacketType {
     }
 
     /// Decodes a TYPE field value.
-    pub fn from_type_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_type_code(code: u8) -> Option<Self> {
         match code {
             1 => Some(BtPacketType::Poll),
             3 => Some(BtPacketType::Dm1),
@@ -86,7 +86,7 @@ impl BtPacketType {
     }
 
     /// Whether the payload passes through the 2/3-rate FEC.
-    pub fn has_fec23(self) -> bool {
+    pub(crate) fn has_fec23(self) -> bool {
         matches!(
             self,
             BtPacketType::Dm1 | BtPacketType::Dm3 | BtPacketType::Dm5
@@ -94,7 +94,7 @@ impl BtPacketType {
     }
 
     /// Whether the payload header is the 2-byte multi-slot form.
-    pub fn has_wide_payload_header(self) -> bool {
+    pub(crate) fn has_wide_payload_header(self) -> bool {
         self.slots() > 1
     }
 }

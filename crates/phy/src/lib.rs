@@ -93,11 +93,6 @@ impl Waveform {
         self.samples.len() as f64 / self.sample_rate
     }
 
-    /// Duration in microseconds.
-    pub fn duration_us(&self) -> f64 {
-        self.duration() * 1e6
-    }
-
     /// Mean power of the waveform.
     pub fn mean_power(&self) -> f32 {
         rfd_dsp::complex::mean_power(&self.samples)
@@ -122,6 +117,6 @@ mod tests {
             samples: vec![Complex32::ZERO; 8000],
             sample_rate: 8e6,
         };
-        assert!((w.duration_us() - 1000.0).abs() < 1e-9);
+        assert!((w.duration() - 1e-3).abs() < 1e-12);
     }
 }

@@ -36,18 +36,6 @@ impl Default for MicrowaveConfig {
     }
 }
 
-impl MicrowaveConfig {
-    /// AC period in microseconds (16 667 µs at 60 Hz).
-    pub fn period_us(&self) -> f64 {
-        1e6 / self.mains_hz
-    }
-
-    /// Burst (on-time) duration in microseconds.
-    pub fn burst_us(&self) -> f64 {
-        self.period_us() * self.duty
-    }
-}
-
 /// Renders `duration_s` of microwave emission at `sample_rate`, starting at
 /// AC phase `start_s` seconds into the mains cycle. Emission is centered at
 /// baseband and wanders ±`sweep_hz` sinusoidally.
@@ -84,10 +72,8 @@ mod tests {
 
     #[test]
     fn burst_timing_matches_mains() {
-        let cfg = MicrowaveConfig::default();
-        assert!((cfg.period_us() - 16_666.7).abs() < 1.0);
-        let w = render(&cfg, 1e6, 0.0, 0.05); // 50 ms at 1 Msps
-                                              // Count on/off transitions: 3 periods -> 3 rising edges.
+        // 50 ms at 1 Msps. Count on/off transitions: 3 periods -> 3 rising edges.
+        let w = render(&MicrowaveConfig::default(), 1e6, 0.0, 0.05);
         let mut rising = Vec::new();
         for i in 1..w.samples.len() {
             let was_on = w.samples[i - 1].abs() > 0.5;
@@ -128,7 +114,12 @@ mod tests {
             mains_hz: 50.0,
             ..Default::default()
         };
-        assert!((cfg.period_us() - 20_000.0).abs() < 1e-9);
+        let w = render(&cfg, 1e6, 0.0, 0.06); // 60 ms at 1 Msps
+        let on: Vec<bool> = w.samples.iter().map(|z| z.abs() > 0.5).collect();
+        let rising: Vec<usize> = (1..on.len()).filter(|&i| on[i] && !on[i - 1]).collect();
+        assert_eq!(rising.len(), 2, "edges at {rising:?}");
+        let gap = (rising[1] - rising[0]) as f64; // in us at 1 Msps
+        assert!((gap - 20_000.0).abs() < 2.0, "period {gap}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rfd_dsp::Complex32;
 pub const BARKER11: [f32; 11] = [1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0];
 
 /// Spreads one complex symbol into 11 chips (one output sample per chip).
-pub fn spread_symbol(symbol: Complex32, out: &mut Vec<Complex32>) {
+pub(crate) fn spread_symbol(symbol: Complex32, out: &mut Vec<Complex32>) {
     for &c in BARKER11.iter() {
         out.push(symbol.scale(c));
     }
@@ -31,16 +31,15 @@ pub fn despread_symbol(chips: &[Complex32]) -> Complex32 {
     acc.scale(1.0 / 11.0)
 }
 
-/// Barker autocorrelation magnitude at a given cyclic lag (used in tests and
-/// by alignment search heuristics).
-pub fn autocorr(lag: usize) -> f32 {
-    let n = BARKER11.len();
-    (0..n).map(|i| BARKER11[i] * BARKER11[(i + lag) % n]).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Barker autocorrelation at a given cyclic lag.
+    fn autocorr(lag: usize) -> f32 {
+        let n = BARKER11.len();
+        (0..n).map(|i| BARKER11[i] * BARKER11[(i + lag) % n]).sum()
+    }
 
     #[test]
     fn autocorrelation_peak_and_sidelobes() {

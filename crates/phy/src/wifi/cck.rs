@@ -14,9 +14,6 @@
 use rfd_dsp::Complex32;
 use std::f32::consts::{FRAC_PI_2, PI};
 
-/// Chips per CCK symbol.
-pub const CHIPS_PER_SYMBOL: usize = 8;
-
 /// QPSK phase for a data dibit, first-transmitted bit `d0`:
 /// (0,0) -> 0, (1,0) -> pi/2, (0,1) -> pi, (1,1) -> 3pi/2.
 fn qpsk_phase(d0: bool, d1: bool) -> f32 {
@@ -45,7 +42,7 @@ fn dqpsk_increment(d0: bool, d1: bool, odd_symbol: bool) -> f32 {
 }
 
 /// Generates the 8 chips for given phases.
-pub fn chips_for_phases(p1: f32, p2: f32, p3: f32, p4: f32) -> [Complex32; 8] {
+pub(crate) fn chips_for_phases(p1: f32, p2: f32, p3: f32, p4: f32) -> [Complex32; 8] {
     let e = Complex32::cis;
     [
         e(p1 + p2 + p3 + p4),
@@ -64,7 +61,11 @@ pub fn chips_for_phases(p1: f32, p2: f32, p3: f32, p4: f32) -> [Complex32; 8] {
 /// * `bits` — 4 bits (5.5 Mbps) or 8 bits (11 Mbps), in transmission order.
 /// * `phase_ref` — running DQPSK reference phase; updated in place.
 /// * `symbol_index` — index within the PSDU (drives the even/odd pi).
-pub fn encode_symbol(bits: &[bool], phase_ref: &mut f32, symbol_index: usize) -> [Complex32; 8] {
+pub(crate) fn encode_symbol(
+    bits: &[bool],
+    phase_ref: &mut f32,
+    symbol_index: usize,
+) -> [Complex32; 8] {
     let odd = symbol_index % 2 == 1;
     match bits.len() {
         4 => {
@@ -88,7 +89,7 @@ pub fn encode_symbol(bits: &[bool], phase_ref: &mut f32, symbol_index: usize) ->
 
 /// All candidate `(p2, p3, p4)` phase triples (and their data bits) for a
 /// rate, used by the maximum-likelihood demodulator.
-pub fn candidates(bits_per_symbol: usize) -> Vec<(Vec<bool>, f32, f32, f32)> {
+pub(crate) fn candidates(bits_per_symbol: usize) -> Vec<(Vec<bool>, f32, f32, f32)> {
     match bits_per_symbol {
         4 => {
             let mut v = Vec::with_capacity(4);
@@ -124,7 +125,7 @@ pub fn candidates(bits_per_symbol: usize) -> Vec<(Vec<bool>, f32, f32, f32)> {
 ///
 /// Returns the decoded bits (4 or 8) and the correlation magnitude
 /// (normalized to 1.0 for a clean symbol).
-pub fn decode_symbol(
+pub(crate) fn decode_symbol(
     chips: &[Complex32],
     bits_per_symbol: usize,
     phase_ref: &mut f32,

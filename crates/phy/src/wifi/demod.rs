@@ -27,7 +27,7 @@ use std::f32::consts::FRAC_PI_2;
 
 /// Maximum PSDU length we will attempt to decode (guards against a corrupt
 /// LENGTH field that still passed the CRC).
-pub const MAX_PSDU: usize = 4096;
+pub(crate) const MAX_PSDU: usize = 4096;
 
 /// Result of a successful 802.11b decode.
 #[derive(Debug, Clone)]

@@ -28,9 +28,9 @@ pub const SLOT_US: f64 = 20.0;
 /// 802.11b distributed interframe space: SIFS + 2 × slot.
 pub const DIFS_US: f64 = SIFS_US + 2.0 * SLOT_US;
 /// Long PLCP preamble duration (144 bits at 1 Mbps), microseconds.
-pub const LONG_PREAMBLE_US: f64 = 144.0;
+pub(crate) const LONG_PREAMBLE_US: f64 = 144.0;
 /// PLCP header duration (48 bits at 1 Mbps), microseconds.
-pub const PLCP_HEADER_US: f64 = 48.0;
+pub(crate) const PLCP_HEADER_US: f64 = 48.0;
 /// Chip rate of the DSSS PHY, chips per second.
 pub const CHIP_RATE: f64 = 11e6;
 /// 802.11 DSSS channel width (drives what fraction an 8 MHz monitor sees).
@@ -38,7 +38,7 @@ pub const CHANNEL_WIDTH_HZ: f64 = 22e6;
 
 /// Airtime of a PSDU of `len` bytes at `rate`, excluding preamble+header, in
 /// microseconds.
-pub fn psdu_airtime_us(len: usize, rate: WifiRate) -> f64 {
+pub(crate) fn psdu_airtime_us(len: usize, rate: WifiRate) -> f64 {
     (len as f64) * 8.0 / rate.mbps()
 }
 

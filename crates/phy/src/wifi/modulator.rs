@@ -117,7 +117,7 @@ mod tests {
         let w = modulate(&psdu, WifiTxConfig { rate: WifiRate::R1 });
         // (192 + 800) bits at 11 chips/bit.
         assert_eq!(w.samples.len(), (192 + 800) * 11);
-        assert!((w.duration_us() - frame_airtime_us(100, WifiRate::R1)).abs() < 1e-6);
+        assert!((w.duration() * 1e6 - frame_airtime_us(100, WifiRate::R1)).abs() < 1e-6);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub enum WifiRate {
 
 impl WifiRate {
     /// Rate in Mbps.
-    pub fn mbps(self) -> f64 {
+    pub(crate) fn mbps(self) -> f64 {
         match self {
             WifiRate::R1 => 1.0,
             WifiRate::R2 => 2.0,
@@ -32,7 +32,7 @@ impl WifiRate {
     }
 
     /// SIGNAL field encoding (rate in units of 100 kbps).
-    pub fn signal(self) -> u8 {
+    pub(crate) fn signal(self) -> u8 {
         match self {
             WifiRate::R1 => 0x0A,
             WifiRate::R2 => 0x14,
@@ -42,7 +42,7 @@ impl WifiRate {
     }
 
     /// Decodes a SIGNAL field.
-    pub fn from_signal(signal: u8) -> Option<Self> {
+    pub(crate) fn from_signal(signal: u8) -> Option<Self> {
         match signal {
             0x0A => Some(WifiRate::R1),
             0x14 => Some(WifiRate::R2),
@@ -53,7 +53,7 @@ impl WifiRate {
     }
 
     /// Data bits carried per PSK/CCK symbol.
-    pub fn bits_per_symbol(self) -> usize {
+    pub(crate) fn bits_per_symbol(self) -> usize {
         match self {
             WifiRate::R1 => 1,
             WifiRate::R2 => 2,
@@ -63,7 +63,7 @@ impl WifiRate {
     }
 
     /// Chips per symbol (Barker = 11, CCK = 8).
-    pub fn chips_per_symbol(self) -> usize {
+    pub(crate) fn chips_per_symbol(self) -> usize {
         match self {
             WifiRate::R1 | WifiRate::R2 => 11,
             WifiRate::R5_5 | WifiRate::R11 => 8,
@@ -78,15 +78,15 @@ impl std::fmt::Display for WifiRate {
 }
 
 /// SYNC length in bits for the long preamble.
-pub const SYNC_BITS: usize = 128;
+pub(crate) const SYNC_BITS: usize = 128;
 /// Start frame delimiter for the long preamble, transmitted LSB first.
-pub const SFD: u16 = 0xF3A0;
+pub(crate) const SFD: u16 = 0xF3A0;
 /// Scrambler seed for the long preamble (§18.2.4).
-pub const SCRAMBLER_SEED_LONG: u8 = 0x1B;
+pub(crate) const SCRAMBLER_SEED_LONG: u8 = 0x1B;
 /// SERVICE-field bit marking the length-extension for 11 Mbps (bit 7).
-pub const SERVICE_LENGTH_EXT: u8 = 0x80;
+pub(crate) const SERVICE_LENGTH_EXT: u8 = 0x80;
 /// SERVICE-field bit indicating locked clocks (bit 2); we always set it.
-pub const SERVICE_LOCKED_CLOCKS: u8 = 0x04;
+pub(crate) const SERVICE_LOCKED_CLOCKS: u8 = 0x04;
 
 /// A decoded PLCP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,7 +176,7 @@ impl PlcpHeader {
 }
 
 /// Builds the unscrambled PPDU prefix bits: SYNC (128 ones) + SFD + header.
-pub fn preamble_and_header_bits(header: &PlcpHeader) -> Vec<bool> {
+pub(crate) fn preamble_and_header_bits(header: &PlcpHeader) -> Vec<bool> {
     let mut bits = Vec::with_capacity(SYNC_BITS + 16 + 48);
     bits.extend(std::iter::repeat_n(true, SYNC_BITS));
     bits.extend(u64_to_bits_lsb(SFD as u64, 16));
@@ -185,7 +185,7 @@ pub fn preamble_and_header_bits(header: &PlcpHeader) -> Vec<bool> {
 }
 
 /// SFD bit pattern (LSB first) for matching in a descrambled bit stream.
-pub fn sfd_bits() -> Vec<bool> {
+pub(crate) fn sfd_bits() -> Vec<bool> {
     u64_to_bits_lsb(SFD as u64, 16)
 }
 

@@ -17,10 +17,8 @@ use rfd_dsp::Complex32;
 
 /// Chip rate of the 2.4 GHz PHY.
 pub const CHIP_RATE: f64 = 2e6;
-/// Symbol rate (4 bits per symbol, 32 chips per symbol).
-pub const SYMBOL_RATE: f64 = 62.5e3;
-/// Chips per symbol.
-pub const CHIPS_PER_SYMBOL: usize = 32;
+/// Chips per symbol (4 bits per symbol, 62.5 ksym/s).
+pub(crate) const CHIPS_PER_SYMBOL: usize = 32;
 /// Occupied channel width (approximately; the main lobe).
 pub const CHANNEL_WIDTH_HZ: f64 = 5e6;
 /// MAC/PHY timing: one backoff period = 20 symbols = 320 µs (Table 2).
@@ -30,12 +28,10 @@ pub const TACK_US: f64 = 192.0;
 /// LIFS (long interframe space) = 40 symbols = 640 µs; paper's Table 2
 /// quotes the 600 µs order of magnitude.
 pub const LIFS_US: f64 = 640.0;
-/// SIFS (short interframe space) = 12 symbols = 192 µs.
-pub const SIFS_US: f64 = 192.0;
 
 /// The 16 PN sequences (IEEE 802.15.4-2006 Table 24), chip 0 first,
 /// bit i of the u32 = chip i.
-pub const PN: [u32; 16] = [
+pub(crate) const PN: [u32; 16] = [
     0b1101_1001_1100_0011_0101_0010_0010_1110,
     0b1110_1101_1001_1100_0011_0101_0010_0010,
     0b0010_1110_1101_1001_1100_0011_0101_0010,
@@ -55,9 +51,9 @@ pub const PN: [u32; 16] = [
 ];
 
 /// SHR: 8 zero symbols of preamble followed by the SFD byte 0xA7.
-pub const PREAMBLE_SYMBOLS: usize = 8;
+pub(crate) const PREAMBLE_SYMBOLS: usize = 8;
 /// Start-of-frame delimiter.
-pub const SFD: u8 = 0xA7;
+pub(crate) const SFD: u8 = 0xA7;
 
 // NOTE on bit order inside PN constants: the binary literals above read
 // left-to-right as chip 31 .. chip 0 because Rust literals are MSB-first;
@@ -65,7 +61,7 @@ pub const SFD: u8 = 0xA7;
 
 /// Chip `i` (0 = first transmitted) of PN sequence `s`.
 #[inline]
-pub fn chip(s: u8, i: usize) -> bool {
+pub(crate) fn chip(s: u8, i: usize) -> bool {
     debug_assert!(i < 32);
     (PN[s as usize] >> (31 - i)) & 1 == 1
 }
@@ -86,7 +82,7 @@ impl ZigbeeFrame {
     }
 
     /// PSDU bytes including FCS.
-    pub fn psdu(&self) -> Vec<u8> {
+    pub(crate) fn psdu(&self) -> Vec<u8> {
         let mut v = self.payload.clone();
         let fcs = Crc::crc16_802154().compute(&v) as u16;
         v.extend_from_slice(&fcs.to_le_bytes());
@@ -94,7 +90,7 @@ impl ZigbeeFrame {
     }
 
     /// Parses and FCS-verifies a PSDU.
-    pub fn from_psdu(psdu: &[u8]) -> Option<Self> {
+    pub(crate) fn from_psdu(psdu: &[u8]) -> Option<Self> {
         if psdu.len() < 2 {
             return None;
         }
@@ -116,7 +112,7 @@ impl ZigbeeFrame {
 }
 
 /// The 4-bit data symbols of a full PPDU: preamble, SFD, PHR (length), PSDU.
-pub fn ppdu_symbols(frame: &ZigbeeFrame) -> Vec<u8> {
+pub(crate) fn ppdu_symbols(frame: &ZigbeeFrame) -> Vec<u8> {
     let psdu = frame.psdu();
     let mut nibbles = Vec::with_capacity(PREAMBLE_SYMBOLS + 2 + 2 + psdu.len() * 2);
     nibbles.extend(std::iter::repeat_n(0u8, PREAMBLE_SYMBOLS));

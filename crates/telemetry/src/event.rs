@@ -183,12 +183,6 @@ impl EventLog {
             .collect()
     }
 
-    /// Snapshot of the most recent `n` events, oldest first.
-    pub fn tail(&self, n: usize) -> Vec<Event> {
-        let q = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        q.iter().skip(q.len().saturating_sub(n)).cloned().collect()
-    }
-
     /// JSON: `{ "emitted": n, "dropped": d, "ring": [event, ...] }`.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj(vec![
@@ -228,11 +222,10 @@ mod tests {
         let evs = log.events();
         assert_eq!(evs.len(), 4);
         assert_eq!(evs[0].detail, "cp6");
+        assert_eq!(evs[2].detail, "cp8");
         assert_eq!(evs[3].detail, "cp9");
         assert_eq!(log.dropped(), 6);
         assert_eq!(log.emitted(), 10);
-        assert_eq!(log.tail(2).len(), 2);
-        assert_eq!(log.tail(2)[0].detail, "cp8");
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Histogram {
     ///
     /// # Panics
     /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn with_bounds(bounds: Vec<f64>) -> Self {
+    pub(crate) fn with_bounds(bounds: Vec<f64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -188,21 +188,11 @@ impl Histogram {
     }
 
     /// Largest recorded observation (0 when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.count() == 0 {
             0.0
         } else {
             f64::from_bits(self.max_bits.load(Ordering::Relaxed))
-        }
-    }
-
-    /// Mean of recorded observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
         }
     }
 
@@ -331,11 +321,6 @@ impl HistogramWindow {
         self.prev_total = total;
         self.prev_sum = sum;
         snap
-    }
-
-    /// Total observations the baseline has consumed so far.
-    pub fn consumed(&self) -> u64 {
-        self.prev_total
     }
 }
 
@@ -533,7 +518,7 @@ mod tests {
             h.record(i as f64 / 100.0);
         }
         assert_eq!(h.count(), 100);
-        assert!((h.mean() - 0.495).abs() < 1e-9);
+        assert!((h.sum() / h.count() as f64 - 0.495).abs() < 1e-9);
         let p50 = h.quantile(0.5);
         let p95 = h.quantile(0.95);
         let p99 = h.quantile(0.99);
@@ -623,7 +608,7 @@ mod tests {
         let b = w.advance(&h);
         assert_eq!(b.count, 1, "second window sees only the new sample");
         assert!(b.p99 >= 5000.0, "p99 {} must cover 5000", b.p99);
-        assert_eq!(w.consumed(), 4);
+        assert_eq!(w.prev_total, 4);
     }
 
     #[test]

@@ -46,26 +46,12 @@ impl RtMonitor {
         }
     }
 
-    /// The monitored sample rate.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
-    }
-
     /// Adds `cpu` time spent processing `samples` samples to `stage`.
     pub fn record(&self, stage: &str, cpu: Duration, samples: u64) {
         let mut map = self.stages.lock().unwrap_or_else(|e| e.into_inner());
         let acc = map.entry(stage.to_string()).or_default();
         acc.cpu += cpu;
         acc.samples += samples;
-    }
-
-    /// The accumulated ratio for one stage, if it has reported.
-    pub fn stage(&self, stage: &str) -> Option<RtStage> {
-        self.stages
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(stage)
-            .map(|acc| self.derive(*acc))
     }
 
     /// All stages, name-ordered.
@@ -120,7 +106,7 @@ mod tests {
         let m = RtMonitor::new(8e6);
         // 1 M samples at 8 Msps = 125 ms of signal; 25 ms CPU => 0.2x.
         m.record("detect", Duration::from_millis(25), 1_000_000);
-        let s = m.stage("detect").unwrap();
+        let s = &m.snapshot()["detect"];
         assert!((s.signal_s - 0.125).abs() < 1e-9);
         assert!((s.ratio - 0.2).abs() < 1e-6, "ratio {}", s.ratio);
     }
@@ -141,8 +127,9 @@ mod tests {
     fn empty_stage_reports_zero_ratio() {
         let m = RtMonitor::new(8e6);
         m.record("idle", Duration::from_millis(1), 0);
-        assert_eq!(m.stage("idle").unwrap().ratio, 0.0);
-        assert!(m.stage("nope").is_none());
+        let snap = m.snapshot();
+        assert_eq!(snap["idle"].ratio, 0.0);
+        assert!(!snap.contains_key("nope"));
     }
 
     #[test]

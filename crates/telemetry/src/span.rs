@@ -53,16 +53,6 @@ impl SpanTracer {
         }
     }
 
-    /// Starts a span; the span is recorded when the guard drops.
-    pub fn span(&self, name: &str, cat: &'static str) -> SpanGuard<'_> {
-        SpanGuard {
-            tracer: self,
-            name: name.to_string(),
-            cat,
-            start: Instant::now(),
-        }
-    }
-
     /// Records a completed span explicitly.
     pub fn record(&self, name: &str, cat: &'static str, start: Instant, dur: Duration) {
         let ts_us = start.saturating_duration_since(self.epoch).as_secs_f64() * 1e6;
@@ -118,21 +108,6 @@ impl SpanTracer {
     }
 }
 
-/// An in-flight span; records itself into the tracer on drop.
-pub struct SpanGuard<'a> {
-    tracer: &'a SpanTracer,
-    name: String,
-    cat: &'static str,
-    start: Instant,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.tracer
-            .record(&self.name, self.cat, self.start, self.start.elapsed());
-    }
-}
-
 /// A small stable integer for the current thread (chrome trace `tid`).
 fn thread_tid() -> u64 {
     use std::hash::{Hash, Hasher};
@@ -144,18 +119,6 @@ fn thread_tid() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spans_are_recorded_on_drop() {
-        let t = SpanTracer::new(8);
-        {
-            let _g = t.span("work", "test");
-        }
-        let evs = t.events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].name, "work");
-        assert!(evs[0].dur_us >= 0.0);
-    }
 
     #[test]
     fn ring_buffer_is_bounded_and_keeps_the_tail() {
