@@ -465,3 +465,332 @@ fn send_retries_zero_fails_on_an_injected_disconnect_and_one_retry_recovers() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+// ---------------------------------------------------------------------------
+// The flag surface, pinned: what each subcommand accepts, refuses, and says
+// when a flag's value is missing.
+// ---------------------------------------------------------------------------
+
+/// The usage text alone: what `rfdump` with no arguments prints.
+fn usage_text() -> String {
+    let out = rfdump(&[]);
+    assert_eq!(out.status.code(), Some(2), "bare rfdump is a usage error");
+    let usage = String::from_utf8(out.stderr).unwrap();
+    assert!(usage.starts_with("usage: rfdump -r FILE"), "usage: {usage}");
+    usage
+}
+
+/// Asserts a usage error: exit 2, exactly the line `rfdump: {msg}`, then the
+/// usage text and nothing else.
+fn assert_usage_error(args: &[&str], msg: &str, usage: &str) {
+    let out = rfdump(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("rfdump: {msg}\n{usage}"),
+        "{args:?}"
+    );
+}
+
+/// The analysis flags `rfdump -r` and `serve` share that take a value, with
+/// what each says it needs when the value is missing.
+const SHARED_VALUE_FLAGS: &[(&str, &str)] = &[
+    ("-a", "an architecture"),
+    ("-d", "a set"),
+    ("-p", "LAP:UAP"),
+    ("--workers", "a count"),
+    ("--stats-json", "a file"),
+    ("--trace-out", "a file"),
+    ("--chaos", "a spec"),
+    ("--governor", "a level"),
+    ("--latency-budget", "milliseconds"),
+    ("--journal", "a directory"),
+    ("--metrics-addr", "host:port"),
+];
+
+#[test]
+fn every_value_flag_given_last_names_the_value_it_needs() {
+    let usage = usage_text();
+    for (flag, what) in SHARED_VALUE_FLAGS {
+        let msg = format!("{flag} needs {what}");
+        assert_usage_error(&[flag], &msg, &usage);
+        assert_usage_error(&["serve", flag], &msg, &usage);
+    }
+    let own: &[(&[&str], &str)] = &[
+        (&["-r"], "-r needs a file"),
+        (&["serve", "--listen"], "--listen needs an address"),
+        (&["serve", "--expect"], "--expect needs a count"),
+        (
+            &["serve", "--source-timeout"],
+            "--source-timeout needs seconds",
+        ),
+        (&["serve", "--queue-cap"], "--queue-cap needs a count"),
+        (
+            &["serve", "--sub-queue-cap"],
+            "--sub-queue-cap needs a count",
+        ),
+        (&["serve", "--overflow"], "--overflow needs a policy"),
+        (&["serve", "--resume-grace"], "--resume-grace needs seconds"),
+        (&["send", "--connect"], "--connect needs an address"),
+        (&["send", "--source"], "--source needs an id"),
+        (&["send", "--rate"], "--rate needs max|real-time"),
+        (&["send", "--chunk"], "--chunk needs a sample count"),
+        (&["send", "--retries"], "--retries needs a count"),
+        (&["send", "--chaos"], "--chaos needs a spec"),
+        (&["watch", "--connect"], "--connect needs an address"),
+        (&["watch", "--source"], "--source needs an id"),
+        (
+            &["watch", "--wait-source"],
+            "--wait-source needs positive seconds",
+        ),
+        (&["watch", "--chaos"], "--chaos needs a spec"),
+        (&["watch", "--journal"], "--journal needs a directory"),
+        (&["top", "--connect"], "--connect needs an address"),
+        (&["top", "--interval"], "--interval needs positive seconds"),
+    ];
+    for (args, msg) in own {
+        assert_usage_error(args, msg, &usage);
+    }
+}
+
+#[test]
+fn replay_and_serve_accept_every_shared_analysis_flag() {
+    let golden = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let trace = golden.join("wifi.rfdt");
+    let dir = std::env::temp_dir().join(format!("rfd-cli-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (stats, spans, journal) = (file("stats.json"), file("spans.json"), file("journal"));
+    let shared: Vec<Vec<&str>> = vec![
+        vec!["-a", "rfdump"],
+        vec!["-d", "all"],
+        vec!["-n"],
+        vec!["-p", "9E8B33:47"],
+        vec!["-z"],
+        vec!["-q"],
+        vec!["--workers", "2"],
+        vec!["--no-telemetry"],
+        vec!["--stats-json", &stats],
+        vec!["--trace-out", &spans],
+        vec!["--chaos", "seed=7;slow=analyze@0.02/100us"],
+        vec!["--governor", "1"],
+        vec!["--latency-budget", "1000"],
+        vec!["--journal", &journal],
+        vec!["--journal", &journal, "--resume"],
+        vec!["--metrics-addr", "127.0.0.1:0"],
+    ];
+    // A port that is already taken: `serve` parses its whole command line
+    // before it binds, so failing to listen proves the flags parsed.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let taken = taken.local_addr().unwrap().to_string();
+    for flags in &shared {
+        let mut args = vec!["-r", trace.to_str().unwrap()];
+        args.extend_from_slice(flags);
+        args.push("-q");
+        let out = rfdump(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "rfdump -r accepts {flags:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let mut args = vec!["serve", "--listen", &taken];
+        args.extend_from_slice(flags);
+        let out = rfdump(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "serve accepts {flags:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("rfdump: cannot listen on {taken}")),
+            "serve accepts {flags:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn each_mode_refuses_the_other_modes_flags() {
+    let usage = usage_text();
+    for flag in ["-r", "-s", "--protocols"] {
+        assert_usage_error(
+            &["serve", "--listen", "127.0.0.1:0", flag],
+            &format!("unknown argument '{flag}'"),
+            &usage,
+        );
+    }
+    for flag in [
+        "--listen",
+        "--once",
+        "--fleet",
+        "--expect",
+        "--source-timeout",
+        "--queue-cap",
+        "--sub-queue-cap",
+        "--overflow",
+        "--resume-grace",
+        "--connect",
+    ] {
+        assert_usage_error(
+            &["-r", "/tmp/whatever.rfdt", flag, "1"],
+            &format!("unknown argument '{flag}'"),
+            &usage,
+        );
+    }
+    for (cmd, flag) in [("watch", "-a"), ("top", "-q"), ("send", "-n")] {
+        assert_usage_error(&[cmd, flag], &format!("unknown argument '{flag}'"), &usage);
+    }
+}
+
+#[test]
+fn flags_are_read_left_to_right_with_their_parser_errors_verbatim() {
+    let usage = usage_text();
+    // `--protocols` prints Table 2 and exits as soon as it is reached: what
+    // follows it is never read, what precedes it already was. The
+    // architecture name is checked only after the whole line is read.
+    for args in [
+        &["--protocols", "--bogus"][..],
+        &["-a", "bogus", "--protocols"],
+    ] {
+        let out = rfdump(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let table = String::from_utf8_lossy(&out.stdout);
+        assert!(table.starts_with("protocol "), "{args:?}: {table}");
+    }
+    assert_usage_error(
+        &["--bogus", "--protocols"],
+        "unknown argument '--bogus'",
+        &usage,
+    );
+    assert_usage_error(
+        &["-d", "bogus", "--protocols"],
+        "unknown detector set 'bogus'",
+        &usage,
+    );
+    assert_usage_error(
+        &["-r", "/tmp/whatever.rfdt", "-a", "bogus"],
+        "unknown architecture 'bogus'",
+        &usage,
+    );
+    // A bad `-p` hex value prints the integer parser's own text.
+    for prefix in [&["-r", "/tmp/whatever.rfdt"][..], &["serve"]] {
+        for (spec, msg) in [
+            ("zz:47", "invalid digit found in string"),
+            ("9E8B33:470", "number too large to fit in target type"),
+            ("9E8B33", "piconet must be LAP:UAP"),
+        ] {
+            let mut args = prefix.to_vec();
+            args.extend_from_slice(&["-p", spec]);
+            assert_usage_error(&args, msg, &usage);
+        }
+    }
+    // With no trace and no error, the usage alone.
+    let out = rfdump(&["-q"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(String::from_utf8_lossy(&out.stderr), usage);
+}
+
+#[test]
+fn bad_values_and_missing_required_flags_print_their_one_line() {
+    let usage = usage_text();
+    let shared: &[(&[&str], &str)] = &[
+        (
+            &["--workers", "z"],
+            "--workers needs a non-negative integer",
+        ),
+        (
+            &["--chaos", "bogus"],
+            "bad --chaos spec: fault term 'bogus' is not KEY=VALUE",
+        ),
+        (
+            &["--governor", "3"],
+            "--governor level 3 out of range (max 2)",
+        ),
+        (
+            &["--governor", "z"],
+            "--governor needs a level 0..=2, got 'z'",
+        ),
+        (&["--resume"], "--resume needs --journal DIR"),
+        (
+            &["-a", "naive", "--journal", "/tmp/never-written"],
+            "--journal requires the rfdump architecture",
+        ),
+    ];
+    for (flags, msg) in shared {
+        let mut args = vec!["-r", "/tmp/whatever.rfdt"];
+        args.extend_from_slice(flags);
+        assert_usage_error(&args, msg, &usage);
+        let mut args = vec!["serve", "--listen", "127.0.0.1:0"];
+        args.extend_from_slice(flags);
+        assert_usage_error(&args, msg, &usage);
+    }
+    let own: &[(&[&str], &str)] = &[
+        (&["serve"], "serve needs --listen ADDR"),
+        (
+            &["serve", "--listen", "x", "--overflow", "nope"],
+            "unknown overflow policy 'nope'",
+        ),
+        (
+            &["serve", "--listen", "x", "--queue-cap", "-1"],
+            "--queue-cap needs a positive integer",
+        ),
+        (
+            &["serve", "--listen", "x", "--resume-grace", "z"],
+            "--resume-grace needs seconds",
+        ),
+        (
+            &["serve", "--listen", "x", "--expect", "z"],
+            "--expect needs a positive integer",
+        ),
+        (&["send"], "send needs --connect ADDR"),
+        (&["send", "--connect", "x"], "send needs a trace file"),
+        (
+            &["send", "--connect", "x", "t1", "t2"],
+            "unknown argument 't2'",
+        ),
+        (
+            &["send", "--connect", "x", "--rate", "slow", "t"],
+            "unknown rate 'slow'",
+        ),
+        (
+            &["send", "--connect", "x", "--chunk", "z", "t"],
+            "--chunk needs a positive integer",
+        ),
+        (
+            &["send", "--connect", "x", "--retries", "z", "t"],
+            "--retries needs a non-negative integer",
+        ),
+        (&["watch"], "watch needs --connect ADDR"),
+        (
+            &["watch", "--connect", "x", "--source", "a", "--journal", "d"],
+            "--source is incompatible with --journal",
+        ),
+        (
+            &["watch", "--connect", "x", "--wait-source", "3"],
+            "--wait-source needs --source ID",
+        ),
+        (
+            &["watch", "--connect", "x", "--source", "a b"],
+            "malformed payload: source id has invalid characters",
+        ),
+        (
+            &["watch", "--connect", "x", "--chaos", "bogus"],
+            "bad --chaos spec: fault term 'bogus' is not KEY=VALUE",
+        ),
+        (&["top"], "top needs --connect ADDR"),
+        (
+            &["top", "--connect", "x", "--interval", "0"],
+            "--interval needs positive seconds",
+        ),
+        (
+            &["top", "--connect", "x", "--interval", "nan"],
+            "--interval needs positive seconds",
+        ),
+    ];
+    for (args, msg) in own {
+        assert_usage_error(args, msg, &usage);
+    }
+}
