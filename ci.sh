@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI gate for the rfdump workspace. Runs entirely offline:
-#   1. formatting and lints (rustfmt, clippy -D warnings)
+#   1. formatting and lints (rustfmt, clippy -D warnings, rustdoc -D warnings)
 #   2. tier-1: release build + full test suite, on the inline pool
 #      (RFD_WORKERS=0: analysis tasks run on the scheduler thread) and
 #      again on four pool worker threads (RFD_WORKERS=4) — the pipeline
@@ -104,6 +104,10 @@ cargo fmt --all --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (-D warnings) =="
+# Broken intra-doc links, bare URLs and redundant link targets fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== tier-1: build + test (RFD_WORKERS=0) =="
 cargo build --release

@@ -1417,7 +1417,7 @@ mod tests {
         let trace = mixed_trace();
         let cfg = ArchConfig::rfdump(piconets());
         let out = run_architecture(&cfg, &trace.samples, trace.band.sample_rate);
-        let text = crate::stats::stats_json(&out).to_json();
+        let text = crate::stats::stats_json(&out, None).to_json();
         let doc = rfd_telemetry::json::parse(&text).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("rfd-stats"));
         let blocks = doc.get("blocks").unwrap().as_arr().unwrap();
@@ -1488,20 +1488,19 @@ mod tests {
 
     /// The exact form of the comparison above: without demodulation no
     /// demodulator runs — not one record is demodulated and no
-    /// `analyze:*-demod` row books any CPU — while with it some records
-    /// are. (Those rows' `items_in` counts the dispatches routed to them,
-    /// demodulated or not, so it reads the same either way.)
+    /// `analyze:*-demod` row books any CPU, input or output — while with it
+    /// some records are.
     #[test]
     fn detection_only_runs_no_demodulator() {
         let demodulated =
             |out: &ArchOutput| -> u64 { out.record_counts.values().map(|c| c.1).sum() };
-        let demod_cpu = |out: &ArchOutput| -> Duration {
+        let demod_rows = |out: &ArchOutput| -> Vec<(String, Duration, u64, u64)> {
             out.stats
                 .blocks
                 .iter()
                 .filter(|b| b.name.starts_with("analyze:") && b.name.ends_with("-demod"))
-                .map(|b| b.cpu)
-                .sum()
+                .map(|b| (b.name.clone(), b.cpu, b.items_in, b.items_out))
+                .collect()
         };
         let trace = mixed_trace();
         let mut cfg = ArchConfig::rfdump(piconets());
@@ -1510,12 +1509,15 @@ mod tests {
         let without = run_architecture(&cfg, &trace.samples, 8e6);
         assert!(demodulated(&with) > 0, "{:?}", with.record_counts);
         assert_eq!(demodulated(&without), 0, "{:?}", without.record_counts);
-        assert_eq!(
-            demod_cpu(&without),
-            Duration::ZERO,
-            "{:?}",
-            without.stats.blocks
-        );
+        let rows = demod_rows(&without);
+        assert!(!rows.is_empty(), "{:?}", without.stats.blocks);
+        for (name, cpu, items_in, items_out) in &rows {
+            assert_eq!(
+                (*cpu, *items_in, *items_out),
+                (Duration::ZERO, 0, 0),
+                "{name}: {rows:?}"
+            );
+        }
     }
 
     #[test]

@@ -21,17 +21,19 @@
 //! ```text
 //! rfdump -r trace.rfdt [options]
 //! rfdump serve --listen ADDR [--once | --expect N] [--source-timeout SECS]
-//!              [--fleet]
+//!              [--fleet] [--latency-budget MS]
 //!              [--queue-cap N] [--overflow block|drop-oldest]
 //!              [--sub-queue-cap N] [--resume-grace SECS]
 //!              [arch options] [-q]
-//!              [--stats-json F] [--trace-out F] [--metrics-addr ADDR]
+//!              [--stats-json F] [--trace-out F] [--chaos SPEC]
+//!              [--journal DIR] [--resume] [--metrics-addr ADDR]
 //! rfdump send --connect ADDR [--rate max|real-time] [--chunk N]
-//!             [--retries N] [--source ID] TRACE
-//! rfdump watch --connect ADDR [-q] [--journal DIR]
+//!             [--retries N] [--chaos SPEC] [--source ID] TRACE
+//! rfdump watch --connect ADDR [-q] [--chaos SPEC] [--journal DIR]
 //!              [--source ID [--wait-source SECS]]
 //! rfdump top --connect ADDR [--interval SECS] [--once]
 //! rfdump kernel
+//! rfdump --protocols
 //!
 //!   -r FILE          trace file to read (required)
 //!   -a ARCH          rfdump | naive | naive-energy      (default rfdump)
@@ -53,6 +55,9 @@
 //!   --governor LEVEL graceful degradation pinned at shed level 0|1|2
 //!                    (deterministic runs); --latency-budget is what
 //!                    sheds adaptively
+//!   --latency-budget MS shed on a violated sample-to-record p99 budget
+//!                    (rfdump architecture only; on serve, per source and
+//!                    not with --once)
 //!   --metrics-addr A serve live metrics over HTTP at A (host:port; port 0
 //!                    picks an ephemeral port, printed to stderr):
 //!                    /metrics is Prometheus text format 0.0.4, /events the
@@ -99,16 +104,18 @@
 
 use rfd_fault::FaultPlan;
 use rfd_net::{
-    FleetConfig, FleetServer, HubMsg, OverflowPolicy, RecordSubscriber, RetryPolicy, SendRate,
-    SubEvent, TraceSender,
+    FleetConfig, FleetServer, FleetSnapshot, HubMsg, OverflowPolicy, RecordSubscriber, RetryPolicy,
+    SendRate, SubEvent, TraceSender,
 };
 use rfdump::arch::{
-    default_workers, ArchConfig, ArchKind, DetectorSet, Released, Session, PUSH_SAMPLES,
+    ArchConfig, ArchKind, ArchOutput, DetectorSet, Released, Session, PUSH_SAMPLES,
 };
 use rfdump::durability::DurabilityConfig;
 use rfdump::governor::GovernorConfig;
 use rfdump::protocols::render_table2;
+use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -174,59 +181,6 @@ fn parse_arch(name: &str, detector_set: DetectorSet) -> Result<ArchKind, String>
     }
 }
 
-/// The flag combinations `rfdump -r` and `serve` both reject: `--resume`
-/// needs a journal, and journaling and a latency budget exist only in the
-/// RFDump session.
-fn check_arch_flags(
-    arch: ArchKind,
-    journal: bool,
-    resume: bool,
-    latency_budget: bool,
-) -> Result<(), String> {
-    if resume && !journal {
-        return Err("--resume needs --journal DIR".to_string());
-    }
-    let rfdump = matches!(arch, ArchKind::RfDump(_));
-    if journal && !rfdump {
-        return Err("--journal requires the rfdump architecture".to_string());
-    }
-    if latency_budget && !rfdump {
-        return Err("--latency-budget requires the rfdump architecture".to_string());
-    }
-    Ok(())
-}
-
-/// Folds `--latency-budget` into the governor config: a budget arms the
-/// latency ladder, which walks the shed levels unless `--governor` pinned
-/// one. A violation of the budget is then the only thing that sheds.
-fn apply_latency_budget(governor: &mut Option<GovernorConfig>, budget_ms: Option<f64>) {
-    if let Some(budget_us) = budget_ms.map(|ms| ms * 1e3) {
-        governor
-            .get_or_insert_with(GovernorConfig::default)
-            .latency_budget_us = Some(budget_us);
-    }
-}
-
-struct Options {
-    trace: Option<String>,
-    arch: ArchKind,
-    demodulate: bool,
-    piconets: Vec<rfd_phy::bluetooth::demod::PiconetId>,
-    zigbee: bool,
-    stats: bool,
-    quiet: bool,
-    telemetry: bool,
-    workers: usize,
-    stats_json: Option<String>,
-    trace_out: Option<String>,
-    chaos: Option<Arc<FaultPlan>>,
-    governor: Option<GovernorConfig>,
-    latency_budget_ms: Option<f64>,
-    journal: Option<String>,
-    resume: bool,
-    metrics_addr: Option<String>,
-}
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: rfdump -r FILE [-a rfdump|naive|naive-energy] [-d timing|phase|both|all]\n\
@@ -254,74 +208,180 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        trace: None,
-        arch: ArchKind::RfDump(DetectorSet::TimingAndPhase),
-        demodulate: true,
-        piconets: Vec::new(),
-        zigbee: false,
-        stats: false,
-        quiet: false,
-        telemetry: true,
-        workers: default_workers(),
-        stats_json: None,
-        trace_out: None,
-        chaos: None,
-        governor: None,
-        latency_budget_ms: None,
-        journal: None,
-        resume: false,
-        metrics_addr: None,
-    };
-    let mut detector_set = DetectorSet::TimingAndPhase;
-    let mut arch_name = String::from("rfdump");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "-r" => opts.trace = Some(args.next().ok_or("-r needs a file")?),
-            "-a" => arch_name = args.next().ok_or("-a needs an architecture")?,
-            "-d" => detector_set = parse_detector_set(&args.next().ok_or("-d needs a set")?)?,
-            "-n" => opts.demodulate = false,
+/// Reads flag values off a subcommand's arguments, left to right.
+trait FlagValues: Iterator<Item = String> {
+    /// The value that follows `flag`, or the error `"{flag} needs {what}"`.
+    fn value(&mut self, flag: &str, what: &str) -> Result<String, String> {
+        self.next().ok_or_else(|| format!("{flag} needs {what}"))
+    }
+
+    /// The value that follows `flag`, parsed; a value that does not parse
+    /// is the error `"{flag} needs {valid}"`.
+    fn parsed<T: FromStr>(&mut self, flag: &str, what: &str, valid: &str) -> Result<T, String> {
+        let v = self.value(flag, what)?;
+        v.parse().map_err(|_| format!("{flag} needs {valid}"))
+    }
+
+    /// The value that follows `flag` as finite, positive seconds.
+    fn positive_secs(&mut self, flag: &str, what: &str) -> Result<f64, String> {
+        match self.parsed(flag, what, "positive seconds")? {
+            secs if f64::is_finite(secs) && secs > 0.0 => Ok(secs),
+            _ => Err(format!("{flag} needs positive seconds")),
+        }
+    }
+}
+
+impl<I: Iterator<Item = String>> FlagValues for I {}
+
+/// Where a run's results go: the output flags `rfdump -r` and `serve` share.
+#[derive(Default)]
+struct Outputs {
+    quiet: bool,
+    stats_json: Option<String>,
+    trace_out: Option<String>,
+    metrics_addr: Option<String>,
+}
+
+impl Outputs {
+    /// Writes the `--stats-json` document (with the `net` and `fleet`
+    /// sections when `fleet` is given) and the `--trace-out` span trace.
+    fn write(&self, out: &ArchOutput, fleet: Option<&FleetSnapshot>) -> Result<(), ExitCode> {
+        if let Some(path) = &self.stats_json {
+            if let Err(e) = rfdump::stats::write_stats_json(out, fleet, Path::new(path)) {
+                eprintln!("rfdump: cannot write {path}: {e}");
+                return Err(ExitCode::FAILURE);
+            }
+            eprintln!("rfdump: stats written to {path}");
+        }
+        if let Some(path) = &self.trace_out {
+            if let Err(e) = rfdump::stats::write_chrome_trace(out, Path::new(path)) {
+                eprintln!("rfdump: cannot write {path}: {e}");
+                return Err(ExitCode::FAILURE);
+            }
+            eprintln!("rfdump: span trace written to {path}");
+        }
+        Ok(())
+    }
+}
+
+/// The analysis flags `rfdump -r` and `serve` share, read into the pipeline
+/// configuration they describe.
+struct Analysis {
+    /// The pipeline. Its band is a placeholder until the trace header (or,
+    /// on `serve`, each session's stream meta) supplies it.
+    arch: ArchConfig,
+    out: Outputs,
+    arch_name: String,
+    detector_set: DetectorSet,
+    latency_budget_ms: Option<f64>,
+    journal: Option<String>,
+    resume: bool,
+}
+
+impl Analysis {
+    fn new() -> Self {
+        Analysis {
+            arch: ArchConfig::rfdump(Vec::new()),
+            out: Outputs::default(),
+            arch_name: String::from("rfdump"),
+            detector_set: DetectorSet::TimingAndPhase,
+            latency_budget_ms: None,
+            journal: None,
+            resume: false,
+        }
+    }
+
+    /// Reads `flag`, and its value, if it is a shared analysis flag;
+    /// `Ok(false)` leaves it to the subcommand.
+    fn read(&mut self, flag: &str, args: &mut impl FlagValues) -> Result<bool, String> {
+        let arch = &mut self.arch;
+        match flag {
+            "-a" => self.arch_name = args.value(flag, "an architecture")?,
+            "-d" => self.detector_set = parse_detector_set(&args.value(flag, "a set")?)?,
+            "-n" => arch.demodulate = false,
             "-p" => {
-                let spec = args.next().ok_or("-p needs LAP:UAP")?;
-                let (lap_s, uap_s) = spec.split_once(':').ok_or("piconet must be LAP:UAP")?;
-                let lap = u32::from_str_radix(lap_s, 16).map_err(|e| e.to_string())?;
-                let uap = u8::from_str_radix(uap_s, 16).map_err(|e| e.to_string())?;
-                opts.piconets
-                    .push(rfd_phy::bluetooth::demod::PiconetId { lap, uap });
+                let spec = args.value(flag, "LAP:UAP")?;
+                let (lap, uap) = spec.split_once(':').ok_or("piconet must be LAP:UAP")?;
+                arch.piconets.push(rfd_phy::bluetooth::demod::PiconetId {
+                    lap: u32::from_str_radix(lap, 16).map_err(|e| e.to_string())?,
+                    uap: u8::from_str_radix(uap, 16).map_err(|e| e.to_string())?,
+                });
             }
-            "-z" => opts.zigbee = true,
-            "-s" => opts.stats = true,
-            "-q" => opts.quiet = true,
-            "--workers" => {
-                opts.workers = args
-                    .next()
-                    .ok_or("--workers needs a count")?
-                    .parse()
-                    .map_err(|_| "--workers needs a non-negative integer".to_string())?;
-            }
-            "--no-telemetry" => opts.telemetry = false,
-            "--stats-json" => {
-                opts.stats_json = Some(args.next().ok_or("--stats-json needs a file")?)
-            }
-            "--trace-out" => opts.trace_out = Some(args.next().ok_or("--trace-out needs a file")?),
-            "--chaos" => opts.chaos = parse_chaos(&args.next().ok_or("--chaos needs a spec")?)?,
-            "--governor" => {
-                opts.governor = Some(parse_governor(
-                    &args.next().ok_or("--governor needs a level")?,
-                )?)
-            }
+            "-z" => arch.zigbee = true,
+            "-q" => self.out.quiet = true,
+            "--workers" => arch.workers = args.parsed(flag, "a count", "a non-negative integer")?,
+            "--no-telemetry" => arch.telemetry = false,
+            "--stats-json" => self.out.stats_json = Some(args.value(flag, "a file")?),
+            "--trace-out" => self.out.trace_out = Some(args.value(flag, "a file")?),
+            "--chaos" => arch.faults = parse_chaos(&args.value(flag, "a spec")?)?,
+            "--governor" => arch.governor = Some(parse_governor(&args.value(flag, "a level")?)?),
             "--latency-budget" => {
-                opts.latency_budget_ms = Some(parse_budget_ms(
-                    &args.next().ok_or("--latency-budget needs milliseconds")?,
-                )?)
+                self.latency_budget_ms = Some(parse_budget_ms(&args.value(flag, "milliseconds")?)?)
             }
-            "--journal" => opts.journal = Some(args.next().ok_or("--journal needs a directory")?),
-            "--resume" => opts.resume = true,
-            "--metrics-addr" => {
-                opts.metrics_addr = Some(args.next().ok_or("--metrics-addr needs host:port")?)
+            "--journal" => self.journal = Some(args.value(flag, "a directory")?),
+            "--resume" => self.resume = true,
+            "--metrics-addr" => self.out.metrics_addr = Some(args.value(flag, "host:port")?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Checks the flags against each other once the whole command line is
+    /// read, and completes `arch` from them.
+    fn finish(mut self) -> Result<Self, String> {
+        let kind = parse_arch(&self.arch_name, self.detector_set)?;
+        // `--resume` needs a journal, and journaling and a latency budget
+        // exist only in the RFDump session.
+        let rfdump = matches!(kind, ArchKind::RfDump(_));
+        if self.resume && self.journal.is_none() {
+            return Err("--resume needs --journal DIR".to_string());
+        }
+        if self.journal.is_some() && !rfdump {
+            return Err("--journal requires the rfdump architecture".to_string());
+        }
+        if self.latency_budget_ms.is_some() && !rfdump {
+            return Err("--latency-budget requires the rfdump architecture".to_string());
+        }
+        let arch = &mut self.arch;
+        arch.kind = kind;
+        // A budget arms the latency ladder, which walks the shed levels
+        // unless `--governor` pinned one. A violation of the budget is then
+        // the only thing that sheds.
+        if let Some(ms) = self.latency_budget_ms {
+            arch.governor
+                .get_or_insert_with(GovernorConfig::default)
+                .latency_budget_us = Some(ms * 1e3);
+        }
+        arch.durability = self.journal.take().map(|dir| DurabilityConfig {
+            dir: dir.into(),
+            resume: self.resume,
+        });
+        if self.resume {
+            // A seeded kill fault already crashed the previous incarnation;
+            // firing it again on the redo pass would loop forever.
+            if let Some(plan) = &arch.faults {
+                plan.disarm_kills();
             }
+        }
+        let out = &self.out;
+        arch.telemetry |=
+            out.stats_json.is_some() || out.trace_out.is_some() || out.metrics_addr.is_some();
+        Ok(self)
+    }
+}
+
+/// `rfdump -r`: the trace, `-s`, `--protocols` and the analysis flags.
+fn parse_read_args(argv: Vec<String>) -> Result<(Option<String>, bool, Analysis), String> {
+    let mut analysis = Analysis::new();
+    let (mut trace, mut stats) = (None, false);
+    let mut args = argv.into_iter();
+    while let Some(a) = args.next() {
+        if analysis.read(&a, &mut args)? {
+            continue;
+        }
+        match a.as_str() {
+            "-r" => trace = Some(args.value(&a, "a file")?),
+            "-s" => stats = true,
             "--protocols" => {
                 print!("{}", render_table2());
                 std::process::exit(0);
@@ -329,15 +389,7 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    opts.arch = parse_arch(&arch_name, detector_set)?;
-    check_arch_flags(
-        opts.arch,
-        opts.journal.is_some(),
-        opts.resume,
-        opts.latency_budget_ms.is_some(),
-    )?;
-    apply_latency_budget(&mut opts.governor, opts.latency_budget_ms);
-    Ok(opts)
+    Ok((trace, stats, analysis.finish()?))
 }
 
 // ---------------------------------------------------------------------------
@@ -349,54 +401,21 @@ struct ServeOptions {
     listen: String,
     net: FleetConfig,
     arch: ArchConfig,
-    quiet: bool,
-    stats_json: Option<String>,
-    trace_out: Option<String>,
-    metrics_addr: Option<String>,
+    out: Outputs,
 }
 
-fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
+fn parse_serve_args(argv: Vec<String>) -> Result<ServeOptions, String> {
+    let mut analysis = Analysis::new();
     let mut listen = None;
     let mut net = FleetConfig::default();
     let mut once = false;
-    let mut quiet = false;
-    let mut stats_json = None;
-    let mut trace_out = None;
-    let mut metrics_addr = None;
-    let mut latency_budget_ms = None;
-    let mut detector_set = DetectorSet::TimingAndPhase;
-    let mut arch_name = String::from("rfdump");
-    // The band is a placeholder: each producer session's StreamMeta
-    // overrides it.
-    let mut arch = ArchConfig {
-        kind: ArchKind::RfDump(detector_set),
-        demodulate: true,
-        band: rfd_ether::Band {
-            sample_rate: 8e6,
-            center_hz: 0.0,
-        },
-        piconets: Vec::new(),
-        noise_floor: None,
-        zigbee: false,
-        microwave: true,
-        telemetry: true,
-        workers: default_workers(),
-        faults: FaultPlan::ambient(),
-        governor: None,
-        chunk_samples: rfdump::CHUNK_SAMPLES,
-        durability: None,
-    };
-    let mut journal: Option<String> = None;
-    let mut resume = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut next = |what: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{a} needs {what}"))
-        };
+    let mut args = argv.into_iter();
+    while let Some(a) = args.next() {
+        if analysis.read(&a, &mut args)? {
+            continue;
+        }
         match a.as_str() {
-            "--listen" => listen = Some(next("an address")?.to_string()),
+            "--listen" => listen = Some(args.value(&a, "an address")?),
             "--once" => {
                 once = true;
                 net.expect = Some(1);
@@ -404,117 +423,44 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
             // Accepted for scripts written when tagged senders needed their
             // own server mode; every `serve` admits them now.
             "--fleet" => {}
-            "--expect" => {
-                net.expect = Some(
-                    next("a count")?
-                        .parse()
-                        .map_err(|_| "--expect needs a positive integer".to_string())?,
-                );
-            }
+            "--expect" => net.expect = Some(args.parsed(&a, "a count", "a positive integer")?),
             "--source-timeout" => {
-                let secs: f64 = next("seconds")?
-                    .parse()
-                    .map_err(|_| "--source-timeout needs positive seconds".to_string())?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--source-timeout needs positive seconds".to_string());
-                }
-                net.idle_timeout = Duration::from_secs_f64(secs);
+                net.idle_timeout = Duration::from_secs_f64(args.positive_secs(&a, "seconds")?);
             }
-            "--queue-cap" => {
-                net.queue_cap = next("a count")?
-                    .parse()
-                    .map_err(|_| "--queue-cap needs a positive integer".to_string())?;
-            }
+            "--queue-cap" => net.queue_cap = args.parsed(&a, "a count", "a positive integer")?,
             "--sub-queue-cap" => {
-                net.sub_queue_cap = next("a count")?
-                    .parse()
-                    .map_err(|_| "--sub-queue-cap needs a positive integer".to_string())?;
+                net.sub_queue_cap = args.parsed(&a, "a count", "a positive integer")?
             }
             "--overflow" => {
-                let s = next("a policy")?;
-                net.overflow = OverflowPolicy::parse(s)
+                let s = args.value(&a, "a policy")?;
+                net.overflow = OverflowPolicy::parse(&s)
                     .ok_or_else(|| format!("unknown overflow policy '{s}'"))?;
             }
-            "-a" => arch_name = next("an architecture")?.to_string(),
-            "-d" => detector_set = parse_detector_set(next("a set")?)?,
-            "-n" => arch.demodulate = false,
-            "-p" => {
-                let spec = next("LAP:UAP")?;
-                let (lap_s, uap_s) = spec.split_once(':').ok_or("piconet must be LAP:UAP")?;
-                let lap = u32::from_str_radix(lap_s, 16).map_err(|e| e.to_string())?;
-                let uap = u8::from_str_radix(uap_s, 16).map_err(|e| e.to_string())?;
-                arch.piconets
-                    .push(rfd_phy::bluetooth::demod::PiconetId { lap, uap });
-            }
-            "-z" => arch.zigbee = true,
-            "-q" => quiet = true,
-            "--workers" => {
-                arch.workers = next("a count")?
-                    .parse()
-                    .map_err(|_| "--workers needs a non-negative integer".to_string())?;
-            }
-            "--no-telemetry" => arch.telemetry = false,
-            "--stats-json" => stats_json = Some(next("a file")?.to_string()),
-            "--trace-out" => trace_out = Some(next("a file")?.to_string()),
             "--resume-grace" => {
-                let secs: f64 = next("seconds")?
-                    .parse()
-                    .map_err(|_| "--resume-grace needs seconds".to_string())?;
+                let secs: f64 = args.parsed(&a, "seconds", "seconds")?;
                 net.resume_grace = Duration::from_secs_f64(secs.max(0.0));
             }
-            "--chaos" => {
-                let plan = parse_chaos(next("a spec")?)?;
-                arch.faults = plan.clone();
-                net.faults = plan;
-            }
-            "--governor" => arch.governor = Some(parse_governor(next("a level")?)?),
-            "--latency-budget" => latency_budget_ms = Some(parse_budget_ms(next("milliseconds")?)?),
-            "--journal" => journal = Some(next("a directory")?.to_string()),
-            "--resume" => resume = true,
-            "--metrics-addr" => metrics_addr = Some(next("host:port")?.to_string()),
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    arch.kind = parse_arch(&arch_name, detector_set)?;
-    check_arch_flags(
-        arch.kind,
-        journal.is_some(),
-        resume,
-        latency_budget_ms.is_some(),
-    )?;
+    let analysis = analysis.finish()?;
     if net.expect == Some(0) {
         return Err("--expect needs a positive integer".to_string());
     }
-    if latency_budget_ms.is_some() && once {
+    if analysis.latency_budget_ms.is_some() && once {
         // `--once` is a bounded one-shot run; bounded-latency mode is a
         // steady-state control loop and has nothing to govern there.
         return Err("--latency-budget is incompatible with --once".to_string());
     }
-    apply_latency_budget(&mut arch.governor, latency_budget_ms);
-    arch.durability = journal.map(|dir| DurabilityConfig {
-        dir: std::path::PathBuf::from(dir),
-        resume,
-    });
-    if resume {
-        // Don't let a seeded kill fault crash every resumed session.
-        if let Some(plan) = &arch.faults {
-            plan.disarm_kills();
-        }
-    }
-    if net.faults.is_none() {
-        net.faults = FaultPlan::ambient();
-    }
-    net.latency_budget = latency_budget_ms.map(|ms| Duration::from_secs_f64(ms / 1e3));
-    arch.telemetry =
-        arch.telemetry || stats_json.is_some() || trace_out.is_some() || metrics_addr.is_some();
+    net.faults = analysis.arch.faults.clone();
+    net.latency_budget = analysis
+        .latency_budget_ms
+        .map(|ms| Duration::from_secs_f64(ms / 1e3));
     Ok(ServeOptions {
         listen: listen.ok_or("serve needs --listen ADDR")?,
         net,
-        arch,
-        quiet,
-        stats_json,
-        trace_out,
-        metrics_addr,
+        arch: analysis.arch,
+        out: analysis.out,
     })
 }
 
@@ -566,21 +512,20 @@ fn bind_metrics(
     Ok((srv.spawn(), reg))
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let opts = match parse_serve_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("rfdump: {e}");
-            return usage();
-        }
-    };
+fn cmd_serve(opts: ServeOptions) -> ExitCode {
+    let ServeOptions {
+        listen,
+        net,
+        arch,
+        out: outputs,
+    } = opts;
     // The shared registry exists whenever anything will consume it: a
     // scrape endpoint, or a stats/trace document — the document's events
     // section must capture net-layer and fleet overload events (resumes,
     // budget violations, sheds, admission refusals), which are emitted
     // into this registry, never into a pipeline's private one.
-    let (metrics, registry) = match &opts.metrics_addr {
-        None if opts.stats_json.is_some() || opts.trace_out.is_some() => {
+    let (metrics, registry) = match &outputs.metrics_addr {
+        None if outputs.stats_json.is_some() || outputs.trace_out.is_some() => {
             (None, Some(Arc::new(rfd_telemetry::Registry::new())))
         }
         None => (None, None),
@@ -594,17 +539,17 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     // itself. The slot keeps the last finished source's architecture output
     // for --stats-json / --trace-out.
     let slot: rfdump::live::SharedOutput = Arc::new(std::sync::Mutex::new(None));
-    let factory = rfdump::fleet::pipeline_factory(opts.arch, registry.clone(), slot.clone());
-    let server = match FleetServer::bind(&opts.listen, opts.net, factory, registry) {
+    let factory = rfdump::fleet::pipeline_factory(arch, registry.clone(), slot.clone());
+    let server = match FleetServer::bind(&listen, net, factory, registry) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("rfdump: cannot listen on {}: {e}", opts.listen);
+            eprintln!("rfdump: cannot listen on {listen}: {e}");
             return ExitCode::FAILURE;
         }
     };
     match server.local_addr() {
         Ok(a) => announce(format!("rfdump: serving on {a}")),
-        Err(_) => announce(format!("rfdump: serving on {}", opts.listen)),
+        Err(_) => announce(format!("rfdump: serving on {listen}")),
     }
     // Clean shutdown on SIGINT (always) and on stdin EOF (only when stdin
     // is a pipe/file): subscribers get a Bye, stats are still flushed, and
@@ -641,7 +586,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     // unfiltered network `watch` prints them: an anonymous session's lines
     // bare, a tagged source's as `[source] line`.
     let local = server.subscribe();
-    let quiet = opts.quiet;
+    let quiet = outputs.quiet;
     let printer = std::thread::spawn(move || {
         while let Ok(msg) = local.rx.recv() {
             match msg {
@@ -683,39 +628,19 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         snap.net.ingest_rt_ratio(),
     );
     let out = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-    let clean_stop = user_stop.load(Ordering::SeqCst);
-    if let Some(path) = &opts.stats_json {
-        match &out {
-            Some(out) => {
-                let doc = rfdump::stats::stats_json_with_fleet(out, &snap);
-                if let Err(e) =
-                    rfd_journal::atomic_write(std::path::Path::new(path), doc.to_json().as_bytes())
-                {
-                    eprintln!("rfdump: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("rfdump: stats written to {path}");
-            }
-            None => {
-                eprintln!("rfdump: no source completed; not writing {path}");
-                if !clean_stop {
-                    return ExitCode::FAILURE;
-                }
+    match &out {
+        Some(out) => {
+            if let Err(code) = outputs.write(out, Some(&snap)) {
+                return code;
             }
         }
-    }
-    if let Some(path) = &opts.trace_out {
-        match &out {
-            Some(out) => {
-                if let Err(e) = rfdump::stats::write_chrome_trace(out, std::path::Path::new(path)) {
-                    eprintln!("rfdump: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("rfdump: span trace written to {path}");
-            }
-            None => {
+        None => {
+            for path in [&outputs.stats_json, &outputs.trace_out]
+                .into_iter()
+                .flatten()
+            {
                 eprintln!("rfdump: no source completed; not writing {path}");
-                if !clean_stop {
+                if !user_stop.load(Ordering::SeqCst) {
                     return ExitCode::FAILURE;
                 }
             }
@@ -738,42 +663,26 @@ struct SendOptions {
     source: Option<String>,
 }
 
-fn parse_send_args(args: &[String]) -> Result<SendOptions, String> {
+fn parse_send_args(argv: Vec<String>) -> Result<SendOptions, String> {
     let mut connect = None;
     let mut trace = None;
     let mut rate = SendRate::Max;
     let mut chunk = rfd_net::frame::DEFAULT_CHUNK_SAMPLES;
     let mut retries = RetryPolicy::default().max_retries;
     let mut chaos = None;
-    let mut source: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut source = None;
+    let mut args = argv.into_iter();
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--connect" => connect = Some(it.next().ok_or("--connect needs an address")?.clone()),
-            "--source" => {
-                let id = it.next().ok_or("--source needs an id")?;
-                rfd_net::validate_source_id(id).map_err(|e| e.to_string())?;
-                source = Some(id.clone());
-            }
+            "--connect" => connect = Some(args.value(&a, "an address")?),
+            "--source" => source = Some(parse_source(args.value(&a, "an id")?)?),
             "--rate" => {
-                let s = it.next().ok_or("--rate needs max|real-time")?;
-                rate = SendRate::parse(s).ok_or_else(|| format!("unknown rate '{s}'"))?;
+                let s = args.value(&a, "max|real-time")?;
+                rate = SendRate::parse(&s).ok_or_else(|| format!("unknown rate '{s}'"))?;
             }
-            "--chunk" => {
-                chunk = it
-                    .next()
-                    .ok_or("--chunk needs a sample count")?
-                    .parse()
-                    .map_err(|_| "--chunk needs a positive integer".to_string())?;
-            }
-            "--retries" => {
-                retries = it
-                    .next()
-                    .ok_or("--retries needs a count")?
-                    .parse()
-                    .map_err(|_| "--retries needs a non-negative integer".to_string())?;
-            }
-            "--chaos" => chaos = parse_chaos(it.next().ok_or("--chaos needs a spec")?)?,
+            "--chunk" => chunk = args.parsed(&a, "a sample count", "a positive integer")?,
+            "--retries" => retries = args.parsed(&a, "a count", "a non-negative integer")?,
+            "--chaos" => chaos = parse_chaos(&args.value(&a, "a spec")?)?,
             other if !other.starts_with('-') && trace.is_none() => trace = Some(other.to_string()),
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -789,14 +698,13 @@ fn parse_send_args(args: &[String]) -> Result<SendOptions, String> {
     })
 }
 
-fn cmd_send(args: &[String]) -> ExitCode {
-    let opts = match parse_send_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("rfdump: {e}");
-            return usage();
-        }
-    };
+/// Checks a `--source` id against the wire protocol's rules.
+fn parse_source(id: String) -> Result<String, String> {
+    rfd_net::validate_source_id(&id).map_err(|e| e.to_string())?;
+    Ok(id)
+}
+
+fn cmd_send(opts: SendOptions) -> ExitCode {
     let retry = RetryPolicy {
         max_retries: opts.retries,
         ..RetryPolicy::default()
@@ -813,8 +721,7 @@ fn cmd_send(args: &[String]) -> ExitCode {
     if opts.chaos.is_some() {
         tx = tx.with_faults(opts.chaos.clone());
     }
-    let report = match tx.send_trace_file(std::path::Path::new(&opts.trace), opts.rate, opts.chunk)
-    {
+    let report = match tx.send_trace_file(Path::new(&opts.trace), opts.rate, opts.chunk) {
         Ok(r) => r,
         Err(e) => {
             // A reconnect that cannot reach the server reads as "cannot
@@ -841,89 +748,63 @@ fn cmd_send(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_watch(args: &[String]) -> ExitCode {
+/// Options for `rfdump watch`.
+struct WatchOptions {
+    connect: String,
+    quiet: bool,
+    chaos: Option<Arc<FaultPlan>>,
+    journal: Option<String>,
+    source: Option<String>,
+    wait_source: Option<Duration>,
+}
+
+fn parse_watch_args(argv: Vec<String>) -> Result<WatchOptions, String> {
     let mut connect = None;
     let mut quiet = false;
     let mut chaos = None;
-    let mut journal: Option<String> = None;
-    let mut source: Option<String> = None;
-    let mut wait_source: Option<Duration> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut journal = None;
+    let mut source = None;
+    let mut wait_source = None;
+    let mut args = argv.into_iter();
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--connect" => match it.next() {
-                Some(addr) => connect = Some(addr.clone()),
-                None => {
-                    eprintln!("rfdump: --connect needs an address");
-                    return usage();
-                }
-            },
-            "--source" => match it.next() {
-                Some(id) => match rfd_net::validate_source_id(id) {
-                    Ok(()) => source = Some(id.clone()),
-                    Err(e) => {
-                        eprintln!("rfdump: {e}");
-                        return usage();
-                    }
-                },
-                None => {
-                    eprintln!("rfdump: --source needs an id");
-                    return usage();
-                }
-            },
-            "--wait-source" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs.is_finite() && secs > 0.0 => {
-                    wait_source = Some(Duration::from_secs_f64(secs))
-                }
-                _ => {
-                    eprintln!("rfdump: --wait-source needs positive seconds");
-                    return usage();
-                }
-            },
-            "--chaos" => match it.next().map(|s| parse_chaos(s)) {
-                Some(Ok(p)) => chaos = p,
-                Some(Err(e)) => {
-                    eprintln!("rfdump: {e}");
-                    return usage();
-                }
-                None => {
-                    eprintln!("rfdump: --chaos needs a spec");
-                    return usage();
-                }
-            },
-            "--journal" => match it.next() {
-                Some(dir) => journal = Some(dir.clone()),
-                None => {
-                    eprintln!("rfdump: --journal needs a directory");
-                    return usage();
-                }
-            },
-            "-q" => quiet = true,
-            other => {
-                eprintln!("rfdump: unknown argument '{other}'");
-                return usage();
+            "--connect" => connect = Some(args.value(&a, "an address")?),
+            "--source" => source = Some(parse_source(args.value(&a, "an id")?)?),
+            "--wait-source" => {
+                let secs = args.positive_secs(&a, "positive seconds")?;
+                wait_source = Some(Duration::from_secs_f64(secs));
             }
+            "--chaos" => chaos = parse_chaos(&args.value(&a, "a spec")?)?,
+            "--journal" => journal = Some(args.value(&a, "a directory")?),
+            "-q" => quiet = true,
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    let Some(connect) = connect else {
-        eprintln!("rfdump: watch needs --connect ADDR");
-        return usage();
-    };
+    let connect = connect.ok_or("watch needs --connect ADDR")?;
     if source.is_some() && journal.is_some() {
         // The journal checkpoints the *unfiltered* stream position; a
         // filtered resume would silently skip other sources' records.
-        eprintln!("rfdump: --source is incompatible with --journal");
-        return usage();
+        return Err("--source is incompatible with --journal".to_string());
     }
     if wait_source.is_some() && source.is_none() {
-        eprintln!("rfdump: --wait-source needs --source ID");
-        return usage();
+        return Err("--wait-source needs --source ID".to_string());
     }
+    Ok(WatchOptions {
+        connect,
+        quiet,
+        chaos,
+        journal,
+        source,
+        wait_source,
+    })
+}
+
+fn cmd_watch(opts: WatchOptions) -> ExitCode {
     // With --wait-source the whole watch retries until the deadline when
     // the server isn't up yet or the source hasn't joined the stream.
-    let deadline = wait_source.map(|d| std::time::Instant::now() + d);
+    let deadline = opts.wait_source.map(|d| std::time::Instant::now() + d);
     loop {
-        match watch_stream(&connect, quiet, &chaos, &journal, &source) {
+        match watch_stream(&opts) {
             Ok((records, reconnects)) => {
                 eprintln!(
                     "rfdump: stream ended after {records} record(s), {reconnects} reconnect(s)"
@@ -936,12 +817,12 @@ fn cmd_watch(args: &[String]) -> ExitCode {
                 std::thread::sleep(Duration::from_millis(200));
             }
             Err(WatchErr::SourceMissing) => {
-                let want = source.as_deref().unwrap_or("");
+                let want = opts.source.as_deref().unwrap_or("");
                 eprintln!("rfdump: source '{want}' never appeared in the stream");
                 return ExitCode::FAILURE;
             }
             Err(WatchErr::Connect(e)) => {
-                eprintln!("rfdump: cannot connect to {connect}: {e}");
+                eprintln!("rfdump: cannot connect to {}: {e}", opts.connect);
                 return ExitCode::FAILURE;
             }
             Err(WatchErr::Stream(e)) => {
@@ -964,22 +845,17 @@ enum WatchErr {
 
 /// One full watch pass: subscribe, print, run to stream end.
 /// Returns `(records_printed, reconnects)` on a clean end.
-fn watch_stream(
-    connect: &str,
-    quiet: bool,
-    chaos: &Option<Arc<FaultPlan>>,
-    journal: &Option<String>,
-    source: &Option<String>,
-) -> Result<(u64, u64), WatchErr> {
+fn watch_stream(opts: &WatchOptions) -> Result<(u64, u64), WatchErr> {
+    let (connect, quiet, source) = (&opts.connect, opts.quiet, &opts.source);
     // Durable watch: the subscription position is checkpointed under the
     // journal directory, so a restarted `watch --journal DIR` resumes where
     // the previous process durably left off.
-    let sub = match journal {
-        Some(dir) => RecordSubscriber::connect_journaled(connect, std::path::Path::new(dir)),
+    let sub = match &opts.journal {
+        Some(dir) => RecordSubscriber::connect_journaled(connect, Path::new(dir)),
         None => RecordSubscriber::connect(connect),
     };
     let mut sub = match sub {
-        Ok(s) if chaos.is_some() => s.with_faults(chaos.clone()),
+        Ok(s) if opts.chaos.is_some() => s.with_faults(opts.chaos.clone()),
         Ok(s) => s,
         Err(e) => return Err(WatchErr::Connect(e)),
     };
@@ -1072,39 +948,31 @@ fn cmd_kernel() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `rfdump top`: polls a metrics endpoint and renders a refreshing view.
-fn cmd_top(args: &[String]) -> ExitCode {
+/// `rfdump top`: the endpoint, the refresh interval and `--once`.
+fn parse_top_args(argv: Vec<String>) -> Result<(String, f64, bool), String> {
     let mut connect = None;
     let mut interval = 2.0f64;
     let mut once = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut args = argv.into_iter();
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--connect" => match it.next() {
-                Some(addr) => connect = Some(addr.clone()),
-                None => {
-                    eprintln!("rfdump: --connect needs an address");
-                    return usage();
+            "--connect" => connect = Some(args.value(&a, "an address")?),
+            // Unlike `positive_secs`, an infinite interval is accepted.
+            "--interval" => {
+                interval = args.parsed(&a, "positive seconds", "positive seconds")?;
+                if interval.is_nan() || interval <= 0.0 {
+                    return Err("--interval needs positive seconds".to_string());
                 }
-            },
-            "--interval" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 => interval = secs,
-                _ => {
-                    eprintln!("rfdump: --interval needs positive seconds");
-                    return usage();
-                }
-            },
-            "--once" => once = true,
-            other => {
-                eprintln!("rfdump: unknown argument '{other}'");
-                return usage();
             }
+            "--once" => once = true,
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    let Some(addr) = connect else {
-        eprintln!("rfdump: top needs --connect ADDR");
-        return usage();
-    };
+    Ok((connect.ok_or("top needs --connect ADDR")?, interval, once))
+}
+
+/// `rfdump top`: polls a metrics endpoint and renders a refreshing view.
+fn cmd_top((addr, interval, once): (String, f64, bool)) -> ExitCode {
     rfd_fault::signal::install_sigint();
     let mut prev: Option<(std::collections::BTreeMap<String, f64>, std::time::Instant)> = None;
     loop {
@@ -1145,27 +1013,38 @@ fn cmd_top(args: &[String]) -> ExitCode {
     }
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("serve") => return cmd_serve(&argv[1..]),
-        Some("send") => return cmd_send(&argv[1..]),
-        Some("watch") => return cmd_watch(&argv[1..]),
-        Some("top") => return cmd_top(&argv[1..]),
-        Some("kernel") => return cmd_kernel(),
-        _ => {}
-    }
-    let opts = match parse_args() {
-        Ok(o) => o,
+/// Runs a subcommand on its parsed options, or prints why they did not
+/// parse, and the usage.
+fn run<T>(parsed: Result<T, String>, cmd: fn(T) -> ExitCode) -> ExitCode {
+    match parsed {
+        Ok(opts) => cmd(opts),
         Err(e) => {
             eprintln!("rfdump: {e}");
-            return usage();
+            usage()
         }
-    };
-    let Some(path) = &opts.trace else {
+    }
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cmd = argv.first().cloned().unwrap_or_default();
+    let rest = || argv[1..].to_vec();
+    match cmd.as_str() {
+        "serve" => run(parse_serve_args(rest()), cmd_serve),
+        "send" => run(parse_send_args(rest()), cmd_send),
+        "watch" => run(parse_watch_args(rest()), cmd_watch),
+        "top" => run(parse_top_args(rest()), cmd_top),
+        "kernel" => cmd_kernel(),
+        _ => run(parse_read_args(argv), cmd_read),
+    }
+}
+
+/// `rfdump -r`: replays a trace file through the monitor.
+fn cmd_read((trace, stats, analysis): (Option<String>, bool, Analysis)) -> ExitCode {
+    let Some(path) = &trace else {
         return usage();
     };
-    let mut reader = match rfd_ether::trace::ChunkedTraceReader::open(std::path::Path::new(path)) {
+    let mut reader = match rfd_ether::trace::ChunkedTraceReader::open(Path::new(path)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rfdump: cannot read {path}: {e}");
@@ -1181,43 +1060,23 @@ fn main() -> ExitCode {
         header.center_hz / 1e6,
     );
 
-    let cfg = ArchConfig {
-        kind: opts.arch,
-        demodulate: opts.demodulate,
-        band: rfd_ether::Band {
-            sample_rate: header.sample_rate,
-            center_hz: header.center_hz,
-        },
-        piconets: opts.piconets,
-        noise_floor: None,
-        zigbee: opts.zigbee,
-        microwave: true,
-        telemetry: opts.telemetry
-            || opts.stats_json.is_some()
-            || opts.trace_out.is_some()
-            || opts.metrics_addr.is_some(),
-        workers: opts.workers,
-        faults: opts.chaos.clone().or_else(FaultPlan::ambient),
-        governor: opts.governor,
-        chunk_samples: rfdump::CHUNK_SAMPLES,
-        durability: opts.journal.as_ref().map(|dir| DurabilityConfig {
-            dir: std::path::PathBuf::from(dir),
-            resume: opts.resume,
-        }),
+    let Analysis {
+        arch: mut cfg,
+        out: outputs,
+        ..
+    } = analysis;
+    cfg.band = rfd_ether::Band {
+        sample_rate: header.sample_rate,
+        center_hz: header.center_hz,
     };
     if let Some(d) = cfg.durability.as_ref().filter(|d| d.resume) {
-        // A seeded kill fault already crashed the previous incarnation;
-        // firing it again on the redo pass would loop forever.
-        if let Some(plan) = &cfg.faults {
-            plan.disarm_kills();
-        }
         let fp = rfdump::durability::config_fingerprint(&cfg, header.n_samples, header.sample_rate);
         if let Err(e) = rfdump::durability::preflight(d, &fp) {
             eprintln!("rfdump: cannot resume: {e}");
             return ExitCode::FAILURE;
         }
     }
-    let (metrics, registry) = match &opts.metrics_addr {
+    let (metrics, registry) = match &outputs.metrics_addr {
         None => (None, None),
         Some(addr) => match bind_metrics(addr) {
             Ok((handle, reg)) => (Some(handle), Some(reg)),
@@ -1238,7 +1097,7 @@ fn main() -> ExitCode {
     let mut packets = 0usize;
     let mut print = |released: Released| {
         packets += released.records.len();
-        if !opts.quiet {
+        if !outputs.quiet {
             for rec in &released.records {
                 println!("{}", rec.format_line());
             }
@@ -1286,7 +1145,7 @@ fn main() -> ExitCode {
             g.shed_votes,
         );
     }
-    if opts.stats {
+    if stats {
         eprint!("{}", out.stats.table());
         if let Some(ds) = &out.dispatch_stats {
             eprintln!(
@@ -1304,19 +1163,8 @@ fn main() -> ExitCode {
             );
         }
     }
-    if let Some(path) = &opts.stats_json {
-        if let Err(e) = rfdump::stats::write_stats_json(&out, std::path::Path::new(path)) {
-            eprintln!("rfdump: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("rfdump: stats written to {path}");
+    match outputs.write(&out, None) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
-    if let Some(path) = &opts.trace_out {
-        if let Err(e) = rfdump::stats::write_chrome_trace(&out, std::path::Path::new(path)) {
-            eprintln!("rfdump: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("rfdump: span trace written to {path}");
-    }
-    ExitCode::SUCCESS
 }

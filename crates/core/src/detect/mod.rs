@@ -15,7 +15,6 @@
 pub mod bt_freq;
 pub mod bt_phase;
 pub mod bt_timing;
-pub mod collision;
 pub mod microwave;
 pub mod wifi_phase;
 pub mod wifi_timing;
@@ -23,7 +22,6 @@ pub mod zigbee;
 
 pub use bt_phase::BtPhaseDetector;
 pub use bt_timing::BtTimingDetector;
-pub use collision::{detect_collision, CollisionConfig, CollisionEvidence};
 pub use microwave::MicrowaveTimingDetector;
 pub use wifi_phase::WifiPhaseDetector;
 pub use wifi_timing::{WifiDifsDetector, WifiSifsDetector};

@@ -493,11 +493,7 @@ impl AnalysisPool {
                         }
                         out.extend(recs.into_iter().map(|r| (port, r)));
                     } else {
-                        {
-                            let mut t = totals.lock();
-                            t[port].items_in += 1;
-                            t[port].items_out += 1;
-                        }
+                        // No demodulator runs, so its row books nothing.
                         out.push((port, detected_only_record(&d, proto)));
                     }
                 }
@@ -905,7 +901,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].0, 1, "microwave is port 1");
         assert_eq!(recs[0].1, detected_only_record(&d, Protocol::Microwave));
-        assert_eq!(result.analyzers[1].items_out, 1);
+        assert_eq!(result.analyzers[1].items_out, 0);
         assert_eq!(result.analyzers[0].items_out, 0);
     }
 

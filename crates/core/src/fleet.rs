@@ -10,9 +10,10 @@
 //! stream stays byte-identical to an offline run over the same trace).
 //! A pipeline opens one streaming [`crate::arch::Session`] per capture
 //! stream, which the server pushes chunk by chunk, publishing records as
-//! they are released; when the stream ends the session's [`ArchOutput`]
-//! (accounting only — it retains no record) goes into one shared slot so
-//! the serving CLI can still render `--stats-json` after the fleet stops.
+//! they are released; when the stream ends the session's
+//! [`ArchOutput`](crate::arch::ArchOutput) (accounting only — it retains no
+//! record) goes into one shared slot so the serving CLI can still render
+//! `--stats-json` after the fleet stops.
 //!
 //! With several sources the slot holds the *last finished* source's
 //! architecture output; the per-source ingest numbers live in the

@@ -1,8 +1,8 @@
 //! Machine-readable run statistics (the `--stats-json` document).
 //!
 //! Everything the pipeline measures — per-block CPU accounting, per-stage
-//! CPU-over-real-time ratios (via [`rfd_telemetry::rt::RtMonitor`], keyed
-//! on `samples / sample_rate` exactly as the paper's headline metric),
+//! CPU-over-real-time ratios (stages are block-name prefixes, keyed on
+//! `samples / sample_rate` exactly as the paper's headline metric),
 //! dispatcher forwarding statistics, and the full metrics registry — is
 //! folded into one versioned JSON document so experiment harnesses can
 //! consume runs without scraping tables.
@@ -44,9 +44,10 @@
 
 use crate::arch::ArchOutput;
 use rfd_telemetry::json::JsonValue;
-use rfd_telemetry::rt::RtMonitor;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
+use std::time::Duration;
 
 /// Schema identifier carried in every stats document.
 pub const STATS_SCHEMA: &str = "rfd-stats";
@@ -59,22 +60,11 @@ fn stage_of(block_name: &str) -> &str {
     block_name.split(':').next().unwrap_or(block_name)
 }
 
-/// Builds the versioned stats document for a finished architecture run
-/// (offline: the `net` and `fleet` sections are null). `serve` uses
-/// [`stats_json_with_fleet`].
-pub fn stats_json(out: &ArchOutput) -> JsonValue {
-    stats_json_full(out, None)
-}
-
-/// Builds the versioned stats document for a `serve` run: the server's
-/// wire-level rollup becomes the `net` section and the per-source
-/// aggregation the `fleet` section.
-pub fn stats_json_with_fleet(out: &ArchOutput, fleet: &rfd_net::FleetSnapshot) -> JsonValue {
-    stats_json_full(out, Some(fleet))
-}
-
-/// Builds the versioned stats document; `fleet` fills both live sections.
-fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> JsonValue {
+/// Builds the versioned stats document for a finished architecture run. On
+/// `serve`, `fleet` is the server's snapshot: its wire-level rollup becomes
+/// the `net` section and its per-source aggregation the `fleet` section;
+/// offline both are null.
+pub fn stats_json(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> JsonValue {
     let total_samples = (out.trace_seconds * out.sample_rate).round();
     let wall_s = out.stats.wall.as_secs_f64();
 
@@ -121,16 +111,33 @@ fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> 
         ]),
     );
 
-    // Per-stage ratios through the RtMonitor: every stage saw the whole
-    // trace, so the denominator is the full signal span.
-    let rt = RtMonitor::new(out.sample_rate);
+    // Per-stage CPU over real time: every stage saw the whole trace, so
+    // each ratio's denominator is the full signal span.
+    let mut stage_cpu: BTreeMap<&str, Duration> = BTreeMap::new();
     for b in &out.stats.blocks {
-        rt.record(stage_of(&b.name), b.cpu, 0);
+        *stage_cpu.entry(stage_of(&b.name)).or_default() += b.cpu;
     }
-    for stage in rt.snapshot().keys() {
-        rt.record(stage, std::time::Duration::ZERO, total_samples as u64);
+    let samples = total_samples as u64;
+    let signal_s = samples as f64 / out.sample_rate.max(1.0);
+    let mut stages = JsonValue::Obj(Vec::new());
+    for (stage, cpu) in stage_cpu {
+        let cpu_s = cpu.as_secs_f64();
+        let ratio = if signal_s > 0.0 {
+            cpu_s / signal_s
+        } else {
+            0.0
+        };
+        stages.push(
+            stage,
+            JsonValue::obj(vec![
+                ("cpu_s", JsonValue::num(cpu_s)),
+                ("samples", JsonValue::num(samples as f64)),
+                ("signal_s", JsonValue::num(signal_s)),
+                ("cpu_over_realtime", JsonValue::num(ratio)),
+            ]),
+        );
     }
-    doc.push("stages", rt.to_json());
+    doc.push("stages", stages);
 
     // Dispatcher forwarding statistics (RFDump only).
     match &out.dispatch_stats {
@@ -172,7 +179,7 @@ fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> 
     // Packet-count summary of the record stream — the cheap invariant a
     // differential harness checks across scheduler modes. Read from the
     // session's running counts, keyed by protocol name as ever.
-    let per_proto: std::collections::BTreeMap<&str, (u64, u64)> = out
+    let per_proto: BTreeMap<&str, (u64, u64)> = out
         .record_counts
         .iter()
         .map(|(p, &counts)| (p.name(), counts))
@@ -398,10 +405,15 @@ fn stats_json_full(out: &ArchOutput, fleet: Option<&rfd_net::FleetSnapshot>) -> 
     doc
 }
 
-/// Writes the stats document to `path` atomically (temp file + rename), so
-/// a crash mid-write never leaves a truncated document behind.
-pub fn write_stats_json(out: &ArchOutput, path: &Path) -> io::Result<()> {
-    rfd_journal::atomic_write(path, stats_json(out).to_json().as_bytes())
+/// Writes the stats document (see [`stats_json`]) to `path` atomically
+/// (temp file + rename), so a crash mid-write never leaves a truncated
+/// document behind.
+pub fn write_stats_json(
+    out: &ArchOutput,
+    fleet: Option<&rfd_net::FleetSnapshot>,
+    path: &Path,
+) -> io::Result<()> {
+    rfd_journal::atomic_write(path, stats_json(out, fleet).to_json().as_bytes())
 }
 
 /// Writes the run's span trace as chrome://tracing JSON to `path`.
@@ -470,7 +482,7 @@ mod tests {
 
     #[test]
     fn document_is_versioned_and_parses() {
-        let doc_text = stats_json(&fake_output()).to_json();
+        let doc_text = stats_json(&fake_output(), None).to_json();
         let doc = rfd_telemetry::json::parse(&doc_text).unwrap();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(STATS_SCHEMA));
         assert_eq!(
@@ -491,7 +503,7 @@ mod tests {
 
     #[test]
     fn v7_kernel_section_reports_backend() {
-        let doc_text = stats_json(&fake_output()).to_json();
+        let doc_text = stats_json(&fake_output(), None).to_json();
         let doc = rfd_telemetry::json::parse(&doc_text).unwrap();
         let kernel = doc.get("kernel").unwrap();
         let backend = kernel.get("backend").unwrap().as_str().unwrap();
@@ -513,7 +525,7 @@ mod tests {
 
     #[test]
     fn stage_ratios_use_signal_time_not_wall() {
-        let doc_text = stats_json(&fake_output()).to_json();
+        let doc_text = stats_json(&fake_output(), None).to_json();
         let doc = rfd_telemetry::json::parse(&doc_text).unwrap();
         let detect = doc.get("stages").unwrap().get("detect").unwrap();
         // 5 ms CPU over 10 ms of signal = 0.5x.
@@ -525,8 +537,36 @@ mod tests {
     }
 
     #[test]
+    fn stages_sum_the_blocks_sharing_a_prefix() {
+        let mut out = fake_output();
+        out.stats.blocks.push(BlockStats {
+            name: "analyze:bt-demod".into(),
+            cpu: Duration::from_millis(4),
+            items_in: 2,
+            items_out: 2,
+        });
+        let doc = rfd_telemetry::json::parse(&stats_json(&out, None).to_json()).unwrap();
+        let stages = doc.get("stages").unwrap();
+        let analyze = stages.get("analyze").unwrap();
+        let cpu_s = analyze.get("cpu_s").unwrap().as_f64().unwrap();
+        assert!((cpu_s - 0.024).abs() < 1e-12, "analyze cpu {cpu_s}");
+        // Each stage is measured against the whole trace: 0.01 s at 8 Msps.
+        assert_eq!(analyze.get("samples").unwrap().as_f64(), Some(80_000.0));
+        assert_eq!(analyze.get("signal_s").unwrap().as_f64(), Some(0.01));
+        assert_eq!(stages.as_obj().unwrap().len(), 2, "detect and analyze");
+        // No signal at all: every ratio reads 0 instead of dividing by it.
+        out.trace_seconds = 0.0;
+        let doc = rfd_telemetry::json::parse(&stats_json(&out, None).to_json()).unwrap();
+        let analyze = doc.get("stages").unwrap().get("analyze").unwrap();
+        assert_eq!(
+            analyze.get("cpu_over_realtime").unwrap().as_f64(),
+            Some(0.0)
+        );
+    }
+
+    #[test]
     fn dispatch_section_reports_fractions() {
-        let doc_text = stats_json(&fake_output()).to_json();
+        let doc_text = stats_json(&fake_output(), None).to_json();
         let doc = rfd_telemetry::json::parse(&doc_text).unwrap();
         let d = doc.get("dispatch").unwrap();
         assert_eq!(d.get("total_peaks").unwrap().as_f64(), Some(10.0));
@@ -548,7 +588,7 @@ mod tests {
             (rfd_phy::Protocol::Microwave, (1, 1)),
         ]
         .into();
-        let doc = rfd_telemetry::json::parse(&stats_json(&out).to_json()).unwrap();
+        let doc = rfd_telemetry::json::parse(&stats_json(&out, None).to_json()).unwrap();
         let recs = doc.get("records").unwrap();
         assert_eq!(recs.get("total").unwrap().as_f64(), Some(2.0));
         let wifi = recs.get("per_protocol").unwrap().get("802.11").unwrap();
@@ -560,7 +600,7 @@ mod tests {
 
     #[test]
     fn pool_section_is_null_single_threaded_and_populated_pooled() {
-        let doc = rfd_telemetry::json::parse(&stats_json(&fake_output()).to_json()).unwrap();
+        let doc = rfd_telemetry::json::parse(&stats_json(&fake_output(), None).to_json()).unwrap();
         assert!(matches!(
             doc.get("pool"),
             Some(rfd_telemetry::json::JsonValue::Null)
@@ -576,7 +616,7 @@ mod tests {
             panics: 1,
             ..Default::default()
         });
-        let doc = rfd_telemetry::json::parse(&stats_json(&out).to_json()).unwrap();
+        let doc = rfd_telemetry::json::parse(&stats_json(&out, None).to_json()).unwrap();
         let pool = doc.get("pool").unwrap();
         assert_eq!(pool.get("executed").unwrap().as_f64(), Some(5.0));
         assert!(pool.get("stolen").is_none(), "v12 dropped the steal count");
@@ -586,7 +626,7 @@ mod tests {
 
     #[test]
     fn fault_and_degradation_sections_null_when_off_populated_when_on() {
-        let doc = rfd_telemetry::json::parse(&stats_json(&fake_output()).to_json()).unwrap();
+        let doc = rfd_telemetry::json::parse(&stats_json(&fake_output(), None).to_json()).unwrap();
         assert!(matches!(
             doc.get("faults"),
             Some(rfd_telemetry::json::JsonValue::Null)
@@ -611,7 +651,7 @@ mod tests {
         out.panics = 3;
         out.quarantined = vec!["analyze:wifi-demod".into()];
 
-        let doc = rfd_telemetry::json::parse(&stats_json(&out).to_json()).unwrap();
+        let doc = rfd_telemetry::json::parse(&stats_json(&out, None).to_json()).unwrap();
         let faults = doc.get("faults").unwrap();
         assert_eq!(faults.get("seed").unwrap().as_f64(), Some(9.0));
         let rules = faults.get("rules").unwrap().as_arr().unwrap();
@@ -632,7 +672,7 @@ mod tests {
 
     #[test]
     fn net_section_is_null_offline_and_populated_live() {
-        let doc = rfd_telemetry::json::parse(&stats_json(&fake_output()).to_json()).unwrap();
+        let doc = rfd_telemetry::json::parse(&stats_json(&fake_output(), None).to_json()).unwrap();
         assert!(matches!(
             doc.get("net"),
             Some(rfd_telemetry::json::JsonValue::Null)
@@ -661,7 +701,7 @@ mod tests {
             latency: None,
             per_source: Vec::new(),
         };
-        let doc_text = stats_json_with_fleet(&fake_output(), &snap).to_json();
+        let doc_text = stats_json(&fake_output(), Some(&snap)).to_json();
         let doc = rfd_telemetry::json::parse(&doc_text).unwrap();
         let fleet = doc.get("fleet").unwrap();
         assert_eq!(fleet.get("sources_done").unwrap().as_f64(), Some(1.0));
@@ -674,7 +714,7 @@ mod tests {
 
     #[test]
     fn v9_fleet_section_is_null_offline_and_populated_for_fleet_runs() {
-        let doc = rfd_telemetry::json::parse(&stats_json(&fake_output()).to_json()).unwrap();
+        let doc = rfd_telemetry::json::parse(&stats_json(&fake_output(), None).to_json()).unwrap();
         assert!(matches!(
             doc.get("fleet"),
             Some(rfd_telemetry::json::JsonValue::Null)
@@ -755,7 +795,7 @@ mod tests {
                 },
             ],
         };
-        let doc_text = stats_json_with_fleet(&fake_output(), &snap).to_json();
+        let doc_text = stats_json(&fake_output(), Some(&snap)).to_json();
         let doc = rfd_telemetry::json::parse(&doc_text).unwrap();
         // The fleet's wire rollup doubles as the net section.
         assert_eq!(
@@ -796,7 +836,7 @@ mod tests {
             reg.emit_event(rfd_telemetry::event::EventKind::Checkpoint, "cp 1");
             crate::latency::stage_histogram(reg, crate::latency::DETECT).record(42.0);
         }
-        let doc = rfd_telemetry::json::parse(&stats_json(&out).to_json()).unwrap();
+        let doc = rfd_telemetry::json::parse(&stats_json(&out, None).to_json()).unwrap();
         let ev = doc.get("events").unwrap();
         assert_eq!(ev.get("emitted").unwrap().as_f64(), Some(1.0));
         assert_eq!(ev.get("dropped").unwrap().as_f64(), Some(0.0));
@@ -808,7 +848,7 @@ mod tests {
 
         let mut out = fake_output();
         out.registry = None;
-        let doc = rfd_telemetry::json::parse(&stats_json(&out).to_json()).unwrap();
+        let doc = rfd_telemetry::json::parse(&stats_json(&out, None).to_json()).unwrap();
         assert!(matches!(
             doc.get("events"),
             Some(rfd_telemetry::json::JsonValue::Null)
@@ -821,7 +861,7 @@ mod tests {
 
     #[test]
     fn registry_counters_reach_the_document() {
-        let doc_text = stats_json(&fake_output()).to_json();
+        let doc_text = stats_json(&fake_output(), None).to_json();
         let doc = rfd_telemetry::json::parse(&doc_text).unwrap();
         assert_eq!(
             doc.get("counters")

@@ -19,7 +19,7 @@
 //! samples, only earlier.
 //!
 //! The [`Server`] type at the bottom is a preset over
-//! [`FleetServer`](crate::FleetServer), not a second server.
+//! [`FleetServer`], not a second server.
 
 use crate::fleet::{FleetConfig, FleetServer, PipelineFactory};
 use crate::frame::{encode_frame, Frame, FrameDecoder, RecordMsg, SeqFrame, StreamMeta};

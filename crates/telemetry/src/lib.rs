@@ -11,8 +11,6 @@
 //!   index + `fetch_add` (histograms) — no locks, no allocation per sample.
 //! * [`span::SpanTracer`] — span timing into a bounded ring buffer, with
 //!   chrome://tracing JSON export for timeline inspection.
-//! * [`rt::RtMonitor`] — per-stage CPU-over-real-time ratios keyed on
-//!   `samples / sample_rate`, the paper's headline metric.
 //! * [`json`] — a dependency-free JSON writer *and* parser, so stats
 //!   documents can be emitted and verified in offline builds.
 //! * [`ladder`] — the shed ladder every degradation loop walks: a clamped
@@ -29,7 +27,6 @@
 pub mod event;
 pub mod json;
 pub mod ladder;
-pub mod rt;
 pub mod span;
 
 use json::JsonValue;

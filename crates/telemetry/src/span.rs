@@ -87,7 +87,7 @@ impl SpanTracer {
     }
 
     /// Exports the buffered events as a chrome://tracing JSON array
-    /// (load via `chrome://tracing` or https://ui.perfetto.dev).
+    /// (load via `chrome://tracing` or <https://ui.perfetto.dev>).
     pub fn to_chrome_json(&self) -> String {
         let items: Vec<JsonValue> = self
             .events()

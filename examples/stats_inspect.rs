@@ -34,7 +34,7 @@ fn demo_document() -> String {
         uap: 0x47,
     }]);
     let out = run_architecture(&cfg, &trace.samples, trace.band.sample_rate);
-    stats_json(&out).to_json()
+    stats_json(&out, None).to_json()
 }
 
 fn num(v: &JsonValue, key: &str) -> f64 {

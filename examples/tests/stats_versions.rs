@@ -128,7 +128,7 @@ fn a_budgeted_run_document_renders_its_latency_mode() {
         ..rfdump::arch::ArchConfig::rfdump(Vec::new())
     };
     let out = rfdump::arch::run_architecture(&cfg, &samples, header.sample_rate);
-    let doc = rfdump::stats::stats_json(&out).to_json();
+    let doc = rfdump::stats::stats_json(&out, None).to_json();
     let (ok, stdout) = inspect(&doc);
     assert!(ok, "budgeted run document rejected:\n{stdout}");
     assert!(

@@ -39,7 +39,7 @@ fn serialized(out: &ArchOutput) -> String {
 /// Per-protocol packet counts as reported in the `--stats-json` document's
 /// `records` section.
 fn stats_json_counts(out: &ArchOutput) -> Vec<(String, f64, f64)> {
-    let doc = rfdump::stats::stats_json(out);
+    let doc = rfdump::stats::stats_json(out, None);
     let records = doc.get("records").expect("records section");
     let per = records
         .get("per_protocol")

@@ -111,7 +111,7 @@ fn histogram_quantiles_are_monotone() {
 #[test]
 fn stats_json_round_trips_through_parser() {
     let out = run();
-    let text = stats_json(&out).to_json();
+    let text = stats_json(&out, None).to_json();
     let doc = rfd_telemetry::json::parse(&text).expect("stats json must parse");
 
     assert_eq!(doc.get("schema").unwrap().as_str(), Some(STATS_SCHEMA));
