@@ -554,14 +554,24 @@ mod tests {
         assert_eq!(analyze.get("samples").unwrap().as_f64(), Some(80_000.0));
         assert_eq!(analyze.get("signal_s").unwrap().as_f64(), Some(0.01));
         assert_eq!(stages.as_obj().unwrap().len(), 2, "detect and analyze");
+    }
+
+    #[test]
+    fn empty_stage_reports_zero_ratio() {
         // No signal at all: every ratio reads 0 instead of dividing by it.
+        let mut out = fake_output();
         out.trace_seconds = 0.0;
         let doc = rfd_telemetry::json::parse(&stats_json(&out, None).to_json()).unwrap();
-        let analyze = doc.get("stages").unwrap().get("analyze").unwrap();
-        assert_eq!(
-            analyze.get("cpu_over_realtime").unwrap().as_f64(),
-            Some(0.0)
-        );
+        let stages = doc.get("stages").unwrap().as_obj().unwrap();
+        assert_eq!(stages.len(), 2, "detect and analyze");
+        for (name, stage) in stages {
+            assert_eq!(stage.get("samples").unwrap().as_f64(), Some(0.0), "{name}");
+            assert_eq!(
+                stage.get("cpu_over_realtime").unwrap().as_f64(),
+                Some(0.0),
+                "{name}"
+            );
+        }
     }
 
     #[test]
