@@ -7,7 +7,7 @@
 //! is speed. The report quantifies it:
 //!
 //! - `kernels.<name>.<backend>` — per-call timing and Msps for each hot
-//!   kernel under each backend (`scalar`, `sse2`, `avx2` as available);
+//!   kernel under each backend (`scalar`, and `avx2` when available);
 //! - `speedup.<name>` — best-backend Msps over scalar Msps;
 //! - `fused_peak_detector` — the single-pass energy→peak-gate front end vs
 //!   the pre-fusion reference loop, same backend;

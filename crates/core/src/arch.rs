@@ -694,7 +694,7 @@ struct RfDump {
     /// Degradation ladder. The detection stage is where load is observed
     /// (peak end time = signal progress) and where levels ≥ 2 shed the
     /// expensive phase/frequency detectors and raise the confidence floor;
-    /// under a latency budget it also owns the live chunk size.
+    /// under a latency budget the measured p99 walks those levels.
     governor: Option<Arc<LoadGovernor>>,
     /// Chaos injection site `detect` (honours the delay actions and `kill`
     /// — the protocol-agnostic stage is never failed or shed, so `panic`
@@ -704,7 +704,7 @@ struct RfDump {
     /// Stamp each chunk's ingest time (telemetry or budget runs only, so
     /// plain runs pay zero clock reads per chunk).
     stamp: bool,
-    /// Configured chunk size (the fixed size without a latency budget).
+    /// Configured chunk size, fixed for the run, budget or not.
     chunk_samples: usize,
     fs: f64,
     /// Samples pushed so far.

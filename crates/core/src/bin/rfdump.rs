@@ -12,7 +12,7 @@
 //! view of rates, per-stage latency quantiles and recent events.
 //!
 //! `rfdump kernel` reports the DSP kernel backend this host resolves:
-//! the active backend (after honoring `RFD_KERNEL=scalar|sse2|avx2|auto`),
+//! the active backend (after honoring `RFD_KERNEL=scalar|avx2|auto`),
 //! the raw request, and every backend the CPU supports. All backends are
 //! bit-exact against the scalar reference, so record output never depends
 //! on which one runs; the subcommand exists so scripts can assert the
@@ -147,17 +147,22 @@ fn parse_governor(level: &str) -> Result<GovernorConfig, String> {
     })
 }
 
-/// Parses a `--latency-budget` value: positive milliseconds.
+/// `secs` as a `Duration` a deadline can be set from: non-negative,
+/// finite, and near enough that `Instant::now()` plus it does not overflow.
+fn deadline_duration(secs: f64) -> Option<Duration> {
+    let d = Duration::try_from_secs_f64(secs).ok()?;
+    std::time::Instant::now().checked_add(d).map(|_| d)
+}
+
+/// Parses a `--latency-budget` value: positive milliseconds that make a
+/// deadline (see [`deadline_duration`]).
 fn parse_budget_ms(v: &str) -> Result<f64, String> {
-    let ms: f64 = v
-        .parse()
-        .map_err(|_| format!("--latency-budget needs positive milliseconds, got '{v}'"))?;
-    if !ms.is_finite() || ms <= 0.0 {
-        return Err(format!(
+    match v.parse::<f64>() {
+        Ok(ms) if ms > 0.0 && deadline_duration(ms / 1e3).is_some() => Ok(ms),
+        _ => Err(format!(
             "--latency-budget needs positive milliseconds, got '{v}'"
-        ));
+        )),
     }
-    Ok(ms)
 }
 
 /// Parses a `-d` detector set.
@@ -222,12 +227,23 @@ trait FlagValues: Iterator<Item = String> {
         v.parse().map_err(|_| format!("{flag} needs {valid}"))
     }
 
-    /// The value that follows `flag` as finite, positive seconds.
-    fn positive_secs(&mut self, flag: &str, what: &str) -> Result<f64, String> {
-        match self.parsed(flag, what, "positive seconds")? {
-            secs if f64::is_finite(secs) && secs > 0.0 => Ok(secs),
-            _ => Err(format!("{flag} needs positive seconds")),
+    /// The value that follows `flag` as seconds: `None` for zero or less,
+    /// else the duration (see [`deadline_duration`]). NaN, an infinite
+    /// value or one past the clock's reach is the error `"{flag} needs
+    /// {valid}"`, as is one that does not parse.
+    fn secs(&mut self, flag: &str, what: &str, valid: &str) -> Result<Option<Duration>, String> {
+        match self.parsed::<f64>(flag, what, valid)? {
+            secs if secs <= 0.0 => Ok(None),
+            secs => deadline_duration(secs)
+                .map(Some)
+                .ok_or_else(|| format!("{flag} needs {valid}")),
         }
+    }
+
+    /// The value that follows `flag` as positive seconds (see [`Self::secs`]).
+    fn positive_secs(&mut self, flag: &str, what: &str) -> Result<Duration, String> {
+        self.secs(flag, what, "positive seconds")?
+            .ok_or_else(|| format!("{flag} needs positive seconds"))
     }
 }
 
@@ -424,9 +440,7 @@ fn parse_serve_args(argv: Vec<String>) -> Result<ServeOptions, String> {
             // own server mode; every `serve` admits them now.
             "--fleet" => {}
             "--expect" => net.expect = Some(args.parsed(&a, "a count", "a positive integer")?),
-            "--source-timeout" => {
-                net.idle_timeout = Duration::from_secs_f64(args.positive_secs(&a, "seconds")?);
-            }
+            "--source-timeout" => net.idle_timeout = args.positive_secs(&a, "seconds")?,
             "--queue-cap" => net.queue_cap = args.parsed(&a, "a count", "a positive integer")?,
             "--sub-queue-cap" => {
                 net.sub_queue_cap = args.parsed(&a, "a count", "a positive integer")?
@@ -437,8 +451,7 @@ fn parse_serve_args(argv: Vec<String>) -> Result<ServeOptions, String> {
                     .ok_or_else(|| format!("unknown overflow policy '{s}'"))?;
             }
             "--resume-grace" => {
-                let secs: f64 = args.parsed(&a, "seconds", "seconds")?;
-                net.resume_grace = Duration::from_secs_f64(secs.max(0.0));
+                net.resume_grace = args.secs(&a, "seconds", "seconds")?.unwrap_or_default();
             }
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -455,7 +468,7 @@ fn parse_serve_args(argv: Vec<String>) -> Result<ServeOptions, String> {
     net.faults = analysis.arch.faults.clone();
     net.latency_budget = analysis
         .latency_budget_ms
-        .map(|ms| Duration::from_secs_f64(ms / 1e3));
+        .and_then(|ms| deadline_duration(ms / 1e3));
     Ok(ServeOptions {
         listen: listen.ok_or("serve needs --listen ADDR")?,
         net,
@@ -770,10 +783,7 @@ fn parse_watch_args(argv: Vec<String>) -> Result<WatchOptions, String> {
         match a.as_str() {
             "--connect" => connect = Some(args.value(&a, "an address")?),
             "--source" => source = Some(parse_source(args.value(&a, "an id")?)?),
-            "--wait-source" => {
-                let secs = args.positive_secs(&a, "positive seconds")?;
-                wait_source = Some(Duration::from_secs_f64(secs));
-            }
+            "--wait-source" => wait_source = Some(args.positive_secs(&a, "positive seconds")?),
             "--chaos" => chaos = parse_chaos(&args.value(&a, "a spec")?)?,
             "--journal" => journal = Some(args.value(&a, "a directory")?),
             "-q" => quiet = true,
@@ -949,21 +959,15 @@ fn cmd_kernel() -> ExitCode {
 }
 
 /// `rfdump top`: the endpoint, the refresh interval and `--once`.
-fn parse_top_args(argv: Vec<String>) -> Result<(String, f64, bool), String> {
+fn parse_top_args(argv: Vec<String>) -> Result<(String, Duration, bool), String> {
     let mut connect = None;
-    let mut interval = 2.0f64;
+    let mut interval = Duration::from_secs(2);
     let mut once = false;
     let mut args = argv.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--connect" => connect = Some(args.value(&a, "an address")?),
-            // Unlike `positive_secs`, an infinite interval is accepted.
-            "--interval" => {
-                interval = args.parsed(&a, "positive seconds", "positive seconds")?;
-                if interval.is_nan() || interval <= 0.0 {
-                    return Err("--interval needs positive seconds".to_string());
-                }
-            }
+            "--interval" => interval = args.positive_secs(&a, "positive seconds")?,
             "--once" => once = true,
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -972,7 +976,7 @@ fn parse_top_args(argv: Vec<String>) -> Result<(String, f64, bool), String> {
 }
 
 /// `rfdump top`: polls a metrics endpoint and renders a refreshing view.
-fn cmd_top((addr, interval, once): (String, f64, bool)) -> ExitCode {
+fn cmd_top((addr, interval, once): (String, Duration, bool)) -> ExitCode {
     rfd_fault::signal::install_sigint();
     let mut prev: Option<(std::collections::BTreeMap<String, f64>, std::time::Instant)> = None;
     loop {
@@ -1002,7 +1006,7 @@ fn cmd_top((addr, interval, once): (String, f64, bool)) -> ExitCode {
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         prev = Some((cur, now));
-        let deadline = std::time::Instant::now() + Duration::from_secs_f64(interval);
+        let deadline = std::time::Instant::now() + interval;
         while std::time::Instant::now() < deadline {
             if rfd_fault::signal::sigint_seen() {
                 println!();

@@ -142,7 +142,7 @@ fn serve_expect_zero_is_rejected_with_or_without_fleet() {
 
 #[test]
 fn serve_fleet_with_invalid_source_timeout_is_rejected() {
-    for bad in ["0", "-3", "soon", ""] {
+    for bad in ["0", "-3", "soon", "", "1e300"] {
         let out = rfdump(&[
             "serve",
             "--listen",
@@ -166,18 +166,20 @@ fn serve_fleet_with_invalid_source_timeout_is_rejected() {
 
 #[test]
 fn invalid_latency_budget_is_rejected() {
-    for bad in ["0", "-5", "inf", "soon", ""] {
-        let out = rfdump(&["-r", "/tmp/whatever.rfdt", "--latency-budget", bad]);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "usage errors exit 2 (--latency-budget {bad:?})"
-        );
-        assert_clean_failure(
-            &out,
-            "bad --latency-budget",
-            "--latency-budget needs positive milliseconds",
-        );
+    let offline: &[&str] = &["-r", "/tmp/whatever.rfdt"];
+    let serve: &[&str] = &["serve", "--listen", "127.0.0.1:0"];
+    for prefix in [offline, serve] {
+        for bad in ["0", "-5", "inf", "soon", "", "1e300"] {
+            let mut args = prefix.to_vec();
+            args.extend_from_slice(&["--latency-budget", bad]);
+            let out = rfdump(&args);
+            assert_eq!(out.status.code(), Some(2), "usage errors exit 2 ({args:?})");
+            assert_clean_failure(
+                &out,
+                "bad --latency-budget",
+                "--latency-budget needs positive milliseconds",
+            );
+        }
     }
 }
 
@@ -276,7 +278,7 @@ fn watch_wait_source_without_source_is_rejected() {
 
 #[test]
 fn watch_with_invalid_wait_source_is_rejected() {
-    for bad in ["0", "-1", "nan", "later"] {
+    for bad in ["0", "-1", "nan", "later", "1e300"] {
         let out = rfdump(&[
             "watch",
             "--connect",
@@ -742,6 +744,14 @@ fn bad_values_and_missing_required_flags_print_their_one_line() {
             "--resume-grace needs seconds",
         ),
         (
+            &["serve", "--listen", "x", "--resume-grace", "inf"],
+            "--resume-grace needs seconds",
+        ),
+        (
+            &["serve", "--listen", "x", "--resume-grace", "1e19"],
+            "--resume-grace needs seconds",
+        ),
+        (
             &["serve", "--listen", "x", "--expect", "z"],
             "--expect needs a positive integer",
         ),
@@ -787,6 +797,10 @@ fn bad_values_and_missing_required_flags_print_their_one_line() {
         ),
         (
             &["top", "--connect", "x", "--interval", "nan"],
+            "--interval needs positive seconds",
+        ),
+        (
+            &["top", "--connect", "x", "--interval", "1e300"],
             "--interval needs positive seconds",
         ),
     ];

@@ -5,12 +5,13 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
-/// This test binary's scratch directory, emptied on first use.
+/// This test binary's scratch directory under cargo's target tmp dir,
+/// emptied on first use: one per suite, reclaimed by `cargo clean`.
 pub fn workdir() -> &'static PathBuf {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
-        let name = format!("rfd-{}-{}", env!("CARGO_CRATE_NAME"), std::process::id());
-        let d = std::env::temp_dir().join(name);
+        let name = format!("rfd-{}", env!("CARGO_CRATE_NAME"));
+        let d = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d

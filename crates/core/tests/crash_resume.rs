@@ -24,10 +24,12 @@ const KILLS: [(&str, [u32; 5]); 3] = [
     ("journal.commit", [1, 2, 4, 8, 16]),
 ];
 
+/// This suite's scratch directory under cargo's target tmp dir, emptied on
+/// first use: one per suite, reclaimed by `cargo clean`.
 fn workdir() -> &'static PathBuf {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
-        let d = std::env::temp_dir().join(format!("rfd-crash-resume-{}", std::process::id()));
+        let d = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("rfd-crash-resume");
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d

@@ -31,16 +31,15 @@ fn auto_resolves_to_the_best_available_backend() {
     // A silent fallback to scalar on a SIMD-capable host is a build or
     // dispatch regression, not a preference.
     let (backend, available) = kernel_report();
-    for best in ["avx2", "sse2"] {
-        if available.iter().any(|b| b == best) {
-            assert_eq!(
-                backend, best,
-                "auto resolved to {backend}; available {available:?}"
-            );
-            return;
-        }
-    }
-    assert_eq!(backend, "scalar");
+    let best = if available.iter().any(|b| b == "avx2") {
+        "avx2"
+    } else {
+        "scalar"
+    };
+    assert_eq!(
+        backend, best,
+        "auto resolved to {backend}; available {available:?}"
+    );
 }
 
 #[test]
@@ -62,6 +61,27 @@ fn every_backend_prints_the_auto_record_stream() {
             String::from_utf8_lossy(&got)
         );
     }
+}
+
+#[test]
+fn an_unrecognized_kernel_warns_once_and_runs_auto() {
+    // `sse2` is no backend name, so it takes the unrecognized path.
+    let trace = mixed_trace().to_str().unwrap();
+    let args = ["-r", trace, "--workers", "0", "-p", "9E8B33:47"];
+    let auto = rfdump(None, &args).stdout;
+    let out = rfdump(Some("sse2"), &args);
+    assert!(
+        out.stdout == auto,
+        "record stream diverged under RFD_KERNEL=sse2:\n--- auto\n{}\n--- sse2\n{}",
+        String::from_utf8_lossy(&auto),
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warnings = stderr
+        .lines()
+        .filter(|l| l.starts_with("rfd-dsp: unrecognized RFD_KERNEL=sse2"))
+        .count();
+    assert_eq!(warnings, 1, "stderr:\n{stderr}");
 }
 
 #[test]

@@ -164,7 +164,7 @@ fn reflect(v: u64, width: u32) -> u64 {
 /// FCS); the generic bit-serial [`Crc`] stays as the engine for every other
 /// width and as the oracle this function is tested against. It runs through
 /// the active kernel table: slice-by-8 on the scalar backend (the
-/// reference), carry-less-multiply folding on the SSE2 and AVX2 backends
+/// reference), carry-less-multiply folding on the AVX2 backend
 /// when the CPU has PCLMULQDQ. A CRC is integer arithmetic, so every
 /// backend returns the same value.
 pub fn crc32(data: &[u8]) -> u32 {

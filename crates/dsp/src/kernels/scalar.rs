@@ -3,7 +3,7 @@
 //! These define the numeric contract (see the module docs in
 //! [`super`]): striped 8-lane accumulation with a fixed reduction tree for
 //! reductions, and plain per-element IEEE arithmetic everywhere else. The
-//! SIMD backends are required to reproduce every bit of these results.
+//! AVX2 backend is required to reproduce every bit of these results.
 
 use crate::complex::{from_i16_iq, Complex32};
 use std::mem::MaybeUninit;
@@ -152,7 +152,7 @@ pub(super) fn polyphase_rows(
     polyphase_rows_from(src, offs, taps, scale, out, 0);
 }
 
-/// Outputs `from..` of [`polyphase_rows`]; the vector backends finish their
+/// Outputs `from..` of [`polyphase_rows`]; the AVX2 backend finishes its
 /// remainder lanes with it.
 pub(super) fn polyphase_rows_from(
     src: &[f32],

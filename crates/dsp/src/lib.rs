@@ -21,7 +21,7 @@
 //! * [`energy`] — dB conversions and the running power average used by the
 //!   peak detector (§4.3).
 //! * [`kernels`] — the vectorized kernel layer underneath all of the above:
-//!   runtime-dispatched scalar/SSE2/AVX2 implementations of the hot inner
+//!   runtime-dispatched scalar/AVX2 implementations of the hot inner
 //!   loops (power, reductions, FIR dots, conjugate-multiply
 //!   chains, FFT butterfly stages), selectable via `RFD_KERNEL`.
 //! * [`coding`] — generic bit/byte utilities, a table-driven CRC engine,

@@ -188,8 +188,8 @@ fn golden_wifi_trace_matches_snapshot() {
 /// Kernel-backend matrix: the committed golden record streams must be
 /// byte-identical whichever vectorized DSP backend runs. This pins the
 /// bit-exactness contract of `rfd_dsp::kernels` to the full pipeline, not
-/// just to the kernel unit tests: scalar is the reference, and SSE2/AVX2
-/// (whichever this CPU supports) must reproduce the exact same records.
+/// just to the kernel unit tests: scalar is the reference, and AVX2 (when
+/// this CPU supports it) must reproduce the exact same records.
 #[test]
 fn golden_record_streams_identical_across_kernel_backends() {
     use rfd_dsp::kernels::{self, Backend};

@@ -1,8 +1,8 @@
 //! Differential tests for the vectorized DSP kernel layer.
 //!
 //! The scalar kernels in `rfd_dsp::kernels` are the reference semantics: the
-//! SSE2 and AVX2 backends must reproduce them **bit-for-bit**, not merely to
-//! within a tolerance. These tests force each backend this CPU supports via
+//! AVX2 backend must reproduce them **bit-for-bit**, not merely to within a
+//! tolerance. These tests force each backend this CPU supports via
 //! [`rfd_dsp::kernels::set_backend`] and compare every kernel's output to the
 //! scalar result with `to_bits()` equality, across:
 //!
@@ -25,8 +25,8 @@ use std::sync::Mutex;
 /// Serializes backend flips across the (multi-threaded) test harness.
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Sizes that straddle the 4-lane (SSE2) and 8-lane (AVX2) boundaries plus
-/// the striping width (8 lanes for reductions).
+/// Sizes that straddle the AVX2 lane boundaries (4 complex or 8 real
+/// values per vector) plus the striping width (8 lanes for reductions).
 const SIZES: &[usize] = &[
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 255, 256, 257, 1031,
 ];
@@ -300,8 +300,8 @@ fn phase_pipeline_matches_scalar_bitwise() {
 
 #[test]
 fn polyphase_rows_match_scalar_bitwise() {
-    // Output counts around both tile widths (16 SSE2 lanes, 32 AVX2 lanes)
-    // and their single-vector steps; tap counts of half_taps 4, 8 and 12.
+    // Output counts around the 32-output AVX2 tile, its 8-output step and
+    // the smaller tail cases; tap counts of half_taps 4, 8 and 12.
     seeded_cases(0xD1F0_000C, 10, |rng| {
         for taps_n in [1usize, 9, 17, 25] {
             for &n in SIZES {

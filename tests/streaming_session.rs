@@ -275,7 +275,9 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 fn trace_file(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rfd-streaming-{}", std::process::id()));
+    // One directory per suite, under cargo's target tmp dir: each run
+    // rewrites its files, and `cargo clean` reclaims it.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("rfd-streaming");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let trace = mixed_trace(3, 8, 28.0, 4242);
