@@ -109,9 +109,8 @@ pub struct BtAnalyzer {
 impl BtAnalyzer {
     /// Creates the analyzer for a monitor band.
     pub fn new(sample_rate: f64, band_center_hz: f64, piconets: Vec<PiconetId>) -> Self {
-        let half = sample_rate / 2.0;
-        let channels = (0..rfd_phy::bluetooth::NUM_CHANNELS)
-            .filter(|&ch| (channel_freq_hz(ch) - band_center_hz).abs() + 0.5e6 <= half)
+        let channels = rfd_phy::bluetooth::covered_channels(sample_rate, band_center_hz)
+            .map(|(ch, _)| ch)
             .collect();
         Self {
             band_center_hz,

@@ -48,7 +48,7 @@ pub mod sync {
 }
 
 /// One stage's statistics from a run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BlockStats {
     /// Stage name.
     pub name: String,
@@ -61,7 +61,7 @@ pub struct BlockStats {
 }
 
 /// Statistics from one architecture run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// Per-stage stats in pipeline order.
     pub blocks: Vec<BlockStats>,

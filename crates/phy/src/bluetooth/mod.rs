@@ -35,6 +35,15 @@ pub(crate) const SYMBOL_RATE: f64 = 1e6;
 pub const CHANNEL_WIDTH_HZ: f64 = 1e6;
 /// Number of RF channels in the 2.4 GHz band.
 pub const NUM_CHANNELS: u8 = 79;
+/// The channels wholly inside a band `sample_rate` wide centred at
+/// `band_center_hz` (in [`channel_freq_hz`]'s coordinates), in channel order,
+/// each with its offset from the band centre, Hz.
+pub fn covered_channels(sample_rate: f64, band_center_hz: f64) -> impl Iterator<Item = (u8, f64)> {
+    (0..NUM_CHANNELS)
+        .map(move |ch| (ch, channel_freq_hz(ch) - band_center_hz))
+        .filter(move |&(_, offset)| offset.abs() + CHANNEL_WIDTH_HZ / 2.0 <= sample_rate / 2.0)
+}
+
 /// GFSK bandwidth-time product.
 pub(crate) const GFSK_BT: f64 = 0.5;
 /// GFSK modulation index (deviation = h/2 × symbol rate = 160 kHz).
