@@ -808,3 +808,65 @@ fn bad_values_and_missing_required_flags_print_their_one_line() {
         assert_usage_error(args, msg, &usage);
     }
 }
+
+/// Runs `rfdump args` with stdout on `stdout` and returns its output
+/// (stdout itself is not captured).
+fn rfdump_into(args: &[&str], stdout: std::process::Stdio) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rfdump"))
+        .args(args)
+        .stdout(stdout)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .expect("spawn rfdump")
+}
+
+/// A pipe whose reading end is already closed: every write the child makes
+/// fails with EPIPE (Rust ignores SIGPIPE), as it does under `| head`
+/// once `head` has exited.
+fn closed_pipe() -> std::process::Stdio {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    writer.into()
+}
+
+fn dev_full() -> std::process::Stdio {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full")
+        .into()
+}
+
+#[test]
+fn a_closed_or_full_stdout_is_a_clean_exit() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/wifi.rfdt");
+    let replay: &[&str] = &["-r", golden, "--workers", "0"];
+    for args in [replay, &["kernel"]] {
+        // The reader went away: the run ends as it would at end of input.
+        let out = rfdump_into(args, closed_pipe());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?} into a closed pipe: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("cannot write"),
+            "{args:?} into a closed pipe: {stderr}"
+        );
+        // Any other write error is one line and status 1.
+        let out = rfdump_into(args, dev_full());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{args:?} into /dev/full: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.matches("rfdump: cannot write records: ").count(),
+            1,
+            "{args:?} into /dev/full: {stderr}"
+        );
+    }
+}
