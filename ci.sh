@@ -10,12 +10,12 @@
 #      the host resolves, so together they cover the kernel matrix
 #   3. a smoke run of the rfdump CLI over a tiny generated .rfdt trace,
 #      checking that --stats-json emits a document the in-repo parser and
-#      schema checks accept (for -a naive too), that -a naive and -a
-#      naive-energy print their committed golden snapshots, and that no
-#      fused multiply-add appears in the kernel layer or the resampler
-#      (the kernel-matrix identity, the plain serve/send loopback and the
-#      --workers 0 vs --workers 4 record identity are tier-1,
-#      crates/core/tests/{kernel_matrix,loopback,worker_identity}.rs).
+#      schema checks accept, and that no fused multiply-add appears in the
+#      kernel layer or the resampler (the kernel-matrix identity, the plain
+#      serve/send loopback, the --workers 0 vs --workers 4 record identity
+#      and the naïve baselines' golden snapshots and stats document are
+#      tier-1, crates/core/tests/{kernel_matrix,loopback,worker_identity,
+#      naive_baselines}.rs).
 #   4. chaos smokes: the suite again under an ambient output-preserving
 #      RFD_FAULTS plan, a serve/send loopback with injected producer
 #      disconnects diffed against offline output, and a SIGINT shutdown
@@ -140,19 +140,6 @@ trace="$work/rfdump-example.rfdt"
 # stats_inspect parses the document with the in-repo codec and asserts the
 # rfd-stats schema/version before printing; a malformed document fails here.
 cargo run --release -q -p rfd-examples --bin stats_inspect "$work/stats.json" >/dev/null
-
-# The naïve baselines: each prints its golden snapshot, and a naïve run's
-# stats document passes the same inspector.
-for t in wifi bluetooth; do
-    for a in naive naive-energy; do
-        ./target/release/rfdump -r "tests/golden/$t.rfdt" -a "$a" -p 9E8B33:47 \
-            --workers 0 2>/dev/null | diff -u "tests/golden/$t.$a.expected" - \
-            || { echo "-a $a diverged from its golden snapshot on $t.rfdt"; exit 1; }
-    done
-done
-./target/release/rfdump -r "$trace" -a naive -q -s --stats-json "$work/stats-naive.json" \
-    2>/dev/null
-cargo run --release -q -p rfd-examples --bin stats_inspect "$work/stats-naive.json" >/dev/null
 
 echo "== reference record stream (--workers 0) =="
 # The later smokes diff against this run. That --workers 4 prints it too is
