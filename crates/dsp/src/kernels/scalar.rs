@@ -142,6 +142,50 @@ pub(super) fn conj_mul_adjacent(samples: &[Complex32], out: &mut [Complex32]) {
     }
 }
 
+/// `out[i] = |arg(samples[i+1] * conj(samples[i]))|` through
+/// [`crate::phase::abs_atan2`].
+pub(super) fn phase_diff_abs(samples: &[Complex32], out: &mut [f32]) {
+    for (o, w) in out.iter_mut().zip(samples.windows(2)) {
+        let z = conj_mul(w[1], w[0]);
+        *o = crate::phase::abs_atan2(z.im, z.re);
+    }
+}
+
+/// Scores each of the eight `wlen`-long windows of `dphi` (see
+/// [`super::barker_scores`]): the window's mean as `Iterator::sum` adds it
+/// (in order, from `-0.0`), its centred energy in order, then per cyclic
+/// offset one dot in window order, keeping the largest `dot / denom`.
+pub(super) fn barker_scores(
+    dphi: &[f32],
+    tiled: &[f32],
+    sps: usize,
+    norm: f32,
+    scores: &mut [f32; super::BARKER_WINDOWS],
+) {
+    let wlen = dphi.len() / super::BARKER_WINDOWS;
+    for (score, win) in scores.iter_mut().zip(dphi.chunks_exact(wlen)) {
+        let mean = win.iter().fold(-0.0f32, |sum, &d| sum + d) / wlen as f32;
+        let mut energy = 0.0f32;
+        for &d in win {
+            let c = d - mean;
+            energy += c * c;
+        }
+        let denom = (norm * energy.sqrt()).max(1e-9);
+        let mut best = -1.0f32;
+        for off in 0..sps {
+            let mut dot = 0.0f32;
+            for (&d, &p) in win.iter().zip(&tiled[off..off + wlen]) {
+                dot += (d - mean) * p;
+            }
+            // `f32::max` with the tie and NaN cases pinned: a NaN score
+            // keeps `best`, and so does an equal one.
+            let v = dot / denom;
+            best = if v > best { v } else { best };
+        }
+        *score = best;
+    }
+}
+
 pub(super) fn polyphase_rows(
     src: &[f32],
     offs: &[usize],
