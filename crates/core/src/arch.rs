@@ -43,6 +43,7 @@ use rfd_phy::bluetooth::{covered_channels, BtRxBank, BtRxResult};
 use rfd_phy::wifi::demod::WifiRxResult;
 use rfd_phy::Protocol;
 use rfd_telemetry::{Counter, Histogram, Registry};
+use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -780,7 +781,7 @@ impl RfDump {
                     Some(js)
                 }
                 Err(e) => {
-                    eprintln!("rfdump: journaling disabled: {e}");
+                    let _ = writeln!(std::io::stderr(), "rfdump: journaling disabled: {e}");
                     None
                 }
             }

@@ -102,7 +102,7 @@
 //! start its senders knowing no record will be missed.
 //! ```
 
-#![deny(clippy::print_stdout)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use rfd_fault::FaultPlan;
 use rfd_net::{
@@ -122,6 +122,22 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `eprintln!` that drops a write error instead of panicking: stderr only
+/// carries diagnostics, so a full or closed one must neither end the run
+/// nor change its exit status. Every stderr line goes through here, in one
+/// write, so a reader polling a log file for a line scripts wait for (a
+/// bound address) never catches half of it.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        diag(format_args!($($arg)*))
+    };
+}
+
+/// The body of [`say!`].
+fn diag(line: std::fmt::Arguments) {
+    let _ = io::stderr().write_all(format!("{line}\n").as_bytes());
+}
 
 /// Parses a `--chaos` spec into a fault plan.
 fn parse_chaos(spec: &str) -> Result<Option<Arc<FaultPlan>>, String> {
@@ -190,7 +206,7 @@ fn parse_arch(name: &str, detector_set: DetectorSet) -> Result<ArchKind, String>
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
+    say!(
         "usage: rfdump -r FILE [-a rfdump|naive|naive-energy] [-d timing|phase|both|all]\n\
          \x20             [-n] [-p LAP:UAP]... [-z] [-s] [-q] [--workers N]\n\
          \x20             [--no-telemetry] [--stats-json FILE] [--trace-out FILE]\n\
@@ -230,7 +246,7 @@ fn write_failed(e: io::Error) -> u8 {
     if e.kind() == io::ErrorKind::BrokenPipe {
         return 0;
     }
-    eprintln!("rfdump: cannot write records: {e}");
+    say!("rfdump: cannot write records: {e}");
     1
 }
 
@@ -290,17 +306,17 @@ impl Outputs {
     fn write(&self, out: &ArchOutput, fleet: Option<&FleetSnapshot>) -> Result<(), ExitCode> {
         if let Some(path) = &self.stats_json {
             if let Err(e) = rfdump::stats::write_stats_json(out, fleet, Path::new(path)) {
-                eprintln!("rfdump: cannot write {path}: {e}");
+                say!("rfdump: cannot write {path}: {e}");
                 return Err(ExitCode::FAILURE);
             }
-            eprintln!("rfdump: stats written to {path}");
+            say!("rfdump: stats written to {path}");
         }
         if let Some(path) = &self.trace_out {
             if let Err(e) = rfdump::stats::write_chrome_trace(out, Path::new(path)) {
-                eprintln!("rfdump: cannot write {path}: {e}");
+                say!("rfdump: cannot write {path}: {e}");
                 return Err(ExitCode::FAILURE);
             }
-            eprintln!("rfdump: span trace written to {path}");
+            say!("rfdump: span trace written to {path}");
         }
         Ok(())
     }
@@ -521,15 +537,6 @@ fn stdin_is_stream() -> bool {
     }
 }
 
-/// Prints a line scripts wait for — a bound address — to stderr in one
-/// write. `eprintln!` hands an unbuffered stderr each formatted piece
-/// separately, so a reader polling a log file can catch `127.0` where
-/// `127.0.0.1:7099` is on its way.
-fn announce(line: String) {
-    use std::io::Write as _;
-    let _ = std::io::stderr().write_all((line + "\n").as_bytes());
-}
-
 /// Binds and spawns the `--metrics-addr` scrape endpoint around a fresh
 /// registry. Prints the bound address to stderr (port 0 resolves here, so
 /// scripts can discover the ephemeral port).
@@ -540,13 +547,13 @@ fn bind_metrics(
     let srv = match rfd_obs::MetricsServer::bind(addr, reg.clone()) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("rfdump: cannot bind metrics on {addr}: {e}");
+            say!("rfdump: cannot bind metrics on {addr}: {e}");
             return Err(ExitCode::FAILURE);
         }
     };
     match srv.local_addr() {
-        Ok(a) => announce(format!("rfdump: metrics on {a}")),
-        Err(_) => announce(format!("rfdump: metrics on {addr}")),
+        Ok(a) => say!("rfdump: metrics on {a}"),
+        Err(_) => say!("rfdump: metrics on {addr}"),
     }
     Ok((srv.spawn(), reg))
 }
@@ -582,13 +589,13 @@ fn cmd_serve(opts: ServeOptions) -> ExitCode {
     let server = match FleetServer::bind(&listen, net, factory, registry) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("rfdump: cannot listen on {listen}: {e}");
+            say!("rfdump: cannot listen on {listen}: {e}");
             return ExitCode::FAILURE;
         }
     };
     match server.local_addr() {
-        Ok(a) => announce(format!("rfdump: serving on {a}")),
-        Err(_) => announce(format!("rfdump: serving on {listen}")),
+        Ok(a) => say!("rfdump: serving on {a}"),
+        Err(_) => say!("rfdump: serving on {listen}"),
     }
     // Clean shutdown on SIGINT (always) and on stdin EOF (only when stdin
     // is a pipe/file): subscribers get a Bye, stats are still flushed, and
@@ -601,7 +608,7 @@ fn cmd_serve(opts: ServeOptions) -> ExitCode {
         std::thread::spawn(move || loop {
             if rfd_fault::signal::sigint_seen() {
                 user_stop.store(true, Ordering::SeqCst);
-                eprintln!("rfdump: interrupt - shutting down");
+                say!("rfdump: interrupt - shutting down");
                 handle.shutdown();
                 break;
             }
@@ -617,7 +624,7 @@ fn cmd_serve(opts: ServeOptions) -> ExitCode {
             let mut stdin = std::io::stdin().lock();
             while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
             user_stop.store(true, Ordering::SeqCst);
-            eprintln!("rfdump: stdin closed - shutting down");
+            say!("rfdump: stdin closed - shutting down");
             handle.shutdown();
         });
     }
@@ -637,17 +644,17 @@ fn cmd_serve(opts: ServeOptions) -> ExitCode {
                         emit(format_args!("[{source}] {}\n", record.line))?
                     }
                     HubMsg::Record(_) | HubMsg::SourceRecord { .. } | HubMsg::Stats(_) => {}
-                    HubMsg::Meta(m) => eprintln!(
+                    HubMsg::Meta(m) => say!(
                         "rfdump: session started at {:.1} Msps, band center {:.1} MHz",
                         m.sample_rate / 1e6,
                         m.center_hz / 1e6,
                     ),
-                    HubMsg::SourceMeta { source, meta } => eprintln!(
+                    HubMsg::SourceMeta { source, meta } => say!(
                         "rfdump: source '{source}' joined at {:.1} Msps, band center {:.1} MHz",
                         meta.sample_rate / 1e6,
                         meta.center_hz / 1e6,
                     ),
-                    HubMsg::SourceBye { source } => eprintln!("rfdump: source '{source}' done"),
+                    HubMsg::SourceBye { source } => say!("rfdump: source '{source}' done"),
                     HubMsg::Bye => break,
                 }
             }
@@ -661,12 +668,12 @@ fn cmd_serve(opts: ServeOptions) -> ExitCode {
     let snap = match server.run() {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("rfdump: server failed: {e}");
+            say!("rfdump: server failed: {e}");
             return ExitCode::FAILURE;
         }
     };
     let printed = printer.join().unwrap_or(Ok(()));
-    eprintln!(
+    say!(
         "rfdump: served {} source(s) ({} done, {} refused), {} samples, {} records, ingest RT ratio {:.3}",
         snap.sources_joined,
         snap.sources_done,
@@ -687,7 +694,7 @@ fn cmd_serve(opts: ServeOptions) -> ExitCode {
                 .into_iter()
                 .flatten()
             {
-                eprintln!("rfdump: no source completed; not writing {path}");
+                say!("rfdump: no source completed; not writing {path}");
                 if !user_stop.load(Ordering::SeqCst) {
                     return ExitCode::FAILURE;
                 }
@@ -762,7 +769,7 @@ fn cmd_send(opts: SendOptions) -> ExitCode {
     let mut tx = match TraceSender::connect_retrying(&opts.connect, opts.source.as_deref(), retry) {
         Ok(tx) => tx,
         Err(e) => {
-            eprintln!("rfdump: cannot connect to {}: {e}", opts.connect);
+            say!("rfdump: cannot connect to {}: {e}", opts.connect);
             return ExitCode::FAILURE;
         }
     };
@@ -777,14 +784,14 @@ fn cmd_send(opts: SendOptions) -> ExitCode {
             use std::io::ErrorKind as K;
             match e.kind() {
                 K::ConnectionRefused | K::TimedOut | K::AddrNotAvailable => {
-                    eprintln!("rfdump: cannot connect to {}: {e}", opts.connect)
+                    say!("rfdump: cannot connect to {}: {e}", opts.connect)
                 }
-                _ => eprintln!("rfdump: cannot send {}: {e}", opts.trace),
+                _ => say!("rfdump: cannot send {}: {e}", opts.trace),
             }
             return ExitCode::FAILURE;
         }
     };
-    eprintln!(
+    say!(
         "rfdump: sent {} samples in {} chunks ({:.2} MB, {:.1} ms, {} throttle(s), {} reconnect(s))",
         report.samples,
         report.chunks,
@@ -851,9 +858,7 @@ fn cmd_watch(opts: WatchOptions) -> ExitCode {
     loop {
         match watch_stream(&opts) {
             Ok((records, reconnects)) => {
-                eprintln!(
-                    "rfdump: stream ended after {records} record(s), {reconnects} reconnect(s)"
-                );
+                say!("rfdump: stream ended after {records} record(s), {reconnects} reconnect(s)");
                 return ExitCode::SUCCESS;
             }
             Err(WatchErr::SourceMissing | WatchErr::Connect(_))
@@ -863,15 +868,15 @@ fn cmd_watch(opts: WatchOptions) -> ExitCode {
             }
             Err(WatchErr::SourceMissing) => {
                 let want = opts.source.as_deref().unwrap_or("");
-                eprintln!("rfdump: source '{want}' never appeared in the stream");
+                say!("rfdump: source '{want}' never appeared in the stream");
                 return ExitCode::FAILURE;
             }
             Err(WatchErr::Connect(e)) => {
-                eprintln!("rfdump: cannot connect to {}: {e}", opts.connect);
+                say!("rfdump: cannot connect to {}: {e}", opts.connect);
                 return ExitCode::FAILURE;
             }
             Err(WatchErr::Stream(e)) => {
-                eprintln!("rfdump: stream failed: {e}");
+                say!("rfdump: stream failed: {e}");
                 return ExitCode::FAILURE;
             }
             Err(WatchErr::Write(e)) => return ExitCode::from(write_failed(e)),
@@ -909,7 +914,7 @@ fn watch_stream(opts: &WatchOptions) -> Result<(u64, u64), WatchErr> {
     };
     // The server has acked the subscription: every record published from
     // here on reaches this watcher, so a script may start its senders.
-    announce(format!("rfdump: watching {connect}"));
+    say!("rfdump: watching {connect}");
     let mut records = 0u64;
     // Under `--source`, matching records print bare (byte-identical to an
     // offline `rfdump -r` on the same trace); unfiltered tagged records
@@ -929,7 +934,7 @@ fn watch_stream(opts: &WatchOptions) -> Result<(u64, u64), WatchErr> {
                     print(format_args!("{}", r.line))?;
                 }
             }
-            Ok(SubEvent::Meta(m)) => eprintln!(
+            Ok(SubEvent::Meta(m)) => say!(
                 "rfdump: session started at {:.1} Msps, band center {:.1} MHz",
                 m.sample_rate / 1e6,
                 m.center_hz / 1e6,
@@ -956,7 +961,7 @@ fn watch_stream(opts: &WatchOptions) -> Result<(u64, u64), WatchErr> {
                 };
                 if wanted {
                     source_seen = true;
-                    eprintln!(
+                    say!(
                         "rfdump: source '{from}' started at {:.1} Msps, band center {:.1} MHz",
                         meta.sample_rate / 1e6,
                         meta.center_hz / 1e6,
@@ -968,7 +973,7 @@ fn watch_stream(opts: &WatchOptions) -> Result<(u64, u64), WatchErr> {
                 // complete, no need to wait for the fleet-wide Bye.
                 Some(want) if *want == from => break,
                 Some(_) => {}
-                None => eprintln!("rfdump: source '{from}' done"),
+                None => say!("rfdump: source '{from}' done"),
             },
             Ok(SubEvent::Stats(_) | SubEvent::Heartbeat) => {}
             Ok(SubEvent::Bye) => break,
@@ -1023,7 +1028,7 @@ fn cmd_top((addr, interval, once): (String, Duration, bool)) -> ExitCode {
         let text = match rfd_obs::scrape(&addr, "/metrics") {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("rfdump: cannot scrape {addr}: {e}");
+                say!("rfdump: cannot scrape {addr}: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -1062,7 +1067,7 @@ fn run<T>(parsed: Result<T, String>, cmd: fn(T) -> ExitCode) -> ExitCode {
     match parsed {
         Ok(opts) => cmd(opts),
         Err(e) => {
-            eprintln!("rfdump: {e}");
+            say!("rfdump: {e}");
             usage()
         }
     }
@@ -1090,12 +1095,12 @@ fn cmd_read((trace, stats, analysis): (Option<String>, bool, Analysis)) -> ExitC
     let mut reader = match rfd_ether::trace::ChunkedTraceReader::open(Path::new(path)) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("rfdump: cannot read {path}: {e}");
+            say!("rfdump: cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
     let header = *reader.header();
-    eprintln!(
+    say!(
         "rfdump: {} samples at {:.1} Msps ({:.1} ms), band center {:.1} MHz",
         header.n_samples,
         header.sample_rate / 1e6,
@@ -1115,7 +1120,7 @@ fn cmd_read((trace, stats, analysis): (Option<String>, bool, Analysis)) -> ExitC
     if let Some(d) = cfg.durability.as_ref().filter(|d| d.resume) {
         let fp = rfdump::durability::config_fingerprint(&cfg, header.n_samples, header.sample_rate);
         if let Err(e) = rfdump::durability::preflight(d, &fp) {
-            eprintln!("rfdump: cannot resume: {e}");
+            say!("rfdump: cannot resume: {e}");
             return ExitCode::FAILURE;
         }
     }
@@ -1130,7 +1135,7 @@ fn cmd_read((trace, stats, analysis): (Option<String>, bool, Analysis)) -> ExitC
     // push it, print what that made final.
     let mut session = Session::open(&cfg, header.sample_rate, Some(header.n_samples), registry);
     if let Some(r) = session.recovery().filter(|r| r.resumed) {
-        eprintln!(
+        say!(
             "rfdump: resumed from journal: {} entries replayed, {} record(s) recovered, resume latency {:.1} ms",
             r.entries_replayed,
             r.records_recovered,
@@ -1156,7 +1161,7 @@ fn cmd_read((trace, stats, analysis): (Option<String>, bool, Analysis)) -> ExitC
             Ok(0) => break,
             Ok(_) => printed = print(session.push(&samples)),
             Err(e) => {
-                eprintln!("rfdump: cannot read {path}: {e}");
+                say!("rfdump: cannot read {path}: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -1166,12 +1171,12 @@ fn cmd_read((trace, stats, analysis): (Option<String>, bool, Analysis)) -> ExitC
     if let Some(m) = metrics {
         m.join();
     }
-    eprintln!(
+    say!(
         "rfdump: {packets} packets, CPU/RT {:.3}",
         out.cpu_over_realtime()
     );
     if out.panics > 0 || !out.quarantined.is_empty() {
-        eprintln!(
+        say!(
             "rfdump: survived {} analyzer panic(s); quarantined: {}",
             out.panics,
             if out.quarantined.is_empty() {
@@ -1182,7 +1187,7 @@ fn cmd_read((trace, stats, analysis): (Option<String>, bool, Analysis)) -> ExitC
         );
     }
     if let Some(g) = &out.governor {
-        eprintln!(
+        say!(
             "rfdump: governor finished at level {} ({}), {} escalation(s), shed {} demod / {} detector(s) / {} vote(s)",
             g.level,
             rfdump::governor::LEVEL_NAMES[g.level as usize],
@@ -1193,15 +1198,16 @@ fn cmd_read((trace, stats, analysis): (Option<String>, bool, Analysis)) -> ExitC
         );
     }
     if stats {
-        eprint!("{}", out.stats.table());
+        let _ = io::stderr().write_all(out.stats.table().as_bytes());
         if let Some(ds) = &out.dispatch_stats {
-            eprintln!(
+            say!(
                 "peaks: {} total, {} unclassified",
-                ds.total_peaks, ds.unclassified_peaks
+                ds.total_peaks,
+                ds.unclassified_peaks
             );
         }
         if let Some(ps) = &out.pool_stats {
-            eprintln!(
+            say!(
                 "pool: {} tasks over {} workers, busy {:.1} ms, stall {:.1} ms",
                 ps.executed(),
                 ps.workers.len(),

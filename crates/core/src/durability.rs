@@ -57,7 +57,7 @@ use rfd_journal::{
     get_bytes, get_u64, put_bytes, put_u64, read_checkpoint, recover, write_checkpoint, Entry,
     JournalWriter,
 };
-use std::io;
+use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -534,7 +534,10 @@ impl JournalState {
 
     fn degrade(&self, err: &io::Error) {
         if !self.degraded.swap(true, Ordering::Relaxed) {
-            eprintln!("rfdump: journaling degraded (continuing without durability): {err}");
+            let _ = writeln!(
+                io::stderr(),
+                "rfdump: journaling degraded (continuing without durability): {err}"
+            );
             if let Some(reg) = &self.registry {
                 reg.emit_event(
                     rfd_telemetry::event::EventKind::JournalDegrade,

@@ -870,3 +870,37 @@ fn a_closed_or_full_stdout_is_a_clean_exit() {
         );
     }
 }
+
+/// `rfdump ARGS` with its stderr on /dev/full; stdout is captured.
+fn rfdump_with_full_stderr(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rfdump"))
+        .args(args)
+        .stderr(dev_full())
+        .output()
+        .expect("spawn rfdump")
+}
+
+#[test]
+fn a_full_stderr_never_changes_the_exit_status() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+    let trace = format!("{golden}/wifi.rfdt");
+    let expected = std::fs::read(format!("{golden}/wifi.expected")).unwrap();
+    // The banner, the summary and the `-s` table all fail to write; the
+    // records still come out whole and the run still succeeds.
+    for (extra, stdout) in [
+        (None, &expected[..]),
+        (Some("-s"), &expected[..]),
+        (Some("-q"), &b""[..]),
+    ] {
+        let mut args = vec!["-r", trace.as_str(), "--workers", "0"];
+        args.extend(extra);
+        let out = rfdump_with_full_stderr(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(out.stdout == stdout, "{args:?}: stdout differs");
+    }
+    // Failures keep their own status, never a panic's 101.
+    let usage = rfdump_with_full_stderr(&["--definitely-not-a-flag"]);
+    assert_eq!(usage.status.code(), Some(2), "usage error");
+    let missing = rfdump_with_full_stderr(&["-r", "/nonexistent/definitely/not/here.rfdt"]);
+    assert_eq!(missing.status.code(), Some(1), "missing file");
+}

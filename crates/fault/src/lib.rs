@@ -50,6 +50,7 @@
 
 pub mod signal;
 
+use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -384,7 +385,7 @@ impl FaultPlan {
                 match FaultPlan::parse(&spec) {
                     Ok(p) => Some(Arc::new(p)),
                     Err(e) => {
-                        eprintln!("rfd-fault: ignoring RFD_FAULTS: {e}");
+                        let _ = writeln!(std::io::stderr(), "rfd-fault: ignoring RFD_FAULTS: {e}");
                         None
                     }
                 }
