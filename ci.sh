@@ -148,12 +148,14 @@ echo "== reference record stream (--workers 0) =="
 
 echo "== kernel layer: no fused multiply-add =="
 # A fused multiply-add rounds once where the scalar reference rounds twice,
-# so one in a vector backend, the resampler, the running power or the peak
-# detector's exact-tie fallback changes bits silently. (That every backend
-# prints the same record stream is tier-1: crates/core/tests/kernel_matrix.rs.)
+# so one in a vector backend, the resampler, the running power, the peak
+# detector's exact-tie fallback, the |Δφ| polynomial or a fast detector's
+# score changes bits silently. (That every backend prints the same record
+# stream is tier-1: crates/core/tests/kernel_matrix.rs.)
 if grep -rnE 'fmadd|fmsub|\.mul_add\(|enable = "[^"]*fma' \
     crates/dsp/src/kernels/ crates/dsp/src/resample.rs \
-    crates/dsp/src/energy.rs crates/core/src/peak.rs; then
+    crates/dsp/src/energy.rs crates/dsp/src/phase.rs \
+    crates/core/src/peak.rs crates/core/src/detect/; then
     echo "FMA in the kernel layer breaks the bit-exactness contract"
     exit 1
 fi
