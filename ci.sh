@@ -7,7 +7,8 @@
 #      must be deterministic across both —
 #      and a third pass pinned to the scalar reference kernels
 #      (RFD_KERNEL=scalar); the default legs run whatever SIMD backend
-#      the host resolves, so together they cover the kernel matrix
+#      the host resolves, so together they cover the kernel matrix;
+#      then the unit tests of rfd-bench, which is not a default member
 #   3. a smoke run of the rfdump CLI over a tiny generated .rfdt trace,
 #      checking that --stats-json emits a document the in-repo parser and
 #      schema checks accept, and that no fused multiply-add appears in the
@@ -121,6 +122,11 @@ echo "== tier-1: test again on the scalar reference kernels (RFD_KERNEL=scalar) 
 # backend); this one pins the scalar reference so a vectorized-kernel bug
 # can never hide behind the backend both legs happened to pick.
 RFD_KERNEL=scalar RFD_WORKERS=0 cargo test -q
+
+echo "== rfd-bench unit tests =="
+# rfd-bench is not a default workspace member, so the legs above never run
+# its tests (the bench harnesses' shared workloads and BENCH_*.json writer).
+cargo test -q --offline -p rfd-bench --lib
 
 echo "== smoke: rfdump --stats-json on a generated trace =="
 work="$(mktemp -d)"

@@ -14,8 +14,7 @@
 //!   both fleet-wide (the `latency.net_fanout_us` histogram) and the
 //!   spread of per-source p50s.
 //!
-//! Writes the `fleet_ingest` section of the shared `BENCH_fleet.json`
-//! (merged with `fleet_churn`'s section, whichever ran first). Run:
+//! Writes `BENCH_fleet_ingest.json`. Run:
 //! `cargo bench -p rfd-bench --bench fleet_ingest`
 
 use rfd_bench::report::BenchReport;
@@ -187,6 +186,6 @@ fn main() {
     doc.push("source_fanout_p50_max_us", JsonValue::num(src_p50_max));
     doc.push("wire_bytes", JsonValue::num(wire_bytes as f64));
     doc.push("throttles", JsonValue::num(throttles as f64));
-    let out = doc.write_merged("fleet").unwrap();
+    let out = doc.write().unwrap();
     println!("  wrote {}", out.display());
 }

@@ -1,10 +1,10 @@
 //! Shared harness for the paper-reproduction benchmarks.
 //!
-//! Each `benches/*.rs` target regenerates one table or figure of the RFDump
-//! paper. This library holds the common machinery: the microbenchmark
-//! workloads of §5.1 (802.11 unicast, 802.11 broadcast, Bluetooth `l2ping`,
-//! traffic mix), SNR sweeps, detector-level scoring, and plain-text table
-//! printing.
+//! Each `benches/*.rs` target but `fleet_ingest` regenerates one table or
+//! figure of the RFDump paper. This library holds the common machinery: the
+//! microbenchmark workloads of §5.1 (802.11 unicast, 802.11 broadcast,
+//! Bluetooth `l2ping`, traffic mix), SNR sweeps, detector-level scoring, and
+//! plain-text table printing.
 //!
 //! Workload sizes are scaled down from the paper (packet counts in the
 //! hundreds rather than thousands) so the full suite regenerates in minutes;
@@ -266,102 +266,27 @@ pub fn fmt_rate(r: f64) -> String {
 }
 
 pub mod report {
-    //! Machine-readable benchmark output (`BENCH_*.json`) plus a small
-    //! wall-clock timing harness.
+    //! Machine-readable benchmark output (`BENCH_*.json`).
     //!
-    //! Each bench target prints its human table as before and *also* writes
-    //! a `BENCH_<name>.json` document next to the working directory (or into
-    //! `$RFD_BENCH_OUT` if set) so experiment scripts can consume runs
-    //! without scraping stdout. The document shares the repo's hand-rolled
-    //! JSON codec with `--stats-json`:
+    //! The two bench targets that write one (`fig9_efficiency` and
+    //! `fleet_ingest`) print their human table as before and *also* write
+    //! a `BENCH_<name>.json` document into `$RFD_BENCH_OUT` (or the working
+    //! directory) so experiment scripts can consume runs without scraping
+    //! stdout. The document shares the repo's hand-rolled JSON codec with
+    //! `--stats-json`:
     //!
     //! ```json
     //! {"schema": "rfd-bench", "version": 1, "bench": "fig9",
     //!  "results": { ... bench-specific ... }}
     //! ```
-    //!
-    //! Bench targets that share one output file (the fleet pair both feed
-    //! `BENCH_fleet.json`) use [`BenchReport::write_merged`] instead of
-    //! [`BenchReport::write`]: the shared document is version 2 and keys a
-    //! section per bench target, so re-running one target replaces only its
-    //! own section instead of clobbering its sibling's:
-    //!
-    //! ```json
-    //! {"schema": "rfd-bench", "version": 2,
-    //!  "benches": {"fleet_ingest": { ... }, "fleet_churn": { ... }}}
-    //! ```
 
     use rfd_telemetry::json::JsonValue;
-    use std::path::{Path, PathBuf};
-    use std::time::{Duration, Instant};
+    use std::path::PathBuf;
 
     /// Schema identifier carried in every bench document.
     pub(crate) const BENCH_SCHEMA: &str = "rfd-bench";
     /// Current bench document version.
     pub(crate) const BENCH_VERSION: u64 = 1;
-    /// Version of the shared (merged, multi-section) bench document.
-    pub(crate) const BENCH_MERGED_VERSION: u64 = 2;
-
-    /// Wall-clock timing summary of a benchmarked closure.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Timing {
-        /// Number of timed iterations.
-        pub iters: u64,
-        /// Mean time per iteration, nanoseconds.
-        pub mean_ns: f64,
-        /// Fastest iteration, nanoseconds.
-        pub min_ns: f64,
-        /// Slowest iteration, nanoseconds.
-        pub max_ns: f64,
-    }
-
-    impl Timing {
-        /// The summary as a JSON object.
-        pub fn to_json(&self) -> JsonValue {
-            JsonValue::obj(vec![
-                ("iters", JsonValue::num(self.iters as f64)),
-                ("mean_ns", JsonValue::num(self.mean_ns)),
-                ("min_ns", JsonValue::num(self.min_ns)),
-                ("max_ns", JsonValue::num(self.max_ns)),
-            ])
-        }
-
-        /// Mean iteration time formatted for the text table.
-        pub fn fmt_mean(&self) -> String {
-            if self.mean_ns >= 1e6 {
-                format!("{:.3} ms", self.mean_ns / 1e6)
-            } else if self.mean_ns >= 1e3 {
-                format!("{:.3} µs", self.mean_ns / 1e3)
-            } else {
-                format!("{:.1} ns", self.mean_ns)
-            }
-        }
-    }
-
-    /// Times `f`: one warm-up call, then at least `min_iters` iterations and
-    /// at least `min_time` of accumulated wall clock, whichever takes longer.
-    pub fn time_fn(mut f: impl FnMut(), min_iters: u64, min_time: Duration) -> Timing {
-        f(); // warm-up: page in code and data, fill caches
-        let mut iters = 0u64;
-        let mut total = Duration::ZERO;
-        let mut min = Duration::MAX;
-        let mut max = Duration::ZERO;
-        while iters < min_iters || total < min_time {
-            let t0 = Instant::now();
-            f();
-            let dt = t0.elapsed();
-            total += dt;
-            min = min.min(dt);
-            max = max.max(dt);
-            iters += 1;
-        }
-        Timing {
-            iters,
-            mean_ns: total.as_nanos() as f64 / iters as f64,
-            min_ns: min.as_nanos() as f64,
-            max_ns: max.as_nanos() as f64,
-        }
-    }
 
     /// Collects one bench target's results and writes `BENCH_<name>.json`.
     pub struct BenchReport {
@@ -383,200 +308,31 @@ pub mod report {
             self.results.push((key.to_string(), value));
         }
 
-        /// This report's results as one JSON object.
-        fn results_json(&self) -> JsonValue {
-            JsonValue::Obj(
-                self.results
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            )
-        }
-
         /// The full document.
         pub fn to_json(&self) -> JsonValue {
             JsonValue::obj(vec![
                 ("schema", JsonValue::str(BENCH_SCHEMA)),
                 ("version", JsonValue::num(BENCH_VERSION as f64)),
                 ("bench", JsonValue::str(&self.name)),
-                ("results", self.results_json()),
+                ("results", JsonValue::Obj(self.results.clone())),
             ])
         }
 
         /// Writes `BENCH_<name>.json` into `$RFD_BENCH_OUT` (or the working
         /// directory) and returns the path.
         pub fn write(&self) -> std::io::Result<PathBuf> {
-            let path = out_dir().join(format!("BENCH_{}.json", self.name));
+            let dir = std::env::var_os("RFD_BENCH_OUT")
+                .map(PathBuf::from)
+                .unwrap_or_else(|| PathBuf::from("."));
+            let path = dir.join(format!("BENCH_{}.json", self.name));
             std::fs::write(&path, self.to_json().to_json())?;
             Ok(path)
         }
-
-        /// Writes this report as the `<name>` section of the shared
-        /// document `BENCH_<file>.json` (in `$RFD_BENCH_OUT` or the
-        /// working directory) and returns the path.
-        ///
-        /// Unlike [`BenchReport::write`], sections other bench targets
-        /// already wrote to the shared file are preserved — only this
-        /// report's own section is replaced, so the targets can run in any
-        /// order, any number of times, without clobbering each other.
-        pub fn write_merged(&self, file: &str) -> std::io::Result<PathBuf> {
-            let path = out_dir().join(format!("BENCH_{file}.json"));
-            self.merge_into(&path)?;
-            Ok(path)
-        }
-
-        /// Merges this report into the shared document at `path` (the
-        /// explicit-path core of [`BenchReport::write_merged`]).
-        ///
-        /// An existing version-2 document keeps all of its other sections;
-        /// a version-1 solo document is adopted as that bench's section; an
-        /// unreadable or foreign file is started over.
-        pub(crate) fn merge_into(&self, path: &Path) -> std::io::Result<()> {
-            let mut sections: Vec<(String, JsonValue)> = Vec::new();
-            if let Ok(text) = std::fs::read_to_string(path) {
-                if let Ok(doc) = rfd_telemetry::json::parse(&text) {
-                    if doc.get("schema").and_then(|s| s.as_str()) == Some(BENCH_SCHEMA) {
-                        if let Some(benches) = doc.get("benches").and_then(|b| b.as_obj()) {
-                            sections = benches.to_vec();
-                        } else if let (Some(name), Some(results)) = (
-                            doc.get("bench").and_then(|b| b.as_str()),
-                            doc.get("results"),
-                        ) {
-                            sections.push((name.to_string(), results.clone()));
-                        }
-                    }
-                }
-            }
-            sections.retain(|(k, _)| k != &self.name);
-            sections.push((self.name.clone(), self.results_json()));
-            let doc = JsonValue::obj(vec![
-                ("schema", JsonValue::str(BENCH_SCHEMA)),
-                ("version", JsonValue::num(BENCH_MERGED_VERSION as f64)),
-                ("benches", JsonValue::Obj(sections)),
-            ]);
-            std::fs::write(path, doc.to_json())
-        }
-    }
-
-    /// `$RFD_BENCH_OUT`, or the working directory.
-    fn out_dir() -> PathBuf {
-        std::env::var_os("RFD_BENCH_OUT")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("."))
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        #[test]
-        fn timing_runs_at_least_min_iters() {
-            let mut n = 0u64;
-            let t = time_fn(|| n += 1, 10, Duration::ZERO);
-            assert!(t.iters >= 10);
-            assert!(n >= 11); // warm-up + timed iterations
-            assert!(t.min_ns <= t.mean_ns && t.mean_ns <= t.max_ns);
-        }
-
-        fn scratch_doc(name: &str) -> PathBuf {
-            let dir = std::env::temp_dir().join("rfd-bench-report-tests");
-            std::fs::create_dir_all(&dir).unwrap();
-            dir.join(format!("BENCH_{name}-{}.json", std::process::id()))
-        }
-
-        fn reparse(path: &Path) -> JsonValue {
-            rfd_telemetry::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
-        }
-
-        #[test]
-        fn merged_document_keeps_both_sections_and_replaces_only_its_own() {
-            let path = scratch_doc("merge");
-            let _ = std::fs::remove_file(&path);
-            let mut a = BenchReport::new("alpha");
-            a.push("x", JsonValue::num(1.0));
-            a.merge_into(&path).unwrap();
-            let mut b = BenchReport::new("beta");
-            b.push("y", JsonValue::num(2.0));
-            b.merge_into(&path).unwrap();
-
-            let doc = reparse(&path);
-            assert_eq!(
-                doc.get("version").unwrap().as_f64(),
-                Some(BENCH_MERGED_VERSION as f64)
-            );
-            let benches = doc.get("benches").unwrap();
-            assert_eq!(
-                benches.get("alpha").unwrap().get("x").unwrap().as_f64(),
-                Some(1.0)
-            );
-            assert_eq!(
-                benches.get("beta").unwrap().get("y").unwrap().as_f64(),
-                Some(2.0)
-            );
-
-            // A re-run of one target must replace its own section only.
-            let mut a2 = BenchReport::new("alpha");
-            a2.push("x", JsonValue::num(9.0));
-            a2.merge_into(&path).unwrap();
-            let doc = reparse(&path);
-            let benches = doc.get("benches").unwrap();
-            assert_eq!(
-                benches.get("alpha").unwrap().get("x").unwrap().as_f64(),
-                Some(9.0)
-            );
-            assert_eq!(
-                benches.get("beta").unwrap().get("y").unwrap().as_f64(),
-                Some(2.0),
-                "re-running alpha must not clobber beta's section"
-            );
-            let _ = std::fs::remove_file(&path);
-        }
-
-        #[test]
-        fn merge_adopts_a_version_one_solo_document() {
-            let path = scratch_doc("adopt");
-            let mut old = BenchReport::new("old");
-            old.push("kept", JsonValue::num(7.0));
-            std::fs::write(&path, old.to_json().to_json()).unwrap();
-
-            let mut new = BenchReport::new("new");
-            new.push("added", JsonValue::num(8.0));
-            new.merge_into(&path).unwrap();
-
-            let doc = reparse(&path);
-            let benches = doc.get("benches").unwrap();
-            assert_eq!(
-                benches.get("old").unwrap().get("kept").unwrap().as_f64(),
-                Some(7.0),
-                "the v1 solo document must survive as its bench's section"
-            );
-            assert_eq!(
-                benches.get("new").unwrap().get("added").unwrap().as_f64(),
-                Some(8.0)
-            );
-            let _ = std::fs::remove_file(&path);
-        }
-
-        #[test]
-        fn merge_starts_over_on_a_corrupt_file() {
-            let path = scratch_doc("corrupt");
-            std::fs::write(&path, "{not json").unwrap();
-            let mut r = BenchReport::new("fresh");
-            r.push("z", JsonValue::num(3.0));
-            r.merge_into(&path).unwrap();
-            let doc = reparse(&path);
-            assert_eq!(
-                doc.get("benches")
-                    .unwrap()
-                    .get("fresh")
-                    .unwrap()
-                    .get("z")
-                    .unwrap()
-                    .as_f64(),
-                Some(3.0)
-            );
-            let _ = std::fs::remove_file(&path);
-        }
 
         #[test]
         fn report_document_is_versioned_and_parses() {

@@ -2,7 +2,9 @@
 //! must exit nonzero with a one-line, human-readable error — never a
 //! panic, never a backtrace.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Child, Command, Output, Stdio};
+use std::thread::JoinHandle;
 
 fn rfdump(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rfdump"))
@@ -30,6 +32,48 @@ fn assert_clean_failure(out: &Output, what: &str, needle: &str) {
         stderr.starts_with("rfdump:") || stderr.contains("\nrfdump:"),
         "{what}: errors should carry the program prefix: {stderr}"
     );
+}
+
+/// Reads `child`'s stderr until it has printed a line starting with each of
+/// `prefixes`, in order, and returns the rest of each such line, plus a
+/// thread that drains the stderr that follows (so a chatty child never
+/// blocks on the pipe) and returns it.
+fn announced(child: &mut Child, prefixes: &[&str]) -> (Vec<String>, JoinHandle<String>) {
+    let mut log = BufReader::new(child.stderr.take().unwrap());
+    let mut seen = String::new();
+    let mut found = Vec::new();
+    for prefix in prefixes {
+        loop {
+            let mut line = String::new();
+            if log.read_line(&mut line).unwrap() == 0 {
+                let _ = child.kill();
+                panic!("child exited before printing '{prefix}':\n{seen}");
+            }
+            seen.push_str(&line);
+            if let Some(rest) = line.trim().strip_prefix(prefix) {
+                found.push(rest.to_string());
+                break;
+            }
+        }
+    }
+    let drain = std::thread::spawn(move || {
+        let mut rest = String::new();
+        let _ = log.read_to_string(&mut rest);
+        rest
+    });
+    (found, drain)
+}
+
+/// Spawns `rfdump ARGS` with stdin on a pipe (closing it stops a `serve`
+/// cleanly), stdout discarded and stderr piped.
+fn spawn_rfdump(args: &[&str]) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_rfdump"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rfdump")
 }
 
 #[test]
@@ -366,28 +410,13 @@ fn watch_for_absent_source_exits_nonzero_cleanly() {
     // Bye reach it.
     let mut watch = Command::new(env!("CARGO_BIN_EXE_rfdump"))
         .args(["watch", "--connect", &addr, "--source", "missing"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn rfdump watch");
-    let stderr = {
-        use std::io::{BufRead, Read};
-        let mut log = std::io::BufReader::new(watch.stderr.take().unwrap());
-        let mut seen = String::new();
-        while !seen.contains("rfdump: watching ") {
-            assert!(
-                log.read_line(&mut seen).unwrap() > 0,
-                "watch exited before subscribing: {seen}"
-            );
-        }
-        // Keep only what follows the announcement, so the error line itself
-        // must carry the program prefix.
-        std::thread::spawn(move || {
-            let mut rest = String::new();
-            let _ = log.read_to_string(&mut rest);
-            rest.into_bytes()
-        })
-    };
+    // Keep only what follows the announcement, so the error line itself
+    // must carry the program prefix.
+    let (_, stderr) = announced(&mut watch, &["rfdump: watching "]);
     let meta = rfd_net::StreamMeta {
         sample_rate: 8e6,
         center_hz: 0.0,
@@ -404,7 +433,7 @@ fn watch_for_absent_source_exits_nonzero_cleanly() {
     tx.finish().unwrap();
     run.join().unwrap();
     let mut out = watch.wait_with_output().unwrap();
-    out.stderr = stderr.join().unwrap();
+    out.stderr = stderr.join().unwrap().into_bytes();
     assert_clean_failure(&out, "absent source", "never appeared");
     assert!(
         out.stdout.is_empty(),
@@ -811,11 +840,11 @@ fn bad_values_and_missing_required_flags_print_their_one_line() {
 
 /// Runs `rfdump args` with stdout on `stdout` and returns its output
 /// (stdout itself is not captured).
-fn rfdump_into(args: &[&str], stdout: std::process::Stdio) -> Output {
+fn rfdump_into(args: &[&str], stdout: Stdio) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rfdump"))
         .args(args)
         .stdout(stdout)
-        .stderr(std::process::Stdio::piped())
+        .stderr(Stdio::piped())
         .output()
         .expect("spawn rfdump")
 }
@@ -823,13 +852,13 @@ fn rfdump_into(args: &[&str], stdout: std::process::Stdio) -> Output {
 /// A pipe whose reading end is already closed: every write the child makes
 /// fails with EPIPE (Rust ignores SIGPIPE), as it does under `| head`
 /// once `head` has exited.
-fn closed_pipe() -> std::process::Stdio {
+fn closed_pipe() -> Stdio {
     let (reader, writer) = std::io::pipe().expect("pipe");
     drop(reader);
     writer.into()
 }
 
-fn dev_full() -> std::process::Stdio {
+fn dev_full() -> Stdio {
     std::fs::OpenOptions::new()
         .write(true)
         .open("/dev/full")
@@ -837,38 +866,100 @@ fn dev_full() -> std::process::Stdio {
         .into()
 }
 
+/// Runs one command twice, its stdout first a closed pipe, then /dev/full.
+fn assert_stdout_failures_exit_cleanly(what: &str, run: impl Fn(Stdio) -> Output) {
+    // The reader went away: the run ends as it would at end of input.
+    let out = run(closed_pipe());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{what} into a closed pipe: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("cannot write"),
+        "{what} into a closed pipe: {stderr}"
+    );
+    // Any other write error is one line and status 1.
+    let out = run(dev_full());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{what} into /dev/full: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    assert_eq!(
+        stderr.matches("rfdump: cannot write records: ").count(),
+        1,
+        "{what} into /dev/full: {stderr}"
+    );
+}
+
 #[test]
 fn a_closed_or_full_stdout_is_a_clean_exit() {
     let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/wifi.rfdt");
     let replay: &[&str] = &["-r", golden, "--workers", "0"];
     for args in [replay, &["kernel"]] {
-        // The reader went away: the run ends as it would at end of input.
-        let out = rfdump_into(args, closed_pipe());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "{args:?} into a closed pipe: {stderr}"
-        );
-        assert!(
-            !stderr.contains("panicked") && !stderr.contains("cannot write"),
-            "{args:?} into a closed pipe: {stderr}"
-        );
-        // Any other write error is one line and status 1.
-        let out = rfdump_into(args, dev_full());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "{args:?} into /dev/full: {stderr}"
-        );
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert_eq!(
-            stderr.matches("rfdump: cannot write records: ").count(),
-            1,
-            "{args:?} into /dev/full: {stderr}"
-        );
+        assert_stdout_failures_exit_cleanly(&format!("{args:?}"), |stdout| {
+            rfdump_into(args, stdout)
+        });
     }
+
+    // `watch` of a `serve --once` that one `send` of the golden trace feeds:
+    // its first record is its first stdout write.
+    assert_stdout_failures_exit_cleanly("watch", |stdout| {
+        let mut serve = spawn_rfdump(&[
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--once",
+            "--workers",
+            "0",
+        ]);
+        let (addr, serve_log) = announced(&mut serve, &["rfdump: serving on "]);
+        let mut watch = Command::new(env!("CARGO_BIN_EXE_rfdump"))
+            .args(["watch", "--connect", &addr[0]])
+            .stdout(stdout)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn rfdump watch");
+        let (_, watch_log) = announced(&mut watch, &["rfdump: watching "]);
+        let sent = rfdump(&["send", "--connect", &addr[0], "--rate", "max", golden]);
+        assert!(
+            sent.status.success(),
+            "send: {}",
+            String::from_utf8_lossy(&sent.stderr)
+        );
+        // --once: the server exits on its own after the session, whatever
+        // became of its watcher.
+        let status = serve.wait().unwrap();
+        assert!(status.success(), "serve: {}", serve_log.join().unwrap());
+        Output {
+            status: watch.wait().unwrap(),
+            stdout: Vec::new(),
+            stderr: watch_log.join().unwrap().into_bytes(),
+        }
+    });
+
+    // `top --once` against a live scrape endpoint.
+    let mut serve = spawn_rfdump(&[
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--metrics-addr",
+        "127.0.0.1:0",
+        "--workers",
+        "0",
+    ]);
+    let (addrs, serve_log) = announced(&mut serve, &["rfdump: metrics on ", "rfdump: serving on "]);
+    assert_stdout_failures_exit_cleanly("top --once", |stdout| {
+        rfdump_into(&["top", "--connect", &addrs[0], "--once"], stdout)
+    });
+    // Closing its stdin stops the server cleanly.
+    drop(serve.stdin.take());
+    let status = serve.wait().unwrap();
+    assert!(status.success(), "serve: {}", serve_log.join().unwrap());
 }
 
 /// `rfdump ARGS` with its stderr on /dev/full; stdout is captured.

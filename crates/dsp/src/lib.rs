@@ -38,6 +38,7 @@
 // code in `kernels`, which carries its own `#[allow(unsafe_code)]` plus
 // per-function safety contracts.
 #![deny(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod coding;
 pub mod complex;

@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};

@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod bluetooth_tdd;
 pub mod wifi_dcf;

@@ -22,7 +22,7 @@ pub(crate) fn spread_symbol(symbol: Complex32, out: &mut Vec<Complex32>) {
 /// Despreads 11 chip samples into one symbol estimate (normalized correlation
 /// with the Barker sequence; for a clean signal the output equals the
 /// transmitted symbol).
-pub fn despread_symbol(chips: &[Complex32]) -> Complex32 {
+pub(crate) fn despread_symbol(chips: &[Complex32]) -> Complex32 {
     debug_assert_eq!(chips.len(), 11);
     let mut acc = Complex32::ZERO;
     for (z, &c) in chips.iter().zip(BARKER11.iter()) {
